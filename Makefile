@@ -2,13 +2,14 @@
 
 GO ?= go
 
-.PHONY: all build check vet test test-race bench bench-adjacency bench-community bench-signals bench-ingest fuzz experiments examples clean
+.PHONY: all build check vet test test-race check-bench bench bench-e2e bench-adjacency bench-community bench-signals bench-ingest fuzz experiments examples clean
 
 all: build check
 
 # The gate PRs must pass: static checks plus the full suite under the
-# race detector (the daemon's ingest/survey concurrency depends on it).
-check: vet test-race
+# race detector (the daemon's ingest/survey concurrency depends on it),
+# and the benchmark's module, which the root ./... does not reach.
+check: vet test-race check-bench
 
 build:
 	$(GO) build ./...
@@ -22,16 +23,23 @@ test:
 test-race:
 	$(GO) test -race ./...
 
+# bench/ is its own module: an API slip there shows up here, not first
+# in a benchmark run.
+check-bench:
+	$(GO) -C bench vet ./...
+	$(GO) -C bench test ./...
+
 # Short fuzz of the edge-key codec, the open-addressed edge table vs a
-# map reference model, the sharded-vs-map adjacency equivalence, and the
-# patched-vs-rebuilt oriented CSR (seed corpora also run under plain
-# `make test`).
+# map reference model, the sharded-vs-map adjacency equivalence, the
+# patched-vs-rebuilt oriented CSR, and the archive reader vs its
+# encoding/json reference (seed corpora also run under plain `make test`).
 FUZZTIME ?= 20s
 fuzz:
 	$(GO) test ./internal/graph/ -fuzz FuzzPackEdge -fuzztime $(FUZZTIME)
 	$(GO) test ./internal/graph/ -fuzz FuzzEdgeTable -fuzztime $(FUZZTIME)
 	$(GO) test ./internal/graph/ -fuzz FuzzBuildAdjacency -fuzztime $(FUZZTIME)
 	$(GO) test ./internal/tripoll/ -fuzz FuzzOrientedPatch -fuzztime $(FUZZTIME)
+	$(GO) test ./internal/pushshift/ -fuzz FuzzRead -fuzztime $(FUZZTIME)
 
 # Captures for the repo-root result files.
 test-output:
@@ -42,6 +50,11 @@ bench-output:
 
 bench:
 	$(GO) test -bench=. -benchmem .
+
+# One traced end-to-end run of the offline workload (BENCHMARK.json's
+# entry point; everything it writes stays under bench/out).
+bench-e2e:
+	bash bench/run.sh --workload batch-archive --seed 1 --seconds 20 --trace 1
 
 # Patched-vs-rebuilt oriented adjacency maintenance across dirty
 # fractions; writes the JSON report and enforces the >=3x floor at <=1%

@@ -6,8 +6,9 @@
 package graph
 
 import (
+	"cmp"
 	"fmt"
-	"sort"
+	"slices"
 	"sync"
 )
 
@@ -114,51 +115,54 @@ func BuildBTM(comments []Comment, numAuthors, numPages int) *BTM {
 		b.pageEntries[i] = AuthorTime{Author: c.Author, TS: c.TS}
 		cursor[c.Page]++
 	}
+	// Archives and the daemon's windowed log arrive in time order, so most
+	// pages need no sort.
 	for p := 0; p < numPages; p++ {
 		seg := b.pageEntries[b.pageOff[p]:b.pageOff[p+1]]
-		sort.Slice(seg, func(i, j int) bool {
-			if seg[i].TS != seg[j].TS {
-				return seg[i].TS < seg[j].TS
-			}
-			return seg[i].Author < seg[j].Author
-		})
+		if !slices.IsSortedFunc(seg, compareAuthorTime) {
+			slices.SortFunc(seg, compareAuthorTime)
+		}
 	}
 
 	// --- By-author distinct-page CSR. ---
-	// First pass: collect (author, page) pairs, dedupe per author.
-	perAuthor := make([][]VertexID, numAuthors)
+	// Each author gets room for every comment in one flat slice. Walking
+	// the by-page index hands an author its pages in ascending order, so
+	// the lists come out sorted and a repeated page is always the entry
+	// just written; then the lists are closed up.
+	start := make([]int, numAuthors+1)
 	for _, c := range comments {
-		perAuthor[c.Author] = append(perAuthor[c.Author], c.Page)
+		start[c.Author+1]++
+	}
+	for a := 0; a < numAuthors; a++ {
+		start[a+1] += start[a]
+	}
+	end := slices.Clone(start[:numAuthors])
+	pages := make([]VertexID, len(comments))
+	for p := 0; p < numPages; p++ {
+		for _, at := range b.pageEntries[b.pageOff[p]:b.pageOff[p+1]] {
+			a := at.Author
+			if end[a] == start[a] || pages[end[a]-1] != VertexID(p) {
+				pages[end[a]] = VertexID(p)
+				end[a]++
+			}
+		}
 	}
 	b.authorOff = make([]int, numAuthors+1)
 	total := 0
 	for a := 0; a < numAuthors; a++ {
-		ps := perAuthor[a]
-		sort.Slice(ps, func(i, j int) bool { return ps[i] < ps[j] })
-		ps = dedupeSorted(ps)
-		perAuthor[a] = ps
-		total += len(ps)
+		total += copy(pages[total:], pages[start[a]:end[a]])
 		b.authorOff[a+1] = total
 	}
-	b.authorPages = make([]VertexID, total)
-	for a := 0; a < numAuthors; a++ {
-		copy(b.authorPages[b.authorOff[a]:], perAuthor[a])
-	}
+	b.authorPages = slices.Clone(pages[:total])
 	return b
 }
 
-func dedupeSorted(ps []VertexID) []VertexID {
-	if len(ps) == 0 {
-		return ps
+// compareAuthorTime orders a page's comments by time, ties by author.
+func compareAuthorTime(x, y AuthorTime) int {
+	if c := cmp.Compare(x.TS, y.TS); c != 0 {
+		return c
 	}
-	w := 1
-	for i := 1; i < len(ps); i++ {
-		if ps[i] != ps[w-1] {
-			ps[w] = ps[i]
-			w++
-		}
-	}
-	return ps[:w]
+	return cmp.Compare(x.Author, y.Author)
 }
 
 // NumAuthors returns |U|.
@@ -225,7 +229,7 @@ func (b *BTM) buildTimedIndex() {
 	// Per-author lists are in page order of discovery; sort by page so
 	// they can be merged/intersected.
 	for a := range timed {
-		sort.Slice(timed[a], func(i, j int) bool { return timed[a][i].Page < timed[a][j].Page })
+		slices.SortFunc(timed[a], func(x, y PageTimes) int { return cmp.Compare(x.Page, y.Page) })
 	}
 	b.authorTimed = timed
 }

@@ -2,6 +2,7 @@ package graph
 
 import (
 	"math/rand"
+	"slices"
 	"sort"
 	"testing"
 	"testing/quick"
@@ -184,5 +185,81 @@ func TestQuickBTMInvariants(t *testing.T) {
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 40}); err != nil {
 		t.Fatal(err)
+	}
+}
+
+// refBuildBTM is BuildBTM as it was before the counting-pass rewrite:
+// sort every page, gather every author's pages by append, sort, dedupe.
+func refBuildBTM(comments []Comment, numAuthors, numPages int) *BTM {
+	for _, c := range comments {
+		numAuthors = max(numAuthors, int(c.Author)+1)
+		numPages = max(numPages, int(c.Page)+1)
+	}
+	b := &BTM{numAuthors: numAuthors, numPages: numPages, numEdges: len(comments)}
+	b.pageOff = make([]int, numPages+1)
+	for _, c := range comments {
+		b.pageOff[c.Page+1]++
+	}
+	for p := 0; p < numPages; p++ {
+		b.pageOff[p+1] += b.pageOff[p]
+	}
+	b.pageEntries = make([]AuthorTime, len(comments))
+	cursor := make([]int, numPages)
+	for _, c := range comments {
+		b.pageEntries[b.pageOff[c.Page]+cursor[c.Page]] = AuthorTime{Author: c.Author, TS: c.TS}
+		cursor[c.Page]++
+	}
+	for p := 0; p < numPages; p++ {
+		seg := b.pageEntries[b.pageOff[p]:b.pageOff[p+1]]
+		sort.Slice(seg, func(i, j int) bool {
+			if seg[i].TS != seg[j].TS {
+				return seg[i].TS < seg[j].TS
+			}
+			return seg[i].Author < seg[j].Author
+		})
+	}
+	perAuthor := make([][]VertexID, numAuthors)
+	for _, c := range comments {
+		perAuthor[c.Author] = append(perAuthor[c.Author], c.Page)
+	}
+	b.authorOff = make([]int, numAuthors+1)
+	b.authorPages = []VertexID{}
+	for a, ps := range perAuthor {
+		sort.Slice(ps, func(i, j int) bool { return ps[i] < ps[j] })
+		for i, p := range ps {
+			if i == 0 || p != ps[i-1] {
+				b.authorPages = append(b.authorPages, p)
+			}
+		}
+		b.authorOff[a+1] = len(b.authorPages)
+	}
+	return b
+}
+
+// TestBuildBTMMatchesReference: the same BTM, index for index, on
+// shuffled, time-ordered and heavily tied streams, with the vertex counts
+// given, given too small, or left to be derived.
+func TestBuildBTMMatchesReference(t *testing.T) {
+	rng := rand.New(rand.NewSource(7))
+	for trial := 0; trial < 300; trial++ {
+		authors, pages := 1+rng.Intn(12), 1+rng.Intn(8)
+		comments := make([]Comment, rng.Intn(120))
+		for i := range comments {
+			comments[i] = Comment{
+				Author: VertexID(rng.Intn(authors)),
+				Page:   VertexID(rng.Intn(pages)),
+				TS:     rng.Int63n(1 + int64(rng.Intn(50))), // a small range ties often
+			}
+		}
+		if trial%3 == 0 { // as an archive arrives
+			sort.SliceStable(comments, func(i, j int) bool { return comments[i].TS < comments[j].TS })
+		}
+		numAuthors, numPages := []int{0, authors / 2, authors + 3}[trial%3], []int{0, pages + 2, pages / 2}[trial%3]
+		got, want := BuildBTM(comments, numAuthors, numPages), refBuildBTM(comments, numAuthors, numPages)
+		if got.numAuthors != want.numAuthors || got.numPages != want.numPages || got.numEdges != want.numEdges ||
+			!slices.Equal(got.pageOff, want.pageOff) || !slices.Equal(got.pageEntries, want.pageEntries) ||
+			!slices.Equal(got.authorOff, want.authorOff) || !slices.Equal(got.authorPages, want.authorPages) {
+			t.Fatalf("trial %d: %d comments, counts (%d, %d)\n got  %+v\n want %+v", trial, len(comments), numAuthors, numPages, got, want)
+		}
 	}
 }

@@ -70,7 +70,7 @@ func (in *Interner) InternBytes(b []byte) ID {
 		}
 	}
 	in.mu.Lock()
-	id := in.internLocked(string(b))
+	id := in.internBytesLocked(b)
 	in.maybePromoteLocked()
 	in.mu.Unlock()
 	return id
@@ -98,10 +98,20 @@ func (in *Interner) InternBatchBytes(keys [][]byte, out []ID) {
 	}
 	in.mu.Lock()
 	for _, i := range missIdx {
-		out[i] = in.internLocked(string(keys[i]))
+		out[i] = in.internBytesLocked(keys[i])
 	}
 	in.maybePromoteLocked()
 	in.mu.Unlock()
+}
+
+// internBytesLocked is internLocked for a byte-slice key: only a new
+// name is copied into a string. Caller holds in.mu.
+func (in *Interner) internBytesLocked(b []byte) ID {
+	if id, ok := in.ids[string(b)]; ok {
+		in.misses++
+		return id
+	}
+	return in.internLocked(string(b))
 }
 
 // internLocked resolves or assigns s. Caller holds in.mu.

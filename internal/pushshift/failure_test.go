@@ -20,6 +20,9 @@ func TestReadTruncatedGzip(t *testing.T) {
 	if err == nil {
 		t.Fatal("truncated gzip read without error")
 	}
+	if _, err := refRead(bytes.NewReader(raw[:len(raw)-5])); err == nil {
+		t.Fatal("the reference reads a truncated gzip without error: the readers differ")
+	}
 }
 
 func TestReadGarbageAfterMagic(t *testing.T) {

@@ -9,15 +9,16 @@ package pushshift
 
 import (
 	"bufio"
+	"bytes"
 	"compress/gzip"
 	"encoding/json"
 	"fmt"
 	"io"
 	"os"
-	"strconv"
 
 	"coordbot/internal/graph"
 	"coordbot/internal/interner"
+	"coordbot/internal/wire"
 )
 
 // Record is one comment line of a Pushshift dump (the fields we use).
@@ -28,36 +29,10 @@ import (
 type Record struct {
 	Author       string   `json:"author"`
 	LinkID       string   `json:"link_id"`
-	CreatedUTC   Float64  `json:"created_utc"`
+	CreatedUTC   int64    `json:"created_utc"`
 	URLs         []string `json:"urls,omitempty"`
 	Hashtags     []string `json:"hashtags,omitempty"`
 	ParentAuthor string   `json:"parent_author,omitempty"`
-}
-
-// Float64 accepts Pushshift's mixed encodings of created_utc (number or
-// numeric string, both occur across archive years).
-type Float64 float64
-
-// UnmarshalJSON implements json.Unmarshaler for the mixed encodings.
-func (f *Float64) UnmarshalJSON(b []byte) error {
-	if len(b) > 1 && b[0] == '"' {
-		var s string
-		if err := json.Unmarshal(b, &s); err != nil {
-			return err
-		}
-		v, err := strconv.ParseFloat(s, 64)
-		if err != nil {
-			return fmt.Errorf("pushshift: bad created_utc %q: %w", s, err)
-		}
-		*f = Float64(v)
-		return nil
-	}
-	var v float64
-	if err := json.Unmarshal(b, &v); err != nil {
-		return err
-	}
-	*f = Float64(v)
-	return nil
 }
 
 // Corpus is an ingested comment stream with its interned identity tables.
@@ -79,64 +54,129 @@ func (c *Corpus) BTM() *graph.BTM {
 	return graph.BuildBTM(c.Comments, c.Authors.Len(), c.Pages.Len())
 }
 
-// isGzip sniffs the two gzip magic bytes.
-func isGzip(br *bufio.Reader) bool {
-	b, err := br.Peek(2)
-	return err == nil && b[0] == 0x1f && b[1] == 0x8b
-}
+// blockSize is how much of the stream is in memory at a time; maxLine is
+// what the buffer may grow to for one line before the line is given up on.
+const (
+	blockSize = 1 << 20
+	maxLine   = 1 << 24
+)
 
-// Read ingests an NDJSON (optionally gzipped) comment stream. Malformed
-// lines are counted and skipped, not fatal — real dumps contain them.
-func Read(r io.Reader) (*Corpus, error) {
-	br := bufio.NewReaderSize(r, 1<<20)
+// scanLines is the one NDJSON line loop. It streams the (gzip-sniffed)
+// input through a buffer of block bytes, carrying a partial last line
+// over to the next fill, and hands fn a view of every line that scans
+// cleanly with an author and a page; the view dies when fn returns.
+// Blank lines are ignored. Every other line (malformed, or longer than
+// maxLine) is counted in skipped and the read resumes at the next one.
+func scanLines(r io.Reader, block, maxLine int, fn func(*wire.Comment) error) (skipped int, err error) {
+	br := bufio.NewReaderSize(r, 1<<16)
 	var src io.Reader = br
-	if isGzip(br) {
+	if magic, err := br.Peek(2); err == nil && magic[0] == 0x1f && magic[1] == 0x8b {
 		gz, err := gzip.NewReader(br)
 		if err != nil {
-			return nil, fmt.Errorf("pushshift: gzip: %w", err)
+			return 0, fmt.Errorf("pushshift: gzip: %w", err)
 		}
 		defer gz.Close()
 		src = gz
 	}
+	sc := wire.Scanner{Format: wire.Pushshift}
+	var c wire.Comment
+	line := func(b []byte) error {
+		over := len(b) >= maxLine // only a last line that filled the buffer
+		b = bytes.TrimSuffix(b, []byte("\r"))
+		if len(b) == 0 {
+			return nil
+		}
+		if over || sc.One(b, &c) != nil || len(c.Author) == 0 || len(c.Page) == 0 {
+			skipped++
+			return nil
+		}
+		return fn(&c)
+	}
+	buf := make([]byte, block)
+	n := 0           // buf[:n] is the carried-over start of a line
+	tooLong := false // dropping the rest of a line that outgrew maxLine
+	for {
+		var rerr error
+		for n < len(buf) && rerr == nil {
+			var m int
+			m, rerr = src.Read(buf[n:])
+			n += m
+		}
+		start := 0
+		for {
+			i := bytes.IndexByte(buf[start:n], '\n')
+			if i < 0 {
+				break
+			}
+			if !tooLong {
+				if err := line(buf[start : start+i]); err != nil {
+					return skipped, err
+				}
+			}
+			tooLong = false
+			start += i + 1
+		}
+		switch {
+		case rerr == io.EOF:
+			if !tooLong {
+				err = line(buf[start:n])
+			}
+			return skipped, err
+		case rerr != nil:
+			return skipped, fmt.Errorf("pushshift: read: %w", rerr)
+		case tooLong:
+			n = 0
+		case start > 0:
+			n = copy(buf, buf[start:n])
+		case len(buf) < maxLine:
+			buf = append(buf, make([]byte, min(len(buf), maxLine-len(buf)))...)
+		default:
+			skipped++
+			tooLong, n = true, 0
+		}
+	}
+}
+
+// Read ingests an NDJSON (optionally gzipped) comment stream. Malformed
+// lines are counted and skipped, not fatal — real dumps contain them.
+func Read(r io.Reader) (*Corpus, error) { return read(r, blockSize, maxLine, 0) }
+
+// read is Read with the line loop's sizes and a guess at the number of
+// comments (0 for none) laid open.
+func read(r io.Reader, block, maxLine, comments int) (*Corpus, error) {
 	c := &Corpus{
-		Authors: interner.New(1 << 12), Pages: interner.New(1 << 12),
+		Comments: make([]graph.Comment, 0, comments),
+		Authors:  interner.New(1 << 12), Pages: interner.New(1 << 12),
 		URLs: interner.New(1 << 8), Tags: interner.New(1 << 8),
 	}
-	sc := bufio.NewScanner(src)
-	sc.Buffer(make([]byte, 1<<20), 1<<24)
-	for sc.Scan() {
-		line := sc.Bytes()
-		if len(line) == 0 {
-			continue
-		}
-		var rec Record
-		if err := json.Unmarshal(line, &rec); err != nil || rec.Author == "" || rec.LinkID == "" {
-			c.Skipped++
-			continue
-		}
+	var err error
+	c.Skipped, err = scanLines(r, block, maxLine, func(wc *wire.Comment) error {
+		// IDs are handed out in first-appearance order, per record in the
+		// order author, page, urls, hashtags, parent_author.
 		cm := graph.Comment{
-			Author: c.Authors.Intern(rec.Author),
-			Page:   c.Pages.Intern(rec.LinkID),
-			TS:     int64(rec.CreatedUTC),
+			Author: c.Authors.InternBytes(wc.Author),
+			Page:   c.Pages.InternBytes(wc.Page),
+			TS:     wc.TS,
 		}
-		if len(rec.URLs) > 0 || len(rec.Hashtags) > 0 || rec.ParentAuthor != "" {
+		if wc.HasAttrs() {
 			attrs := &graph.CommentAttrs{}
-			for _, u := range rec.URLs {
-				attrs.URLs = append(attrs.URLs, c.URLs.Intern(u))
+			for _, u := range wc.URLs {
+				attrs.URLs = append(attrs.URLs, c.URLs.InternBytes(u))
 			}
-			for _, h := range rec.Hashtags {
-				attrs.Tags = append(attrs.Tags, c.Tags.Intern(h))
+			for _, h := range wc.Tags {
+				attrs.Tags = append(attrs.Tags, c.Tags.InternBytes(h))
 			}
-			if rec.ParentAuthor != "" {
-				attrs.ReplyTo = c.Authors.Intern(rec.ParentAuthor)
+			if len(wc.ReplyTo) > 0 {
+				attrs.ReplyTo = c.Authors.InternBytes(wc.ReplyTo)
 				attrs.IsReply = true
 			}
 			cm.Attrs = attrs
 		}
 		c.Comments = append(c.Comments, cm)
-	}
-	if err := sc.Err(); err != nil {
-		return nil, fmt.Errorf("pushshift: scan: %w", err)
+		return nil
+	})
+	if err != nil {
+		return nil, err
 	}
 	return c, nil
 }
@@ -146,36 +186,9 @@ func Read(r io.Reader) (*Corpus, error) {
 // order. Pair with stream.Projector for bounded-memory projection of dumps
 // that do not fit in RAM. Returns the number of malformed lines skipped.
 func ReadFunc(r io.Reader, fn func(author, linkID string, ts int64) error) (skipped int, err error) {
-	br := bufio.NewReaderSize(r, 1<<20)
-	var src io.Reader = br
-	if isGzip(br) {
-		gz, gerr := gzip.NewReader(br)
-		if gerr != nil {
-			return 0, fmt.Errorf("pushshift: gzip: %w", gerr)
-		}
-		defer gz.Close()
-		src = gz
-	}
-	sc := bufio.NewScanner(src)
-	sc.Buffer(make([]byte, 1<<20), 1<<24)
-	for sc.Scan() {
-		line := sc.Bytes()
-		if len(line) == 0 {
-			continue
-		}
-		var rec Record
-		if err := json.Unmarshal(line, &rec); err != nil || rec.Author == "" || rec.LinkID == "" {
-			skipped++
-			continue
-		}
-		if err := fn(rec.Author, rec.LinkID, int64(rec.CreatedUTC)); err != nil {
-			return skipped, err
-		}
-	}
-	if err := sc.Err(); err != nil {
-		return skipped, fmt.Errorf("pushshift: scan: %w", err)
-	}
-	return skipped, nil
+	return scanLines(r, blockSize, maxLine, func(wc *wire.Comment) error {
+		return fn(string(wc.Author), string(wc.Page), wc.TS)
+	})
 }
 
 // ReadFile ingests a file, transparently handling .gz.
@@ -185,7 +198,20 @@ func ReadFile(path string) (*Corpus, error) {
 		return nil, err
 	}
 	defer f.Close()
-	return Read(f)
+	// Size the corpus once, from the file's size and the line length of its
+	// head, so it is not regrown and recopied some thirty times. On a
+	// gzipped file the guess comes out far too small, which costs nothing;
+	// minLine keeps a head of short junk from making it far too large.
+	const minLine = float64(len(`{"author":"a","link_id":"b"}`) + 1)
+	head := make([]byte, 1<<16)
+	n, _ := io.ReadFull(f, head) // an error shows again when read goes on from f
+	head = head[:n]
+	comments := 0
+	if st, err := f.Stat(); err == nil && n > 0 {
+		lines := float64(bytes.Count(head, []byte("\n"))+1) / float64(n)
+		comments = int(min(lines*33/32, 1/minLine) * float64(st.Size()))
+	}
+	return read(io.MultiReader(bytes.NewReader(head), f), blockSize, maxLine, comments)
 }
 
 // AttrNames resolves signal-attribute IDs back to names on export. Nil
@@ -225,7 +251,7 @@ func WriteAttrs(w io.Writer, comments []graph.Comment, authors, pages *interner.
 		rec := Record{
 			Author:     authors.Name(c.Author),
 			LinkID:     pages.Name(c.Page),
-			CreatedUTC: Float64(c.TS),
+			CreatedUTC: c.TS,
 		}
 		if a := c.Attrs; a != nil {
 			for _, u := range a.URLs {

@@ -1,10 +1,18 @@
 package pushshift
 
 import (
+	"bufio"
 	"bytes"
+	"compress/gzip"
+	"encoding/json"
+	"fmt"
+	"io"
 	"math/rand"
 	"os"
 	"path/filepath"
+	"reflect"
+	"slices"
+	"strconv"
 	"strings"
 	"testing"
 	"testing/quick"
@@ -162,15 +170,162 @@ func randName(rng *rand.Rand, prefix string) string {
 	return prefix + string(b)
 }
 
-func TestFloat64Encodings(t *testing.T) {
-	var f Float64
-	if err := f.UnmarshalJSON([]byte(`1234.5`)); err != nil || f != 1234.5 {
-		t.Fatalf("number: %v %v", f, err)
+// The reference reader: the encoding/json line loop Read was before it
+// moved onto wire.Scanner, kept as the oracle of the differential tests.
+
+// refRecord is a dump line as encoding/json decodes it.
+type refRecord struct {
+	Author       string     `json:"author"`
+	LinkID       string     `json:"link_id"`
+	CreatedUTC   refFloat64 `json:"created_utc"`
+	URLs         []string   `json:"urls,omitempty"`
+	Hashtags     []string   `json:"hashtags,omitempty"`
+	ParentAuthor string     `json:"parent_author,omitempty"`
+}
+
+// refFloat64 accepts created_utc as a number or a numeric string.
+type refFloat64 float64
+
+func (f *refFloat64) UnmarshalJSON(b []byte) error {
+	if len(b) > 1 && b[0] == '"' {
+		var s string
+		if err := json.Unmarshal(b, &s); err != nil {
+			return err
+		}
+		v, err := strconv.ParseFloat(s, 64)
+		if err != nil {
+			return err
+		}
+		*f = refFloat64(v)
+		return nil
 	}
-	if err := f.UnmarshalJSON([]byte(`"999"`)); err != nil || f != 999 {
-		t.Fatalf("string: %v %v", f, err)
+	var v float64
+	if err := json.Unmarshal(b, &v); err != nil {
+		return err
 	}
-	if err := f.UnmarshalJSON([]byte(`"abc"`)); err == nil {
-		t.Fatal("bad string accepted")
+	*f = refFloat64(v)
+	return nil
+}
+
+// refLine decodes one line; ok is whether the reference keeps it.
+func refLine(line []byte) (rec refRecord, ok bool) {
+	err := json.Unmarshal(line, &rec)
+	return rec, err == nil && rec.Author != "" && rec.LinkID != ""
+}
+
+func refRead(r io.Reader) (*Corpus, error) {
+	br := bufio.NewReader(r)
+	var src io.Reader = br
+	if b, err := br.Peek(2); err == nil && b[0] == 0x1f && b[1] == 0x8b {
+		gz, err := gzip.NewReader(br)
+		if err != nil {
+			return nil, err
+		}
+		defer gz.Close()
+		src = gz
+	}
+	c := &Corpus{
+		Authors: interner.New(0), Pages: interner.New(0),
+		URLs: interner.New(0), Tags: interner.New(0),
+	}
+	sc := bufio.NewScanner(src)
+	sc.Buffer(make([]byte, 1<<16), 1<<24)
+	for sc.Scan() {
+		line := sc.Bytes()
+		if len(line) == 0 {
+			continue
+		}
+		rec, ok := refLine(line)
+		if !ok {
+			c.Skipped++
+			continue
+		}
+		cm := graph.Comment{
+			Author: c.Authors.Intern(rec.Author),
+			Page:   c.Pages.Intern(rec.LinkID),
+			TS:     int64(rec.CreatedUTC),
+		}
+		if len(rec.URLs) > 0 || len(rec.Hashtags) > 0 || rec.ParentAuthor != "" {
+			attrs := &graph.CommentAttrs{}
+			for _, u := range rec.URLs {
+				attrs.URLs = append(attrs.URLs, c.URLs.Intern(u))
+			}
+			for _, h := range rec.Hashtags {
+				attrs.Tags = append(attrs.Tags, c.Tags.Intern(h))
+			}
+			if rec.ParentAuthor != "" {
+				attrs.ReplyTo = c.Authors.Intern(rec.ParentAuthor)
+				attrs.IsReply = true
+			}
+			cm.Attrs = attrs
+		}
+		c.Comments = append(c.Comments, cm)
+	}
+	if err := sc.Err(); err != nil {
+		return nil, err
+	}
+	return c, nil
+}
+
+// diffCorpus reports the first difference between two corpora: records,
+// IDs, name tables, skip counts.
+func diffCorpus(got, want *Corpus) error {
+	if got.Skipped != want.Skipped {
+		return fmt.Errorf("skipped %d, want %d", got.Skipped, want.Skipped)
+	}
+	tables := []struct {
+		name      string
+		got, want *interner.Interner
+	}{{"authors", got.Authors, want.Authors}, {"pages", got.Pages, want.Pages},
+		{"urls", got.URLs, want.URLs}, {"tags", got.Tags, want.Tags}}
+	for _, tb := range tables {
+		if g, w := tb.got.Names(), tb.want.Names(); !slices.Equal(g, w) {
+			return fmt.Errorf("%s %q, want %q", tb.name, g, w)
+		}
+	}
+	if len(got.Comments) != len(want.Comments) {
+		return fmt.Errorf("%d comments, want %d", len(got.Comments), len(want.Comments))
+	}
+	for i, g := range got.Comments {
+		w := want.Comments[i]
+		if g.Author != w.Author || g.Page != w.Page || g.TS != w.TS || !reflect.DeepEqual(g.Attrs, w.Attrs) {
+			return fmt.Errorf("comment %d: %+v (attrs %+v), want %+v (attrs %+v)", i, g, g.Attrs, w, w.Attrs)
+		}
+	}
+	return nil
+}
+
+// TestReadFileSizesCorpusOnce: a regular dump lands in the capacity
+// guessed from its head, and a head of blank lines cannot blow the guess
+// up past what the file's size allows.
+func TestReadFileSizesCorpusOnce(t *testing.T) {
+	dir := t.TempDir()
+	var dump, junk bytes.Buffer
+	for i := 0; i < 5000; i++ {
+		fmt.Fprintf(&dump, `{"author":"user_%d","link_id":"t3_%07d","created_utc":%d}`+"\n", i%300, i%70, 1577836800+i)
+	}
+	junk.WriteString(strings.Repeat("\n", 1<<16))
+	junk.Write(dump.Bytes())
+	for name, tc := range map[string]struct {
+		data   []byte
+		maxCap int
+	}{
+		"dump": {dump.Bytes(), 5000 * 11 / 10},
+		"junk": {junk.Bytes(), junk.Len() / 29},
+	} {
+		path := filepath.Join(dir, name)
+		if err := os.WriteFile(path, tc.data, 0o644); err != nil {
+			t.Fatal(err)
+		}
+		c, err := ReadFile(path)
+		if err != nil || len(c.Comments) != 5000 {
+			t.Fatalf("%s: %d comments, err %v", name, len(c.Comments), err)
+		}
+		if name == "dump" && cap(c.Comments) < 5000 {
+			t.Errorf("%s: guessed %d comments, fewer than the 5000 there are", name, cap(c.Comments))
+		}
+		if cap(c.Comments) > tc.maxCap {
+			t.Errorf("%s: room for %d comments, want at most %d", name, cap(c.Comments), tc.maxCap)
+		}
 	}
 }

@@ -2,15 +2,59 @@ package wire
 
 import (
 	"fmt"
+	"strconv"
+	"strings"
 	"unicode/utf16"
 	"unicode/utf8"
 )
+
+// Format is a spelling of the comment object: what its six keys are
+// called and how strict the timestamp is. The scanning code is the same
+// for every format.
+type Format uint8
+
+const (
+	// Ingest is the daemon's dialect and the zero value:
+	// author/page/ts/urls/tags/reply_to, ts a plain integer.
+	Ingest Format = iota
+	// Pushshift is the archives' spelling:
+	// author/link_id/created_utc/urls/hashtags/parent_author, created_utc
+	// an integer, a float or either in quotes, truncated toward zero.
+	Pushshift
+)
+
+// The daemon's key names, which scanObject switches on; pushshiftKey
+// returns these.
+var keyAuthor, keyPage, keyTS, keyURLs, keyTags, keyReplyTo = []byte("author"),
+	[]byte("page"), []byte("ts"), []byte("urls"), []byte("tags"), []byte("reply_to")
+
+// pushshiftKey renames an archive's key to the daemon's name for the same
+// field. Every other key, the daemon's own spellings included, names
+// nothing in an archive.
+func pushshiftKey(key []byte) []byte {
+	switch string(key) {
+	case "author":
+		return keyAuthor
+	case "link_id":
+		return keyPage
+	case "created_utc":
+		return keyTS
+	case "urls":
+		return keyURLs
+	case "hashtags":
+		return keyTags
+	case "parent_author":
+		return keyReplyTo
+	}
+	return nil
+}
 
 // Scanner is the zero-copy JSON comment scanner. It accepts any
 // whitespace-separated concatenation of comment objects and arrays of
 // comment objects — a superset of both the JSON-array and NDJSON bodies
 // the daemon has always taken, including the two mixed on one
-// connection. Unknown object fields are skipped structurally.
+// connection. Unknown object fields are skipped structurally. The zero
+// value reads the Ingest format.
 //
 // Field views point into the scanned buffer except for strings carrying
 // escapes, which are unescaped once into an internal arena; arena blocks
@@ -18,6 +62,9 @@ import (
 // single-use: scan one body, then drop it (the backing buffer may be
 // pooled by the caller).
 type Scanner struct {
+	// Format selects the key names and timestamp leniency; Reset keeps it.
+	Format Format
+
 	buf []byte
 	pos int
 	// inArray tracks whether the scanner is inside a top-level array of
@@ -114,9 +161,24 @@ func (s *Scanner) Next(c *Comment) (bool, error) {
 	}
 }
 
+// One scans buf as exactly one comment object with nothing but whitespace
+// around it: an NDJSON line.
+func (s *Scanner) One(buf []byte, c *Comment) error {
+	s.Reset(buf)
+	if s.skipWS(); s.pos >= len(buf) || buf[s.pos] != '{' {
+		return s.errf("expected comment object")
+	}
+	err := s.scanObject(c)
+	if s.skipWS(); err == nil && s.pos < len(buf) {
+		err = s.errf("data after comment object")
+	}
+	return err
+}
+
 // scanObject decodes one comment object starting at '{'.
 func (s *Scanner) scanObject(c *Comment) error {
 	*c = Comment{}
+	archive := s.Format == Pushshift
 	s.pos++ // '{'
 	s.skipWS()
 	if s.pos < len(s.buf) && s.buf[s.pos] == '}' {
@@ -135,35 +197,31 @@ func (s *Scanner) scanObject(c *Comment) error {
 		}
 		s.pos++
 		s.skipWS()
+		if archive {
+			key = pushshiftKey(key)
+		}
 		switch string(key) {
 		case "author":
-			if c.Author, err = s.scanString(); err != nil {
-				return err
-			}
+			c.Author, err = s.scanString()
 		case "page":
-			if c.Page, err = s.scanString(); err != nil {
-				return err
-			}
+			c.Page, err = s.scanString()
 		case "ts":
-			if c.TS, err = s.scanInt(); err != nil {
-				return err
+			if archive {
+				c.TS, err = s.scanLenientTS()
+			} else {
+				c.TS, err = s.scanInt()
 			}
 		case "urls":
-			if c.URLs, err = s.scanStringArray(); err != nil {
-				return err
-			}
+			c.URLs, err = s.scanStringArray()
 		case "tags":
-			if c.Tags, err = s.scanStringArray(); err != nil {
-				return err
-			}
+			c.Tags, err = s.scanStringArray()
 		case "reply_to":
-			if c.ReplyTo, err = s.scanString(); err != nil {
-				return err
-			}
+			c.ReplyTo, err = s.scanString()
 		default:
-			if err := s.skipValue(); err != nil {
-				return err
-			}
+			err = s.skipValue()
+		}
+		if err != nil {
+			return err
 		}
 		s.skipWS()
 		if s.pos >= len(s.buf) {
@@ -344,6 +402,36 @@ func (s *Scanner) scanInt() (int64, error) {
 		v = -v
 	}
 	return v, nil
+}
+
+// scanLenientTS decodes a timestamp written as a number or as a string,
+// in strconv.ParseFloat's grammar, truncating toward zero as
+// int64(float64) does.
+func (s *Scanner) scanLenientTS() (int64, error) {
+	var tok []byte
+	if s.pos < len(s.buf) && s.buf[s.pos] == '"' {
+		var err error
+		if tok, err = s.scanString(); err != nil {
+			return 0, err
+		}
+	} else {
+		start := s.pos
+		for s.pos < len(s.buf) && strings.IndexByte("+-.0123456789Ee", s.buf[s.pos]) >= 0 {
+			s.pos++
+		}
+		tok = s.buf[start:s.pos]
+	}
+	// Up to 15 digits a float64 holds exactly, so the integer is the answer.
+	if len(tok) <= 15 {
+		if v, err := strconv.ParseInt(string(tok), 10, 64); err == nil {
+			return v, nil
+		}
+	}
+	f, err := strconv.ParseFloat(string(tok), 64)
+	if err != nil {
+		return 0, s.errf("bad timestamp %q", tok)
+	}
+	return int64(f), nil
 }
 
 // scanStringArray decodes ["a","b",...] into views appended to the flat
