@@ -31,8 +31,9 @@ check-bench:
 
 # Short fuzz of the edge-key codec, the open-addressed edge table vs a
 # map reference model, the sharded-vs-map adjacency equivalence, the
-# patched-vs-rebuilt oriented CSR, and the archive reader vs its
-# encoding/json reference (seed corpora also run under plain `make test`).
+# patched-vs-rebuilt oriented CSR, the archive reader vs its
+# encoding/json reference, and the sliding window's flat lease table vs a
+# map reference model (seed corpora also run under plain `make test`).
 FUZZTIME ?= 20s
 fuzz:
 	$(GO) test ./internal/graph/ -fuzz FuzzPackEdge -fuzztime $(FUZZTIME)
@@ -40,6 +41,7 @@ fuzz:
 	$(GO) test ./internal/graph/ -fuzz FuzzBuildAdjacency -fuzztime $(FUZZTIME)
 	$(GO) test ./internal/tripoll/ -fuzz FuzzOrientedPatch -fuzztime $(FUZZTIME)
 	$(GO) test ./internal/pushshift/ -fuzz FuzzRead -fuzztime $(FUZZTIME)
+	$(GO) test ./internal/stream/ -fuzz FuzzLeaseTable -fuzztime $(FUZZTIME)
 
 # Captures for the repo-root result files.
 test-output:
@@ -76,7 +78,7 @@ bench-signals:
 
 # End-to-end ingest fast path (wire decode + batch intern + projector
 # apply) in both wire formats at serial and all-core worker settings;
-# writes the JSON report and enforces <=2 heap allocations per comment.
+# writes the JSON report and enforces <=0.6 heap allocations per comment.
 bench-ingest:
 	BENCH_INGEST_OUT=BENCH_ingest.json $(GO) test -run TestWriteIngestBench -v -timeout 60m .
 

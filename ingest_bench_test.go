@@ -104,8 +104,10 @@ const ingestBaselineCommentsPerSec = 204768.28
 //
 //	BENCH_INGEST_OUT=BENCH_ingest.json go test -run TestWriteIngestBench -v .
 //
-// It also enforces the fast path's allocation budget: steady-state
-// ingest must stay at or under 2 heap allocations per comment.
+// It also enforces the fast path's allocation budget: a pass — a fresh
+// service growing its window to working size, then steady state — must
+// stay at or under 0.6 heap allocations per comment (measured 0.24
+// serial, 0.41 on two workers, plus half).
 func TestWriteIngestBench(t *testing.T) {
 	out := os.Getenv("BENCH_INGEST_OUT")
 	if out == "" {
@@ -146,8 +148,8 @@ func TestWriteIngestBench(t *testing.T) {
 		}
 		t.Logf("%s: %.0f comments/s, %.2f allocs/comment, %.0f B/comment",
 			v.name, cps, apc, bpc)
-		if apc > 2 {
-			t.Errorf("%s: %.2f allocs/comment exceeds the budget of 2", v.name, apc)
+		if apc > 0.6 {
+			t.Errorf("%s: %.2f allocs/comment exceeds the budget of 0.6", v.name, apc)
 		}
 	}
 	report := map[string]any{

@@ -156,6 +156,10 @@ type SignalStatsOut struct {
 	LivePairs    int64  `json:"live_pairs"`
 	EvictedPairs int64  `json:"evicted_pairs"`
 	LiveObjects  int    `json:"live_objects"`
+	// RingEntries is the signal's expiry-ring occupancy (one entry per
+	// live pair); Rearmed the entries pushed back behind a refreshed lease.
+	RingEntries int   `json:"ring_entries"`
+	Rearmed     int64 `json:"rearmed"`
 }
 
 // Handler returns the daemon's HTTP API.
@@ -884,6 +888,8 @@ func (s *Service) handleStats(w http.ResponseWriter, r *http.Request) {
 			LivePairs:    sg.LivePairs,
 			EvictedPairs: sg.EvictedPairs,
 			LiveObjects:  sg.LiveObjects,
+			RingEntries:  sg.RingEntries,
+			Rearmed:      sg.Rearmed,
 		})
 	}
 	if sr := s.Latest(); sr != nil {

@@ -207,6 +207,9 @@ func TestMultiSignalHTTPSurface(t *testing.T) {
 		if found.LivePairs != 30 { // 3 pairs x 10 objects, nothing evicted
 			t.Fatalf("signal %s: %d live pairs, want 30", want.name, found.LivePairs)
 		}
+		if found.RingEntries != 30 || found.Rearmed != 0 {
+			t.Fatalf("signal %s: %d ring entries, %d rearmed; want 30, 0", want.name, found.RingEntries, found.Rearmed)
+		}
 	}
 
 	resp, err = http.Get(srv.URL + "/v1/score?users=alfa,bravo,charlie")

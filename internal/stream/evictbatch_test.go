@@ -53,4 +53,48 @@ func TestEvictionWaveBatchesShardWrites(t *testing.T) {
 	if got := p.PageCount(2); got != 0 {
 		t.Fatalf("evicted author still has page count %d", got)
 	}
+
+	// A batch below the parallel-dispatch threshold is still ONE wave on a
+	// single lane: eight bursts expiring five seconds apart, then 50 lone
+	// comments (no pairs, so no store increments) stepping the watermark
+	// through every expiry. Each shard the evictions touch advances once.
+	const base = 10_000
+	for b := 0; b < 8; b++ {
+		for a := 0; a < 6; a++ {
+			c := graph.Comment{Author: graph.VertexID(10*b + a), Page: graph.VertexID(b), TS: base + int64(5*b)}
+			if err := p.Add(c); err != nil {
+				t.Fatal(err)
+			}
+		}
+	}
+	if p.LivePairs() != 8*15 {
+		t.Fatalf("bursts projected %d pairs, want %d", p.LivePairs(), 8*15)
+	}
+	small := make([]graph.Comment, 50)
+	for i := range small {
+		small[i] = graph.Comment{Author: graph.VertexID(2000 + i), Page: graph.VertexID(2000 + i), TS: base + 100 + int64(i)}
+	}
+	if len(small) >= minParallelBatch {
+		t.Fatal("batch is not below the dispatch threshold")
+	}
+	versions := p.Snapshot().ShardVersions()
+	if err := p.AddBatch(small); err != nil {
+		t.Fatal(err)
+	}
+	if p.LivePairs() != 0 || p.NumEdges() != 0 {
+		t.Fatalf("%d pairs, %d edges left after the small batch", p.LivePairs(), p.NumEdges())
+	}
+	touched := 0
+	for s, v := range p.Snapshot().ShardVersions() {
+		switch v - versions[s] {
+		case 0:
+		case 1:
+			touched++
+		default:
+			t.Fatalf("shard %d advanced %d versions over one small batch, want 1", s, v-versions[s])
+		}
+	}
+	if touched == 0 {
+		t.Fatal("no shard advanced")
+	}
 }

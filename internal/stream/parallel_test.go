@@ -56,6 +56,13 @@ func TestAddBatchParallelMatchesSerial(t *testing.T) {
 		t.Fatalf("parallel projector not parallel: workers=%d lanes=%d", par.Workers(), len(par.lanes))
 	}
 
+	// ref takes the stream one comment at a time: the per-comment drain
+	// both batch paths must agree with at every batch boundary.
+	ref, err := NewMultiSlidingProjector(sigs, horizon, opts, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+
 	for bi, batch := range batchesOf(ds.Comments) {
 		if err := serial.AddBatch(batch); err != nil {
 			t.Fatal(err)
@@ -63,9 +70,17 @@ func TestAddBatchParallelMatchesSerial(t *testing.T) {
 		if err := par.AddBatch(batch); err != nil {
 			t.Fatal(err)
 		}
+		if err := ref.AddAll(batch); err != nil {
+			t.Fatal(err)
+		}
+		checkWindowState(t, serial)
+		checkWindowState(t, par)
+		compareGauges(t, bi, ref, serial)
+		compareGauges(t, bi, ref, par)
 		if bi%7 != 0 {
 			continue
 		}
+		compareProjectors(t, bi, ref, serial, sigs)
 		compareProjectors(t, bi, serial, par, sigs)
 	}
 	compareProjectors(t, -1, serial, par, sigs)
@@ -106,18 +121,7 @@ func compareProjectors(t *testing.T, bi int, serial, par *SlidingProjector, sigs
 		}
 		return true
 	})
-	if s, p := serial.LivePairs(), par.LivePairs(); s != p {
-		t.Fatalf("batch %d: live pairs diverged: serial %d, parallel %d", bi, s, p)
-	}
-	if s, p := serial.EvictedPairs(), par.EvictedPairs(); s != p {
-		t.Fatalf("batch %d: evicted pairs diverged: serial %d, parallel %d", bi, s, p)
-	}
-	if s, p := serial.BufferedComments(), par.BufferedComments(); s != p {
-		t.Fatalf("batch %d: buffered comments diverged: serial %d, parallel %d", bi, s, p)
-	}
-	if s, p := serial.numObjectStates(), par.numObjectStates(); s != p {
-		t.Fatalf("batch %d: object states diverged: serial %d, parallel %d", bi, s, p)
-	}
+	compareGauges(t, bi, serial, par)
 }
 
 // TestAddBatchParallelPatchSink: on the parallel path every batch's

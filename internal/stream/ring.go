@@ -28,9 +28,10 @@ type expiryEntry struct {
 //
 // The structural invariant push relies on: entries are only pushed with
 // oldTS strictly greater than the last drained cutoff (the projector
-// evicts to the watermark before pairing, and every support it then
-// schedules is inside the horizon), so new entries never land behind
-// base.
+// never drains past the comment it pairs next, every support it then
+// schedules is inside the horizon, and an entry it re-arms carries a
+// lease the drain found ahead of the cutoff), so new entries never land
+// behind base.
 type expiryRing struct {
 	g    int64 // bucket width, seconds
 	mask int   // len(buckets) - 1, power of two
@@ -181,7 +182,7 @@ func (r *expiryRing) drain(cutoff int64, fn func(expiryEntry)) {
 	r.headMin = min
 }
 
-// len reports the scheduled entry count (live + stale).
+// len reports the scheduled entry count.
 func (r *expiryRing) len() int { return r.n }
 
 // release drops the bucket storage (projector finalization).

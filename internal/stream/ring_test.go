@@ -4,6 +4,9 @@ import (
 	"math/rand"
 	"sort"
 	"testing"
+
+	"coordbot/internal/graph"
+	"coordbot/internal/projection"
 )
 
 // drainAll collects one drain's entries.
@@ -117,4 +120,54 @@ func TestExpiryRingPushBehindCutoffPanics(t *testing.T) {
 		}
 	}()
 	r.push(expiryEntry{oldTS: 399, key: 2})
+}
+
+// TestRingsStayBoundedInsideOneBatch: the batch path drains a cell's
+// rings once per min(window, horizon) of event time, not once per batch,
+// so however much event time ONE AddBatch covers, a ring never spans more
+// than twice what it was sized for.
+func TestRingsStayBoundedInsideOneBatch(t *testing.T) {
+	for _, tc := range []struct {
+		name    string
+		w       projection.Window
+		horizon int64
+		span    int64 // event time the batch covers
+	}{
+		{"100x-horizon", projection.Window{Min: 0, Max: 60}, 600, 100 * 600},
+		{"100x-window-idle-ring", projection.Window{Min: 0, Max: 60}, 1 << 20, 100 * 60},
+		{"100x-horizon-inside-window", projection.Window{Min: 0, Max: 3600}, 600, 100 * 600},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			p, err := NewSlidingProjector(tc.w, tc.horizon, projection.Options{})
+			if err != nil {
+				t.Fatal(err)
+			}
+			// A comment every other second; pages change every 20 comments, so
+			// pairs are counted, refreshed and (horizon permitting) evicted
+			// all along.
+			var batch []graph.Comment
+			for i := int64(0); 2*i < tc.span; i++ {
+				batch = append(batch, graph.Comment{
+					Author: graph.VertexID(i % 7), Page: graph.VertexID(i / 20 % 50), TS: 2 * i,
+				})
+			}
+			if err := p.AddBatch(batch); err != nil {
+				t.Fatal(err)
+			}
+			if p.LivePairs() == 0 {
+				t.Fatal("batch projected no pairs")
+			}
+			if tc.span > tc.horizon && p.EvictedPairs() == 0 {
+				t.Fatal("batch evicted nothing")
+			}
+			sl := &p.lanes[0].sig[0]
+			exp, idle := newExpiryRing(tc.horizon), newExpiryRing(tc.w.Max)
+			if got, design := len(sl.exp.buckets), len(exp.buckets); got > 2*design {
+				t.Errorf("expiry ring grew to %d buckets, sized for %d", got, design)
+			}
+			if got, design := len(sl.idle.buckets), len(idle.buckets); got > 2*design {
+				t.Errorf("idle ring grew to %d buckets, sized for %d", got, design)
+			}
+		})
+	}
 }

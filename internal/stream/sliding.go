@@ -25,17 +25,29 @@
 // (tripoll, hypergraph, thresholds, scores) keeps its batch-mode meaning
 // on the merged graph.
 //
-// Mechanics: per (signal, object), live[pair] records the newest "older
-// comment" timestamp supporting that pair; the pair's contribution dies
-// when that timestamp leaves the signal's horizon. Expiry is driven by
-// per-(signal, lane) calendar rings (expiryRing) of (timestamp, object,
-// pair) entries — O(1) push, batch drain — with stale entries (superseded
-// by a fresher support) skipped on pop. All signals' expired
-// contributions in one watermark advance land as a single shard-grouped
-// eviction wave, so each touched shard's dirty version advances once per
-// wave — the unit the delta surveys and patch consumers count on — and
-// patches report total-weight transitions only (each edge at most once
-// per wave, no matter how many signals decremented it).
+// Mechanics: a counted (signal, object, pair) holds a lease — the newest
+// "older comment" timestamp supporting it — and its contribution dies when
+// that timestamp leaves the signal's horizon. The rule the mutable state is
+// built around: a live lease has exactly ONE entry in its (signal, lane)
+// calendar ring (expiryRing; O(1) push, batch drain). A refresh only
+// overwrites the lease; when the ring entry comes up and the lease has
+// moved on, the entry is re-armed at the lease instead of evicting. Leases
+// and per-(object, author) incident counts live in two flat open-addressed
+// tables per (signal, lane) (leaseTable) and object states in a slab with
+// a free list, so steady-state ingest allocates nothing. All signals'
+// expired contributions in one watermark advance land as a single
+// shard-grouped eviction wave, so each touched shard's dirty version
+// advances once per wave — the unit the delta surveys and patch consumers
+// count on — and patches report total-weight transitions only (each edge
+// at most once per wave, no matter how many signals decremented it).
+//
+// The serial Add path drains the rings before every comment and is the
+// reference. The batch path reads expiry where it reads a lease: a pairing
+// that finds a lease at or behind ts - horizon accounts it as the eviction
+// the serial path had already made plus a fresh count (net zero on the
+// store), so a lane only has to drain once per min(window, horizon) of
+// event time — which bounds the rings — and at the batch watermark, where
+// every gauge and the graph equal the serial path's again.
 //
 // Ingest parallelism: all mutable sliding state is keyed by (signal,
 // object), so the object space is striped into lanes by the same
@@ -54,6 +66,7 @@
 package stream
 
 import (
+	"cmp"
 	"fmt"
 	"slices"
 	"sync"
@@ -146,37 +159,57 @@ type lane struct {
 
 // sigLane is one (signal, lane) cell of mutable projection state.
 type sigLane struct {
-	objects map[graph.VertexID]*slidingPage
-	exp     expiryRing
+	// objects indexes pages, the slab of object states; freed slots are
+	// recycled through free with their buffers' capacity.
+	objects map[graph.VertexID]int32
+	pages   []slidingPage
+	free    []int32
+	// leases maps (object, packed pair) to the newest older-comment
+	// timestamp supporting the counted pair; incident maps (object,
+	// author+1) to the number of leases touching the author there — the
+	// author's P' contribution for the object lives while it is present.
+	leases   leaseTable
+	incident leaseTable
+	// exp holds exactly one entry per lease, at or behind the lease.
+	exp expiryRing
 	// idle schedules object-state GC: an object whose newest comment has
-	// left the pairing window and that holds no live pairs is dropped, so
+	// left the pairing window and that holds no leases is dropped, so
 	// quiet objects cost nothing (key is unused in idle entries).
 	idle expiryRing
+	// rearm collects the entries a drain must push back (the ring cannot
+	// take pushes while it drains).
+	rearm []expiryEntry
 
-	live    int64
-	evicted int64
+	// nextDrain is the event time from which a batch lane drains the
+	// rings again; drainedAt the batch index of the comment it last
+	// drained at (0 between batches).
+	nextDrain int64
+	drainedAt int
+
+	live     int64
+	evicted  int64
+	rearmed  int64
+	buffered int
 }
 
-// laneTask is one dispatched (signal, object) engagement.
+// laneTask is one dispatched (signal, object) engagement; idx is its
+// comment's position in the batch.
 type laneTask struct {
 	obj    graph.VertexID
 	author graph.VertexID
 	ts     int64
 	si     int32
+	idx    int32
 }
 
 type slidingPage struct {
 	// buf/start: the trailing-δ2 comment ring, as in Projector.
 	buf   []graph.AuthorTime
 	start int
-	// live maps a counted pair key to the newest older-comment timestamp
-	// supporting it; the contribution expires when that timestamp ages out.
-	live map[uint64]int64
-	// incident counts, per author, the live pairs touching it on this
-	// object; the author's P' contribution for the object lives while > 0.
-	incident map[graph.VertexID]int
 	// lastTS is the object's newest comment timestamp (GC staleness check).
 	lastTS int64
+	// live counts the object's leases; the state outlives them all.
+	live int32
 }
 
 // edgeDec is one evicted (signal, object, pair) contribution in a wave:
@@ -312,9 +345,11 @@ func NewMultiSlidingProjectorWorkers(sigs []SignalConfig, horizon int64, opts pr
 		ln.sig = make([]sigLane, len(sigs))
 		for si, m := range p.sigs {
 			ln.sig[si] = sigLane{
-				objects: make(map[graph.VertexID]*slidingPage),
-				exp:     newExpiryRing(m.horizon),
-				idle:    newExpiryRing(m.w.Max),
+				objects:  make(map[graph.VertexID]int32),
+				leases:   newLeaseTable(),
+				incident: newLeaseTable(),
+				exp:      newExpiryRing(m.horizon),
+				idle:     newExpiryRing(m.w.Max),
 			}
 		}
 	}
@@ -384,6 +419,13 @@ type SignalStat struct {
 	LivePairs    int64
 	EvictedPairs int64
 	LiveObjects  int
+	// RingEntries is the expiry rings' occupancy — one entry per live
+	// pair, so it equals LivePairs whenever the projector is at rest.
+	// Rearmed counts the entries that came up for expiry behind a
+	// refreshed lease and were pushed back; unlike the other gauges it
+	// depends on how often the rings were drained, i.e. on batch sizes.
+	RingEntries int
+	Rearmed     int64
 }
 
 // SignalStats returns per-signal gauges in breakdown order.
@@ -401,6 +443,8 @@ func (p *SlidingProjector) SignalStats() []SignalStat {
 			st.LivePairs += sl.live
 			st.EvictedPairs += sl.evicted
 			st.LiveObjects += len(sl.objects)
+			st.RingEntries += sl.exp.len()
+			st.Rearmed += sl.rearmed
 		}
 		out[i] = st
 	}
@@ -464,24 +508,18 @@ func (p *SlidingProjector) Add(c graph.Comment) error {
 // concurrent callers on DIFFERENT lanes: lane state is exclusive to the
 // caller and the store mutators take per-shard locks.
 func (p *SlidingProjector) addToObject(sl *sigLane, m *sigMeta, obj graph.VertexID, author graph.VertexID, ts int64) {
-	ps := sl.objects[obj]
-	if ps == nil {
-		ps = &slidingPage{
-			live:     make(map[uint64]int64),
-			incident: make(map[graph.VertexID]int),
-		}
-		sl.objects[obj] = ps
-	}
+	ps := &sl.pages[sl.pageOf(obj)]
 
 	// Evict buffered comments that can no longer pair: t_new - t_old < w.Max.
-	for ps.start < len(ps.buf) && ts-ps.buf[ps.start].TS >= m.w.Max {
-		ps.start++
-	}
+	sl.trim(ps, ts-m.w.Max)
 	if ps.start > 64 && ps.start*2 > len(ps.buf) {
 		ps.buf = append(ps.buf[:0], ps.buf[ps.start:]...)
 		ps.start = 0
 	}
 
+	// A lease at or behind dead has expired. The serial path never finds
+	// one (it drains to ts first); a batch lane may, between two drains.
+	dead := ts - m.horizon
 	for i := ps.start; i < len(ps.buf); i++ {
 		old := ps.buf[i]
 		d := ts - old.TS
@@ -494,30 +532,79 @@ func (p *SlidingProjector) addToObject(sl *sigLane, m *sigMeta, obj graph.Vertex
 			continue
 		}
 		key := graph.PackEdge(old.Author, author)
-		if prev, ok := ps.live[key]; ok {
-			// Pair already counted for this object: refresh its lease.
-			if old.TS > prev {
-				ps.live[key] = old.TS
-				sl.exp.push(expiryEntry{oldTS: old.TS, page: obj, key: key})
+		li, ok := sl.leases.find(obj, key)
+		if ok {
+			// Pair already counted for this object: refresh its lease. Over
+			// an expired one this is the serial path's eviction followed by
+			// a fresh count — the same weight out of and into the store, the
+			// same incident counts — and the lease keeps its ring entry.
+			lease := &sl.leases.slots[li].val
+			if *lease <= dead {
+				sl.evicted++
+			}
+			if old.TS > *lease {
+				*lease = old.TS
 			}
 			continue
 		}
-		ps.live[key] = old.TS
+		sl.leases.insert(li, obj, key, old.TS)
 		sl.exp.push(expiryEntry{oldTS: old.TS, page: obj, key: key})
 		p.g.AddEdgeWeightSig(old.Author, author, m.weight, m.si)
 		sl.live++
+		ps.live++
 		for _, a := range [2]graph.VertexID{old.Author, author} {
-			if ps.incident[a] == 0 {
-				p.g.AddPageCount(a, 1)
+			ii, ok := sl.incident.find(obj, uint64(a)+1)
+			if ok {
+				sl.incident.slots[ii].val++
+				continue
 			}
-			ps.incident[a]++
+			sl.incident.insert(ii, obj, uint64(a)+1, 1)
+			p.g.AddPageCount(a, 1)
 		}
 	}
 	ps.buf = append(ps.buf, graph.AuthorTime{Author: author, TS: ts})
+	sl.buffered++
 	if ps.lastTS < ts || len(ps.buf) == 1 {
 		sl.idle.push(expiryEntry{oldTS: ts, page: obj})
 	}
 	ps.lastTS = ts
+}
+
+// pageOf returns obj's slot in the page slab, taking one from the free
+// list (or growing the slab) on the object's first engagement.
+func (sl *sigLane) pageOf(obj graph.VertexID) int32 {
+	pi, ok := sl.objects[obj]
+	if ok {
+		return pi
+	}
+	if n := len(sl.free); n > 0 {
+		pi = sl.free[n-1]
+		sl.free = sl.free[:n-1]
+	} else {
+		pi = int32(len(sl.pages))
+		sl.pages = append(sl.pages, slidingPage{})
+	}
+	sl.objects[obj] = pi
+	return pi
+}
+
+// freePage retires obj's state, keeping its buffer for the slot's next
+// tenant.
+func (sl *sigLane) freePage(obj graph.VertexID, pi int32) {
+	ps := &sl.pages[pi]
+	sl.buffered -= len(ps.buf) - ps.start
+	*ps = slidingPage{buf: ps.buf[:0]}
+	sl.free = append(sl.free, pi)
+	delete(sl.objects, obj)
+}
+
+// trim drops ps's buffered comments at or before bound.
+func (sl *sigLane) trim(ps *slidingPage, bound int64) {
+	from := ps.start
+	for ps.start < len(ps.buf) && ps.buf[ps.start].TS <= bound {
+		ps.start++
+	}
+	sl.buffered -= ps.start - from
 }
 
 // AddAll consumes a time-ordered batch one comment at a time (the serial
@@ -531,8 +618,10 @@ func (p *SlidingProjector) AddAll(comments []graph.Comment) error {
 	return nil
 }
 
-// minParallelBatch is the batch size below which AddBatch falls back to
-// the serial path: dispatch overhead dominates tiny batches.
+// minParallelBatch is the batch size below which a multi-lane AddBatch
+// falls back to the serial path: dispatch overhead dominates tiny batches.
+// A single lane has nothing to dispatch and takes the batch path (one
+// eviction wave) at any size.
 const minParallelBatch = 64
 
 // AddBatch consumes a time-ordered batch. The batch is dispatched to
@@ -546,7 +635,7 @@ const minParallelBatch = 64
 // comment: everything before it is applied, and the error is returned
 // after the joined lanes are consistent.
 func (p *SlidingProjector) AddBatch(batch []graph.Comment) error {
-	if len(batch) < minParallelBatch {
+	if len(batch) < minParallelBatch && len(p.lanes) > 1 {
 		return p.AddAll(batch)
 	}
 	if p.finished {
@@ -557,6 +646,7 @@ func (p *SlidingProjector) AddBatch(batch []graph.Comment) error {
 		c := &batch[i]
 		if p.started && c.TS < p.lastTS {
 			err = fmt.Errorf("stream: out-of-order comment at t=%d after t=%d", c.TS, p.lastTS)
+			batch = batch[:i]
 			break
 		}
 		p.started = true
@@ -569,7 +659,7 @@ func (p *SlidingProjector) AddBatch(batch []graph.Comment) error {
 			m.objbuf = projection.DedupeObjects(m.sig.AppendObjects(*c, m.objbuf[:0]))
 			for _, obj := range m.objbuf {
 				ln := p.laneOf(obj)
-				ln.pend = append(ln.pend, laneTask{obj: obj, author: c.Author, ts: c.TS, si: int32(m.si)})
+				ln.pend = append(ln.pend, laneTask{obj: obj, author: c.Author, ts: c.TS, si: int32(m.si), idx: int32(i)})
 			}
 		}
 	}
@@ -579,7 +669,7 @@ func (p *SlidingProjector) AddBatch(batch []graph.Comment) error {
 	wm := p.lastTS
 	if p.workers <= 1 || len(p.lanes) == 1 {
 		for li := range p.lanes {
-			p.processLane(&p.lanes[li], wm)
+			p.processLane(&p.lanes[li], batch, wm)
 		}
 	} else {
 		var wg sync.WaitGroup
@@ -588,7 +678,7 @@ func (p *SlidingProjector) AddBatch(batch []graph.Comment) error {
 			go func(k int) {
 				defer wg.Done()
 				for li := k; li < len(p.lanes); li += p.workers {
-					p.processLane(&p.lanes[li], wm)
+					p.processLane(&p.lanes[li], batch, wm)
 				}
 			}(k)
 		}
@@ -605,20 +695,30 @@ func (p *SlidingProjector) AddBatch(batch []graph.Comment) error {
 	return err
 }
 
-// processLane replays one lane's dispatched engagements in stream order,
-// evicting the lane up to each task's timestamp before pairing (exactly
-// the serial interleaving restricted to this lane's objects), then
-// evicts to the batch watermark so lanes without trailing tasks decay
-// too. Store increments go directly to the sharded store; decrements
+// processLane replays one lane's dispatched engagements in stream order.
+// A cell's rings are drained when a task finds them a cadence behind and,
+// for every cell, at the batch watermark, so lanes without trailing tasks
+// decay too; in between, addToObject reads expiry off the leases it
+// touches. batch is the accepted comments (read-only, shared by all
+// lanes): a drain looks up in it when the serial path would have made each
+// eviction. Store increments go directly to the sharded store; decrements
 // accumulate in the lane wave for the post-join merge.
-func (p *SlidingProjector) processLane(ln *lane, wm int64) {
+func (p *SlidingProjector) processLane(ln *lane, batch []graph.Comment, wm int64) {
 	for i := range ln.pend {
 		t := &ln.pend[i]
-		p.evictLane(ln, t.ts, &ln.wave)
-		p.addToObject(&ln.sig[t.si], p.sigs[t.si], t.obj, t.author, t.ts)
+		sl, m := &ln.sig[t.si], p.sigs[t.si]
+		if t.ts >= sl.nextDrain {
+			p.evictSig(sl, m, t.ts, batch[sl.drainedAt:t.idx+1], &ln.wave)
+			sl.drainedAt = int(t.idx)
+		}
+		p.addToObject(sl, m, t.obj, t.author, t.ts)
 	}
 	ln.pend = ln.pend[:0]
-	p.evictLane(ln, wm, &ln.wave)
+	for si := range ln.sig {
+		sl := &ln.sig[si]
+		p.evictSig(sl, p.sigs[si], wm, batch[sl.drainedAt:], &ln.wave)
+		sl.drainedAt = 0
+	}
 }
 
 // AdvanceTo moves event time forward to ts without ingesting a comment,
@@ -642,7 +742,10 @@ func (p *SlidingProjector) AdvanceTo(ts int64) error {
 // wave (the serial path's once-per-advance wave).
 func (p *SlidingProjector) evictAll(wm int64) {
 	for li := range p.lanes {
-		p.evictLane(&p.lanes[li], wm, &p.wave)
+		ln := &p.lanes[li]
+		for si := range ln.sig {
+			p.evictSig(&ln.sig[si], p.sigs[si], wm, nil, &p.wave)
+		}
 	}
 	if !p.wave.empty() {
 		p.applyWave(&p.wave)
@@ -650,63 +753,93 @@ func (p *SlidingProjector) evictAll(wm int64) {
 	}
 }
 
-// evictLane withdraws, for every signal, this lane's contributions whose
-// newest support has aged past that signal's horizon (timestamp <=
-// wm - horizon), accumulating the decrements into w. Ring entries
-// superseded by a fresher support are recognized (stored timestamp
-// mismatch) and skipped. It then GCs idle object states.
-func (p *SlidingProjector) evictLane(ln *lane, wm int64, w *wave) {
-	for si := range ln.sig {
-		sl := &ln.sig[si]
-		m := p.sigs[si]
-		cutoff := wm - m.horizon
-		sl.exp.drain(cutoff, func(e expiryEntry) {
-			ps := sl.objects[e.page]
-			if ps == nil {
-				return
+// evictSig withdraws one (signal, lane) cell's contributions whose lease
+// has aged past the signal's horizon (timestamp <= wm - horizon),
+// accumulating the decrements into w; a ring entry that comes up behind a
+// refreshed lease is pushed back at the lease. It then GCs idle object
+// states.
+//
+// since is the time-ordered comments consumed after the cell's previous
+// drain, ending with the one that carries wm — nil on the serial path,
+// which drains at every comment. It only serves the buffered-comments
+// gauge: an eviction trims its object's buffer against the time the
+// eviction was due, the first comment at or after lease + horizon, so the
+// gauge does not depend on how often a lane drains.
+func (p *SlidingProjector) evictSig(sl *sigLane, m *sigMeta, wm int64, since []graph.Comment, w *wave) {
+	// A batch lane may let min(w.Max, horizon) of event time pass before
+	// it drains again: neither ring then ever holds more than twice the
+	// span it was sized for.
+	sl.nextDrain = wm + min(m.w.Max, m.horizon)
+	cutoff := wm - m.horizon
+	sl.exp.drain(cutoff, func(e expiryEntry) {
+		li, ok := sl.leases.find(e.page, e.key)
+		if !ok {
+			panic("stream: expiry entry without a lease")
+		}
+		lease := sl.leases.slots[li].val
+		if lease > cutoff {
+			e.oldTS = lease
+			sl.rearm = append(sl.rearm, e)
+			return
+		}
+		sl.leases.remove(li)
+		w.edges = append(w.edges, edgeDec{key: e.key, shard: int32(p.g.EdgeShard(e.key)), si: int32(m.si)})
+		sl.live--
+		sl.evicted++
+		u, v := graph.UnpackEdge(e.key)
+		for _, a := range [2]graph.VertexID{u, v} {
+			ii, ok := sl.incident.find(e.page, uint64(a)+1)
+			if !ok {
+				panic("stream: lease without an incident count")
 			}
-			ts, ok := ps.live[e.key]
-			if !ok || ts != e.oldTS {
-				return // stale entry: refreshed or already gone
+			if n := &sl.incident.slots[ii].val; *n > 1 {
+				*n--
+				continue
 			}
-			delete(ps.live, e.key)
-			w.edges = append(w.edges, edgeDec{key: e.key, shard: int32(p.g.EdgeShard(e.key)), si: int32(si)})
-			sl.live--
-			sl.evicted++
-			u, v := graph.UnpackEdge(e.key)
-			for _, a := range [2]graph.VertexID{u, v} {
-				ps.incident[a]--
-				if ps.incident[a] == 0 {
-					delete(ps.incident, a)
-					w.pages = append(w.pages, pageDec{v: a, shard: int32(p.g.VertexShard(a))})
-				}
-			}
-			// Buffered comments older than w.Max behind the watermark can
-			// never pair again; once none remain and no pair is live, the
-			// object state is dead.
-			for ps.start < len(ps.buf) && wm-ps.buf[ps.start].TS >= m.w.Max {
-				ps.start++
-			}
-			if len(ps.live) == 0 && ps.start >= len(ps.buf) {
-				delete(sl.objects, e.page)
-			}
-		})
-
-		// Idle-object GC: objects whose newest comment left the pairing
-		// window and that carry no live pairs (single-commenter objects, or
-		// objects whose pairs all expired first) are dropped here; objects
-		// still holding live pairs are left for the pair path above.
-		gcCut := wm - m.w.Max
-		sl.idle.drain(gcCut, func(e expiryEntry) {
-			ps := sl.objects[e.page]
-			if ps == nil || ps.lastTS != e.oldTS {
-				return // stale: object gone or newer activity
-			}
-			if len(ps.live) == 0 {
-				delete(sl.objects, e.page)
-			}
-		})
+			sl.incident.remove(ii)
+			w.pages = append(w.pages, pageDec{v: a, shard: int32(p.g.VertexShard(a))})
+		}
+		// Buffered comments w.Max behind the eviction can never pair again;
+		// once the newest is and no lease is left, the object state is dead.
+		pi := sl.objects[e.page]
+		ps := &sl.pages[pi]
+		ps.live--
+		sl.trim(ps, dueAt(since, lease+m.horizon, wm)-m.w.Max)
+		if ps.live == 0 && wm-ps.lastTS >= m.w.Max {
+			sl.freePage(e.page, pi)
+		}
+	})
+	for _, e := range sl.rearm {
+		sl.exp.push(e)
 	}
+	sl.rearmed += int64(len(sl.rearm))
+	sl.rearm = sl.rearm[:0]
+
+	// Idle-object GC: objects whose newest comment left the pairing
+	// window and that carry no leases (single-commenter objects, or
+	// objects whose pairs all expired first) are dropped here; objects
+	// still holding leases are left for the pair path above.
+	sl.idle.drain(wm-m.w.Max, func(e expiryEntry) {
+		pi, ok := sl.objects[e.page]
+		if !ok {
+			return // object gone
+		}
+		if ps := &sl.pages[pi]; ps.lastTS == e.oldTS && ps.live == 0 {
+			sl.freePage(e.page, pi)
+		}
+	})
+}
+
+// dueAt returns the timestamp of the first comment in since at or after
+// due, wm when there is none.
+func dueAt(since []graph.Comment, due, wm int64) int64 {
+	i, _ := slices.BinarySearchFunc(since, due, func(c graph.Comment, due int64) int {
+		return cmp.Compare(c.TS, due)
+	})
+	if i == len(since) {
+		return wm
+	}
+	return since[i].TS
 }
 
 // applyWave withdraws one eviction wave from the store: the flat
@@ -873,9 +1006,12 @@ func (p *SlidingProjector) Result() graph.CIView {
 	for li := range p.lanes {
 		ln := &p.lanes[li]
 		for si := range ln.sig {
-			ln.sig[si].objects = nil
-			ln.sig[si].exp.release()
-			ln.sig[si].idle.release()
+			sl := &ln.sig[si]
+			sl.objects, sl.pages, sl.free = nil, nil, nil
+			sl.leases.release()
+			sl.incident.release()
+			sl.exp.release()
+			sl.idle.release()
 		}
 		ln.pend = nil
 	}
@@ -883,14 +1019,13 @@ func (p *SlidingProjector) Result() graph.CIView {
 }
 
 // BufferedComments reports the transient δ2 buffer size across every
-// signal's object states.
+// signal's object states (a maintained count: the stats endpoint reads it
+// under the ingest lock).
 func (p *SlidingProjector) BufferedComments() int {
 	n := 0
 	for li := range p.lanes {
 		for si := range p.lanes[li].sig {
-			for _, ps := range p.lanes[li].sig[si].objects {
-				n += len(ps.buf) - ps.start
-			}
+			n += p.lanes[li].sig[si].buffered
 		}
 	}
 	return n
