@@ -2,14 +2,15 @@
 
 GO ?= go
 
-.PHONY: all build check vet test test-race check-bench bench bench-e2e bench-adjacency bench-community bench-signals bench-ingest fuzz experiments examples clean
+.PHONY: all build check vet test test-race check-bench check-deps bench bench-e2e bench-adjacency bench-community bench-signals bench-ingest fuzz experiments examples clean
 
 all: build check
 
 # The gate PRs must pass: static checks plus the full suite under the
 # race detector (the daemon's ingest/survey concurrency depends on it),
-# and the benchmark's module, which the root ./... does not reach.
-check: vet test-race check-bench
+# the benchmark's module, which the root ./... does not reach, and the
+# product path's import boundary.
+check: vet test-race check-bench check-deps
 
 build:
 	$(GO) build ./...
@@ -28,6 +29,14 @@ test-race:
 check-bench:
 	$(GO) -C bench vet ./...
 	$(GO) -C bench test ./...
+
+# In-process parallelism is goroutines over shared memory; rank/message
+# semantics live only in internal/ygmnet + internal/distrank. The daemon
+# and the batch pipeline must not link either.
+check-deps:
+	@if $(GO) list -deps ./cmd/coordbotd ./internal/detectd ./internal/pipeline | grep -E '^coordbot/internal/(ygmnet|distrank)$$'; then \
+		echo "check-deps: the product path imports a message runtime (above)" >&2; exit 1; \
+	fi
 
 # Short fuzz of the edge-key codec, the open-addressed edge table vs a
 # map reference model, the sharded-vs-map adjacency equivalence, the

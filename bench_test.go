@@ -20,7 +20,6 @@ import (
 	"coordbot/internal/redditgen"
 	"coordbot/internal/stream"
 	"coordbot/internal/tripoll"
-	"coordbot/internal/ygm"
 	"coordbot/internal/ygmnet"
 )
 
@@ -108,7 +107,7 @@ func BenchmarkProjectionParallel(b *testing.B) {
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := projection.Project(btm,
+		if _, err := projection.ProjectSharded(btm,
 			projection.Window{Min: 0, Max: 60}, projection.Options{Exclude: helpers}); err != nil {
 			b.Fatal(err)
 		}
@@ -268,7 +267,7 @@ func BenchmarkBackboneExtract(b *testing.B) {
 
 // BenchmarkDistributedProjectionTCP measures Algorithm 1 over the real TCP
 // transport (serialized owner-computes messages) for comparison with the
-// in-process ygm path.
+// in-process sharded path (BenchmarkProjectionParallel).
 func BenchmarkDistributedProjectionTCP(b *testing.B) {
 	btm, helpers, _ := fixtures(b)
 	pc, err := ygmnet.NewProjectionCluster(4)
@@ -284,44 +283,4 @@ func BenchmarkDistributedProjectionTCP(b *testing.B) {
 			b.Fatal(err)
 		}
 	}
-}
-
-// --- ygm runtime micro-benchmarks -------------------------------------------
-
-func BenchmarkYGMAsyncThroughput(b *testing.B) {
-	c := ygm.NewComm(0)
-	defer c.Close()
-	b.ReportAllocs()
-	b.ResetTimer()
-	c.Run(func(r *ygm.Rank) {
-		for i := r.ID(); i < b.N; i += r.NRanks() {
-			r.Async(i%r.NRanks(), func(*ygm.Rank) {})
-		}
-		r.Barrier()
-	})
-}
-
-func BenchmarkYGMCounterReduce(b *testing.B) {
-	c := ygm.NewComm(0)
-	defer c.Close()
-	cnt := ygm.NewCounter[uint64](c, ygm.HashU64)
-	b.ReportAllocs()
-	b.ResetTimer()
-	c.Run(func(r *ygm.Rank) {
-		for i := r.ID(); i < b.N; i += r.NRanks() {
-			cnt.AsyncIncrement(r, uint64(i%4096))
-		}
-		r.Barrier()
-	})
-}
-
-func BenchmarkYGMBarrier(b *testing.B) {
-	c := ygm.NewComm(0)
-	defer c.Close()
-	b.ResetTimer()
-	c.Run(func(r *ygm.Rank) {
-		for i := 0; i < b.N; i++ {
-			r.Barrier()
-		}
-	})
 }

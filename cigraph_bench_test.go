@@ -1,8 +1,8 @@
 package coordbot_test
 
 // Sharded-store benchmarks: what the copy-on-write snapshot buys over the
-// map-backed deep clone, and what the owner-computes shard merge buys over
-// the serial projection gather. Record with
+// map-backed deep clone, and what the owner-computes shard merge costs
+// beside the sequential projection. Record with
 //
 //	BENCH_CIGRAPH_OUT=BENCH_cigraph.json go test -run TestWriteCIGraphBench .
 
@@ -111,10 +111,9 @@ func BenchmarkEdgeUpsert(b *testing.B) {
 	}
 }
 
-// BenchmarkProjectionMerge compares the three batch projections on the
-// same corpus: the sequential reference, the rank-parallel Project (serial
-// gather into one map), and ProjectSharded (per-shard owner-computes
-// merge, no global lock).
+// BenchmarkProjectionMerge compares the two batch projections on the same
+// corpus: the sequential reference and ProjectSharded (per-shard
+// owner-computes merge, no global lock).
 func BenchmarkProjectionMerge(b *testing.B) {
 	d := corpusOf(cigraphBenchComments)
 	btm := d.BTM()
@@ -124,14 +123,6 @@ func BenchmarkProjectionMerge(b *testing.B) {
 		b.ReportAllocs()
 		for i := 0; i < b.N; i++ {
 			if _, err := projection.ProjectSequential(btm, w, opts); err != nil {
-				b.Fatal(err)
-			}
-		}
-	})
-	b.Run("parallel-gather", func(b *testing.B) {
-		b.ReportAllocs()
-		for i := 0; i < b.N; i++ {
-			if _, err := projection.Project(btm, w, opts); err != nil {
 				b.Fatal(err)
 			}
 		}
@@ -241,13 +232,6 @@ func TestWriteCIGraphBench(t *testing.T) {
 			}
 		}
 	})
-	projGather := testing.Benchmark(func(b *testing.B) {
-		for i := 0; i < b.N; i++ {
-			if _, err := projection.Project(btm, w, opts); err != nil {
-				b.Fatal(err)
-			}
-		}
-	})
 	projSharded := testing.Benchmark(func(b *testing.B) {
 		for i := 0; i < b.N; i++ {
 			if _, err := projection.ProjectSharded(btm, w, opts); err != nil {
@@ -282,11 +266,9 @@ func TestWriteCIGraphBench(t *testing.T) {
 			"clone_over_hot":  float64(clone.NsPerOp()) / float64(cowHot.NsPerOp()),
 		},
 		"projection_merge": map[string]any{
-			"sequential_ns":      projSeq.NsPerOp(),
-			"parallel_gather_ns": projGather.NsPerOp(),
-			"sharded_merge_ns":   projSharded.NsPerOp(),
-			"speedup_vs_serial":  float64(projSeq.NsPerOp()) / float64(projSharded.NsPerOp()),
-			"speedup_vs_gather":  float64(projGather.NsPerOp()) / float64(projSharded.NsPerOp()),
+			"sequential_ns":     projSeq.NsPerOp(),
+			"sharded_merge_ns":  projSharded.NsPerOp(),
+			"speedup_vs_serial": float64(projSeq.NsPerOp()) / float64(projSharded.NsPerOp()),
 		},
 	}
 	data, err := json.MarshalIndent(report, "", "  ")

@@ -109,36 +109,37 @@ func cmdProject(args []string) error {
 	in := fs.String("in", "", "input NDJSON(.gz) comment stream")
 	exclude := fs.String("exclude", "AutoModerator,[deleted]", "authors to exclude")
 	out := fs.String("out", "", "output edge TSV (default stdout)")
-	ranks := fs.Int("ranks", 0, "ygm parallelism (0 = auto)")
-	transport := fs.String("transport", "memory", "rank transport: memory (goroutine ranks), sharded (owner-computes merge into the lock-striped store), or tcp (loopback cluster, serialized messages)")
+	ranks := fs.Int("ranks", 0, "worker goroutines, or TCP ranks under -transport tcp (0 = auto)")
+	transport := fs.String("transport", "sharded", "sharded (in-process workers, owner-computes merge into the lock-striped store) or tcp (loopback rank cluster, serialized messages; co-comment only)")
 	signals := fs.String("signals", "", "comma-separated coordination signals, each optionally with a window override (e.g. cocomment,urlshare=0:300,reply); empty = co-comment only")
 	minW, maxW := windowFlag(fs)
 	fs.Parse(args)
 
+	switch *transport {
+	case "sharded":
+	case "tcp":
+		if *signals != "" {
+			return fmt.Errorf("-transport tcp projects co-comments only; drop -signals or use -transport sharded")
+		}
+	default:
+		return fmt.Errorf("unknown -transport %q (project supports sharded, tcp)", *transport)
+	}
 	c, b, ex, err := loadCorpus(*in, *exclude)
 	if err != nil {
 		return err
 	}
 	window := projection.Window{Min: *minW, Max: *maxW}
 	opts := projection.Options{Exclude: ex, Ranks: *ranks}
-	if *signals != "" {
-		sigs, err := projection.ParseSignals(*signals, window)
-		if err != nil {
-			return err
-		}
-		g, err := projection.ProjectSignalsSharded(c.Comments, sigs, opts)
-		if err != nil {
-			return err
-		}
-		return writeEdges(*out, c, g, *minW, *maxW)
-	}
 	var g graph.CIView
-	switch *transport {
-	case "memory":
-		g, err = projection.Project(b, window, opts)
-	case "sharded":
-		g, err = projection.ProjectSharded(b, window, opts)
-	case "tcp":
+	switch {
+	case *signals != "":
+		var sigs []projection.Signal
+		sigs, err = projection.ParseSignals(*signals, window)
+		if err != nil {
+			return err
+		}
+		g, err = projection.ProjectSignalsSharded(c.Comments, sigs, opts)
+	case *transport == "tcp":
 		nr := *ranks
 		if nr == 0 {
 			nr = 4
@@ -151,7 +152,7 @@ func cmdProject(args []string) error {
 		defer pc.Close()
 		g, err = pc.Project(b, window, opts)
 	default:
-		return fmt.Errorf("unknown -transport %q", *transport)
+		g, err = projection.ProjectSharded(b, window, opts)
 	}
 	if err != nil {
 		return err
@@ -192,7 +193,7 @@ func cmdTriangles(args []string) error {
 	cut := fs.Uint("cut", 25, "min triangle weight cutoff")
 	tscore := fs.Float64("tscore", 0, "min T score (0 disables)")
 	top := fs.Int("top", 0, "print only the top-K by min weight (0 = all)")
-	ranks := fs.Int("ranks", 0, "ygm parallelism (0 = auto)")
+	ranks := fs.Int("ranks", 0, "worker goroutines (0 = auto)")
 	minW, maxW := windowFlag(fs)
 	fs.Parse(args)
 
@@ -200,7 +201,7 @@ func cmdTriangles(args []string) error {
 	if err != nil {
 		return err
 	}
-	g, err := projection.Project(b, projection.Window{Min: *minW, Max: *maxW},
+	g, err := projection.ProjectSharded(b, projection.Window{Min: *minW, Max: *maxW},
 		projection.Options{Exclude: ex, Ranks: *ranks})
 	if err != nil {
 		return err
@@ -263,8 +264,7 @@ func cmdPipeline(args []string) error {
 	exclude := fs.String("exclude", "AutoModerator,[deleted]", "authors to exclude")
 	cut := fs.Uint("cut", 25, "min triangle weight cutoff")
 	tscore := fs.Float64("tscore", 0, "min T score (0 disables)")
-	ranks := fs.Int("ranks", 0, "ygm parallelism (0 = auto)")
-	transport := fs.String("transport", "memory", "Step-1 transport: memory (goroutine ranks) or sharded (owner-computes merge into the lock-striped store)")
+	ranks := fs.Int("ranks", 0, "worker goroutines (0 = auto)")
 	dotDir := fs.String("dot", "", "write per-component DOT files to this directory")
 	topComps := fs.Int("components", 10, "components to print")
 	communities := fs.Bool("communities", false, "cluster the pruned graph and print the top communities")
@@ -274,14 +274,6 @@ func cmdPipeline(args []string) error {
 	minW, maxW := windowFlag(fs)
 	fs.Parse(args)
 
-	var sharded bool
-	switch *transport {
-	case "memory":
-	case "sharded":
-		sharded = true
-	default:
-		return fmt.Errorf("unknown -transport %q (pipeline supports memory, sharded)", *transport)
-	}
 	algo, err := community.ParseAlgorithm(*communityAlgo)
 	if err != nil {
 		return err
@@ -296,7 +288,6 @@ func cmdPipeline(args []string) error {
 		MinTScore:         *tscore,
 		Exclude:           ex,
 		Ranks:             *ranks,
-		Sharded:           sharded,
 		Communities:       *communities,
 		Community: community.Config{
 			Algorithm:  algo,

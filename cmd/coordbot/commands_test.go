@@ -1,8 +1,12 @@
 package main
 
 import (
+	"errors"
+	"flag"
 	"os"
+	"os/exec"
 	"path/filepath"
+	"strings"
 	"testing"
 
 	"coordbot/internal/graph"
@@ -76,17 +80,19 @@ func TestCmdGenAndPipeline(t *testing.T) {
 	}
 }
 
-func TestCmdPipelineShardedTransport(t *testing.T) {
-	dir := t.TempDir()
-	data := filepath.Join(dir, "d.ndjson.gz")
-	if err := cmdGen([]string{"-preset", "tiny", "-seed", "7", "-out", data}); err != nil {
-		t.Fatal(err)
+// TestCmdPipelineTransportFlagGone: pipeline has one in-process Step-1
+// path and no -transport to pick another. The flag sets exit on a parse
+// error, so the rejection is observed in a child run of this test.
+func TestCmdPipelineTransportFlagGone(t *testing.T) {
+	if flag.Arg(0) == "pipeline-transport-child" {
+		cmdPipeline([]string{"-transport", "sharded"})
+		return
 	}
-	if err := cmdPipeline([]string{"-in", data, "-cut", "20", "-transport", "sharded"}); err != nil {
-		t.Fatal(err)
-	}
-	if err := cmdPipeline([]string{"-in", data, "-transport", "carrier-pigeon"}); err == nil {
-		t.Fatal("unknown transport accepted")
+	out, err := exec.Command(os.Args[0], "-test.run=^TestCmdPipelineTransportFlagGone$", "pipeline-transport-child").CombinedOutput()
+	var exit *exec.ExitError
+	if !errors.As(err, &exit) || exit.ExitCode() != 2 ||
+		!strings.Contains(string(out), "flag provided but not defined: -transport") {
+		t.Fatalf("pipeline -transport: err %v, output:\n%s", err, out)
 	}
 }
 

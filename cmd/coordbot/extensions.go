@@ -29,7 +29,7 @@ func cmdHexbin(args []string) error {
 	cut := fs.Uint("cut", 10, "min triangle weight cutoff")
 	kind := fs.String("kind", "scores", "scores (T vs C) or weights (minW vs w_xyz)")
 	csv := fs.String("csv", "", "also write bin CSV to this file")
-	ranks := fs.Int("ranks", 0, "ygm parallelism (0 = auto)")
+	ranks := fs.Int("ranks", 0, "worker goroutines (0 = auto)")
 	minW, maxW := windowFlag(fs)
 	fs.Parse(args)
 
@@ -165,7 +165,7 @@ func cmdClassify(args []string) error {
 	in := fs.String("in", "", "input NDJSON(.gz) comment stream")
 	exclude := fs.String("exclude", "AutoModerator,[deleted]", "authors to exclude")
 	cut := fs.Uint("cut", 25, "min triangle weight cutoff")
-	ranks := fs.Int("ranks", 0, "ygm parallelism (0 = auto)")
+	ranks := fs.Int("ranks", 0, "worker goroutines (0 = auto)")
 	minW, maxW := windowFlag(fs)
 	fs.Parse(args)
 
@@ -248,7 +248,7 @@ func cmdBackbone(args []string) error {
 	exclude := fs.String("exclude", "AutoModerator,[deleted]", "authors to exclude")
 	alpha := fs.Float64("alpha", 1e-9, "significance level")
 	top := fs.Int("top", 20, "most significant edges to print")
-	ranks := fs.Int("ranks", 0, "ygm parallelism (0 = auto)")
+	ranks := fs.Int("ranks", 0, "worker goroutines (0 = auto)")
 	minW, maxW := windowFlag(fs)
 	fs.Parse(args)
 
@@ -256,7 +256,7 @@ func cmdBackbone(args []string) error {
 	if err != nil {
 		return err
 	}
-	g, err := projection.Project(b, projection.Window{Min: *minW, Max: *maxW},
+	g, err := projection.ProjectSharded(b, projection.Window{Min: *minW, Max: *maxW},
 		projection.Options{Exclude: ex, Ranks: *ranks})
 	if err != nil {
 		return err
@@ -283,7 +283,7 @@ func cmdGroups(args []string) error {
 	exclude := fs.String("exclude", "AutoModerator,[deleted]", "authors to exclude")
 	cut := fs.Uint("cut", 25, "min triangle weight cutoff")
 	tscore := fs.Float64("tscore", 0, "min T score (0 disables)")
-	ranks := fs.Int("ranks", 0, "ygm parallelism (0 = auto)")
+	ranks := fs.Int("ranks", 0, "worker goroutines (0 = auto)")
 	minW, maxW := windowFlag(fs)
 	fs.Parse(args)
 

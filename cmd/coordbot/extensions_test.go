@@ -110,21 +110,40 @@ func TestCmdGroups(t *testing.T) {
 func TestCmdProjectTCPTransport(t *testing.T) {
 	data := genTestData(t)
 	dir := t.TempDir()
-	mem := filepath.Join(dir, "mem.tsv")
+	local := filepath.Join(dir, "local.tsv")
 	tcp := filepath.Join(dir, "tcp.tsv")
-	if err := cmdProject([]string{"-in", data, "-max", "60", "-out", mem}); err != nil {
+	if err := cmdProject([]string{"-in", data, "-max", "60", "-out", local}); err != nil {
 		t.Fatal(err)
 	}
 	if err := cmdProject([]string{"-in", data, "-max", "60", "-transport", "tcp", "-ranks", "3", "-out", tcp}); err != nil {
 		t.Fatal(err)
 	}
-	a, _ := os.ReadFile(mem)
+	a, _ := os.ReadFile(local)
 	b, _ := os.ReadFile(tcp)
 	if string(a) != string(b) {
 		t.Fatal("tcp transport produced different projection output")
 	}
-	if err := cmdProject([]string{"-in", data, "-transport", "carrier-pigeon"}); err == nil {
-		t.Fatal("unknown transport accepted")
+	for _, args := range [][]string{
+		{"-in", data, "-transport", "carrier-pigeon"},
+		{"-in", data, "-transport", "carrier-pigeon", "-signals", "cocomment"},
+		{"-in", data, "-transport", "memory"},
+	} {
+		if err := cmdProject(args); err == nil || !strings.Contains(err.Error(), "unknown -transport") {
+			t.Fatalf("project %v: err %v, want unknown -transport", args[2:], err)
+		}
+	}
+	// The cluster projects co-comments only: -signals under tcp is refused,
+	// not silently run in-process.
+	if err := cmdProject([]string{"-in", data, "-transport", "tcp", "-signals", "cocomment"}); err == nil ||
+		!strings.Contains(err.Error(), "co-comments only") {
+		t.Fatalf("project -transport tcp -signals: err %v, want a co-comments-only rejection", err)
+	}
+	sig := filepath.Join(dir, "sig.tsv")
+	if err := cmdProject([]string{"-in", data, "-max", "60", "-transport", "sharded", "-signals", "cocomment", "-out", sig}); err != nil {
+		t.Fatal(err)
+	}
+	if c, _ := os.ReadFile(sig); string(c) != string(a) {
+		t.Fatal("-signals cocomment produced a different projection than the default")
 	}
 }
 

@@ -11,8 +11,9 @@
 //  3. Validate surviving triplets against the original bipartite graph
 //     with hypergraph metrics (internal/hypergraph).
 //
-// internal/pipeline chains the steps; internal/ygm provides the
-// message-driven partitioned runtime all distributed paths run on;
+// internal/pipeline chains the steps as in-process worker pools;
+// internal/ygmnet is the message-driven partitioned runtime (the paper's
+// YGM, over TCP) the distributed form of each step runs on;
 // internal/redditgen generates labeled synthetic workloads;
 // internal/experiments regenerates every figure of the paper's evaluation.
 // See README.md, DESIGN.md, and EXPERIMENTS.md.

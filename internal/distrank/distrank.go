@@ -22,7 +22,6 @@ import (
 	"coordbot/internal/graph"
 	"coordbot/internal/projection"
 	"coordbot/internal/pushshift"
-	"coordbot/internal/ygm"
 	"coordbot/internal/ygmnet"
 )
 
@@ -45,9 +44,30 @@ type Options struct {
 	Out io.Writer
 }
 
-// pageKey owns pages by name hash, consistent across ranks.
+// pageOwner owns pages by name hash, consistent across ranks.
 func pageOwner(linkID string, n int) int {
-	return int(ygm.HashString(linkID) % uint64(n))
+	return int(hashString(linkID) % uint64(n))
+}
+
+// hashString is FNV-1a 64 followed by the SplitMix64 finalizer. Every
+// rank process must compute the same value for the same page name, so a
+// change here is a wire-protocol change.
+func hashString(s string) uint64 {
+	const (
+		offset64 = 14695981039346656037
+		prime64  = 1099511628211
+	)
+	var h uint64 = offset64
+	for i := 0; i < len(s); i++ {
+		h ^= uint64(s[i])
+		h *= prime64
+	}
+	h ^= h >> 30
+	h *= 0xbf58476d1ce4e5b9
+	h ^= h >> 27
+	h *= 0x94d049bb133111eb
+	h ^= h >> 31
+	return h
 }
 
 // edgeKey is the canonical (lexicographic) name-pair key.

@@ -142,3 +142,19 @@ func TestMergeShardsRejectsGarbage(t *testing.T) {
 		t.Fatal("bad count line accepted")
 	}
 }
+
+// TestHashStringStable pins the page-ownership hash: rank processes built
+// from different commits of this package must still agree on who owns a
+// page, so the values (taken from the retired internal/ygm.HashString the
+// function was moved from) may never change.
+func TestHashStringStable(t *testing.T) {
+	for s, want := range map[string]uint64{
+		"":              0xf52a15e9a9b5e89b,
+		"t3_5ab1cd":     0x6ee306cf5c704d8e,
+		"AutoModerator": 0xbf3cc2dac99e3164,
+	} {
+		if got := hashString(s); got != want {
+			t.Errorf("hashString(%q) = %#x, want %#x", s, got, want)
+		}
+	}
+}

@@ -28,7 +28,7 @@ type Lab struct {
 	// redditgen's presets). The figures' *shape* claims hold across
 	// scales; see DESIGN.md "Scale honesty".
 	Scale float64
-	// Ranks is the ygm parallelism for all runs (0 = default).
+	// Ranks is the worker count for all runs (0 = GOMAXPROCS).
 	Ranks int
 
 	mu       sync.Mutex
@@ -508,11 +508,11 @@ func (l *Lab) S3() (*Report, error) {
 	d := l.Dataset("jan2020")
 	b := l.BTM("jan2020")
 	w := projection.Window{Min: 0, Max: 60}
-	with, err := projection.Project(b, w, projection.Options{Exclude: d.Helpers, Ranks: l.Ranks})
+	with, err := projection.ProjectSharded(b, w, projection.Options{Exclude: d.Helpers, Ranks: l.Ranks})
 	if err != nil {
 		return nil, err
 	}
-	without, err := projection.Project(b, w, projection.Options{Ranks: l.Ranks})
+	without, err := projection.ProjectSharded(b, w, projection.Options{Ranks: l.Ranks})
 	if err != nil {
 		return nil, err
 	}

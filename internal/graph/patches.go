@@ -80,21 +80,3 @@ func (s *CISnapshot) EdgePatches(prev *CISnapshot) (patches []EdgePatch, dirtySh
 	SortEdgePatches(patches)
 	return patches, dirtyShards, true
 }
-
-// SubShardDeltaPatches is SubShardDelta with the withdrawn edge
-// transitions appended to out: for every decremented edge one EdgePatch
-// {U, V, Old: previous weight, New: remaining weight} is recorded under
-// the shard lock, so the batch the caller accumulates across a wave is
-// exactly the wave's edge diff. Page-count decrements produce no patches
-// (P' drift never changes the edge set). Panics on underflow and carries
-// the same wrong-shard caveat as SubShardDelta.
-func (g *ShardedCI) SubShardDeltaPatches(i int, edges map[uint64]uint32, pages map[VertexID]uint32, out []EdgePatch) []EdgePatch {
-	if len(edges) == 0 && len(pages) == 0 {
-		return out
-	}
-	g.subShardDelta(i, edges, nil, pages, func(key uint64, old, new uint32) {
-		u, v := UnpackEdge(key)
-		out = append(out, EdgePatch{U: u, V: v, Old: old, New: new})
-	})
-	return out
-}

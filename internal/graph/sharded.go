@@ -211,130 +211,27 @@ func (g *ShardedCI) SetPageCount(u VertexID, n uint32) {
 	g.version.Add(1)
 }
 
-// MergeShardDelta folds a per-shard delta (edge weight increments routed
-// by EdgeShard, page-count increments routed by VertexShard) into shard i
-// — the map-keyed convenience form of AddShardBatch. Keys routed to the
-// wrong shard are a caller bug and would silently corrupt lookups;
-// callers route with EdgeShard/VertexShard.
-func (g *ShardedCI) MergeShardDelta(i int, edges map[uint64]uint32, pages map[VertexID]uint32) {
-	if len(edges) == 0 && len(pages) == 0 {
-		return
-	}
-	sh := &g.shards[i]
-	sh.mu.Lock()
-	sh.own()
-	for key, w := range edges {
-		sh.edges.Add(key, w)
-	}
-	for v, n := range pages {
-		sh.pages[v] += n
-	}
-	sh.version++
-	sh.mu.Unlock()
-	g.version.Add(1)
-}
-
-// AddShardBatch folds a shard-grouped flat delta into shard i under one
-// lock acquisition and one version bump: edge increments (with optional
-// stride-NumSignals attribution aligned as in EdgeTable.AddBatch) and
-// page-count increments. This is the zero-alloc owner-computes merge
-// primitive of the parallel projection and the ingest fast path. The
-// MergeShardDelta routing caveat applies.
-func (g *ShardedCI) AddShardBatch(i int, edges []EdgeDelta, sig []uint32, pages []PageDelta) {
-	if len(edges) == 0 && len(pages) == 0 {
-		return
-	}
-	sh := &g.shards[i]
-	sh.mu.Lock()
-	sh.own()
-	sh.edges.AddBatch(edges, sig)
-	for _, p := range pages {
-		sh.pages[p.V] += p.N
-	}
-	sh.version++
-	sh.mu.Unlock()
-	g.version.Add(1)
-}
-
-// SubShardDelta withdraws a pre-aggregated delta from shard i: every edge
-// weight and page count is decremented under a single lock acquisition,
-// with entries deleted at zero — the batch counterpart of SubEdgeWeight /
-// SubPageCount. The shard's dirty version advances once per wave, not
-// once per pair, so downstream delta surveys see one coherent dirty unit.
-// Panics on underflow, and on keys routed to the wrong shard the same
-// silent-corruption caveat as MergeShardDelta applies.
-func (g *ShardedCI) SubShardDelta(i int, edges map[uint64]uint32, pages map[VertexID]uint32) {
-	if len(edges) == 0 && len(pages) == 0 {
-		return
-	}
-	g.subShardDelta(i, edges, nil, pages, nil)
-}
-
-// subShardDelta is the map-keyed SubShardDelta core; record, when
-// non-nil, observes each edge decrement as an old→new weight transition
-// under the shard lock (SubShardDeltaPatches in patches.go). sigDec, when
-// non-nil, carries the wave's per-signal share of the edge decrements,
-// withdrawn from the table's share lanes in the same probe (the shares
-// must sum to the total per key); only totals are recorded as patches, so
-// the "each edge at most once per wave" invariant downstream patch
-// consumers rely on holds regardless of how many signals contributed to a
-// decrement. The hot wave path uses the flat SubShardBatch instead.
-func (g *ShardedCI) subShardDelta(i int, edges map[uint64]uint32, sigDec []map[uint64]uint32, pages map[VertexID]uint32, record func(key uint64, old, new uint32)) {
-	sh := &g.shards[i]
-	// The Sub underflow panic must not leave the shard locked (callers
-	// treat it as a caller bug, and tests assert on it).
-	sh.mu.Lock()
-	defer sh.mu.Unlock()
-	sh.own()
-	var dec []uint32
-	if sigDec != nil && sh.edges.nsig > 0 {
-		dec = make([]uint32, sh.edges.nsig)
-	}
-	for key, w := range edges {
-		if dec != nil {
-			for si := range dec {
-				if m := sigDec[si]; m != nil {
-					dec[si] = m[key]
-				} else {
-					dec[si] = 0
-				}
-			}
-		}
-		old, new := sh.edges.Sub(key, w, dec)
-		if record != nil {
-			record(key, old, new)
-		}
-	}
-	for v, n := range pages {
-		cur, ok := sh.pages[v]
-		if !ok || cur < n {
-			panic(fmt.Sprintf("graph: author %d page count underflow (%d - %d)", v, cur, n))
-		}
-		if cur == n {
-			delete(sh.pages, v)
-		} else {
-			sh.pages[v] = cur - n
-		}
-	}
-	sh.version++
-	g.version.Add(1)
-}
-
 // SubShardBatch withdraws a shard-grouped flat delta from shard i under
 // one lock acquisition and one version bump: edge decrements (with
 // optional stride-NumSignals share attribution, as in
 // EdgeTable.SubBatch), then page-count decrements, entries deleted at
-// zero. Each edge key must appear at most once per batch. Panics on
-// underflow; the MergeShardDelta routing caveat applies. This is the
-// eviction-wave primitive of the sliding projector.
+// zero. Each edge key must appear at most once per batch. The shard's
+// dirty version advances once per wave, not once per pair, so downstream
+// delta surveys see one coherent dirty unit. Panics on underflow (leaving
+// the shard unlocked). Keys routed to the wrong shard are a caller bug and
+// would silently corrupt lookups; callers route with EdgeShard /
+// VertexShard. This is the eviction-wave primitive of the sliding
+// projector.
 func (g *ShardedCI) SubShardBatch(i int, edges []EdgeDelta, sig []uint32, pages []PageDelta) {
 	g.subShardBatch(i, edges, sig, pages, nil)
 }
 
 // SubShardBatchPatches is SubShardBatch with the withdrawn TOTAL-weight
-// transitions appended to out — one patch per edge per batch regardless
-// of how many signals contributed, preserving the contract of
-// SortEdgePatches.
+// transitions appended to out: one EdgePatch {U, V, Old, New} per edge per
+// batch, recorded under the shard lock, regardless of how many signals
+// contributed — patch consumers (tripoll.Oriented.ApplyPatches via
+// SortEdgePatches) require each edge at most once per batch. Page-count
+// decrements produce no patches (P' drift never changes the edge set).
 func (g *ShardedCI) SubShardBatchPatches(i int, edges []EdgeDelta, sig []uint32, pages []PageDelta, out []EdgePatch) []EdgePatch {
 	if len(edges) == 0 && len(pages) == 0 {
 		return out

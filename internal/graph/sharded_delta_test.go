@@ -157,94 +157,146 @@ func TestThresholdDeltaMatchesThresholdView(t *testing.T) {
 	}
 }
 
-// TestSubShardDelta: a batched per-shard decrement wave equals the same
-// decrements applied pairwise, bumps each touched shard's version exactly
-// once, and panics on underflow like SubEdgeWeight.
-func TestSubShardDelta(t *testing.T) {
-	g := NewShardedCI(8)
+// shardWave is one random eviction wave against a seeded store, grouped by
+// owning shard the way the sliding projector hands it to SubShardBatch:
+// flat edge decrements, their stride-S per-signal shares, and page-count
+// decrements.
+type shardWave struct {
+	edges map[int][]EdgeDelta
+	sig   map[int][]uint32 // nil entries on an untracked store
+	pages map[int][]PageDelta
+}
+
+// touched returns every shard the wave writes.
+func (w shardWave) touched() map[int]bool {
+	out := make(map[int]bool)
+	for i := range w.edges {
+		out[i] = true
+	}
+	for i := range w.pages {
+		out[i] = true
+	}
+	return out
+}
+
+// seedWaveStore fills a sharded store (tracking nsig signals, 0 = none)
+// and a pairwise reference with the same 30-author graph: every edge
+// weighs 5 — split 3/2 over the first two signals when tracked — and
+// every author has page count 4. It then draws a random decrement wave:
+// some edges partially withdrawn, some to zero, every other author's page
+// count reduced (to zero for some).
+func seedWaveStore(nsig int, seed int64) (*ShardedCI, *CIGraph, shardWave) {
+	g := NewShardedCISignals(8, nsig)
 	ref := NewCIGraph()
 	for u := VertexID(0); u < 30; u++ {
 		for v := u + 1; v < 30; v += 3 {
-			g.AddEdgeWeight(u, v, 5)
+			if nsig > 0 {
+				g.AddEdgeWeightSig(u, v, 3, 0)
+				g.AddEdgeWeightSig(u, v, 2, 1)
+			} else {
+				g.AddEdgeWeight(u, v, 5)
+			}
 			ref.AddEdgeWeight(u, v, 5)
 		}
 		g.AddPageCount(u, 4)
 		ref.AddPageCount(u, 4)
 	}
-
-	// Build a decrement wave: some partial, some delete-at-zero.
-	edgeDec := make(map[uint64]uint32)
-	pageDec := make(map[VertexID]uint32)
-	rng := rand.New(rand.NewSource(11))
-	ref.ForEachEdge(func(u, v VertexID, w uint32) bool {
+	w := shardWave{edges: map[int][]EdgeDelta{}, sig: map[int][]uint32{}, pages: map[int][]PageDelta{}}
+	rng := rand.New(rand.NewSource(seed))
+	for _, e := range ref.Edges() {
 		if rng.Intn(2) == 0 {
-			edgeDec[PackEdge(u, v)] = uint32(rng.Intn(int(w))) + 1
+			continue
 		}
-		return true
-	})
+		key := PackEdge(e.U, e.V)
+		dec := uint32(rng.Intn(int(e.W))) + 1
+		i := g.EdgeShard(key)
+		w.edges[i] = append(w.edges[i], EdgeDelta{Key: key, W: dec})
+		if nsig > 0 {
+			// Withdraw from signal 0's share (3) first, the rest from
+			// signal 1's, so the shares sum to the total.
+			shares := make([]uint32, nsig)
+			shares[0] = min(dec, 3)
+			shares[1] = dec - shares[0]
+			w.sig[i] = append(w.sig[i], shares...)
+		}
+	}
 	for u := VertexID(0); u < 30; u += 2 {
-		pageDec[u] = uint32(rng.Intn(4)) + 1
+		i := g.VertexShard(u)
+		w.pages[i] = append(w.pages[i], PageDelta{V: u, N: uint32(rng.Intn(4)) + 1})
 	}
+	return g, ref, w
+}
 
-	// Group by shard, apply one wave per shard, mirror into the reference.
-	byShardE := make(map[int]map[uint64]uint32)
-	byShardP := make(map[int]map[VertexID]uint32)
-	for k, w := range edgeDec {
-		i := g.EdgeShard(k)
-		if byShardE[i] == nil {
-			byShardE[i] = make(map[uint64]uint32)
-		}
-		byShardE[i][k] = w
-	}
-	for v, n := range pageDec {
-		i := g.VertexShard(v)
-		if byShardP[i] == nil {
-			byShardP[i] = make(map[VertexID]uint32)
-		}
-		byShardP[i][v] = n
-	}
-	touched := make(map[int]bool)
-	for i := range byShardE {
-		touched[i] = true
-	}
-	for i := range byShardP {
-		touched[i] = true
-	}
+// TestSubShardBatch: a batched per-shard decrement wave equals the same
+// decrements applied pairwise (entries deleted at zero), bumps each
+// touched shard's version exactly once, and panics on underflow like
+// SubEdgeWeight — leaving the shard unlocked.
+func TestSubShardBatch(t *testing.T) {
+	g, ref, wave := seedWaveStore(0, 11)
+	touched := wave.touched()
 	before := g.Version()
 	for i := range touched {
-		g.SubShardDelta(i, byShardE[i], byShardP[i])
+		g.SubShardBatch(i, wave.edges[i], nil, wave.pages[i])
 	}
 	if bumps := g.Version() - before; bumps != uint64(len(touched)) {
 		t.Fatalf("wave bumped version %d times over %d touched shards", bumps, len(touched))
 	}
-	for k, w := range edgeDec {
-		u, v := UnpackEdge(k)
-		ref.SubEdgeWeight(u, v, w)
+	zeroed := 0
+	for _, ds := range wave.edges {
+		for _, d := range ds {
+			u, v := UnpackEdge(d.Key)
+			ref.SubEdgeWeight(u, v, d.W)
+			if ref.Weight(u, v) == 0 {
+				zeroed++
+			}
+		}
 	}
-	for v, n := range pageDec {
-		ref.SubPageCount(v, n)
+	for _, ps := range wave.pages {
+		for _, p := range ps {
+			ref.SubPageCount(p.V, p.N)
+		}
+	}
+	if zeroed == 0 {
+		t.Fatal("wave withdrew no edge to zero; the delete-at-zero leg is untested")
 	}
 	if !ref.Equal(g) {
 		t.Fatal("batched shard decrements diverged from pairwise reference")
 	}
+	if g.NumEdges() != ref.NumEdges() || g.NumAuthors() != len(ref.PageCounts()) {
+		t.Fatalf("zeroed entries linger: %d edges / %d authors, reference has %d / %d",
+			g.NumEdges(), g.NumAuthors(), ref.NumEdges(), len(ref.PageCounts()))
+	}
+	// An empty wave is a no-op, not a dirty unit.
+	before = g.Version()
+	g.SubShardBatch(0, nil, nil, nil)
+	if g.Version() != before {
+		t.Fatal("empty wave bumped the version")
+	}
 
-	// Underflow panics, mirroring SubEdgeWeight / SubPageCount.
-	mustPanic := func(name string, fn func()) {
+	// Underflow panics, mirroring SubEdgeWeight / SubPageCount, and must
+	// not leave the shard locked.
+	mustPanicUnlocked := func(name string, shard int, fn func()) {
 		t.Helper()
-		defer func() {
-			if recover() == nil {
-				t.Fatalf("%s did not panic on underflow", name)
-			}
+		func() {
+			defer func() {
+				if recover() == nil {
+					t.Fatalf("%s did not panic on underflow", name)
+				}
+			}()
+			fn()
 		}()
-		fn()
+		if !g.shards[shard].mu.TryLock() {
+			t.Fatalf("%s left shard %d locked", name, shard)
+		}
+		g.shards[shard].mu.Unlock()
 	}
 	key := PackEdge(200, 201)
 	g.AddEdgeWeight(200, 201, 1)
-	mustPanic("edge underflow", func() {
-		g.SubShardDelta(g.EdgeShard(key), map[uint64]uint32{key: 2}, nil)
+	mustPanicUnlocked("edge underflow", g.EdgeShard(key), func() {
+		g.SubShardBatch(g.EdgeShard(key), []EdgeDelta{{Key: key, W: 2}}, nil, nil)
 	})
-	mustPanic("page underflow", func() {
-		g.SubShardDelta(g.VertexShard(250), nil, map[VertexID]uint32{250: 1})
+	mustPanicUnlocked("page underflow", g.VertexShard(250), func() {
+		g.SubShardBatch(g.VertexShard(250), nil, nil, []PageDelta{{V: 250, N: 1}})
 	})
 }
 

@@ -199,7 +199,6 @@ func TestShardedVersionMonotonic(t *testing.T) {
 		func() { g.SetPageCount(2, 9) },
 		func() { g.SubEdgeWeight(1, 2, 2) },
 		func() { g.SubPageCount(2, 9) },
-		func() { g.MergeShardDelta(3, map[uint64]uint32{PackEdge(4, 5): 1}, nil) },
 	}
 	for i, op := range ops {
 		op()

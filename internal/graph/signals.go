@@ -116,36 +116,6 @@ func (g *ShardedCI) SignalWeights(u, v VertexID) []uint32 {
 	return out
 }
 
-// SubShardDeltaSignals is SubShardDelta extended with the wave's
-// per-signal share of each edge decrement: sig[si] maps edge key → the
-// amount signal si contributed to edges[key]'s total decrement. The
-// shares must sum to the total per key; both are withdrawn under one lock
-// acquisition and one version bump. sig (or any entry) may be nil on an
-// untracked store.
-func (g *ShardedCI) SubShardDeltaSignals(i int, edges map[uint64]uint32, sig []map[uint64]uint32, pages map[VertexID]uint32) {
-	if len(edges) == 0 && len(pages) == 0 {
-		return
-	}
-	g.subShardDelta(i, edges, sig, pages, nil)
-}
-
-// SubShardDeltaSignalsPatches is SubShardDeltaSignals with the withdrawn
-// TOTAL-weight transitions appended to out, exactly like
-// SubShardDeltaPatches: one patch per edge per wave even when several
-// signals contributed to the decrement, because patch consumers
-// (tripoll.Oriented.ApplyPatches via SortEdgePatches) require each edge
-// at most once per batch. The per-signal breakdown stays behind the view.
-func (g *ShardedCI) SubShardDeltaSignalsPatches(i int, edges map[uint64]uint32, sig []map[uint64]uint32, pages map[VertexID]uint32, out []EdgePatch) []EdgePatch {
-	if len(edges) == 0 && len(pages) == 0 {
-		return out
-	}
-	g.subShardDelta(i, edges, sig, pages, func(key uint64, old, new uint32) {
-		u, v := UnpackEdge(key)
-		out = append(out, EdgePatch{U: u, V: v, Old: old, New: new})
-	})
-	return out
-}
-
 // --- snapshots ----------------------------------------------------------
 
 // NumSignals returns the breakdown width frozen in the snapshot (0 when

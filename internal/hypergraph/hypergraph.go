@@ -14,10 +14,11 @@
 package hypergraph
 
 import (
+	"runtime"
 	"sort"
+	"sync"
 
 	"coordbot/internal/graph"
-	"coordbot/internal/ygm"
 )
 
 // Triplet is an unordered author triple, stored sorted X < Y < Z.
@@ -221,30 +222,43 @@ func Evaluate(b *graph.BTM, t Triplet) Score {
 	return Score{Triplet: t, W: w, C: c, PX: px, PY: py, PZ: pz}
 }
 
-// EvaluateAll computes Step-3 records for many triplets in parallel on a
-// ygm communicator, distributing triplets round-robin — the paper notes
-// "the distributed containers of YGM can accelerate this process by
-// dividing up authors to be checked among several compute nodes" (§2.4).
-// Results are returned sorted by triplet. ranks==0 means ygm.DefaultRanks().
+// EvaluateAll computes Step-3 records for many triplets with a pool of
+// workers over the shared read-only BTM, dealing triplets round-robin —
+// the paper notes "the distributed containers of YGM can accelerate this
+// process by dividing up authors to be checked among several compute
+// nodes" (§2.4); ygmnet.HypergraphCluster is that partitioned form.
+// Results are returned sorted by triplet. ranks <= 0 means GOMAXPROCS;
+// the count is clamped to len(triplets), and a single worker runs inline
+// on the caller.
 func EvaluateAll(b *graph.BTM, triplets []Triplet, ranks int) []Score {
 	if len(triplets) == 0 {
 		return nil
 	}
-	if ranks == 0 {
-		ranks = ygm.DefaultRanks()
+	if ranks <= 0 {
+		ranks = runtime.GOMAXPROCS(0)
 	}
-	// Force the timed index to exist? Not needed for unwindowed scores;
-	// AuthorPages is immutable after build, safe to share.
-	comm := ygm.NewComm(ranks)
-	defer comm.Close()
-	bag := ygm.NewBag[Score](comm)
-	comm.Run(func(r *ygm.Rank) {
-		for i := r.ID(); i < len(triplets); i += r.NRanks() {
-			bag.AsyncInsert(r, Evaluate(b, triplets[i]))
+	if ranks > len(triplets) {
+		ranks = len(triplets)
+	}
+	out := make([]Score, len(triplets))
+	stride := func(r int) {
+		for i := r; i < len(triplets); i += ranks {
+			out[i] = Evaluate(b, triplets[i])
 		}
-		r.Barrier()
-	})
-	out := bag.Gather()
+	}
+	if ranks == 1 {
+		stride(0)
+	} else {
+		var wg sync.WaitGroup
+		wg.Add(ranks)
+		for r := 0; r < ranks; r++ {
+			go func(r int) {
+				defer wg.Done()
+				stride(r)
+			}(r)
+		}
+		wg.Wait()
+	}
 	SortScores(out)
 	return out
 }

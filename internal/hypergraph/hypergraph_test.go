@@ -129,19 +129,25 @@ func TestEvaluateAllMatchesSequential(t *testing.T) {
 		}
 		triplets = append(triplets, NewTriplet(a, bb, c))
 	}
-	want := make([]Score, len(triplets))
-	for i, tr := range triplets {
-		want[i] = Evaluate(b, tr)
-	}
-	SortScores(want)
-	for _, ranks := range []int{1, 4} {
-		got := EvaluateAll(b, triplets, ranks)
-		if len(got) != len(want) {
-			t.Fatalf("ranks %d: %d scores, want %d", ranks, len(got), len(want))
+	// The full list, a single triplet and none at all, each under
+	// 0 = GOMAXPROCS, 1 = inline on the caller, and 1000 = more workers
+	// than triplets (clamped).
+	for _, n := range []int{len(triplets), 1, 0} {
+		in := triplets[:n]
+		want := make([]Score, len(in))
+		for i, tr := range in {
+			want[i] = Evaluate(b, tr)
 		}
-		for i := range want {
-			if got[i] != want[i] {
-				t.Fatalf("ranks %d: score %d = %+v, want %+v", ranks, i, got[i], want[i])
+		SortScores(want)
+		for _, ranks := range []int{0, 1, 4, 1000} {
+			got := EvaluateAll(b, in, ranks)
+			if len(got) != len(want) {
+				t.Fatalf("%d triplets, ranks %d: %d scores, want %d", n, ranks, len(got), len(want))
+			}
+			for i := range want {
+				if got[i] != want[i] {
+					t.Fatalf("%d triplets, ranks %d: score %d = %+v, want %+v", n, ranks, i, got[i], want[i])
+				}
 			}
 		}
 	}

@@ -47,15 +47,17 @@ type Config struct {
 	// paper's §2.2 targeted re-run: take a group of interest found with
 	// a short window and re-project just those users with a longer one.
 	Restrict map[graph.VertexID]bool
-	// Ranks is the ygm parallelism (0 = default). Sequential forces the
-	// single-threaded reference implementations instead.
+	// Ranks is the worker count of each step's goroutine pool (<= 0 =
+	// GOMAXPROCS). Sequential forces the single-threaded reference
+	// implementations instead: Step 1 into the map-backed CIGraph rather
+	// than projection.ProjectSharded's lock-striped store, the one the
+	// streaming daemon runs on.
 	Ranks      int
 	Sequential bool
-	// Sharded projects Step 1 into the lock-striped ShardedCI store via
-	// the owner-computes merge (projection.ProjectSharded) instead of the
-	// map-backed graph — the batch path over the same store the streaming
-	// daemon runs on. Steps 2–3 are unaffected (they consume the CIView
-	// interface) and still honor Sequential/Ranks.
+	// Sharded has no effect: Step 1 takes the sharded path whenever
+	// Sequential is unset, whatever this says. The field remains only
+	// because bench/coordbench/batch.go sets it; the next
+	// benchmark-archetype PR can drop it from both.
 	Sharded bool
 	// SkipHypergraph skips Step 3 (for projection/survey-only studies).
 	SkipHypergraph bool
@@ -94,9 +96,10 @@ type Timings struct {
 // Result is the output of a Run.
 type Result struct {
 	Config Config
-	// CI is the full projected common interaction graph: a map-backed
-	// *graph.CIGraph for batch runs, or a sharded *graph.CISnapshot for
-	// daemon snapshot surveys — both behind the read-only view interface.
+	// CI is the full projected common interaction graph: a sharded
+	// *graph.ShardedCI for batch runs (a map-backed *graph.CIGraph under
+	// Sequential), or a *graph.CISnapshot for daemon snapshot surveys —
+	// all behind the read-only view interface.
 	CI graph.CIView
 	// Thresholded is CI restricted to edges >= MinTriangleWeight (or
 	// MinEdgeWeight if higher) — the graph whose components the paper
@@ -131,13 +134,10 @@ func Run(b *graph.BTM, cfg Config) (*Result, error) {
 	var ci graph.CIView
 	var err error
 	popts := projection.Options{Exclude: cfg.Exclude, Restrict: cfg.Restrict, Ranks: cfg.Ranks}
-	switch {
-	case cfg.Sharded:
-		ci, err = projection.ProjectSharded(b, cfg.Window, popts)
-	case cfg.Sequential:
+	if cfg.Sequential {
 		ci, err = projection.ProjectSequential(b, cfg.Window, popts)
-	default:
-		ci, err = projection.Project(b, cfg.Window, popts)
+	} else {
+		ci, err = projection.ProjectSharded(b, cfg.Window, popts)
 	}
 	if err != nil {
 		return nil, fmt.Errorf("pipeline: projection: %w", err)

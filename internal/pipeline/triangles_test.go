@@ -118,8 +118,9 @@ func TestRunOnTrianglesNilInputs(t *testing.T) {
 	}
 }
 
-// TestRunShardedMatchesDefault: the Sharded Step-1 transport produces the
-// same pipeline output as the default map-backed projection.
+// TestRunShardedMatchesDefault: Config.Sharded has no effect — with it or
+// without it Step 1 lands in the sharded store and the pipeline output is
+// the same (sequential ≡ sharded is TestSequentialMatchesParallel).
 func TestRunShardedMatchesDefault(t *testing.T) {
 	d := tinyDataset(t)
 	b := d.BTM()
@@ -141,8 +142,10 @@ func TestRunShardedMatchesDefault(t *testing.T) {
 	if !want.CI.Equal(got.CI) {
 		t.Fatal("sharded projection differs from default")
 	}
-	if _, ok := got.CI.(*graph.ShardedCI); !ok {
-		t.Fatalf("Sharded run did not use the sharded store: %T", got.CI)
+	for _, res := range []*Result{want, got} {
+		if _, ok := res.CI.(*graph.ShardedCI); !ok {
+			t.Fatalf("Sharded=%v run did not use the sharded store: %T", res.Config.Sharded, res.CI)
+		}
 	}
 	resultsEqual(t, want, got)
 }

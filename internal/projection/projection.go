@@ -16,11 +16,9 @@ package projection
 
 import (
 	"fmt"
-	"runtime"
 	"sort"
 
 	"coordbot/internal/graph"
-	"coordbot/internal/ygm"
 )
 
 // Window is the comment-delay window [Min, Max) in seconds.
@@ -56,8 +54,9 @@ type Options struct {
 	// Bipartite Temporal Multigraph for just this smaller group of users
 	// with a longer time window". Exclude still applies on top.
 	Restrict map[graph.VertexID]bool
-	// Ranks is the parallelism degree for Project; 0 means GOMAXPROCS
-	// (minimum 2). Ignored by ProjectSequential.
+	// Ranks is the worker count of the sharded paths (ProjectSharded,
+	// ProjectSignalsSharded); <= 0 means GOMAXPROCS (minimum 2). Ignored
+	// by ProjectSequential and ProjectBucketed.
 	Ranks int
 }
 
@@ -135,62 +134,6 @@ func ProjectSequential(b *graph.BTM, w Window, opts Options) (*graph.CIGraph, er
 		clear(pairs)
 		pagePairs(b.PageNeighborhood(graph.VertexID(p)), w, opts, pairs)
 		accumulatePage(g, pairs)
-	}
-	return g, nil
-}
-
-// Project runs Algorithm 1 distributed over a ygm communicator: pages are
-// dealt round-robin to ranks; each rank computes its pages' pair sets
-// locally and reduces edge weights and page counts onto their owner ranks,
-// exactly as the paper's YGM implementation distributes the projection.
-func Project(b *graph.BTM, w Window, opts Options) (*graph.CIGraph, error) {
-	if err := w.Validate(); err != nil {
-		return nil, err
-	}
-	nr := opts.Ranks
-	if nr == 0 {
-		nr = runtime.GOMAXPROCS(0)
-		if nr < 2 {
-			nr = 2
-		}
-	}
-	comm := ygm.NewComm(nr)
-	defer comm.Close()
-
-	edges := ygm.NewMap[uint64, uint32](comm, ygm.HashU64)
-	counts := ygm.NewCounter[graph.VertexID](comm, ygm.HashU32)
-	addU32 := func(a, b uint32) uint32 { return a + b }
-
-	comm.Run(func(r *ygm.Rank) {
-		pairs := make(map[uint64]struct{})
-		authors := make(map[graph.VertexID]struct{})
-		for p := r.ID(); p < b.NumPages(); p += r.NRanks() {
-			clear(pairs)
-			pagePairs(b.PageNeighborhood(graph.VertexID(p)), w, opts, pairs)
-			if len(pairs) == 0 {
-				continue
-			}
-			clear(authors)
-			for key := range pairs {
-				edges.AsyncReduce(r, key, 1, addU32)
-				u, v := graph.UnpackEdge(key)
-				authors[u] = struct{}{}
-				authors[v] = struct{}{}
-			}
-			for a := range authors {
-				counts.AsyncIncrement(r, a)
-			}
-		}
-		r.Barrier()
-	})
-
-	g := graph.NewCIGraph()
-	for key, wgt := range edges.Gather() {
-		u, v := graph.UnpackEdge(key)
-		g.AddEdgeWeight(u, v, wgt)
-	}
-	for a, n := range counts.Gather() {
-		g.AddPageCount(a, uint32(n))
 	}
 	return g, nil
 }

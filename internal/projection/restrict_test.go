@@ -92,7 +92,7 @@ func TestRestrictParallelMatchesSequential(t *testing.T) {
 		t.Fatal(err)
 	}
 	opts.Ranks = 4
-	par, err := Project(b, Window{0, 300}, opts)
+	par, err := ProjectSharded(b, Window{0, 300}, opts)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -32,10 +32,11 @@ package tripoll
 
 import (
 	"math"
+	"runtime"
 	"sort"
+	"sync"
 
 	"coordbot/internal/graph"
-	"coordbot/internal/ygm"
 )
 
 // DefaultRebuildFrac is the drift fraction above which ApplyPatches
@@ -668,28 +669,46 @@ func (o *Oriented) SurveyAll(opts Options, pageCount func(graph.VertexID) uint32
 	}
 }
 
-// SurveyParallel enumerates triangles on a ygm communicator, dealing
-// pivots to ranks round-robin; each rank runs the intersection kernel
-// locally and appends to a distributed bag. Output is SortTriangles-
-// ordered.
+// SurveyParallel enumerates triangles with a pool of opts.Ranks workers
+// over the shared read-only orientation: pivots are dealt round-robin,
+// each worker runs the intersection kernel into its own slice, and the
+// slices are concatenated. Ranks <= 0 means GOMAXPROCS; the count is
+// clamped to the number of vertices, and a single worker runs inline on
+// the caller. Output is SortTriangles-ordered.
 func (o *Oriented) SurveyParallel(opts Options, pageCount func(graph.VertexID) uint32) []Triangle {
-	n := int32(len(o.orig))
-	nr := opts.Ranks
-	if nr == 0 {
-		nr = ygm.DefaultRanks()
+	n := len(o.orig)
+	nw := opts.Ranks
+	if nw <= 0 {
+		nw = runtime.GOMAXPROCS(0)
 	}
-	comm := ygm.NewComm(nr)
-	defer comm.Close()
-	bag := ygm.NewBag[Triangle](comm)
-	comm.Run(func(r *ygm.Rank) {
-		var ia, ib []int32
-		emit := func(tr Triangle) { bag.AsyncInsert(r, tr) }
-		for v := int32(r.ID()); v < n; v += int32(r.NRanks()) {
-			ia, ib = o.surveyPivot(v, opts, pageCount, emit, ia, ib)
-		}
-		r.Barrier()
-	})
-	out := bag.Gather()
+	if nw > n {
+		nw = n
+	}
+	var out []Triangle
+	if nw <= 1 {
+		o.SurveyAll(opts, pageCount, func(tr Triangle) { out = append(out, tr) })
+		SortTriangles(out)
+		return out
+	}
+	parts := make([][]Triangle, nw)
+	var wg sync.WaitGroup
+	wg.Add(nw)
+	for r := 0; r < nw; r++ {
+		go func(r int) {
+			defer wg.Done()
+			var ia, ib []int32
+			var found []Triangle
+			emit := func(tr Triangle) { found = append(found, tr) }
+			for v := int32(r); v < int32(n); v += int32(nw) {
+				ia, ib = o.surveyPivot(v, opts, pageCount, emit, ia, ib)
+			}
+			parts[r] = found
+		}(r)
+	}
+	wg.Wait()
+	for _, p := range parts {
+		out = append(out, p...)
+	}
 	SortTriangles(out)
 	return out
 }

@@ -62,7 +62,8 @@ type Options struct {
 	// MinTScore keeps only triangles with T(x,y,z) >= this. Requires
 	// page counts on the surveyed graph; 0 disables.
 	MinTScore float64
-	// Ranks is the parallelism for Survey; 0 means ygm.DefaultRanks().
+	// Ranks is the worker count of Survey / SurveyParallel; <= 0 means
+	// GOMAXPROCS. Clamped to the vertex count; one worker runs inline.
 	Ranks int
 }
 
@@ -124,10 +125,11 @@ func SurveyDirtySequential(g graph.CIView, opts Options, dirty map[graph.VertexI
 	o.SurveyDirty(opts, dirty, g.PageCount, visit)
 }
 
-// Survey enumerates triangles on a ygm communicator, mirroring TriPoll's
-// structure: pivots are dealt to ranks, each rank closing its wedges with
-// the shared read-only orientation and appending surviving triangles to a
-// distributed bag.
+// Survey enumerates triangles with a worker pool, mirroring TriPoll's
+// structure in shared memory: pivots are dealt to workers, each closing
+// its wedges over the shared read-only orientation
+// (Oriented.SurveyParallel). The partitioned, message-passing survey is
+// ygmnet.TriangleCluster.
 func Survey(g graph.CIView, opts Options) []Triangle {
 	pruned := g.ThresholdView(opts.effectiveEdgeCut())
 	o := Orient(pruned.BuildAdjacency())

@@ -108,19 +108,33 @@ func TestSurveyMatchesNaive(t *testing.T) {
 }
 
 func TestParallelMatchesSequential(t *testing.T) {
-	rng := rand.New(rand.NewSource(5))
-	g := randomGraph(rng, 80, 500)
-	var seq []Triangle
-	SurveySequential(g, Options{MinTriangleWeight: 2}, func(tr Triangle) { seq = append(seq, tr) })
-	SortTriangles(seq)
-	for _, ranks := range []int{1, 4, 7} {
-		par := Survey(g, Options{MinTriangleWeight: 2, Ranks: ranks})
-		if len(par) != len(seq) {
-			t.Fatalf("ranks %d: %d triangles, want %d", ranks, len(par), len(seq))
-		}
-		for i := range seq {
-			if par[i] != seq[i] {
-				t.Fatalf("ranks %d: triangle %d = %+v, want %+v", ranks, i, par[i], seq[i])
+	single := graph.NewCIGraph()
+	single.AddEdgeWeight(1, 2, 5)
+	single.AddEdgeWeight(2, 3, 5)
+	single.AddEdgeWeight(1, 3, 5)
+	graphs := []struct {
+		name string
+		g    *graph.CIGraph
+	}{
+		{"random", randomGraph(rand.New(rand.NewSource(5)), 80, 500)},
+		{"single-triangle", single},
+		{"empty", graph.NewCIGraph()},
+	}
+	for _, tc := range graphs {
+		var seq []Triangle
+		SurveySequential(tc.g, Options{MinTriangleWeight: 2}, func(tr Triangle) { seq = append(seq, tr) })
+		SortTriangles(seq)
+		// 0 = GOMAXPROCS, 1 = inline on the caller, 1000 = more workers
+		// than vertices (clamped).
+		for _, ranks := range []int{0, 1, 4, 7, 1000} {
+			par := Survey(tc.g, Options{MinTriangleWeight: 2, Ranks: ranks})
+			if len(par) != len(seq) {
+				t.Fatalf("%s ranks %d: %d triangles, want %d", tc.name, ranks, len(par), len(seq))
+			}
+			for i := range seq {
+				if par[i] != seq[i] {
+					t.Fatalf("%s ranks %d: triangle %d = %+v, want %+v", tc.name, ranks, i, par[i], seq[i])
+				}
 			}
 		}
 	}

@@ -5,12 +5,12 @@ import (
 	"sync"
 )
 
-// Serialized counterparts of the ygm containers used by the pipeline's
+// Serialized counterparts of the YGM containers used by the pipeline's
 // distributed steps: a counting map over uint64 keys and a reducing map
-// uint64→uint32. Keys are hash-partitioned across ranks exactly like
-// internal/ygm; payloads are fixed-width big-endian encodings.
+// uint64→uint32. Keys are hash-partitioned across ranks; payloads are
+// fixed-width big-endian encodings.
 
-// mix64 is the SplitMix64 finalizer (same partitioning as ygm.HashU64).
+// mix64 is the SplitMix64 finalizer.
 func mix64(x uint64) uint64 {
 	x ^= x >> 30
 	x *= 0xbf58476d1ce4e5b9
@@ -93,8 +93,8 @@ func NewStrCounter(node *Node) *StrCounter {
 	return c
 }
 
-// hashString is FNV-1a 64 followed by the SplitMix64 finalizer, matching
-// ygm.HashString so in-process and network paths partition identically.
+// hashString is FNV-1a 64 followed by the SplitMix64 finalizer (the same
+// function distrank owns pages by).
 func hashString(s string) uint64 {
 	const (
 		offset64 = 14695981039346656037

@@ -1,16 +1,18 @@
-// Package ygmnet is the network-transport counterpart of internal/ygm: the
-// same asynchronous message-driven model the paper runs on YGM/MPI, but
-// over real TCP links with serialized messages, so ranks can live in
-// different processes (or machines). Handlers are registered by index —
+// Package ygmnet is this repo's substitution for YGM: the asynchronous
+// message-driven rank model the paper runs on YGM/MPI, over real TCP links
+// with serialized messages, so ranks can live in different processes (or
+// machines). Handlers are registered by index —
 // identically on every rank — and invoked with raw payload bytes; a
 // Barrier completes only at global quiescence, established by a
 // coordinator-led double-round counting protocol (Mattern-style): two
 // consecutive counter sweeps with equal, balanced totals imply no message
 // is in flight anywhere.
 //
-// internal/ygm remains the in-process fast path; ygmnet exists to make the
-// distributed-substrate substitution real and is exercised by a full
-// distributed projection (see tests) equal to the sequential Algorithm 1.
+// In-process parallelism elsewhere in the repo is plain goroutine pools
+// over shared memory; ygmnet (with internal/distrank) is the only home of
+// rank/message semantics. It exists to make the distributed-substrate
+// substitution real and is exercised by a full distributed projection
+// (see tests) equal to the sequential Algorithm 1.
 package ygmnet
 
 import (

@@ -20,7 +20,6 @@ import (
 	"coordbot/internal/redditgen"
 	"coordbot/internal/stream"
 	"coordbot/internal/tripoll"
-	"coordbot/internal/ygm"
 )
 
 // corpusOf builds a synthetic corpus with n organic comments.
@@ -119,33 +118,6 @@ func BenchmarkScalingTriangleRanks(b *testing.B) {
 	}
 }
 
-func BenchmarkScalingDisjointSetRanks(b *testing.B) {
-	// Union throughput of the distributed disjoint-set across rank counts.
-	const edges = 100000
-	pairs := make([][2]uint32, edges)
-	rng := uint32(12345)
-	next := func() uint32 { rng = rng*1664525 + 1013904223; return rng }
-	for i := range pairs {
-		pairs[i] = [2]uint32{next() % 20000, next() % 20000}
-	}
-	for _, ranks := range []int{1, 2, 4, 8} {
-		ranks := ranks
-		b.Run(fmt.Sprintf("ranks=%d", ranks), func(b *testing.B) {
-			for i := 0; i < b.N; i++ {
-				c := ygm.NewComm(ranks)
-				ds := ygm.NewDisjointSetOrdered[uint32](c, ygm.HashU32)
-				c.Run(func(r *ygm.Rank) {
-					for j := r.ID(); j < len(pairs); j += r.NRanks() {
-						ds.AsyncUnion(r, pairs[j][0], pairs[j][1])
-					}
-					r.Barrier()
-				})
-				c.Close()
-			}
-		})
-	}
-}
-
 func BenchmarkScalingComponents(b *testing.B) {
 	d := corpusOf(160000)
 	btm := d.BTM()
@@ -155,16 +127,10 @@ func BenchmarkScalingComponents(b *testing.B) {
 		b.Fatal(err)
 	}
 	pruned := g.Threshold(3)
-	b.Run("sequential", func(b *testing.B) {
-		for i := 0; i < b.N; i++ {
-			graph.ConnectedComponents(pruned)
-		}
-	})
-	b.Run("ygm", func(b *testing.B) {
-		for i := 0; i < b.N; i++ {
-			graph.ConnectedComponentsParallel(pruned, 0)
-		}
-	})
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		graph.ConnectedComponents(pruned)
+	}
 }
 
 // --- daemon benchmarks -------------------------------------------------
