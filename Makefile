@@ -41,8 +41,11 @@ check-deps:
 # Short fuzz of the edge-key codec, the open-addressed edge table vs a
 # map reference model, the sharded-vs-map adjacency equivalence, the
 # patched-vs-rebuilt oriented CSR, the archive reader vs its
-# encoding/json reference, and the sliding window's flat lease table vs a
-# map reference model (seed corpora also run under plain `make test`).
+# encoding/json reference, the sliding window's flat lease table vs a
+# map reference model, the archive timestamp's digit fast path vs the
+# strconv path behind it, and the JSON scanner's two entry points (One vs
+# Reset+Next) on arbitrary bytes (seed corpora also run under plain
+# `make test`).
 FUZZTIME ?= 20s
 fuzz:
 	$(GO) test ./internal/graph/ -fuzz FuzzPackEdge -fuzztime $(FUZZTIME)
@@ -51,6 +54,8 @@ fuzz:
 	$(GO) test ./internal/tripoll/ -fuzz FuzzOrientedPatch -fuzztime $(FUZZTIME)
 	$(GO) test ./internal/pushshift/ -fuzz FuzzRead -fuzztime $(FUZZTIME)
 	$(GO) test ./internal/stream/ -fuzz FuzzLeaseTable -fuzztime $(FUZZTIME)
+	$(GO) test ./internal/wire/ -fuzz FuzzLenientTS -fuzztime $(FUZZTIME)
+	$(GO) test ./internal/wire/ -fuzz FuzzScanner -fuzztime $(FUZZTIME)
 
 # Captures for the repo-root result files.
 test-output:

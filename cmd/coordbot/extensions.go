@@ -124,13 +124,13 @@ func cmdStream(args []string) error {
 		return err
 	}
 	defer f.Close()
-	skipped, err := pushshift.ReadFunc(f, func(author, linkID string, ts int64) error {
-		if excluded[author] {
+	skipped, err := pushshift.ReadFunc(f, func(author, page []byte, ts int64) error {
+		if excluded[string(author)] {
 			return nil
 		}
 		return proj.Add(graph.Comment{
-			Author: authors.Intern(author),
-			Page:   pages.Intern(linkID),
+			Author: authors.InternBytes(author),
+			Page:   pages.InternBytes(page),
 			TS:     ts,
 		})
 	})

@@ -20,6 +20,7 @@ import (
 	"strings"
 
 	"coordbot/internal/graph"
+	"coordbot/internal/interner"
 	"coordbot/internal/projection"
 	"coordbot/internal/pushshift"
 	"coordbot/internal/ygmnet"
@@ -45,14 +46,15 @@ type Options struct {
 }
 
 // pageOwner owns pages by name hash, consistent across ranks.
-func pageOwner(linkID string, n int) int {
-	return int(hashString(linkID) % uint64(n))
+func pageOwner(page []byte, n int) int {
+	return int(hashString(page) % uint64(n))
 }
 
-// hashString is FNV-1a 64 followed by the SplitMix64 finalizer. Every
-// rank process must compute the same value for the same page name, so a
-// change here is a wire-protocol change.
-func hashString(s string) uint64 {
+// hashString is FNV-1a 64 followed by the SplitMix64 finalizer, over the
+// bytes of a name however it is held. Every rank process must compute the
+// same value for the same page name, so a change here is a wire-protocol
+// change.
+func hashString[T string | []byte](s T) uint64 {
 	const (
 		offset64 = 14695981039346656037
 		prime64  = 1099511628211
@@ -105,27 +107,24 @@ func Run(opts Options) error {
 	// Partitioned ingest: keep only owned pages; authors interned
 	// rank-locally (names resolved back at send time).
 	type entry struct {
-		author int32
+		author interner.ID
 		ts     int64
 	}
-	var authorNames []string
-	authorIDs := make(map[string]int32)
-	pages := make(map[string][]entry)
+	authors, pageIDs := interner.New(0), interner.New(0)
+	var pages [][]entry // by page ID
 	f, err := os.Open(opts.Input)
 	if err != nil {
 		return err
 	}
-	_, err = pushshift.ReadFunc(f, func(author, linkID string, ts int64) error {
-		if excluded[author] || pageOwner(linkID, n) != opts.Rank {
+	_, err = pushshift.ReadFunc(f, func(author, page []byte, ts int64) error {
+		if excluded[string(author)] || pageOwner(page, n) != opts.Rank {
 			return nil
 		}
-		id, ok := authorIDs[author]
-		if !ok {
-			id = int32(len(authorNames))
-			authorIDs[author] = id
-			authorNames = append(authorNames, author)
+		p := pageIDs.InternBytes(page)
+		if int(p) == len(pages) {
+			pages = append(pages, nil)
 		}
-		pages[linkID] = append(pages[linkID], entry{author: id, ts: ts})
+		pages[p] = append(pages[p], entry{author: authors.InternBytes(author), ts: ts})
 		return nil
 	})
 	f.Close()
@@ -135,7 +134,7 @@ func Run(opts Options) error {
 
 	// Project owned pages; reduce by name.
 	pairSeen := make(map[uint64]struct{})
-	pageAuthors := make(map[int32]struct{})
+	pageAuthors := make(map[interner.ID]struct{})
 	for _, es := range pages {
 		sort.Slice(es, func(i, j int) bool {
 			if es[i].ts != es[j].ts {
@@ -158,18 +157,18 @@ func Run(opts Options) error {
 				if a > b {
 					a, b = b, a
 				}
-				key := uint64(uint32(a))<<32 | uint64(uint32(b))
+				key := uint64(a)<<32 | uint64(b)
 				if _, dup := pairSeen[key]; dup {
 					continue
 				}
 				pairSeen[key] = struct{}{}
-				edges.AsyncAdd(edgeKey(authorNames[a], authorNames[b]), 1)
+				edges.AsyncAdd(edgeKey(authors.Name(a), authors.Name(b)), 1)
 				pageAuthors[a] = struct{}{}
 				pageAuthors[b] = struct{}{}
 			}
 		}
 		for a := range pageAuthors {
-			counts.AsyncAdd(authorNames[a], 1)
+			counts.AsyncAdd(authors.Name(a), 1)
 		}
 	}
 	node.Barrier()

@@ -3,20 +3,17 @@
 // graph containers slice-backed and cache-friendly, which matters at the
 // scale of a month of social-network comments.
 //
-// The read path is lock-free: lookups first consult a frozen read-only
-// table published through an atomic pointer (the sync.Map promotion idiom,
-// specialized to append-only string→ID data). Strings interned since the
-// last promotion live in a mutex-guarded dirty table; once enough lookups
-// fall through to it, the dirty table is re-frozen and republished. On the
-// ingest hot path this makes the common case — a name already seen — a
-// single map probe with no atomic RMW and no lock, and the byte-slice
-// variants avoid allocating a string for that probe entirely.
+// There is one table: a map[string]ID and the id→name slice, under a
+// sync.RWMutex. The common case on the ingest path — a name already seen —
+// is a single map probe under the read lock, and the byte-slice variants
+// make that probe without allocating a string. Only a new name takes the
+// write lock, and the only copying the table ever does is the map's own
+// growth.
 package interner
 
 import (
 	"fmt"
 	"sync"
-	"sync/atomic"
 )
 
 // ID is a dense identifier handed out by an Interner, starting at 0.
@@ -25,17 +22,9 @@ type ID = uint32
 // Interner assigns dense IDs to strings. The zero value is ready to use.
 // It is safe for concurrent use.
 type Interner struct {
-	// ro is the frozen read-only table: a plain map published whole, never
-	// mutated after the Store. Readers probe it without synchronization.
-	ro atomic.Pointer[map[string]ID]
-
-	mu sync.Mutex
-	// ids is the authoritative table (a superset of *ro).
+	mu    sync.RWMutex
 	ids   map[string]ID
 	names []string
-	// misses counts slow-path hits since the last promotion; when it
-	// outgrows a fraction of the table the ro map is re-frozen.
-	misses int
 }
 
 // New returns an Interner with capacity hint n.
@@ -48,120 +37,92 @@ func New(n int) *Interner {
 
 // Intern returns the ID for s, assigning a fresh one if s is new.
 func (in *Interner) Intern(s string) ID {
-	if m := in.ro.Load(); m != nil {
-		if id, ok := (*m)[s]; ok {
-			return id
-		}
+	if id, ok := in.Lookup(s); ok {
+		return id
 	}
 	in.mu.Lock()
-	id := in.internLocked(s)
-	in.maybePromoteLocked()
-	in.mu.Unlock()
-	return id
+	defer in.mu.Unlock()
+	if id, ok := in.ids[s]; ok {
+		return id
+	}
+	return in.addLocked(s)
 }
 
-// InternBytes is Intern for a byte-slice key. On the fast path (already
-// interned and promoted) the probe compiles to a no-copy map lookup, so
-// hot ingest never allocates a string per field.
+// InternBytes is Intern for a byte-slice key. A name already interned is
+// a no-copy map probe, so hot ingest never allocates a string per field;
+// only a new name is copied into one.
 func (in *Interner) InternBytes(b []byte) ID {
-	if m := in.ro.Load(); m != nil {
-		if id, ok := (*m)[string(b)]; ok {
-			return id
-		}
+	in.mu.RLock()
+	id, ok := in.ids[string(b)]
+	in.mu.RUnlock()
+	if ok {
+		return id
 	}
 	in.mu.Lock()
-	id := in.internBytesLocked(b)
-	in.maybePromoteLocked()
-	in.mu.Unlock()
-	return id
+	defer in.mu.Unlock()
+	return in.internBytesLocked(b)
 }
 
-// InternBatchBytes interns keys[i] into out[i] for every i, taking the
-// write lock at most once regardless of batch size: hits against the
-// frozen table resolve lock-free, and only the misses go through one
-// locked pass. IDs are assigned in first-appearance order, exactly as a
+// InternBatchBytes interns keys[i] into out[i] for every i, taking each
+// lock at most once regardless of batch size: hits resolve in one pass
+// under the read lock, and only the misses go through one pass under the
+// write lock. IDs are assigned in first-appearance order, exactly as a
 // sequential Intern loop would. out must be at least len(keys) long.
 func (in *Interner) InternBatchBytes(keys [][]byte, out []ID) {
 	var missIdx []int
-	m := in.ro.Load()
+	in.mu.RLock()
 	for i, k := range keys {
-		if m != nil {
-			if id, ok := (*m)[string(k)]; ok {
-				out[i] = id
-				continue
-			}
+		if id, ok := in.ids[string(k)]; ok {
+			out[i] = id
+		} else {
+			missIdx = append(missIdx, i)
 		}
-		missIdx = append(missIdx, i)
 	}
+	in.mu.RUnlock()
 	if len(missIdx) == 0 {
 		return
 	}
 	in.mu.Lock()
+	defer in.mu.Unlock()
 	for _, i := range missIdx {
 		out[i] = in.internBytesLocked(keys[i])
 	}
-	in.maybePromoteLocked()
-	in.mu.Unlock()
 }
 
-// internBytesLocked is internLocked for a byte-slice key: only a new
-// name is copied into a string. Caller holds in.mu.
+// internBytesLocked resolves or assigns b: a miss under the read lock is
+// checked again, since another writer (or an earlier key of the same
+// batch) may have added the name in between. Caller holds the write lock.
 func (in *Interner) internBytesLocked(b []byte) ID {
 	if id, ok := in.ids[string(b)]; ok {
-		in.misses++
 		return id
 	}
-	return in.internLocked(string(b))
+	return in.addLocked(string(b))
 }
 
-// internLocked resolves or assigns s. Caller holds in.mu.
-func (in *Interner) internLocked(s string) ID {
-	if id, ok := in.ids[s]; ok {
-		in.misses++
-		return id
-	}
+// addLocked assigns the next ID to s, which is not in the table. Caller
+// holds the write lock.
+func (in *Interner) addLocked(s string) ID {
 	if in.ids == nil {
 		in.ids = make(map[string]ID)
 	}
 	id := ID(len(in.names))
 	in.ids[s] = id
 	in.names = append(in.names, s)
-	in.misses++
 	return id
-}
-
-// maybePromoteLocked re-freezes the authoritative table into a fresh
-// read-only map once the slow path has been taken often enough that the
-// copy amortizes. Caller holds in.mu.
-func (in *Interner) maybePromoteLocked() {
-	if in.misses <= len(in.ids)/4+16 {
-		return
-	}
-	frozen := make(map[string]ID, len(in.ids))
-	for s, id := range in.ids {
-		frozen[s] = id
-	}
-	in.ro.Store(&frozen)
-	in.misses = 0
 }
 
 // Lookup returns the ID for s and whether it has been interned.
 func (in *Interner) Lookup(s string) (ID, bool) {
-	if m := in.ro.Load(); m != nil {
-		if id, ok := (*m)[s]; ok {
-			return id, true
-		}
-	}
-	in.mu.Lock()
-	defer in.mu.Unlock()
+	in.mu.RLock()
+	defer in.mu.RUnlock()
 	id, ok := in.ids[s]
 	return id, ok
 }
 
 // Name returns the string for id. It panics if id was never assigned.
 func (in *Interner) Name(id ID) string {
-	in.mu.Lock()
-	defer in.mu.Unlock()
+	in.mu.RLock()
+	defer in.mu.RUnlock()
 	if int(id) >= len(in.names) {
 		panic(fmt.Sprintf("interner: unknown id %d (have %d)", id, len(in.names)))
 	}
@@ -170,15 +131,15 @@ func (in *Interner) Name(id ID) string {
 
 // Len reports how many distinct strings have been interned.
 func (in *Interner) Len() int {
-	in.mu.Lock()
-	defer in.mu.Unlock()
+	in.mu.RLock()
+	defer in.mu.RUnlock()
 	return len(in.names)
 }
 
 // Names returns a copy of the id→name table.
 func (in *Interner) Names() []string {
-	in.mu.Lock()
-	defer in.mu.Unlock()
+	in.mu.RLock()
+	defer in.mu.RUnlock()
 	out := make([]string, len(in.names))
 	copy(out, in.names)
 	return out

@@ -2,6 +2,8 @@ package interner
 
 import (
 	"fmt"
+	"runtime"
+	"strings"
 	"sync"
 	"testing"
 	"testing/quick"
@@ -144,23 +146,58 @@ func TestInternBatchBytesFirstAppearanceOrder(t *testing.T) {
 	}
 }
 
-func TestInternBatchBytesAfterPromotion(t *testing.T) {
+// TestInternHitsNeverAllocate: once a name is in the table — from the
+// start or just added — finding it again allocates nothing, through any
+// of the read paths. A read-side copy of the table refreshed every so
+// many hits, however it is amortized, fails this.
+func TestInternHitsNeverAllocate(t *testing.T) {
+	const n, hits = 100_000, 400_000
 	in := New(0)
-	// Force at least one promotion so the lock-free hit path is exercised.
-	for i := 0; i < 500; i++ {
-		in.Intern(fmt.Sprintf("warm%d", i))
+	keys := make([][]byte, n)
+	names := make([]string, n)
+	for i := range keys {
+		names[i] = fmt.Sprintf("name%d", i)
+		keys[i] = []byte(names[i])
+		in.InternBytes(keys[i])
 	}
-	keys := make([][]byte, 0, 600)
-	for i := 0; i < 300; i++ {
-		keys = append(keys, []byte(fmt.Sprintf("warm%d", i)))      // frozen hit
-		keys = append(keys, []byte(fmt.Sprintf("fresh%d", i%100))) // miss / dirty hit
+	// Old and just-added names alike: stride through the whole table.
+	batch := make([][]byte, 1000)
+	for i := range batch {
+		batch[i] = keys[(i*97)%n]
 	}
-	out := make([]ID, len(keys))
-	in.InternBatchBytes(keys, out)
-	for i, k := range keys {
-		if in.Name(out[i]) != string(k) {
-			t.Fatalf("key %d (%s): got id %d = %q", i, k, out[i], in.Name(out[i]))
+	out := make([]ID, len(batch))
+	k := 0
+	hit := func() {
+		k = (k + 7919) % n
+		if in.InternBytes(keys[k]) != ID(k) {
+			t.Fatalf("InternBytes(%s) moved", keys[k])
 		}
+		if id, ok := in.Lookup(names[n-1-k]); !ok || id != ID(n-1-k) {
+			t.Fatalf("Lookup(%s) = %d, %v", names[n-1-k], id, ok)
+		}
+	}
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	for i := 0; i < hits/2/len(batch); i++ {
+		in.InternBatchBytes(batch, out)
+	}
+	for i := 0; i < hits/4; i++ {
+		hit()
+	}
+	runtime.ReadMemStats(&after)
+	// TotalAlloc is the whole process's: the runtime's own goroutines may
+	// put a few hundred bytes in. A copy of this table is megabytes.
+	if got := after.TotalAlloc - before.TotalAlloc; got > 4096 {
+		t.Errorf("%d hits allocated %d bytes", hits, got)
+	}
+	if allocs := testing.AllocsPerRun(100, func() {
+		hit()
+		in.InternBatchBytes(batch, out)
+	}); allocs != 0 {
+		t.Errorf("%v allocations per hit", allocs)
+	}
+	if in.Len() != n || out[1] != 97 {
+		t.Fatalf("Len = %d, out[1] = %d", in.Len(), out[1])
 	}
 }
 
@@ -188,6 +225,29 @@ func TestConcurrentBatchAndReads(t *testing.T) {
 			}
 		}(w)
 	}
+	// Readers of the id→name side, while the table grows: every ID below a
+	// Len already seen has its name, and Len never goes back.
+	for w := 0; w < 2; w++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for seen := 0; seen < 512; {
+				n := in.Len()
+				if n < seen {
+					t.Errorf("Len went from %d to %d", seen, n)
+					return
+				}
+				seen = n
+				for id := 0; id < n; id++ {
+					if name := in.Name(ID(id)); !strings.HasPrefix(name, "k") {
+						t.Errorf("Name(%d) = %q", id, name)
+						return
+					}
+				}
+				runtime.Gosched()
+			}
+		}()
+	}
 	wg.Wait()
 	if in.Len() != 512 {
 		t.Fatalf("Len = %d, want 512", in.Len())
@@ -198,4 +258,33 @@ func TestConcurrentBatchAndReads(t *testing.T) {
 			t.Fatalf("name %q: id %d ok=%v, want %d", name, id, ok, i)
 		}
 	}
+}
+
+// BenchmarkInternBytesGrowing is the archive load's shape: a stream of
+// names of which about one in ten is new, into a table that starts empty,
+// so the table's growth is part of the cost.
+func BenchmarkInternBytesGrowing(b *testing.B) {
+	const n = 200_000
+	keys := make([][]byte, n)
+	for i, next := 0, 0; i < n; i++ {
+		k := next
+		if i%10 == 0 {
+			next++
+		} else {
+			k = (i * 7919) % next
+		}
+		keys[i] = []byte(fmt.Sprintf("user_%d", k))
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		in := New(1 << 12)
+		for _, k := range keys {
+			in.InternBytes(k)
+		}
+		if in.Len() != n/10 {
+			b.Fatalf("Len = %d, want %d", in.Len(), n/10)
+		}
+	}
+	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N)/n, "ns/key")
 }

@@ -85,7 +85,7 @@ func BenchmarkRead(b *testing.B) {
 
 func BenchmarkReadFunc(b *testing.B) {
 	benchRead(b, func(r *bytes.Reader) (n int, err error) {
-		_, err = ReadFunc(r, func(string, string, int64) error { n++; return nil })
+		_, err = ReadFunc(r, func(_, _ []byte, _ int64) error { n++; return nil })
 		return n, err
 	})
 }

@@ -19,6 +19,7 @@ type fate struct {
 	kept                 bool
 	author, page, parent string
 	ts                   int64
+	noTS                 bool // kept with a timestamp no int64 holds: ts is 0
 	urls, tags           string
 }
 
@@ -26,8 +27,16 @@ func (g fate) String() string {
 	if !g.kept {
 		return "skipped"
 	}
-	return fmt.Sprintf("%q %q %d urls=%s tags=%s parent=%q", g.author, g.page, g.ts, g.urls, g.tags, g.parent)
+	ts := fmt.Sprint(g.ts)
+	if g.noTS {
+		ts = "no-int64"
+	}
+	return fmt.Sprintf("%q %q %s urls=%s tags=%s parent=%q", g.author, g.page, ts, g.urls, g.tags, g.parent)
 }
+
+// fitsInt64 reports whether int64(f) is defined: f is not NaN and
+// truncates to something an int64 holds.
+func fitsInt64(f float64) bool { return f >= -1<<63 && f < 1<<63 }
 
 // newLine is what Read makes of one line.
 func newLine(t testing.TB, line string) fate {
@@ -66,8 +75,12 @@ func oldLine(line string) fate {
 	if !ok {
 		return fate{}
 	}
-	return fate{kept: true, author: rec.Author, page: rec.LinkID, parent: rec.ParentAuthor, ts: int64(rec.CreatedUTC),
+	g := fate{kept: true, author: rec.Author, page: rec.LinkID, parent: rec.ParentAuthor, ts: int64(rec.CreatedUTC),
 		urls: fmt.Sprintf("%q", rec.URLs), tags: fmt.Sprintf("%q", rec.Hashtags)}
+	if !fitsInt64(float64(rec.CreatedUTC)) {
+		g.ts, g.noTS = 0, true // the conversion above is the machine's choice
+	}
+	return g
 }
 
 // agreeing are edge lines the two readers must treat alike. %s is
@@ -92,12 +105,9 @@ var agreeing = []string{
 	`{%s,"created_utc":1e-400}`,
 	`{%s,"created_utc":999999999999999}`,     // 15 digits: the integer path's last
 	`{%s,"created_utc":9007199254740993}`,    // 2^53+1: rounds as a float does
-	`{%s,"created_utc":9223372036854775807}`, // rounds up to 2^63
-	`{%s,"created_utc":9223372036854775808}`,
+	`{%s,"created_utc":9223372036854775295}`, // the largest that rounds down, to 2^63-1024
+	`{%s,"created_utc":-9223372036854775808}`,
 	`{%s,"created_utc":-9223372036854775809}`,
-	`{%s,"created_utc":1e30}`,
-	`{%s,"created_utc":"NaN"}`,
-	`{%s,"created_utc":"-Inf"}`,
 	`{%s}`, // absent: 0
 	// Rejected by both: out of range, or not a number.
 	`{%s,"created_utc":1e400}`,
@@ -208,6 +218,24 @@ var divergences = []struct {
 	{"... after a value it would have left standing",
 		`{"author":"a","link_id":"p","created_utc":1,"author":null}`,
 		`"a" "p" 1 urls=[] tags=[] parent=""`, `skipped`},
+	{"a timestamp no int64 holds once rounded to a float64 is malformed, not converted as the machine sees fit: 2^63-1 rounds up to 2^63",
+		`{"author":"a","link_id":"p","created_utc":9223372036854775807}`,
+		`"a" "p" no-int64 urls=[] tags=[] parent=""`, `skipped`},
+	{"... 2^63 itself",
+		`{"author":"a","link_id":"p","created_utc":9223372036854775808}`,
+		`"a" "p" no-int64 urls=[] tags=[] parent=""`, `skipped`},
+	{"... far outside",
+		`{"author":"a","link_id":"p","created_utc":1e30}`,
+		`"a" "p" no-int64 urls=[] tags=[] parent=""`, `skipped`},
+	{"... not a number",
+		`{"author":"a","link_id":"p","created_utc":"NaN"}`,
+		`"a" "p" no-int64 urls=[] tags=[] parent=""`, `skipped`},
+	{"... an infinity",
+		`{"author":"a","link_id":"p","created_utc":"-Inf"}`,
+		`"a" "p" no-int64 urls=[] tags=[] parent=""`, `skipped`},
+	{"... even under a later value that would have replaced it",
+		`{"author":"a","link_id":"p","created_utc":1e30,"created_utc":2}`,
+		`"a" "p" 2 urls=[] tags=[] parent=""`, `skipped`},
 	{"names keep their bytes: invalid UTF-8 is not rewritten to U+FFFD",
 		"{\"author\":\"a\xff\",\"link_id\":\"p\",\"created_utc\":1}",
 		"\"a�\" \"p\" 1 urls=[] tags=[] parent=\"\"", "\"a\\xff\" \"p\" 1 urls=[] tags=[] parent=\"\""},
@@ -237,8 +265,12 @@ func explained(line []byte, oldKept bool) bool {
 			switch {
 			case key == known:
 				var list []*string
+				var ts refFloat64
 				if known != "urls" && known != "hashtags" {
 					if string(val) == "null" {
+						return true
+					}
+					if known == "created_utc" && json.Unmarshal(val, &ts) == nil && !fitsInt64(float64(ts)) {
 						return true
 					}
 				} else if json.Unmarshal(val, &list) == nil && slices.Contains(list, nil) {
@@ -341,10 +373,10 @@ func TestReadFuncMatchesRead(t *testing.T) {
 		t.Fatal(err)
 	}
 	i := 0
-	skipped, err := ReadFunc(strings.NewReader(file), func(author, linkID string, ts int64) error {
+	skipped, err := ReadFunc(strings.NewReader(file), func(author, page []byte, ts int64) error {
 		cm := c.Comments[i]
-		if author != c.Authors.Name(cm.Author) || linkID != c.Pages.Name(cm.Page) || ts != cm.TS {
-			t.Fatalf("record %d: %q %q %d", i, author, linkID, ts)
+		if string(author) != c.Authors.Name(cm.Author) || string(page) != c.Pages.Name(cm.Page) || ts != cm.TS {
+			t.Fatalf("record %d: %q %q %d", i, author, page, ts)
 		}
 		i++
 		return nil

@@ -62,7 +62,7 @@ func TestReadFuncStopsOnCallbackError(t *testing.T) {
 {"author":"c","link_id":"t3_x","created_utc":3}
 `
 	calls := 0
-	_, err := ReadFunc(strings.NewReader(input), func(author, link string, ts int64) error {
+	_, err := ReadFunc(strings.NewReader(input), func(author, page []byte, ts int64) error {
 		calls++
 		if calls == 2 {
 			return errStop
@@ -86,7 +86,7 @@ func (*stopError) Error() string { return "stop" }
 func TestReadFuncSkipsMalformed(t *testing.T) {
 	input := "garbage\n" + `{"author":"a","link_id":"t3_x","created_utc":1}` + "\n"
 	n := 0
-	skipped, err := ReadFunc(strings.NewReader(input), func(string, string, int64) error {
+	skipped, err := ReadFunc(strings.NewReader(input), func(_, _ []byte, _ int64) error {
 		n++
 		return nil
 	})

@@ -183,11 +183,13 @@ func read(r io.Reader, block, maxLine, comments int) (*Corpus, error) {
 
 // ReadFunc streams an NDJSON(.gz) comment stream record by record without
 // materializing a corpus: fn is called once per well-formed record in file
-// order. Pair with stream.Projector for bounded-memory projection of dumps
-// that do not fit in RAM. Returns the number of malformed lines skipped.
-func ReadFunc(r io.Reader, fn func(author, linkID string, ts int64) error) (skipped int, err error) {
+// order. author and page are views into the read buffer, valid until fn
+// returns: intern them or copy what is kept. Pair with stream.Projector
+// for bounded-memory projection of dumps that do not fit in RAM. Returns
+// the number of malformed lines skipped.
+func ReadFunc(r io.Reader, fn func(author, page []byte, ts int64) error) (skipped int, err error) {
 	return scanLines(r, blockSize, maxLine, func(wc *wire.Comment) error {
-		return fn(string(wc.Author), string(wc.Page), wc.TS)
+		return fn(wc.Author, wc.Page, wc.TS)
 	})
 }
 

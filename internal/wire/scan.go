@@ -3,7 +3,6 @@ package wire
 import (
 	"fmt"
 	"strconv"
-	"strings"
 	"unicode/utf16"
 	"unicode/utf8"
 )
@@ -404,10 +403,37 @@ func (s *Scanner) scanInt() (int64, error) {
 	return v, nil
 }
 
+// numberByte reports whether b can be part of a number in
+// strconv.ParseFloat's decimal grammar.
+func numberByte(b byte) bool {
+	return b >= '0' && b <= '9' || b == '.' || b == '-' || b == '+' || b == 'e' || b == 'E'
+}
+
 // scanLenientTS decodes a timestamp written as a number or as a string,
-// in strconv.ParseFloat's grammar, truncating toward zero as
-// int64(float64) does.
+// in strconv.ParseFloat's grammar, truncating toward zero. A value no
+// int64 holds — NaN, an infinity, or outside [-2^63, 2^63) once rounded
+// to a float64 — is an error: int64(float64) of one is whatever the
+// machine makes of it.
 func (s *Scanner) scanLenientTS() (int64, error) {
+	// What archives hold: a bare run of up to 15 digits, which a float64
+	// holds exactly, so the integer accumulated in place is the answer.
+	var v int64
+	i := s.pos
+	for i < len(s.buf) && i-s.pos <= 15 && s.buf[i] >= '0' && s.buf[i] <= '9' {
+		v = v*10 + int64(s.buf[i]-'0')
+		i++
+	}
+	if n := i - s.pos; n >= 1 && n <= 15 && i < len(s.buf) && !numberByte(s.buf[i]) {
+		s.pos = i
+		return v, nil
+	}
+	return s.scanLenientTSSlow()
+}
+
+// scanLenientTSSlow is scanLenientTS for every other spelling — a sign, a
+// point, an exponent, quotes, 16 digits or more — and the reference the
+// digit fast path is fuzzed against.
+func (s *Scanner) scanLenientTSSlow() (int64, error) {
 	var tok []byte
 	if s.pos < len(s.buf) && s.buf[s.pos] == '"' {
 		var err error
@@ -416,19 +442,19 @@ func (s *Scanner) scanLenientTS() (int64, error) {
 		}
 	} else {
 		start := s.pos
-		for s.pos < len(s.buf) && strings.IndexByte("+-.0123456789Ee", s.buf[s.pos]) >= 0 {
+		for s.pos < len(s.buf) && numberByte(s.buf[s.pos]) {
 			s.pos++
 		}
 		tok = s.buf[start:s.pos]
 	}
-	// Up to 15 digits a float64 holds exactly, so the integer is the answer.
+	// Again no float for up to 15 bytes of integer, signed or quoted.
 	if len(tok) <= 15 {
 		if v, err := strconv.ParseInt(string(tok), 10, 64); err == nil {
 			return v, nil
 		}
 	}
 	f, err := strconv.ParseFloat(string(tok), 64)
-	if err != nil {
+	if err != nil || !(f >= -1<<63 && f < 1<<63) {
 		return 0, s.errf("bad timestamp %q", tok)
 	}
 	return int64(f), nil
