@@ -43,9 +43,10 @@ check-deps:
 # patched-vs-rebuilt oriented CSR, the archive reader vs its
 # encoding/json reference, the sliding window's flat lease table vs a
 # map reference model, the archive timestamp's digit fast path vs the
-# strconv path behind it, and the JSON scanner's two entry points (One vs
-# Reset+Next) on arbitrary bytes (seed corpora also run under plain
-# `make test`).
+# strconv path behind it, the JSON scanner's two entry points (One vs
+# Reset+Next) on arbitrary bytes, and the run-sharing Step-3 kernel
+# (EvaluateAll) vs the single-triplet Evaluate (seed corpora also run
+# under plain `make test`).
 FUZZTIME ?= 20s
 fuzz:
 	$(GO) test ./internal/graph/ -fuzz FuzzPackEdge -fuzztime $(FUZZTIME)
@@ -56,6 +57,7 @@ fuzz:
 	$(GO) test ./internal/stream/ -fuzz FuzzLeaseTable -fuzztime $(FUZZTIME)
 	$(GO) test ./internal/wire/ -fuzz FuzzLenientTS -fuzztime $(FUZZTIME)
 	$(GO) test ./internal/wire/ -fuzz FuzzScanner -fuzztime $(FUZZTIME)
+	$(GO) test ./internal/hypergraph/ -fuzz FuzzEvaluateAll -fuzztime $(FUZZTIME)
 
 # Captures for the repo-root result files.
 test-output:

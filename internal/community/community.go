@@ -38,7 +38,7 @@ package community
 
 import (
 	"fmt"
-	"sort"
+	"slices"
 
 	"coordbot/internal/graph"
 )
@@ -347,7 +347,7 @@ func induceAdjacency(v graph.CIView, in map[graph.VertexID]bool) *graph.Adjacenc
 	for u := range dense {
 		orig = append(orig, u)
 	}
-	sort.Slice(orig, func(i, j int) bool { return orig[i] < orig[j] })
+	slices.Sort(orig)
 	for i, u := range orig {
 		dense[u] = int32(i)
 	}
@@ -420,7 +420,7 @@ func components(adj *graph.Adjacency) []component {
 				}
 			}
 		}
-		sort.Slice(verts, func(i, j int) bool { return verts[i] < verts[j] })
+		slices.Sort(verts)
 		comps = append(comps, component{verts: verts})
 	}
 	return comps

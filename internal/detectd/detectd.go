@@ -214,6 +214,9 @@ type SurveyResult struct {
 	// stamp identifies the exact stream state the survey saw; an equal
 	// stamp on the next cycle proves the graph and log are unchanged.
 	stamp surveyStamp
+
+	// rank is the census's lazily built /v1/triangles order (http.go).
+	rank *triangleRank
 }
 
 // surveyStamp is captured under s.mu together with the snapshot. The
@@ -716,7 +719,7 @@ func (s *Service) SurveyNow() (*SurveyResult, error) {
 				}
 			}
 		} else {
-			hyper = make(map[hypergraph.Triplet]hypergraph.Score)
+			hyper = make(map[hypergraph.Triplet]hypergraph.Score, len(tris))
 		}
 	}
 
@@ -789,6 +792,7 @@ func (s *Service) SurveyNow() (*SurveyResult, error) {
 		snap:                ci,
 		btm:                 btm,
 		stamp:               st,
+		rank:                new(triangleRank),
 	}
 	if partition != nil {
 		sr.Communities = len(res.Communities)

@@ -10,7 +10,9 @@ import (
 	"time"
 
 	"coordbot/internal/graph"
+	"coordbot/internal/pipeline"
 	"coordbot/internal/projection"
+	"coordbot/internal/tripoll"
 )
 
 func testConfig() Config {
@@ -386,5 +388,119 @@ func TestSurveyLoopPublishes(t *testing.T) {
 	}
 	if s.Latest() == nil {
 		t.Fatal("no published result")
+	}
+}
+
+// publishCensus installs tris (sorted by triplet, as every survey leaves
+// them) as the service's latest survey, bypassing ingest and survey.
+func publishCensus(s *Service, tris []pipeline.TriangleResult) {
+	s.latest.Store(&SurveyResult{
+		Cycle:  1,
+		Result: &pipeline.Result{Config: pipeline.Config{SkipHypergraph: true}, Triangles: tris},
+		rank:   new(triangleRank),
+	})
+}
+
+// campaignCensus returns n triangles over consecutive author triples that
+// tie by the hundred on (min weight, T), the way a campaign's do.
+func campaignCensus(n int) []pipeline.TriangleResult {
+	tris := make([]pipeline.TriangleResult, n)
+	for i := range tris {
+		w := uint32(9 + i%3)
+		x := graph.VertexID(10 + i)
+		tris[i] = pipeline.TriangleResult{
+			Triangle: tripoll.Triangle{X: x, Y: x + 1, Z: x + 2, WXY: w, WXZ: w + 1, WYZ: w + 2},
+			T:        0.25 * float64(1+i%2),
+		}
+	}
+	return tris
+}
+
+func getTriangles(t testing.TB, s *Service, query string) TrianglesOut {
+	t.Helper()
+	rec := httptest.NewRecorder()
+	s.Handler().ServeHTTP(rec, httptest.NewRequest(http.MethodGet, "/v1/triangles"+query, nil))
+	if rec.Code != http.StatusOK {
+		t.Fatalf("GET /v1/triangles%s = %d", query, rec.Code)
+	}
+	var out TrianglesOut
+	if err := json.NewDecoder(rec.Body).Decode(&out); err != nil {
+		t.Fatal(err)
+	}
+	return out
+}
+
+// TestTrianglesOrderIsTotal: the strongest-first order breaks (min weight,
+// T) ties by author IDs, so the rows a ?limit returns depend on those rows
+// alone — a census that gains one weak triangle (here with the lowest IDs,
+// shifting every index) serves the same head, in ascending ID order within
+// a tie.
+func TestTrianglesOrderIsTotal(t *testing.T) {
+	s, err := NewService(testConfig())
+	if err != nil {
+		t.Fatal(err)
+	}
+	base := campaignCensus(1000)
+	weak := pipeline.TriangleResult{Triangle: tripoll.Triangle{X: 1, Y: 2, Z: 3, WXY: 2, WXZ: 2, WYZ: 2}, T: 0.01}
+	grown := append([]pipeline.TriangleResult{weak}, base...)
+
+	publishCensus(s, base)
+	want := getTriangles(t, s, "?limit=50")
+	if want.Total != 1000 || len(want.Triangles) != 50 {
+		t.Fatalf("total %d, %d rows", want.Total, len(want.Triangles))
+	}
+	for i, tr := range want.Triangles {
+		if tr.MinWeight != 11 || tr.T != 0.5 {
+			t.Fatalf("row %d = %+v, want the strongest tie group", i, tr)
+		}
+		// The group is every sixth triple from X = 15 ("#15") on.
+		if name := fmt.Sprintf("#%d", 15+6*i); tr.Authors[0] != name {
+			t.Fatalf("row %d leads with %s, want %s (ties in ID order)", i, tr.Authors[0], name)
+		}
+	}
+
+	publishCensus(s, grown)
+	got := getTriangles(t, s, "?limit=50")
+	if got.Total != 1001 {
+		t.Fatalf("total %d", got.Total)
+	}
+	for i := range want.Triangles {
+		if got.Triangles[i] != want.Triangles[i] {
+			t.Fatalf("row %d changed with the census: %+v, was %+v", i, got.Triangles[i], want.Triangles[i])
+		}
+	}
+
+	// min_t and limit walk the same order; the weak triangle comes last.
+	all := getTriangles(t, s, "")
+	if last := all.Triangles[len(all.Triangles)-1]; last.Authors != [3]string{"#1", "#2", "#3"} {
+		t.Fatalf("weakest row = %+v", last)
+	}
+	if half := getTriangles(t, s, "?min_t=0.4"); len(half.Triangles) != 500 {
+		t.Fatalf("min_t=0.4 kept %d rows, want 500", len(half.Triangles))
+	}
+}
+
+// BenchmarkTrianglesHandler reads a 10k-triangle census at several limits:
+// the census is ranked once when first read, so a request costs what its
+// rows cost to render.
+func BenchmarkTrianglesHandler(b *testing.B) {
+	s, err := NewService(testConfig())
+	if err != nil {
+		b.Fatal(err)
+	}
+	publishCensus(s, campaignCensus(10000))
+	h := s.Handler()
+	for _, q := range []string{"?limit=50", "?limit=500", "?limit=5000"} {
+		b.Run(strings.TrimPrefix(q, "?"), func(b *testing.B) {
+			b.ReportAllocs()
+			req := httptest.NewRequest(http.MethodGet, "/v1/triangles"+q, nil)
+			for i := 0; i < b.N; i++ {
+				rec := httptest.NewRecorder()
+				h.ServeHTTP(rec, req)
+				if rec.Code != http.StatusOK {
+					b.Fatal(rec.Code)
+				}
+			}
+		})
 	}
 }

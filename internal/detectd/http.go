@@ -14,8 +14,10 @@
 //	                      (a rejected batch interns nothing); 413 above 64
 //	                      MiB; 429 when the queue is full; 503 while
 //	                      shutting down.
-//	GET  /v1/triangles  — latest survey cycle. ?min_t=0.5 filters on the
-//	                      T score, ?limit=50 truncates.
+//	GET  /v1/triangles  — latest survey cycle, strongest first (min weight,
+//	                      then T, then author IDs: a total order, ranked
+//	                      once per published census). ?min_t=0.5 filters
+//	                      on the T score, ?limit=50 truncates.
 //	GET  /v1/score      — ?users=a,b,...: live P' counts for up to 512
 //	                      users, pairwise CI weights for up to 64, group
 //	                      metrics w_S / C(S) against the latest survey's
@@ -36,11 +38,13 @@
 package detectd
 
 import (
+	"cmp"
 	"encoding/json"
 	"errors"
 	"fmt"
 	"io"
 	"net/http"
+	"slices"
 	"sort"
 	"strconv"
 	"strings"
@@ -476,19 +480,7 @@ func (s *Service) handleTriangles(w http.ResponseWriter, r *http.Request) {
 	hyper := !sr.Result.Config.SkipHypergraph
 	tris := sr.Result.Triangles
 	out.Total = len(tris)
-	// Strongest first: sort a copy of the index by min weight descending.
-	order := make([]int, len(tris))
-	for i := range order {
-		order[i] = i
-	}
-	sort.Slice(order, func(a, b int) bool {
-		ta, tb := tris[order[a]], tris[order[b]]
-		if ta.MinWeight() != tb.MinWeight() {
-			return ta.MinWeight() > tb.MinWeight()
-		}
-		return ta.T > tb.T
-	})
-	for _, i := range order {
+	for _, i := range sr.strongestFirst() {
 		tr := tris[i]
 		if tr.T < minT {
 			continue
@@ -510,6 +502,42 @@ func (s *Service) handleTriangles(w http.ResponseWriter, r *http.Request) {
 		}
 	}
 	writeJSON(w, http.StatusOK, out)
+}
+
+// triangleRank is the strongest-first order of one published census. It is
+// computed at most once, by the first /v1/triangles read of that census —
+// never on the survey goroutine — and held by pointer so the idle-cycle
+// copy of a SurveyResult shares it (and copies no lock).
+type triangleRank struct {
+	once  sync.Once
+	order []int32
+}
+
+// strongestFirst returns the indices of sr.Result.Triangles by min weight
+// descending, then T descending, then (X, Y, Z) — the census is sorted and
+// unique by triplet, so that last key is the index itself. The order is
+// total: which rows a ?limit returns depends on those rows alone, not on
+// the sort's pivots or on what else the census holds.
+func (sr *SurveyResult) strongestFirst() []int32 {
+	sr.rank.once.Do(func() {
+		tris := sr.Result.Triangles
+		order := make([]int32, len(tris))
+		for i := range order {
+			order[i] = int32(i)
+		}
+		slices.SortFunc(order, func(a, b int32) int {
+			ta, tb := &tris[a], &tris[b]
+			if c := cmp.Compare(tb.MinWeight(), ta.MinWeight()); c != 0 {
+				return c
+			}
+			if c := cmp.Compare(tb.T, ta.T); c != 0 {
+				return c
+			}
+			return cmp.Compare(a, b)
+		})
+		sr.rank.order = order
+	})
+	return sr.rank.order
 }
 
 // nameOf maps an author ID back to its name; IDs outside the table (never

@@ -173,6 +173,9 @@ func TestIdleSurveyReusesResult(t *testing.T) {
 	if second.Result != first.Result {
 		t.Fatal("idle survey did not republish the same Result")
 	}
+	if second.rank != first.rank {
+		t.Fatal("idle survey did not share the census's read order")
+	}
 	if second.Cycle != first.Cycle+1 {
 		t.Fatalf("reused cycle numbering broken: %d after %d", second.Cycle, first.Cycle)
 	}

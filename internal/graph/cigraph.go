@@ -1,7 +1,9 @@
 package graph
 
 import (
+	"cmp"
 	"fmt"
+	"slices"
 	"sort"
 )
 
@@ -26,6 +28,15 @@ func UnpackEdge(key uint64) (u, v VertexID) {
 type WeightedEdge struct {
 	U, V VertexID
 	W    uint32
+}
+
+// compareEdgeUV orders edges by (U, V) — total wherever an edge appears
+// once, which is every edge list of one graph.
+func compareEdgeUV(a, b WeightedEdge) int {
+	if c := cmp.Compare(a.U, b.U); c != 0 {
+		return c
+	}
+	return cmp.Compare(a.V, b.V)
 }
 
 // CIGraph is the common interaction graph C = (U, I, w') of the paper: an
@@ -172,12 +183,7 @@ func (g *CIGraph) Edges() []WeightedEdge {
 		u, v := UnpackEdge(key)
 		out = append(out, WeightedEdge{U: u, V: v, W: w})
 	}
-	sort.Slice(out, func(i, j int) bool {
-		if out[i].U != out[j].U {
-			return out[i].U < out[j].U
-		}
-		return out[i].V < out[j].V
-	})
+	slices.SortFunc(out, compareEdgeUV)
 	return out
 }
 
@@ -290,7 +296,7 @@ func (g *CIGraph) BuildAdjacency() *Adjacency {
 	for v := range vset {
 		orig = append(orig, v)
 	}
-	sort.Slice(orig, func(i, j int) bool { return orig[i] < orig[j] })
+	slices.Sort(orig)
 	for i, v := range orig {
 		vset[v] = int32(i)
 	}
@@ -322,20 +328,26 @@ func (g *CIGraph) BuildAdjacency() *Adjacency {
 	// Sort each neighbor list (with parallel weights).
 	for i := 0; i < n; i++ {
 		lo, hi := adj.Off[i], adj.Off[i+1]
-		idx := make([]int, hi-lo)
-		for k := range idx {
-			idx[k] = lo + k
-		}
-		sort.Slice(idx, func(a, b int) bool { return adj.Nbr[idx[a]] < adj.Nbr[idx[b]] })
-		nbr := make([]int32, hi-lo)
-		wt := make([]uint32, hi-lo)
-		for k, p := range idx {
-			nbr[k], wt[k] = adj.Nbr[p], adj.Wt[p]
-		}
-		copy(adj.Nbr[lo:hi], nbr)
-		copy(adj.Wt[lo:hi], wt)
+		sortRow(adj.Nbr[lo:hi], adj.Wt[lo:hi])
 	}
 	return adj
+}
+
+// sortRow sorts one CSR row ascending by neighbor, weights moving with
+// their neighbors. A neighbor appears once per row, so packing (neighbor,
+// weight) into one word and sorting the words orders by neighbor alone.
+func sortRow(nbr []int32, wt []uint32) {
+	if len(nbr) < 2 {
+		return
+	}
+	row := make([]uint64, len(nbr))
+	for k := range row {
+		row[k] = uint64(nbr[k])<<32 | uint64(wt[k])
+	}
+	slices.Sort(row)
+	for k, e := range row {
+		nbr[k], wt[k] = int32(e>>32), uint32(e)
+	}
 }
 
 // NumVertices returns the dense vertex count.

@@ -1,6 +1,9 @@
 package graph
 
-import "sort"
+import (
+	"cmp"
+	"slices"
+)
 
 // Component is one connected component of a CI graph, in original author
 // IDs, with its induced edges.
@@ -64,7 +67,7 @@ func ConnectedComponents(g CIView) []Component {
 	}
 	comps := make([]Component, 0, len(groups))
 	for _, authors := range groups {
-		sort.Slice(authors, func(i, j int) bool { return authors[i] < authors[j] })
+		slices.Sort(authors)
 		comps = append(comps, Component{Authors: authors})
 	}
 	// Attach induced edges.
@@ -82,27 +85,16 @@ func ConnectedComponents(g CIView) []Component {
 	return comps
 }
 
-// sortSliceVertex sorts vertex IDs ascending.
-func sortSliceVertex(vs []VertexID) {
-	sort.Slice(vs, func(i, j int) bool { return vs[i] < vs[j] })
-}
-
 // sortComponents orders each component's edges by (U, V) and the component
 // list largest-first (ties by smallest author), the canonical output order.
 func sortComponents(comps []Component) {
 	for i := range comps {
-		es := comps[i].Edges
-		sort.Slice(es, func(a, b int) bool {
-			if es[a].U != es[b].U {
-				return es[a].U < es[b].U
-			}
-			return es[a].V < es[b].V
-		})
+		slices.SortFunc(comps[i].Edges, compareEdgeUV)
 	}
-	sort.Slice(comps, func(i, j int) bool {
-		if len(comps[i].Authors) != len(comps[j].Authors) {
-			return len(comps[i].Authors) > len(comps[j].Authors)
+	slices.SortFunc(comps, func(a, b Component) int {
+		if c := cmp.Compare(len(b.Authors), len(a.Authors)); c != 0 {
+			return c
 		}
-		return comps[i].Authors[0] < comps[j].Authors[0]
+		return cmp.Compare(a.Authors[0], b.Authors[0])
 	})
 }

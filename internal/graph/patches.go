@@ -14,7 +14,10 @@
 // so only dirtied shards are walked — O(dirty shards), not O(edges).
 package graph
 
-import "sort"
+import (
+	"cmp"
+	"slices"
+)
 
 // EdgePatch records one edge's weight transition: Old is the weight before
 // the change, New the weight after, with 0 meaning absent — so Old == 0 is
@@ -29,11 +32,11 @@ type EdgePatch struct {
 // in a snapshot diff, so the order is total and the output deterministic
 // regardless of map iteration order.
 func SortEdgePatches(ps []EdgePatch) {
-	sort.Slice(ps, func(i, j int) bool {
-		if ps[i].U != ps[j].U {
-			return ps[i].U < ps[j].U
+	slices.SortFunc(ps, func(a, b EdgePatch) int {
+		if c := cmp.Compare(a.U, b.U); c != 0 {
+			return c
 		}
-		return ps[i].V < ps[j].V
+		return cmp.Compare(a.V, b.V)
 	})
 }
 

@@ -33,7 +33,7 @@ import (
 	"fmt"
 	"maps"
 	"runtime"
-	"sort"
+	"slices"
 	"sync"
 	"sync/atomic"
 )
@@ -632,12 +632,7 @@ func (s *CISnapshot) Edges() []WeightedEdge {
 			return true
 		})
 	}
-	sort.Slice(out, func(i, j int) bool {
-		if out[i].U != out[j].U {
-			return out[i].U < out[j].U
-		}
-		return out[i].V < out[j].V
-	})
+	slices.SortFunc(out, compareEdgeUV)
 	return out
 }
 
@@ -760,7 +755,7 @@ func (s *CISnapshot) BuildAdjacency() *Adjacency {
 	for _, vs := range perShard {
 		orig = append(orig, vs...)
 	}
-	sort.Slice(orig, func(i, j int) bool { return orig[i] < orig[j] })
+	slices.Sort(orig)
 	// Dedupe: the same author appears once per shard that has an incident
 	// edge.
 	w := 0
@@ -817,21 +812,7 @@ func (s *CISnapshot) BuildAdjacency() *Adjacency {
 	// out over vertices.
 	parallelShards(n, func(i int) {
 		lo, hi := adj.Off[i], adj.Off[i+1]
-		if hi-lo < 2 {
-			return
-		}
-		idx := make([]int, hi-lo)
-		for k := range idx {
-			idx[k] = lo + k
-		}
-		sort.Slice(idx, func(a, b int) bool { return adj.Nbr[idx[a]] < adj.Nbr[idx[b]] })
-		nbr := make([]int32, hi-lo)
-		wt := make([]uint32, hi-lo)
-		for k, q := range idx {
-			nbr[k], wt[k] = adj.Nbr[q], adj.Wt[q]
-		}
-		copy(adj.Nbr[lo:hi], nbr)
-		copy(adj.Wt[lo:hi], wt)
+		sortRow(adj.Nbr[lo:hi], adj.Wt[lo:hi])
 	})
 	return adj
 }

@@ -53,7 +53,7 @@ func GroupCommonPages(b *graph.BTM, g Group) []graph.VertexID {
 	sort.Slice(lists, func(i, j int) bool { return len(lists[i]) < len(lists[j]) })
 	out := lists[0]
 	for _, l := range lists[1:] {
-		out = intersectSorted(out, l)
+		out = intersectSorted(nil, out, l)
 		if len(out) == 0 {
 			return nil
 		}
@@ -64,13 +64,14 @@ func GroupCommonPages(b *graph.BTM, g Group) []graph.VertexID {
 	return cp
 }
 
-func intersectSorted(a, b []graph.VertexID) []graph.VertexID {
-	out := a[:0:0] // fresh slice, never aliases a's backing array
+// intersectSorted appends a ∩ b (both sorted, duplicate-free) to dst,
+// which must not alias either list's backing array.
+func intersectSorted(dst, a, b []graph.VertexID) []graph.VertexID {
 	i, j := 0, 0
 	for i < len(a) && j < len(b) {
 		switch {
 		case a[i] == b[j]:
-			out = append(out, a[i])
+			dst = append(dst, a[i])
 			i++
 			j++
 		case a[i] < b[j]:
@@ -79,7 +80,7 @@ func intersectSorted(a, b []graph.VertexID) []graph.VertexID {
 			j++
 		}
 	}
-	return out
+	return dst
 }
 
 // GroupCScore generalizes equation 4 to k members:

@@ -6,6 +6,13 @@
 // per-author page counts p_x (equation 3), and the normalized triplet
 // coordination score C(x,y,z) = 3·w_xyz/(p_x+p_y+p_z) (equation 4).
 //
+// Evaluate (over TripletWeight, the package's one hand-written three-way
+// merge) is the single-triplet API and the reference. EvaluateAll is the
+// census-sized form: it shares each author pair's page intersection among
+// the triplets that hold the pair — a campaign's triplets are a clique's,
+// so nearly all of them do — and is tested and fuzzed equal to Evaluate,
+// score for score.
+//
 // It also implements the paper's §4.3 future-work extension: time-windowed
 // hyperedges, counting only pages where the three authors each have a
 // comment inside some span of at most Δ seconds. Windowing restores a
@@ -14,9 +21,12 @@
 package hypergraph
 
 import (
+	"cmp"
 	"runtime"
+	"slices"
 	"sort"
 	"sync"
+	"sync/atomic"
 
 	"coordbot/internal/graph"
 )
@@ -82,36 +92,8 @@ func TripletWeight(b *graph.BTM, t Triplet) int {
 
 // CommonPages returns the sorted list of pages shared by all three authors.
 func CommonPages(b *graph.BTM, t Triplet) []graph.VertexID {
-	px, py, pz := b.AuthorPages(t.X), b.AuthorPages(t.Y), b.AuthorPages(t.Z)
-	var out []graph.VertexID
-	i, j, k := 0, 0, 0
-	for i < len(px) && j < len(py) && k < len(pz) {
-		a, bb, c := px[i], py[j], pz[k]
-		if a == bb && bb == c {
-			out = append(out, a)
-			i++
-			j++
-			k++
-			continue
-		}
-		m := a
-		if bb < m {
-			m = bb
-		}
-		if c < m {
-			m = c
-		}
-		if a == m {
-			i++
-		}
-		if bb == m {
-			j++
-		}
-		if c == m {
-			k++
-		}
-	}
-	return out
+	xy := intersectSorted(nil, b.AuthorPages(t.X), b.AuthorPages(t.Y))
+	return intersectSorted(nil, xy, b.AuthorPages(t.Z))
 }
 
 // CScore computes C(x,y,z) = 3·w_xyz/(p_x+p_y+p_z), in [0,1]; 0 when the
@@ -222,59 +204,145 @@ func Evaluate(b *graph.BTM, t Triplet) Score {
 	return Score{Triplet: t, W: w, C: c, PX: px, PY: py, PZ: pz}
 }
 
-// EvaluateAll computes Step-3 records for many triplets with a pool of
-// workers over the shared read-only BTM, dealing triplets round-robin —
-// the paper notes "the distributed containers of YGM can accelerate this
-// process by dividing up authors to be checked among several compute
-// nodes" (§2.4); ygmnet.HypergraphCluster is that partitioned form.
-// Results are returned sorted by triplet. ranks <= 0 means GOMAXPROCS;
-// the count is clamped to len(triplets), and a single worker runs inline
-// on the caller.
+// EvaluateAll computes Step-3 records for many triplets, sharing the work
+// that triplets of one census have in common. A campaign of k authors is a
+// k-clique of the CI graph, so its C(k,3) triplets hold each author pair
+// (x, y) up to k-2 times; the kernel sorts the triplets, cuts them into
+// runs of equal X, and inside a run intersects P_x ∩ P_y once per distinct
+// (X, Y) into a reusable buffer, then counts |(P_x ∩ P_y) ∩ P_z| per
+// triplet with a second two-way merge — two short merges per triplet where
+// Evaluate runs one three-way merge over all three lists. Sparse input
+// (few triplets per pair) does the same two merges and no more.
+//
+// Whole runs, not single triplets, are dealt to the workers, so a pair's
+// intersection is never computed by two of them and each worker needs only
+// its own buffer, bounded by the longest page list — "the distributed
+// containers of YGM can accelerate this process by dividing up authors to
+// be checked among several compute nodes" (§2.4); ygmnet.HypergraphCluster
+// is that partitioned form. The BTM is shared read-only.
+//
+// Every Score equals Evaluate's for the same triplet, field for field —
+// Evaluate is the reference the tests and FuzzEvaluateAll hold the kernel
+// to. Results are returned sorted by triplet (duplicates kept); the input
+// is not modified. ranks <= 0 means GOMAXPROCS; the count is clamped to
+// the number of runs, and a single worker runs inline on the caller.
 func EvaluateAll(b *graph.BTM, triplets []Triplet, ranks int) []Score {
 	if len(triplets) == 0 {
 		return nil
 	}
+	out := make([]Score, len(triplets))
+	for i, t := range triplets {
+		out[i].Triplet = t
+	}
+	// Census triplets arrive sorted (pipeline.RunOnTriangles); one pass
+	// tells, and only caller-built lists pay for the sort.
+	if !slices.IsSortedFunc(out, compareScores) {
+		SortScores(out)
+	}
+	// runs[r]..runs[r+1] bounds the r-th run of equal X.
+	runs := []int{0}
+	for i := 1; i < len(out); i++ {
+		if out[i].Triplet.X != out[i-1].Triplet.X {
+			runs = append(runs, i)
+		}
+	}
+	nruns := len(runs)
+	runs = append(runs, len(out))
+
 	if ranks <= 0 {
 		ranks = runtime.GOMAXPROCS(0)
 	}
-	if ranks > len(triplets) {
-		ranks = len(triplets)
+	if ranks > nruns {
+		ranks = nruns
 	}
-	out := make([]Score, len(triplets))
-	stride := func(r int) {
-		for i := r; i < len(triplets); i += ranks {
-			out[i] = Evaluate(b, triplets[i])
+	// Runs differ in length by orders of magnitude (a clique's lowest
+	// author leads C(k-1,2) triplets, its third-highest one), so workers
+	// pull the next run from a shared cursor instead of taking a stride.
+	var next atomic.Int64
+	work := func() {
+		var xy []graph.VertexID
+		for {
+			r := int(next.Add(1)) - 1
+			if r >= nruns {
+				return
+			}
+			xy = evaluateRun(b, out[runs[r]:runs[r+1]], xy)
 		}
 	}
 	if ranks == 1 {
-		stride(0)
-	} else {
-		var wg sync.WaitGroup
-		wg.Add(ranks)
-		for r := 0; r < ranks; r++ {
-			go func(r int) {
-				defer wg.Done()
-				stride(r)
-			}(r)
-		}
-		wg.Wait()
+		work()
+		return out
 	}
-	SortScores(out)
+	var wg sync.WaitGroup
+	wg.Add(ranks)
+	for r := 0; r < ranks; r++ {
+		go func() {
+			defer wg.Done()
+			work()
+		}()
+	}
+	wg.Wait()
 	return out
+}
+
+// evaluateRun fills the scores of one sorted run of triplets with equal X.
+// xy is the worker's scratch for P_x ∩ P_y, returned for reuse.
+func evaluateRun(b *graph.BTM, run []Score, xy []graph.VertexID) []graph.VertexID {
+	px := b.AuthorPages(run[0].Triplet.X)
+	var py []graph.VertexID
+	for i := range run {
+		t := run[i].Triplet
+		if i == 0 || t.Y != run[i-1].Triplet.Y {
+			py = b.AuthorPages(t.Y)
+			xy = intersectSorted(xy[:0], px, py)
+		}
+		pz := b.AuthorPages(t.Z)
+		w := countCommon(xy, pz)
+		c := 0.0
+		if den := float64(len(px) + len(py) + len(pz)); den > 0 {
+			c = 3 * float64(w) / den
+		}
+		run[i] = Score{Triplet: t, W: w, C: c, PX: len(px), PY: len(py), PZ: len(pz)}
+	}
+	return xy
+}
+
+// countCommon returns |a ∩ b| of two sorted duplicate-free lists.
+func countCommon(a, b []graph.VertexID) int {
+	n, i, j := 0, 0, 0
+	for i < len(a) && j < len(b) {
+		switch {
+		case a[i] == b[j]:
+			n++
+			i++
+			j++
+		case a[i] < b[j]:
+			i++
+		default:
+			j++
+		}
+	}
+	return n
+}
+
+// compareScores is the (X, Y, Z) triplet order of SortScores.
+func compareScores(a, b Score) int {
+	return compareTriplets(a.Triplet, b.Triplet)
+}
+
+func compareTriplets(a, b Triplet) int {
+	if c := cmp.Compare(a.X, b.X); c != 0 {
+		return c
+	}
+	if c := cmp.Compare(a.Y, b.Y); c != 0 {
+		return c
+	}
+	return cmp.Compare(a.Z, b.Z)
 }
 
 // SortScores orders scores by triplet for deterministic output.
 func SortScores(ss []Score) {
-	sort.Slice(ss, func(i, j int) bool {
-		a, b := ss[i].Triplet, ss[j].Triplet
-		if a.X != b.X {
-			return a.X < b.X
-		}
-		if a.Y != b.Y {
-			return a.Y < b.Y
-		}
-		return a.Z < b.Z
-	})
+	slices.SortFunc(ss, compareScores)
 }
 
 // TopKByWeight returns the k scores with the largest hyperedge weight,
@@ -282,18 +350,11 @@ func SortScores(ss []Score) {
 func TopKByWeight(ss []Score, k int) []Score {
 	out := make([]Score, len(ss))
 	copy(out, ss)
-	sort.Slice(out, func(i, j int) bool {
-		if out[i].W != out[j].W {
-			return out[i].W > out[j].W
+	slices.SortFunc(out, func(a, b Score) int {
+		if c := cmp.Compare(b.W, a.W); c != 0 {
+			return c
 		}
-		a, b := out[i].Triplet, out[j].Triplet
-		if a.X != b.X {
-			return a.X < b.X
-		}
-		if a.Y != b.Y {
-			return a.Y < b.Y
-		}
-		return a.Z < b.Z
+		return compareTriplets(a.Triplet, b.Triplet)
 	})
 	if k < len(out) {
 		out = out[:k]

@@ -94,3 +94,84 @@ func TestSortTrianglesTotalOrder(t *testing.T) {
 		}
 	}
 }
+
+// sortFixture returns a census-shaped triangle list in survey emission
+// order: cliques of k authors each (every edge above the cut, weights
+// varied) plus a sparse organic ring, as SurveyAll emits them. Members
+// carry zero to three pendant edges, so their degrees — the survey's pivot
+// order — differ and the emission order is not the sorted one.
+func sortFixture(cliques, k int) []Triangle {
+	g := graph.NewCIGraph()
+	rng := rand.New(rand.NewSource(int64(cliques*1000 + k)))
+	pendant := graph.VertexID(1 << 20)
+	for m := 0; m < cliques*k; m++ {
+		for p := rng.Intn(4); p > 0; p-- {
+			g.AddEdgeWeight(graph.VertexID(m), pendant, 9)
+			pendant++
+		}
+	}
+	for c := 0; c < cliques; c++ {
+		for i := 0; i < k; i++ {
+			for j := i + 1; j < k; j++ {
+				// Interleave the cliques' ids so their runs alternate.
+				u, v := graph.VertexID(i*cliques+c), graph.VertexID(j*cliques+c)
+				g.AddEdgeWeight(u, v, uint32(8+(i*7+j*3+c)%30))
+			}
+		}
+	}
+	base := graph.VertexID(cliques * k)
+	for i := graph.VertexID(0); i < 150; i++ {
+		g.AddEdgeWeight(base+i, base+(i+1)%150, 9)
+		g.AddEdgeWeight(base+i, base+(i+2)%150, 9)
+	}
+	var out []Triangle
+	SurveySequential(g, Options{MinTriangleWeight: 8}, func(tr Triangle) { out = append(out, tr) })
+	return out
+}
+
+// TestSortTrianglesStableTotal pins SortTriangles' order at census scale,
+// past the sort's insertion-sort blocks: a list holding duplicate (X, Y, Z)
+// keys with different weights and exact duplicates sorts to one output
+// from every permutation, ascending in the full six-field order.
+func TestSortTrianglesStableTotal(t *testing.T) {
+	ts := sortFixture(2, 12)
+	n := len(ts)
+	for i := 0; i < n; i += 3 {
+		d := ts[i]
+		d.WXZ += uint32(i % 5) // same triplet, maybe other weights
+		ts = append(ts, d)
+	}
+	want := append([]Triangle(nil), ts...)
+	SortTriangles(want)
+	for i := 1; i < len(want); i++ {
+		if triangleLess(want[i], want[i-1]) {
+			t.Fatalf("output not ascending at %d: %+v before %+v", i, want[i-1], want[i])
+		}
+	}
+	for run := 0; run < 8; run++ {
+		got := append([]Triangle(nil), ts...)
+		rand.New(rand.NewSource(int64(run))).Shuffle(len(got), func(i, j int) {
+			got[i], got[j] = got[j], got[i]
+		})
+		SortTriangles(got)
+		if !reflect.DeepEqual(got, want) {
+			t.Fatalf("run %d: SortTriangles depends on input order", run)
+		}
+	}
+}
+
+// BenchmarkSortTriangles sorts survey-churn's first census: three
+// 28-cliques and a little organic background (~10k triangles) in the order
+// the survey emits them.
+func BenchmarkSortTriangles(b *testing.B) {
+	src := sortFixture(3, 28)
+	buf := make([]Triangle, len(src))
+	b.Run("10k", func(b *testing.B) {
+		b.ReportAllocs()
+		for i := 0; i < b.N; i++ {
+			copy(buf, src)
+			SortTriangles(buf)
+		}
+		b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N)/float64(len(src)), "ns/triangle")
+	})
+}

@@ -31,9 +31,10 @@
 package tripoll
 
 import (
+	"cmp"
 	"math"
 	"runtime"
-	"sort"
+	"slices"
 	"sync"
 
 	"coordbot/internal/graph"
@@ -62,9 +63,9 @@ type Oriented struct {
 	// orig/dense map dense vertex ids to original author ids and back.
 	// Until the first patch they alias the source adjacency's tables;
 	// ensureOwned clones before any mutation.
-	orig       []graph.VertexID
-	dense      map[graph.VertexID]int32
-	owned      bool
+	orig  []graph.VertexID
+	dense map[graph.VertexID]int32
+	owned bool
 	// fkey is the frozen rank key: (frozen degree << 32) | dense id — a
 	// strict total order that patches never move.
 	fkey []int64
@@ -490,7 +491,7 @@ func (o *Oriented) Reorient() {
 			norig = append(norig, o.orig[v])
 		}
 	}
-	sort.Slice(norig, func(i, j int) bool { return norig[i] < norig[j] })
+	slices.Sort(norig)
 	ndense := make(map[graph.VertexID]int32, len(norig))
 	for i, v := range norig {
 		ndense[v] = int32(i)
@@ -523,11 +524,11 @@ func (o *Oriented) Reorient() {
 		outDeg[a]++
 		inDeg[b]++
 	}
-	sort.Slice(edges, func(i, j int) bool {
-		if edges[i].u != edges[j].u {
-			return edges[i].u < edges[j].u
+	slices.SortFunc(edges, func(a, b edge) int {
+		if c := cmp.Compare(a.u, b.u); c != 0 {
+			return c
 		}
-		return edges[i].v < edges[j].v
+		return cmp.Compare(a.v, b.v)
 	})
 	out := newCSR(outDeg, true)
 	for _, e := range edges {
@@ -535,11 +536,11 @@ func (o *Oriented) Reorient() {
 		out.ids[at], out.wts[at] = e.v, e.w
 		out.ln[e.u]++
 	}
-	sort.Slice(edges, func(i, j int) bool {
-		if edges[i].v != edges[j].v {
-			return edges[i].v < edges[j].v
+	slices.SortFunc(edges, func(a, b edge) int {
+		if c := cmp.Compare(a.v, b.v); c != 0 {
+			return c
 		}
-		return edges[i].u < edges[j].u
+		return cmp.Compare(a.u, b.u)
 	})
 	in := newCSR(inDeg, false)
 	for _, e := range edges {

@@ -13,6 +13,8 @@
 package tripoll
 
 import (
+	"cmp"
+	"slices"
 	"sort"
 
 	"coordbot/internal/graph"
@@ -142,9 +144,7 @@ func Survey(g graph.CIView, opts Options) []Triangle {
 // are unique per (X, Y, Z); the weight tie-break makes the order total
 // even for caller-built lists with duplicates.)
 func SortTriangles(ts []Triangle) {
-	sort.SliceStable(ts, func(i, j int) bool {
-		return triangleLess(ts[i], ts[j])
-	})
+	slices.SortStableFunc(ts, compareTriangles)
 }
 
 // MergeSorted merges two SortTriangles-ordered slices with disjoint
@@ -189,6 +189,29 @@ func triangleLess(a, b Triangle) bool {
 		return a.WXZ < b.WXZ
 	}
 	return a.WYZ < b.WYZ
+}
+
+// compareTriangles is triangleLess as the three-way comparison the slices
+// sorts take. (Spelled out rather than derived from triangleLess: two
+// calls per comparison cost the sort a third, and the merge and the top-k
+// heap are faster on the boolean form.)
+func compareTriangles(a, b Triangle) int {
+	if c := cmp.Compare(a.X, b.X); c != 0 {
+		return c
+	}
+	if c := cmp.Compare(a.Y, b.Y); c != 0 {
+		return c
+	}
+	if c := cmp.Compare(a.Z, b.Z); c != 0 {
+		return c
+	}
+	if c := cmp.Compare(a.WXY, b.WXY); c != 0 {
+		return c
+	}
+	if c := cmp.Compare(a.WXZ, b.WXZ); c != 0 {
+		return c
+	}
+	return cmp.Compare(a.WYZ, b.WYZ)
 }
 
 // Count returns the number of triangles passing the thresholds without
