@@ -49,8 +49,9 @@ func newAdjState(b *testing.B, d *redditgen.Dataset) *adjState {
 	b.Helper()
 	// Horizon far beyond the benchmark's event-time drift: nothing evicts,
 	// so every measured cycle is pure dirty-batch maintenance.
-	proj, err := stream.NewSlidingProjectorShards(projection.Window{Min: 0, Max: 60},
-		1<<40, projection.Options{}, incrementalShards)
+	proj, err := stream.NewMultiSlidingProjectorWorkers(
+		[]stream.SignalConfig{{Signal: projection.CoComment{W: projection.Window{Min: 0, Max: 60}}}},
+		1<<40, projection.Options{}, incrementalShards, 1)
 	if err != nil {
 		b.Fatal(err)
 	}

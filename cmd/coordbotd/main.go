@@ -51,8 +51,6 @@ func main() {
 	queue := fs.Int("queue", 256, "ingest queue size (batches)")
 	exclude := fs.String("exclude", "AutoModerator,[deleted]", "comma-separated authors to exclude")
 	excludeIDs := fs.String("exclude-ids", "", "comma-separated numeric vertex IDs to exclude")
-	rebuildFrac := fs.Float64("orient-rebuild-frac", 0,
-		"re-orient when drifted vertices exceed this fraction (0 = library default, <0 = re-orient on any drift)")
 	noHyper := fs.Bool("no-hyper", false, "skip hypergraph validation (no comment log kept)")
 	dropLate := fs.Bool("drop-late", false, "drop out-of-order comments instead of clamping to the watermark")
 	ranks := fs.Int("ranks", 0, "survey parallelism (0 = all cores)")
@@ -116,7 +114,6 @@ func main() {
 		Ranks:              *ranks,
 		IngestWorkers:      *ingestWorkers,
 		Shards:             *shards,
-		OrientRebuildFrac:  *rebuildFrac,
 		Communities:        *communities,
 		Community: community.Config{
 			Algorithm:  algo,

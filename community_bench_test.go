@@ -51,8 +51,9 @@ type commState struct {
 // starts from.
 func newCommState(b *testing.B, d *redditgen.Dataset) *commState {
 	b.Helper()
-	proj, err := stream.NewSlidingProjectorShards(projection.Window{Min: 0, Max: 60},
-		1<<40, projection.Options{}, incrementalShards)
+	proj, err := stream.NewMultiSlidingProjectorWorkers(
+		[]stream.SignalConfig{{Signal: projection.CoComment{W: projection.Window{Min: 0, Max: 60}}}},
+		1<<40, projection.Options{}, incrementalShards, 1)
 	if err != nil {
 		b.Fatal(err)
 	}

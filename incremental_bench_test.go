@@ -2,20 +2,15 @@ package coordbot_test
 
 // Incremental-survey benchmark: the cost of one detection cycle after a
 // small dirty batch (a handful of authors on one page — roughly 1% of the
-// store's shards) on an 80k-user corpus, delta path versus a forced full
-// re-survey of the same stream. The gap is what the per-shard version
-// vector buys: the full path rescans every edge to rebuild the pruned
-// view and re-enumerates every triangle, the delta path re-filters only
-// dirtied shards and re-surveys only triangles touching dirty vertices.
-// Run with
+// store's shards) on an 80k-user corpus. The delta path re-filters only
+// dirtied shards and re-surveys only triangles touching dirty vertices;
+// what a full pass costs instead is the daemon's first cycle, which
+// coordbench's traced survey-churn run reports as tripoll.survey_full_ms
+// beside tripoll.survey_dirty_ms_p50. Run with
 //
 //	go test -bench Incremental -benchmem
-//
-// or record the JSON report via TestWriteIncrementalBench.
 
 import (
-	"encoding/json"
-	"os"
 	"runtime"
 	"testing"
 
@@ -59,17 +54,14 @@ func incrementalCorpus() *redditgen.Dataset {
 	})
 }
 
-func incrementalConfig(fullResurvey bool) detectd.Config {
+func incrementalConfig() detectd.Config {
 	return detectd.Config{
 		Window:            projection.Window{Min: 0, Max: 60},
 		MinTriangleWeight: 60,
 		ClampLate:         true,
 		Shards:            incrementalShards,
-		Sequential:        true,
-		FullResurvey:      fullResurvey,
 		// Horizon exceeds the corpus span plus benchmark drift: the whole
-		// 80k-user graph stays live, so the full path's edge rescan is
-		// honest about steady-state cost.
+		// 80k-user graph stays live, as it would in steady state.
 		Horizon: incrementalSpan + 2*24*3600,
 	}
 }
@@ -77,9 +69,9 @@ func incrementalConfig(fullResurvey bool) detectd.Config {
 // incrementalService ingests the corpus and runs the warm-up cycle (the
 // unavoidable first full survey), returning the service and the event
 // time dirty batches should continue from.
-func incrementalService(b *testing.B, d *redditgen.Dataset, fullResurvey bool) (*detectd.Service, int64) {
+func incrementalService(b *testing.B, d *redditgen.Dataset) (*detectd.Service, int64) {
 	b.Helper()
-	s, err := detectd.NewService(incrementalConfig(fullResurvey))
+	s, err := detectd.NewService(incrementalConfig())
 	if err != nil {
 		b.Fatal(err)
 	}
@@ -115,8 +107,8 @@ func dirtyBatch(i int, ts int64) []graph.Comment {
 	return batch
 }
 
-func benchIncrementalCycles(b *testing.B, d *redditgen.Dataset, fullResurvey bool) {
-	s, ts := incrementalService(b, d, fullResurvey)
+func BenchmarkIncrementalSurvey(b *testing.B) {
+	s, ts := incrementalService(b, incrementalCorpus())
 	var last *detectd.SurveyResult
 	runtime.GC() // keep setup garbage out of the measured cycles
 	b.ReportAllocs()
@@ -131,8 +123,8 @@ func benchIncrementalCycles(b *testing.B, d *redditgen.Dataset, fullResurvey boo
 		if sr.Reused {
 			b.Fatal("dirty cycle short-circuited as idle")
 		}
-		if sr.Delta == fullResurvey {
-			b.Fatalf("cycle %d: Delta=%v with FullResurvey=%v", sr.Cycle, sr.Delta, fullResurvey)
+		if !sr.Delta {
+			b.Fatalf("cycle %d fell back to a full survey", sr.Cycle)
 		}
 		last = sr
 	}
@@ -141,64 +133,5 @@ func benchIncrementalCycles(b *testing.B, d *redditgen.Dataset, fullResurvey boo
 		b.ReportMetric(float64(last.DirtyShards), "dirty-shards")
 		b.ReportMetric(float64(last.CachedTriangles), "tri-cached")
 		b.ReportMetric(float64(last.ResurveyedTriangles), "tri-resurveyed")
-	}
-}
-
-func BenchmarkIncrementalSurvey(b *testing.B) {
-	d := incrementalCorpus()
-	b.Run("delta", func(b *testing.B) { benchIncrementalCycles(b, d, false) })
-	b.Run("full-resurvey", func(b *testing.B) { benchIncrementalCycles(b, d, true) })
-}
-
-// TestWriteIncrementalBench records the delta-vs-full cycle latencies to
-// the JSON file named by BENCH_INCREMENTAL_OUT (skipped otherwise):
-//
-//	BENCH_INCREMENTAL_OUT=BENCH_incremental.json go test -run TestWriteIncrementalBench .
-func TestWriteIncrementalBench(t *testing.T) {
-	out := os.Getenv("BENCH_INCREMENTAL_OUT")
-	if out == "" {
-		t.Skip("set BENCH_INCREMENTAL_OUT=<path> to record the incremental benchmark")
-	}
-	d := incrementalCorpus()
-	delta := testing.Benchmark(func(b *testing.B) { benchIncrementalCycles(b, d, false) })
-	full := testing.Benchmark(func(b *testing.B) { benchIncrementalCycles(b, d, true) })
-	speedup := float64(full.NsPerOp()) / float64(delta.NsPerOp())
-	report := map[string]any{
-		"benchmark": "incremental-survey",
-		"corpus": benchRuntime(map[string]any{
-			"authors":   incrementalAuthors,
-			"comments":  incrementalComments,
-			"span_days": 14,
-		}, 1, incrementalShards),
-		"dirty_batch": map[string]any{
-			"authors":          incrementalBatchAuthors,
-			"dirty_shards":     delta.Extra["dirty-shards"],
-			"shard_dirty_frac": delta.Extra["dirty-shards"] / incrementalShards,
-		},
-		"delta_cycle": map[string]any{
-			"latency_ms":     float64(delta.NsPerOp()) / 1e6,
-			"cycles":         delta.N,
-			"allocs_per_op":  delta.AllocsPerOp(),
-			"tri_cached":     delta.Extra["tri-cached"],
-			"tri_resurveyed": delta.Extra["tri-resurveyed"],
-		},
-		"full_cycle": map[string]any{
-			"latency_ms":    float64(full.NsPerOp()) / 1e6,
-			"cycles":        full.N,
-			"allocs_per_op": full.AllocsPerOp(),
-		},
-		"speedup": speedup,
-	}
-	data, err := json.MarshalIndent(report, "", "  ")
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := os.WriteFile(out, append(data, '\n'), 0o644); err != nil {
-		t.Fatal(err)
-	}
-	t.Logf("delta %.3f ms vs full %.2f ms per cycle -> %.1fx -> %s",
-		float64(delta.NsPerOp())/1e6, float64(full.NsPerOp())/1e6, speedup, out)
-	if speedup < 10 {
-		t.Errorf("delta speedup %.1fx below the 10x target", speedup)
 	}
 }

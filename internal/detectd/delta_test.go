@@ -25,12 +25,12 @@ func deltaConfig() Config {
 		ValidateHypergraph: true,
 		ClampLate:          true,
 		Shards:             32,
-		Sequential:         true,
 	}
 }
 
 // surveyOracle reruns the full batch survey on the exact inputs a
-// published cycle saw (its frozen snapshot and windowed BTM).
+// published cycle saw (its frozen snapshot and windowed BTM), through the
+// single-threaded reference implementations.
 func surveyOracle(t *testing.T, cfg Config, sr *SurveyResult) *pipeline.Result {
 	t.Helper()
 	want, err := pipeline.RunOnCI(sr.snap, sr.btm, pipeline.Config{
@@ -38,7 +38,7 @@ func surveyOracle(t *testing.T, cfg Config, sr *SurveyResult) *pipeline.Result {
 		MinEdgeWeight:     cfg.MinEdgeWeight,
 		MinTriangleWeight: cfg.MinTriangleWeight,
 		MinTScore:         cfg.MinTScore,
-		Sequential:        cfg.Sequential,
+		Sequential:        true,
 		SkipHypergraph:    !cfg.ValidateHypergraph,
 	})
 	if err != nil {
@@ -120,115 +120,19 @@ func TestDeltaSurveyMatchesFullOracle(t *testing.T) {
 	if surveyed < 10 {
 		t.Fatalf("stream too short: only %d live cycles", surveyed)
 	}
-	if s.DeltaCycles() == 0 || s.FullResurveys() != 1 {
-		t.Fatalf("path split wrong: %d delta, %d full", s.DeltaCycles(), s.FullResurveys())
+	last := s.Latest()
+	tot := last.totals
+	if tot.delta == 0 || tot.full != 1 {
+		t.Fatalf("path split wrong: %d delta, %d full", tot.delta, tot.full)
 	}
-	if s.TrianglesCached() == 0 {
+	if tot.trianglesCached == 0 {
 		t.Fatal("no triangles ever carried over — cache inert")
 	}
-	if s.HyperCacheHits() == 0 {
+	if tot.hyperCacheHits == 0 {
 		t.Fatal("no hypergraph validations served from the memo")
 	}
-	if s.OrientPatchedEdges() == 0 {
+	if last.OrientPatchedEdges == 0 {
 		t.Fatal("delta cycles never patched the persistent orientation")
-	}
-}
-
-// TestOrientRebuildPolicies: the persistent orientation's rebuild policy
-// is a pure perf knob. Under "re-freeze after every drifted batch"
-// (negative OrientRebuildFrac) and "never re-freeze" (huge fraction) the
-// published surveys still match the full oracle exactly, while the
-// orient_* counters reflect the policy.
-func TestOrientRebuildPolicies(t *testing.T) {
-	ds := snapshotDataset()
-	for _, tc := range []struct {
-		name string
-		frac float64
-	}{
-		{"rebuild-every-batch", -1},
-		{"never-rebuild", 1e9},
-	} {
-		t.Run(tc.name, func(t *testing.T) {
-			cfg := deltaConfig()
-			cfg.OrientRebuildFrac = tc.frac
-			s, err := NewService(cfg)
-			if err != nil {
-				t.Fatal(err)
-			}
-			const batch = 250
-			var last *SurveyResult
-			for lo := 0; lo < len(ds.Comments); lo += batch {
-				hi := lo + batch
-				if hi > len(ds.Comments) {
-					hi = len(ds.Comments)
-				}
-				s.Apply(ds.Comments[lo:hi])
-				sr, err := s.SurveyNow()
-				if err != nil {
-					t.Fatal(err)
-				}
-				surveysEqual(t, sr.Cycle, sr.Result, surveyOracle(t, cfg, sr))
-				last = sr
-			}
-			if s.DeltaCycles() == 0 {
-				t.Fatal("stream never took the delta path")
-			}
-			if s.OrientPatchedEdges() == 0 {
-				t.Fatal("no edge patches were ever applied")
-			}
-			if tc.frac < 0 && last.OrientRebuilds == 0 {
-				t.Fatal("rebuild-every-batch policy never re-froze the order")
-			}
-			if tc.frac > 1 && (last.OrientRebuilds != 0 || last.OrientEpoch != 0) {
-				t.Fatalf("never-rebuild policy re-froze anyway: epoch %d, rebuilds %d",
-					last.OrientEpoch, last.OrientRebuilds)
-			}
-		})
-	}
-}
-
-// TestFullResurveyModeMatchesDelta: a FullResurvey daemon fed the same
-// stream publishes the same results — the baseline mode is a pure
-// perf/bisection switch, never a semantic one.
-func TestFullResurveyModeMatchesDelta(t *testing.T) {
-	ds := snapshotDataset()
-	cfg := deltaConfig()
-	full := cfg
-	full.FullResurvey = true
-	a, err := NewService(cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	b, err := NewService(full)
-	if err != nil {
-		t.Fatal(err)
-	}
-	const batch = 400
-	for lo := 0; lo < len(ds.Comments); lo += batch {
-		hi := lo + batch
-		if hi > len(ds.Comments) {
-			hi = len(ds.Comments)
-		}
-		a.Apply(ds.Comments[lo:hi])
-		b.Apply(ds.Comments[lo:hi])
-		ra, err := a.SurveyNow()
-		if err != nil {
-			t.Fatal(err)
-		}
-		rb, err := b.SurveyNow()
-		if err != nil {
-			t.Fatal(err)
-		}
-		if rb.Delta {
-			t.Fatal("FullResurvey mode ran a delta cycle")
-		}
-		surveysEqual(t, ra.Cycle, ra.Result, rb.Result)
-	}
-	if b.DeltaCycles() != 0 {
-		t.Fatalf("FullResurvey mode counted %d delta cycles", b.DeltaCycles())
-	}
-	if a.DeltaCycles() == 0 {
-		t.Fatal("delta mode never took the incremental path")
 	}
 }
 

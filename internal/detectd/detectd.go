@@ -15,11 +15,11 @@
 //     keeps every cached triangle that touches no dirty vertex, and
 //     re-enumerates only the dirty frontier (tripoll.SurveyDirty); the
 //     merged list flows through pipeline.RunOnTriangles, which memoizes
-//     hypergraph validation per triplet across cycles. The first cycle —
-//     or any incomparable snapshot, or Config.FullResurvey — falls back to
-//     the full survey. An idle cycle (nothing ingested since the last
-//     survey) republishes the previous result without recomputing
-//     anything.
+//     hypergraph validation per triplet across cycles. The first cycle,
+//     or any incomparable snapshot, runs the full survey. An idle cycle
+//     (nothing ingested since the last survey) republishes the previous
+//     result without recomputing anything. Tests hold every published
+//     cycle equal to the sequential batch pipeline on its own snapshot.
 //  3. An HTTP/JSON API (http.go) exposes ingestion with backpressure,
 //     the latest survey, per-user scoring, stats, and health.
 //
@@ -90,10 +90,8 @@ type Config struct {
 	// of rejecting them (live feeds are only approximately ordered).
 	// When false, out-of-order comments are dropped and counted.
 	ClampLate bool
-	// Ranks is the survey parallelism (0 = library default); Sequential
-	// forces the single-threaded reference implementations.
-	Ranks      int
-	Sequential bool
+	// Ranks is the survey parallelism (0 = library default).
+	Ranks int
 	// Shards is the shard count of the live CI store (rounded up to a
 	// power of two; 0 = graph.DefaultShards). More shards cut the
 	// copy-on-write cost hot ingestion pays after each snapshot — and
@@ -105,17 +103,6 @@ type Config struct {
 	// GOMAXPROCS; 1 forces the serial reference path. The projected graph
 	// is identical either way.
 	IngestWorkers int
-	// FullResurvey disables the incremental delta-survey path: every
-	// cycle re-enumerates the whole snapshot and re-validates every
-	// triangle, as if no previous cycle existed. The baseline mode for
-	// benchmarks and for bisecting suspected cache bugs.
-	FullResurvey bool
-	// OrientRebuildFrac is the drifted-vertex fraction at which the
-	// persistent oriented adjacency re-freezes its epoch order
-	// (tripoll.Oriented). 0 means the library default; a negative value
-	// forces a re-orientation after every patched cycle (the conservative
-	// tight-degree-bound mode).
-	OrientRebuildFrac float64
 	// Communities enables the clustering layer: each cycle partitions the
 	// pruned snapshot into communities (Leiden or Label Propagation) and
 	// scores them with the generalized coordination metrics, served at
@@ -217,6 +204,21 @@ type SurveyResult struct {
 
 	// rank is the census's lazily built /v1/triangles order (http.go).
 	rank *triangleRank
+
+	// totals are the cumulative counters as of this cycle (Cycle itself
+	// counts the cycles).
+	totals surveyTotals
+}
+
+// surveyTotals are cumulative survey counters. Each cycle advances the
+// previous result's totals under surveyMu and publishes them inside its
+// own SurveyResult, so one Latest() load reads counters that belong
+// together: reused + delta + full == Cycle, always.
+type surveyTotals struct {
+	reused, delta, full                   int64
+	trianglesCached, trianglesResurveyed  int64
+	hyperCacheHits                        int64
+	componentsReused, componentsClustered int64
 }
 
 // surveyStamp is captured under s.mu together with the snapshot. The
@@ -300,28 +302,12 @@ type Service struct {
 	queue  chan []graph.Comment
 	latest atomic.Pointer[SurveyResult]
 
-	ingested      atomic.Int64
-	dropped       atomic.Int64
-	lateClamped   atomic.Int64
-	cycles        atomic.Int64
-	surveysReused atomic.Int64
-	surveyErrs    atomic.Int64
-	lastSurveyNS  atomic.Int64
-
-	deltaCycles         atomic.Int64
-	fullResurveys       atomic.Int64
-	trianglesCached     atomic.Int64
-	trianglesResurveyed atomic.Int64
-	hyperCacheHits      atomic.Int64
-	lastDirtyShards     atomic.Int64
-	lastDirtyVertices   atomic.Int64
-	orientEpoch         atomic.Int64
-	orientPatchedEdges  atomic.Int64
-	orientRebuilds      atomic.Int64
-
-	lastCommunities     atomic.Int64
-	componentsReused    atomic.Int64
-	componentsClustered atomic.Int64
+	ingested    atomic.Int64
+	dropped     atomic.Int64
+	lateClamped atomic.Int64
+	// surveyErrs counts failed cycles, which publish no SurveyResult to
+	// carry the count; every other survey counter lives in the result.
+	surveyErrs atomic.Int64
 
 	metrics *metrics
 	started time.Time
@@ -498,11 +484,8 @@ func (s *Service) flushLocked() {
 }
 
 // markHyperDirty records that a's windowed comment set changed. Caller
-// holds s.mu. No-op in FullResurvey mode, where nothing is memoized.
+// holds s.mu.
 func (s *Service) markHyperDirty(a graph.VertexID) {
-	if s.cfg.FullResurvey {
-		return
-	}
 	if s.logDirty == nil {
 		s.logDirty = make(map[graph.VertexID]bool)
 	}
@@ -594,30 +577,31 @@ func (s *Service) surveyLoop() {
 // set, cached triangles touching none of them survive verbatim, the
 // dirty frontier is re-enumerated on the delta-thresholded graph, and
 // hypergraph validation reuses memoized triplet scores whose authors'
-// windowed comments are unchanged. Config.FullResurvey (or the first
-// cycle, or a shard-geometry change) runs the full O(edges) pass.
-// Callable concurrently with ingestion; concurrent calls serialize on
-// the survey cache.
+// windowed comments are unchanged. The first cycle (or a shard-geometry
+// change) runs the full O(edges) pass. Callable concurrently with
+// ingestion; concurrent calls serialize on the survey cache.
 func (s *Service) SurveyNow() (*SurveyResult, error) {
 	start := time.Now()
 	s.surveyMu.Lock()
 	defer s.surveyMu.Unlock()
 
+	// The last published cycle. Only a surveyMu holder publishes, so prev
+	// stays the latest until this cycle stores its successor.
+	prev := s.latest.Load()
 	s.mu.Lock()
 	st := surveyStamp{
 		graphVersion: s.proj.GraphVersion(),
 		ingested:     s.ingested.Load(),
 		watermark:    s.proj.Watermark(),
 	}
-	if prev := s.latest.Load(); prev != nil && prev.stamp == st {
+	if prev != nil && prev.stamp == st {
 		s.mu.Unlock()
 		sr := *prev
-		sr.Cycle = s.cycles.Add(1)
+		sr.Cycle++
 		sr.TakenAt = start
 		sr.Duration = time.Since(start)
 		sr.Reused = true
-		s.surveysReused.Add(1)
-		s.lastSurveyNS.Store(int64(sr.Duration))
+		sr.totals.reused++
 		s.latest.Store(&sr)
 		return &sr, nil
 	}
@@ -644,7 +628,7 @@ func (s *Service) SurveyNow() (*SurveyResult, error) {
 		dirtyShards int
 		delta       bool
 	)
-	if !s.cfg.FullResurvey && cache != nil {
+	if cache != nil {
 		dirty, dirtyShards, delta = ci.DirtyVertices(cache.snap)
 	}
 
@@ -681,7 +665,7 @@ func (s *Service) SurveyNow() (*SurveyResult, error) {
 			}
 		}
 		if oriented == nil {
-			oriented = s.newOriented(pruned)
+			oriented = tripoll.Orient(pruned.BuildAdjacency())
 		}
 		var fresh []tripoll.Triangle
 		oriented.SurveyDirty(sopts, dirty, nil, func(tr tripoll.Triangle) {
@@ -695,22 +679,15 @@ func (s *Service) SurveyNow() (*SurveyResult, error) {
 		// T-score cut stays out of the survey so the cached census stays
 		// valid as page counts drift; RunOnTriangles applies it downstream.
 		pruned = ci.ThresholdView(cut).(*graph.CISnapshot)
-		oriented = s.newOriented(pruned)
-		if s.cfg.Sequential {
-			oriented.SurveyAll(sopts, nil, func(tr tripoll.Triangle) {
-				tris = append(tris, tr)
-			})
-			tripoll.SortTriangles(tris)
-		} else {
-			tris = oriented.SurveyParallel(sopts, nil)
-		}
+		oriented = tripoll.Orient(pruned.BuildAdjacency())
+		tris = oriented.SurveyParallel(sopts, nil)
 		resurveyedN = len(tris)
 	}
 
 	// Step-3 memo: drop scores whose authors' windowed comments changed,
 	// then let RunOnTriangles fill the misses.
 	var hyper map[hypergraph.Triplet]hypergraph.Score
-	if s.cfg.ValidateHypergraph && !s.cfg.FullResurvey {
+	if s.cfg.ValidateHypergraph {
 		if cache != nil && cache.hyper != nil {
 			hyper = cache.hyper
 			for t := range hyper {
@@ -729,7 +706,6 @@ func (s *Service) SurveyNow() (*SurveyResult, error) {
 		MinTriangleWeight: s.cfg.MinTriangleWeight,
 		MinTScore:         s.cfg.MinTScore,
 		Ranks:             s.cfg.Ranks,
-		Sequential:        s.cfg.Sequential,
 		SkipHypergraph:    !s.cfg.ValidateHypergraph,
 	}, hyper)
 	if err != nil {
@@ -771,12 +747,8 @@ func (s *Service) SurveyNow() (*SurveyResult, error) {
 	}
 
 	s.cache = &surveyCache{snap: ci, pruned: pruned, tris: tris, hyper: hyper, oriented: oriented, partition: partition}
-	s.orientEpoch.Store(oriented.Epoch())
-	s.orientPatchedEdges.Store(oriented.PatchedEdges())
-	s.orientRebuilds.Store(oriented.Rebuilds())
 
 	sr := &SurveyResult{
-		Cycle:               s.cycles.Add(1),
 		Watermark:           wm,
 		TakenAt:             start,
 		Duration:            time.Since(start),
@@ -794,42 +766,30 @@ func (s *Service) SurveyNow() (*SurveyResult, error) {
 		stamp:               st,
 		rank:                new(triangleRank),
 	}
+	if prev != nil {
+		sr.Cycle, sr.totals = prev.Cycle, prev.totals
+	}
+	sr.Cycle++
+	tot := &sr.totals
 	if partition != nil {
 		sr.Communities = len(res.Communities)
 		sr.ReusedComponents = partition.ReusedComponents
 		sr.ClusteredComponents = partition.ClusteredComponents
-		s.lastCommunities.Store(int64(sr.Communities))
-		s.componentsReused.Add(int64(sr.ReusedComponents))
-		s.componentsClustered.Add(int64(sr.ClusteredComponents))
+		tot.componentsReused += int64(sr.ReusedComponents)
+		tot.componentsClustered += int64(sr.ClusteredComponents)
 	}
 	if delta {
 		sr.DirtyShards, sr.DirtyVertices = dirtyShards, len(dirty)
-		s.deltaCycles.Add(1)
+		tot.delta++
 	} else {
 		sr.DirtyShards, sr.DirtyVertices = ci.NumShards(), sr.Vertices
-		s.fullResurveys.Add(1)
+		tot.full++
 	}
-	s.lastDirtyShards.Store(int64(sr.DirtyShards))
-	s.lastDirtyVertices.Store(int64(sr.DirtyVertices))
-	s.trianglesCached.Add(int64(cachedN))
-	s.trianglesResurveyed.Add(int64(resurveyedN))
-	s.hyperCacheHits.Add(int64(res.HyperCacheHits))
-	s.lastSurveyNS.Store(int64(sr.Duration))
+	tot.trianglesCached += int64(cachedN)
+	tot.trianglesResurveyed += int64(resurveyedN)
+	tot.hyperCacheHits += int64(res.HyperCacheHits)
 	s.latest.Store(sr)
 	return sr, nil
-}
-
-// newOriented builds a fresh stable-epoch orientation of pruned with the
-// configured rebuild policy applied.
-func (s *Service) newOriented(pruned *graph.CISnapshot) *tripoll.Oriented {
-	o := tripoll.Orient(pruned.BuildAdjacency())
-	switch frac := s.cfg.OrientRebuildFrac; {
-	case frac < 0:
-		o.SetRebuildFrac(0) // re-freeze after any drifted patch batch
-	case frac > 0:
-		o.SetRebuildFrac(frac)
-	}
-	return o
 }
 
 // Latest returns the most recently published survey (nil before the first).
@@ -839,43 +799,12 @@ func (s *Service) Latest() *SurveyResult { return s.latest.Load() }
 func (s *Service) Ingested() int64 { return s.ingested.Load() }
 
 // Cycles returns the number of completed survey cycles.
-func (s *Service) Cycles() int64 { return s.cycles.Load() }
-
-// SurveysReused returns the number of cycles that republished the
-// previous result because the stream was idle.
-func (s *Service) SurveysReused() int64 { return s.surveysReused.Load() }
-
-// DeltaCycles returns the number of survey cycles that ran the
-// incremental path (dirty-frontier re-enumeration over a cached census).
-func (s *Service) DeltaCycles() int64 { return s.deltaCycles.Load() }
-
-// FullResurveys returns the number of cycles that enumerated the whole
-// snapshot (first cycles, incomparable snapshots, or FullResurvey mode).
-func (s *Service) FullResurveys() int64 { return s.fullResurveys.Load() }
-
-// TrianglesCached returns the cumulative count of triangles carried over
-// from the previous cycle's census without re-enumeration.
-func (s *Service) TrianglesCached() int64 { return s.trianglesCached.Load() }
-
-// TrianglesResurveyed returns the cumulative count of triangles emitted
-// by survey enumeration (full passes and dirty frontiers alike).
-func (s *Service) TrianglesResurveyed() int64 { return s.trianglesResurveyed.Load() }
-
-// HyperCacheHits returns the cumulative count of Step-3 validations
-// served from the cross-cycle triplet memo.
-func (s *Service) HyperCacheHits() int64 { return s.hyperCacheHits.Load() }
-
-// OrientEpoch returns the stable-order epoch of the current persistent
-// orientation (0 right after a from-scratch build).
-func (s *Service) OrientEpoch() int64 { return s.orientEpoch.Load() }
-
-// OrientPatchedEdges returns the edge patches applied to the current
-// persistent orientation since it was last built from scratch.
-func (s *Service) OrientPatchedEdges() int64 { return s.orientPatchedEdges.Load() }
-
-// OrientRebuilds returns the drift-triggered re-orientations of the
-// current persistent orientation since it was last built from scratch.
-func (s *Service) OrientRebuilds() int64 { return s.orientRebuilds.Load() }
+func (s *Service) Cycles() int64 {
+	if sr := s.latest.Load(); sr != nil {
+		return sr.Cycle
+	}
+	return 0
+}
 
 // Snapshot of live-side gauges for the stats endpoint.
 type liveStats struct {

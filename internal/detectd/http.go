@@ -884,27 +884,31 @@ func (s *Service) handleStats(w http.ResponseWriter, r *http.Request) {
 		EvictedPairs:     live.evictedPairs,
 		BufferedComments: live.buffered,
 		LoggedComments:   live.logged,
-		Cycles:           s.cycles.Load(),
-		SurveysReused:    s.surveysReused.Load(),
 		Shards:           s.proj.NumShards(),
 		SurveyErrors:     s.surveyErrs.Load(),
-		LastSurveyMS:     float64(s.lastSurveyNS.Load()) / 1e6,
-
-		DeltaCycles:         s.deltaCycles.Load(),
-		FullResurveys:       s.fullResurveys.Load(),
-		TrianglesCached:     s.trianglesCached.Load(),
-		TrianglesResurveyed: s.trianglesResurveyed.Load(),
-		HyperCacheHits:      s.hyperCacheHits.Load(),
-		LastDirtyShards:     s.lastDirtyShards.Load(),
-		LastDirtyVertices:   s.lastDirtyVertices.Load(),
-		OrientEpoch:         s.orientEpoch.Load(),
-		OrientPatchedEdges:  s.orientPatchedEdges.Load(),
-		OrientRebuilds:      s.orientRebuilds.Load(),
-		LastCommunities:     s.lastCommunities.Load(),
-		ComponentsReused:    s.componentsReused.Load(),
-		ComponentsClustered: s.componentsClustered.Load(),
-
-		Endpoints: s.metrics.snapshot(),
+		Endpoints:        s.metrics.snapshot(),
+	}
+	// The survey block comes from one published result: its cumulative
+	// totals and its own per-cycle gauges describe the same cycle.
+	if sr := s.Latest(); sr != nil {
+		tot := sr.totals
+		out.Cycles = sr.Cycle
+		out.SurveysReused = tot.reused
+		out.LastSurveyMS = float64(sr.Duration) / 1e6
+		out.LastTriangles = len(sr.Result.Triangles)
+		out.DeltaCycles = tot.delta
+		out.FullResurveys = tot.full
+		out.TrianglesCached = tot.trianglesCached
+		out.TrianglesResurveyed = tot.trianglesResurveyed
+		out.HyperCacheHits = tot.hyperCacheHits
+		out.LastDirtyShards = int64(sr.DirtyShards)
+		out.LastDirtyVertices = int64(sr.DirtyVertices)
+		out.OrientEpoch = sr.OrientEpoch
+		out.OrientPatchedEdges = sr.OrientPatchedEdges
+		out.OrientRebuilds = sr.OrientRebuilds
+		out.LastCommunities = int64(sr.Communities)
+		out.ComponentsReused = tot.componentsReused
+		out.ComponentsClustered = tot.componentsClustered
 	}
 	for _, sg := range live.signals {
 		out.Signals = append(out.Signals, SignalStatsOut{
@@ -919,9 +923,6 @@ func (s *Service) handleStats(w http.ResponseWriter, r *http.Request) {
 			RingEntries:  sg.RingEntries,
 			Rearmed:      sg.Rearmed,
 		})
-	}
-	if sr := s.Latest(); sr != nil {
-		out.LastTriangles = len(sr.Result.Triangles)
 	}
 	writeJSON(w, http.StatusOK, out)
 }

@@ -4,10 +4,13 @@
 package detectd
 
 import (
+	"encoding/json"
 	"fmt"
 	"io"
 	"net/http"
+	"net/http/httptest"
 	"strings"
+	"sync"
 	"testing"
 )
 
@@ -177,13 +180,138 @@ func TestStatsExposeIncrementalCounters(t *testing.T) {
 			t.Fatalf("stats JSON missing %q: %s", key, raw)
 		}
 	}
-	if s.FullResurveys() != 1 || s.DeltaCycles() != 1 {
-		t.Fatalf("cycle split: %d full, %d delta, want 1/1", s.FullResurveys(), s.DeltaCycles())
+	var st StatsOut
+	if err := json.Unmarshal(raw, &st); err != nil {
+		t.Fatal(err)
 	}
-	if s.TrianglesCached() != 1 {
-		t.Fatalf("triangles cached = %d, want 1 (trio untouched by the dirty batch)", s.TrianglesCached())
+	if st.FullResurveys != 1 || st.DeltaCycles != 1 {
+		t.Fatalf("cycle split: %d full, %d delta, want 1/1", st.FullResurveys, st.DeltaCycles)
 	}
-	if s.HyperCacheHits() != 1 {
-		t.Fatalf("hyper cache hits = %d, want 1", s.HyperCacheHits())
+	if st.TrianglesCached != 1 {
+		t.Fatalf("triangles cached = %d, want 1 (trio untouched by the dirty batch)", st.TrianglesCached)
+	}
+	if st.HyperCacheHits != 1 {
+		t.Fatalf("hyper cache hits = %d, want 1", st.HyperCacheHits)
+	}
+}
+
+// statsSurveyBlock is the survey part of /v1/stats: the cumulative cycle
+// counters and the gauges of the cycle they count up to.
+type statsSurveyBlock struct {
+	Cycles, SurveysReused, DeltaCycles, FullResurveys      int64
+	TrianglesCached, TrianglesResurveyed, HyperCacheHits   int64
+	LastDirtyShards, LastDirtyVertices                     int64
+	OrientEpoch, OrientPatchedEdges, OrientRebuilds        int64
+	LastCommunities, ComponentsReused, ComponentsClustered int64
+	LastSurveyMS                                           float64
+	LastTriangles                                          int
+}
+
+func surveyBlockOf(st StatsOut) statsSurveyBlock {
+	return statsSurveyBlock{
+		st.Cycles, st.SurveysReused, st.DeltaCycles, st.FullResurveys,
+		st.TrianglesCached, st.TrianglesResurveyed, st.HyperCacheHits,
+		st.LastDirtyShards, st.LastDirtyVertices,
+		st.OrientEpoch, st.OrientPatchedEdges, st.OrientRebuilds,
+		st.LastCommunities, st.ComponentsReused, st.ComponentsClustered,
+		st.LastSurveyMS, st.LastTriangles,
+	}
+}
+
+// TestStatsReadOnePublishedCycle hammers /v1/stats while survey cycles
+// publish — each dirty cycle followed by a run of idle ones — and requires
+// every response to describe exactly one cycle: delta + full + reused ==
+// cycles, and the whole survey block equals what the results of cycles
+// 1..cycles add up to, gauges taken from result number `cycles` itself.
+func TestStatsReadOnePublishedCycle(t *testing.T) {
+	ds := snapshotDataset()
+	s, err := NewService(communityConfig())
+	if err != nil {
+		t.Fatal(err)
+	}
+	h := s.Handler()
+	var (
+		mu    sync.Mutex
+		reads []StatsOut
+		wg    sync.WaitGroup
+	)
+	stop := make(chan struct{})
+	for i := 0; i < 2; i++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for {
+				select {
+				case <-stop:
+					return
+				default:
+				}
+				rec := httptest.NewRecorder()
+				h.ServeHTTP(rec, httptest.NewRequest(http.MethodGet, "/v1/stats", nil))
+				var st StatsOut
+				if err := json.NewDecoder(rec.Body).Decode(&st); err != nil {
+					t.Error(err)
+					return
+				}
+				if st.DeltaCycles+st.FullResurveys+st.SurveysReused != st.Cycles {
+					t.Errorf("%d delta + %d full + %d reused cycles != %d cycles",
+						st.DeltaCycles, st.FullResurveys, st.SurveysReused, st.Cycles)
+					return
+				}
+				mu.Lock()
+				reads = append(reads, st)
+				mu.Unlock()
+			}
+		}()
+	}
+
+	// want[c] is the survey block as of cycle c, built from the results.
+	want := []statsSurveyBlock{{}}
+	const batch, idle = 250, 300
+	for lo := 0; lo < len(ds.Comments); lo += batch {
+		s.Apply(ds.Comments[lo:min(lo+batch, len(ds.Comments))])
+		for k := 0; k <= idle; k++ {
+			sr, err := s.SurveyNow()
+			if err != nil {
+				t.Fatal(err)
+			}
+			b := want[len(want)-1]
+			b.Cycles++
+			switch {
+			case sr.Reused:
+				b.SurveysReused++
+			case sr.Delta:
+				b.DeltaCycles++
+			default:
+				b.FullResurveys++
+			}
+			if !sr.Reused {
+				b.TrianglesCached += int64(sr.CachedTriangles)
+				b.TrianglesResurveyed += int64(sr.ResurveyedTriangles)
+				b.HyperCacheHits += int64(sr.Result.HyperCacheHits)
+				b.ComponentsReused += int64(sr.ReusedComponents)
+				b.ComponentsClustered += int64(sr.ClusteredComponents)
+			}
+			b.LastDirtyShards, b.LastDirtyVertices = int64(sr.DirtyShards), int64(sr.DirtyVertices)
+			b.OrientEpoch, b.OrientPatchedEdges, b.OrientRebuilds = sr.OrientEpoch, sr.OrientPatchedEdges, sr.OrientRebuilds
+			b.LastCommunities = int64(sr.Communities)
+			b.LastSurveyMS = float64(sr.Duration) / 1e6
+			b.LastTriangles = len(sr.Result.Triangles)
+			if b.Cycles != sr.Cycle {
+				t.Fatalf("result numbered %d published as cycle %d", sr.Cycle, b.Cycles)
+			}
+			want = append(want, b)
+		}
+	}
+	close(stop)
+	wg.Wait()
+
+	if len(reads) == 0 {
+		t.Fatal("no /v1/stats read completed")
+	}
+	for _, st := range reads {
+		if got := surveyBlockOf(st); got != want[st.Cycles] {
+			t.Fatalf("stats read at cycle %d:\n got  %+v\n want %+v", st.Cycles, got, want[st.Cycles])
+		}
 	}
 }

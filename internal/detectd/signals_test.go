@@ -1,9 +1,9 @@
 // Tests for the daemon in multi-signal mode: with three coordination
 // signals fused into one live graph, the incremental survey machinery —
-// dirty-shard deltas, cached triangles, patched orientation, full-resurvey
-// baseline — must keep publishing results byte-identical to a full batch
-// survey of each cycle's snapshot, and the HTTP surface must report the
-// per-signal counters and signal mixes.
+// dirty-shard deltas, cached triangles, patched orientation — must keep
+// publishing results byte-identical to a full batch survey of each
+// cycle's snapshot, and the HTTP surface must report the per-signal
+// counters and signal mixes.
 package detectd
 
 import (
@@ -76,52 +76,12 @@ func TestMultiSignalDeltaMatchesFullOracle(t *testing.T) {
 	if surveyed < 10 {
 		t.Fatalf("stream too short: only %d live cycles", surveyed)
 	}
-	if s.DeltaCycles() == 0 || s.FullResurveys() != 1 {
-		t.Fatalf("path split wrong: %d delta, %d full", s.DeltaCycles(), s.FullResurveys())
+	last := s.Latest()
+	if tot := last.totals; tot.delta == 0 || tot.full != 1 {
+		t.Fatalf("path split wrong: %d delta, %d full", tot.delta, tot.full)
 	}
-	if s.OrientPatchedEdges() == 0 {
+	if last.OrientPatchedEdges == 0 {
 		t.Fatal("multi-signal eviction waves never patched the persistent orientation")
-	}
-}
-
-// TestMultiSignalFullResurveyMatchesDelta: the FullResurvey baseline and
-// the delta path agree cycle for cycle on the merged three-signal graph.
-func TestMultiSignalFullResurveyMatchesDelta(t *testing.T) {
-	ds := multiSignalDataset(0.03)
-	cfg := multiSignalConfig()
-	full := cfg
-	full.FullResurvey = true
-	a, err := NewService(cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	b, err := NewService(full)
-	if err != nil {
-		t.Fatal(err)
-	}
-	const batch = 400
-	for lo := 0; lo < len(ds.Comments); lo += batch {
-		hi := lo + batch
-		if hi > len(ds.Comments) {
-			hi = len(ds.Comments)
-		}
-		a.Apply(ds.Comments[lo:hi])
-		b.Apply(ds.Comments[lo:hi])
-		ra, err := a.SurveyNow()
-		if err != nil {
-			t.Fatal(err)
-		}
-		rb, err := b.SurveyNow()
-		if err != nil {
-			t.Fatal(err)
-		}
-		if rb.Delta {
-			t.Fatal("FullResurvey mode ran a delta cycle")
-		}
-		surveysEqual(t, ra.Cycle, ra.Result, rb.Result)
-	}
-	if a.DeltaCycles() == 0 {
-		t.Fatal("delta mode never took the incremental path")
 	}
 }
 
@@ -140,7 +100,6 @@ func TestMultiSignalHTTPSurface(t *testing.T) {
 		MinTriangleWeight: 2,
 		QueueSize:         16,
 		ClampLate:         true,
-		Sequential:        true,
 	})
 	if err != nil {
 		t.Fatal(err)

@@ -179,8 +179,11 @@ func TestIdleSurveyReusesResult(t *testing.T) {
 	if second.Cycle != first.Cycle+1 {
 		t.Fatalf("reused cycle numbering broken: %d after %d", second.Cycle, first.Cycle)
 	}
-	if s.SurveysReused() != 1 {
-		t.Fatalf("SurveysReused = %d, want 1", s.SurveysReused())
+	// Only the reuse count moves.
+	want := first.totals
+	want.reused++
+	if second.totals != want {
+		t.Fatalf("reused cycle totals %+v, want %+v", second.totals, want)
 	}
 
 	// One more comment invalidates the stamp.

@@ -106,12 +106,8 @@ func Run(opts Options) error {
 
 	// Partitioned ingest: keep only owned pages; authors interned
 	// rank-locally (names resolved back at send time).
-	type entry struct {
-		author interner.ID
-		ts     int64
-	}
 	authors, pageIDs := interner.New(0), interner.New(0)
-	var pages [][]entry // by page ID
+	var pages [][]graph.AuthorTime // by page ID
 	f, err := os.Open(opts.Input)
 	if err != nil {
 		return err
@@ -124,7 +120,7 @@ func Run(opts Options) error {
 		if int(p) == len(pages) {
 			pages = append(pages, nil)
 		}
-		pages[p] = append(pages[p], entry{author: authors.InternBytes(author), ts: ts})
+		pages[p] = append(pages[p], graph.AuthorTime{Author: authors.InternBytes(author), TS: ts})
 		return nil
 	})
 	f.Close()
@@ -132,40 +128,25 @@ func Run(opts Options) error {
 		return err
 	}
 
-	// Project owned pages; reduce by name.
-	pairSeen := make(map[uint64]struct{})
-	pageAuthors := make(map[interner.ID]struct{})
+	// Project owned pages; reduce by name. Exclusions were applied by name
+	// at ingest, so the pair rule runs unscoped.
+	pairs := make(map[uint64]struct{})
+	pageAuthors := make(map[graph.VertexID]struct{})
 	for _, es := range pages {
 		sort.Slice(es, func(i, j int) bool {
-			if es[i].ts != es[j].ts {
-				return es[i].ts < es[j].ts
+			if es[i].TS != es[j].TS {
+				return es[i].TS < es[j].TS
 			}
-			return es[i].author < es[j].author
+			return es[i].Author < es[j].Author
 		})
-		clear(pairSeen)
+		clear(pairs)
 		clear(pageAuthors)
-		for i := 0; i < len(es); i++ {
-			for j := i + 1; j < len(es); j++ {
-				d := es[j].ts - es[i].ts
-				if d >= opts.Window.Max {
-					break
-				}
-				if d < opts.Window.Min || es[i].author == es[j].author {
-					continue
-				}
-				a, b := es[i].author, es[j].author
-				if a > b {
-					a, b = b, a
-				}
-				key := uint64(a)<<32 | uint64(b)
-				if _, dup := pairSeen[key]; dup {
-					continue
-				}
-				pairSeen[key] = struct{}{}
-				edges.AsyncAdd(edgeKey(authors.Name(a), authors.Name(b)), 1)
-				pageAuthors[a] = struct{}{}
-				pageAuthors[b] = struct{}{}
-			}
+		projection.PagePairs(es, opts.Window, projection.Options{}, pairs)
+		for key := range pairs {
+			a, b := graph.UnpackEdge(key)
+			edges.AsyncAdd(edgeKey(authors.Name(a), authors.Name(b)), 1)
+			pageAuthors[a] = struct{}{}
+			pageAuthors[b] = struct{}{}
 		}
 		for a := range pageAuthors {
 			counts.AsyncAdd(authors.Name(a), 1)

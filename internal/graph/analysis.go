@@ -194,30 +194,3 @@ func MaxCliqueSize(g *CIGraph) int {
 	bk(0, p, make(map[int32]bool))
 	return best
 }
-
-// InducedSubgraph returns the CI subgraph induced on the given authors.
-// Page counts are restricted to the same author set.
-func InducedSubgraph(g *CIGraph, authors map[VertexID]bool) *CIGraph {
-	out := NewCIGraph()
-	for key, w := range g.edges {
-		u, v := UnpackEdge(key)
-		if authors[u] && authors[v] {
-			out.edges[key] = w
-		}
-	}
-	for a := range authors {
-		if pc, ok := g.pageCounts[a]; ok {
-			out.pageCounts[a] = pc
-		}
-	}
-	return out
-}
-
-// WeightHistogram returns counts of edges per weight value.
-func WeightHistogram(g *CIGraph) map[uint32]int {
-	h := make(map[uint32]int)
-	for _, w := range g.edges {
-		h[w]++
-	}
-	return h
-}

@@ -24,7 +24,7 @@ type VertexID = uint32
 // (shared URLs, hashtags, reply target). It is nil for the plain
 // co-comment workload, so existing code paths and literals are
 // unaffected; only signal-aware projectors look at it. The BTM itself
-// indexes pages only — Comments() and FilterAuthors drop attrs, which is
+// indexes pages only — Comments() drops attrs, which is
 // fine because every non-page signal is projected straight from the
 // comment stream, never from the BTM.
 type Comment struct {
@@ -244,19 +244,4 @@ func (b *BTM) Comments() []Comment {
 		}
 	}
 	return out
-}
-
-// FilterAuthors returns a new BTM with all comments by the given authors
-// removed. This is the paper's §3 exclusion step (AutoModerator, [deleted])
-// and the §2.4 refinement loop (drop ruled-out authors and re-project).
-func (b *BTM) FilterAuthors(exclude map[VertexID]bool) *BTM {
-	kept := make([]Comment, 0, b.numEdges)
-	for p := 0; p < b.numPages; p++ {
-		for _, at := range b.pageEntries[b.pageOff[p]:b.pageOff[p+1]] {
-			if !exclude[at.Author] {
-				kept = append(kept, Comment{Author: at.Author, Page: VertexID(p), TS: at.TS})
-			}
-		}
-	}
-	return BuildBTM(kept, b.numAuthors, b.numPages)
 }

@@ -102,21 +102,6 @@ func TestBTMCommentsRoundTrip(t *testing.T) {
 	}
 }
 
-func TestBTMFilterAuthors(t *testing.T) {
-	b := BuildBTM(sampleComments(), 0, 0)
-	f := b.FilterAuthors(map[VertexID]bool{0: true})
-	if f.NumEdges() != 4 {
-		t.Fatalf("filtered edges = %d, want 4", f.NumEdges())
-	}
-	if f.PageCount(0) != 0 {
-		t.Fatalf("excluded author still has pages: %d", f.PageCount(0))
-	}
-	// Dimensions preserved so IDs stay valid.
-	if f.NumAuthors() != b.NumAuthors() || f.NumPages() != b.NumPages() {
-		t.Fatal("filter changed graph dimensions")
-	}
-}
-
 func TestBTMEmpty(t *testing.T) {
 	b := BuildBTM(nil, 0, 0)
 	if b.NumAuthors() != 0 || b.NumPages() != 0 || b.NumEdges() != 0 {

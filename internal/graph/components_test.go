@@ -182,29 +182,3 @@ func TestQuickDegeneracyBoundsClique(t *testing.T) {
 		t.Fatal(err)
 	}
 }
-
-func TestInducedSubgraph(t *testing.T) {
-	g := NewCIGraph()
-	g.AddEdgeWeight(1, 2, 3)
-	g.AddEdgeWeight(2, 3, 4)
-	g.AddPageCount(1, 7)
-	g.AddPageCount(3, 9)
-	sub := InducedSubgraph(g, map[VertexID]bool{1: true, 2: true})
-	if sub.NumEdges() != 1 || sub.Weight(1, 2) != 3 {
-		t.Fatal("induced subgraph edges wrong")
-	}
-	if sub.PageCount(1) != 7 || sub.PageCount(3) != 0 {
-		t.Fatal("induced subgraph page counts wrong")
-	}
-}
-
-func TestWeightHistogram(t *testing.T) {
-	g := NewCIGraph()
-	g.AddEdgeWeight(1, 2, 3)
-	g.AddEdgeWeight(2, 3, 3)
-	g.AddEdgeWeight(3, 4, 7)
-	h := WeightHistogram(g)
-	if h[3] != 2 || h[7] != 1 {
-		t.Fatalf("histogram = %v", h)
-	}
-}

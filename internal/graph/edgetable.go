@@ -99,9 +99,6 @@ func (t *EdgeTable) alloc(capacity int) {
 // Len returns the number of live entries.
 func (t *EdgeTable) Len() int { return t.n }
 
-// Cap returns the current slot capacity (a power of two).
-func (t *EdgeTable) Cap() int { return len(t.keys) }
-
 // NumSignals returns the breakdown lane count (0 when untracked).
 func (t *EdgeTable) NumSignals() int { return t.nsig }
 
@@ -364,19 +361,14 @@ func (t *EdgeTable) AddBatch(deltas []EdgeDelta, sig []uint32) {
 }
 
 // SubBatch withdraws a batch of decrements — the eviction-wave
-// counterpart of AddBatch, zero-alloc. sig follows the AddBatch layout;
-// record, when non-nil, observes each total's old→new transition. Each
-// key must appear at most once per batch (the one-patch-per-edge-per-wave
-// contract downstream patch consumers rely on). Panics on underflow.
-func (t *EdgeTable) SubBatch(deltas []EdgeDelta, sig []uint32, record func(key uint64, old, new uint32)) {
+// counterpart of AddBatch, zero-alloc. sig follows the AddBatch layout.
+// Panics on underflow.
+func (t *EdgeTable) SubBatch(deltas []EdgeDelta, sig []uint32) {
 	for k, d := range deltas {
 		var dec []uint32
 		if sig != nil && t.nsig > 0 {
 			dec = sig[k*t.nsig : (k+1)*t.nsig]
 		}
-		old, new := t.Sub(d.Key, d.W, dec)
-		if record != nil {
-			record(d.Key, old, new)
-		}
+		t.Sub(d.Key, d.W, dec)
 	}
 }

@@ -2,6 +2,7 @@ package graph
 
 import (
 	"math/rand"
+	"slices"
 	"testing"
 )
 
@@ -145,8 +146,7 @@ func TestEdgeTableRandomOps(t *testing.T) {
 }
 
 // TestEdgeTableBatchMatchesScalar: AddBatch/SubBatch with stride-nsig
-// attribution equal the scalar ops, and SubBatch records one old→new
-// transition per key.
+// attribution equal the scalar ops.
 func TestEdgeTableBatchMatchesScalar(t *testing.T) {
 	const nsig = 3
 	rng := rand.New(rand.NewSource(42))
@@ -195,8 +195,8 @@ func TestEdgeTableBatchMatchesScalar(t *testing.T) {
 		return true
 	})
 
-	// Withdraw half of each entry, then the rest — ends empty, with every
-	// transition recorded exactly once per key per batch.
+	// Withdraw half of each entry, then the rest — equal to the scalar Sub
+	// after each pass, and empty at the end.
 	for pass := 0; pass < 2; pass++ {
 		var sub []EdgeDelta
 		var subSig []uint32
@@ -217,23 +217,20 @@ func TestEdgeTableBatchMatchesScalar(t *testing.T) {
 			}
 			sub = append(sub, EdgeDelta{Key: d.Key, W: tot})
 			subSig = append(subSig, dec[:]...)
+			scalar.Sub(d.Key, tot, dec[:])
 		}
-		got := make(map[uint64]int)
-		calls := 0
-		batch.SubBatch(sub, subSig, func(key uint64, old, new uint32) {
-			// Callbacks fire in batch order, so calls indexes the delta.
-			if key != sub[calls].Key || old-new != sub[calls].W {
-				t.Fatalf("call %d: key %#x transition %d→%d, want key %#x dec %d",
-					calls, key, old, new, sub[calls].Key, sub[calls].W)
+		batch.SubBatch(sub, subSig)
+		if batch.Len() != scalar.Len() {
+			t.Fatalf("pass %d: SubBatch Len %d != scalar %d", pass, batch.Len(), scalar.Len())
+		}
+		scalar.ForEach(func(key uint64, w uint32) bool {
+			batch.SignalShares(key, bs)
+			scalar.SignalShares(key, ss)
+			if bw := batch.Get(key); bw != w || !slices.Equal(bs, ss) {
+				t.Fatalf("pass %d key %#x: SubBatch %d %v != scalar %d %v", pass, key, bw, bs, w, ss)
 			}
-			calls++
-			got[key]++
+			return true
 		})
-		for _, d := range sub {
-			if got[d.Key] != 1 {
-				t.Fatalf("pass %d: key %#x recorded %d times", pass, d.Key, got[d.Key])
-			}
-		}
 	}
 	if batch.Len() != 0 {
 		t.Fatalf("table not empty after full withdrawal: %d entries", batch.Len())

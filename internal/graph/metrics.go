@@ -2,8 +2,8 @@ package graph
 
 // Component-level structural metrics used when characterizing detected
 // networks: the paper contrasts the GPT-2 ring ("appears to be more
-// sparse") with the reshare ring's tight clique; eccentricity and strength
-// distributions quantify those contrasts.
+// sparse") with the reshare ring's tight clique; eccentricity quantifies
+// that contrast.
 
 // BFSDistances returns hop distances from src (dense vertex) to every
 // dense vertex; unreachable vertices get -1.
@@ -45,21 +45,6 @@ func Diameter(adj *Adjacency) int {
 	return best
 }
 
-// Strength returns each dense vertex's weighted degree (sum of incident
-// edge weights).
-func Strength(adj *Adjacency) []uint64 {
-	n := adj.NumVertices()
-	out := make([]uint64, n)
-	for v := int32(0); v < int32(n); v++ {
-		var s uint64
-		for _, w := range adj.Weights(v) {
-			s += uint64(w)
-		}
-		out[v] = s
-	}
-	return out
-}
-
 // ComponentDiameter computes the hop diameter of one component.
 func ComponentDiameter(c *Component) int {
 	g := NewCIGraph()
@@ -67,15 +52,6 @@ func ComponentDiameter(c *Component) int {
 		g.AddEdgeWeight(e.U, e.V, e.W)
 	}
 	return Diameter(g.BuildAdjacency())
-}
-
-// DegreeHistogram returns counts of vertices per degree.
-func DegreeHistogram(adj *Adjacency) map[int]int {
-	h := make(map[int]int)
-	for v := int32(0); v < int32(adj.NumVertices()); v++ {
-		h[adj.Degree(v)]++
-	}
-	return h
 }
 
 // WeightedModularity computes the weighted Newman modularity of a
@@ -91,9 +67,9 @@ func DegreeHistogram(adj *Adjacency) map[int]int {
 // optimizes CPM, so modularity is an independent check, not the
 // objective.
 func WeightedModularity(v CIView, comm map[VertexID]int) float64 {
-	var m float64           // total edge weight (each edge once)
-	win := map[int]float64{}  // internal weight per community
-	deg := map[int]float64{}  // weighted degree per community
+	var m float64            // total edge weight (each edge once)
+	win := map[int]float64{} // internal weight per community
+	deg := map[int]float64{} // weighted degree per community
 	// Singleton fallbacks get negative IDs so they never collide with
 	// caller-assigned community indices.
 	next := -1

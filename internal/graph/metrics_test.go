@@ -54,18 +54,6 @@ func TestDiameter(t *testing.T) {
 	}
 }
 
-func TestStrength(t *testing.T) {
-	g := pathGraph(3) // edges 0-1 (w1), 1-2 (w2)
-	adj := g.BuildAdjacency()
-	s := Strength(adj)
-	if s[adj.Dense[1]] != 3 {
-		t.Fatalf("strength(1) = %d, want 3", s[adj.Dense[1]])
-	}
-	if s[adj.Dense[0]] != 1 || s[adj.Dense[2]] != 2 {
-		t.Fatalf("end strengths wrong: %v", s)
-	}
-}
-
 func TestComponentDiameter(t *testing.T) {
 	c := &Component{
 		Authors: []VertexID{1, 2, 3},
@@ -76,16 +64,9 @@ func TestComponentDiameter(t *testing.T) {
 	}
 }
 
-func TestDegreeHistogram(t *testing.T) {
-	h := DegreeHistogram(pathGraph(4).BuildAdjacency())
-	if h[1] != 2 || h[2] != 2 {
-		t.Fatalf("histogram = %v", h)
-	}
-}
-
 func TestQuickDiameterBounds(t *testing.T) {
 	// For connected graphs: diameter <= n-1, and diameter >= 1 when an
-	// edge exists; strength sums to 2 * total edge weight.
+	// edge exists.
 	f := func(seed int64) bool {
 		rng := rand.New(rand.NewSource(seed))
 		n := rng.Intn(12) + 2
@@ -100,20 +81,8 @@ func TestQuickDiameterBounds(t *testing.T) {
 				g.AddEdgeWeight(u, v, 1)
 			}
 		}
-		adj := g.BuildAdjacency()
-		d := Diameter(adj)
-		if d < 1 || d > n-1 {
-			return false
-		}
-		var totalStrength uint64
-		for _, s := range Strength(adj) {
-			totalStrength += s
-		}
-		var totalWeight uint64
-		for _, e := range g.Edges() {
-			totalWeight += uint64(e.W)
-		}
-		return totalStrength == 2*totalWeight
+		d := Diameter(g.BuildAdjacency())
+		return d >= 1 && d <= n-1
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 40}); err != nil {
 		t.Fatal(err)

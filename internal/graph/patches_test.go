@@ -166,77 +166,3 @@ func TestEdgePatchesOnThresholdChain(t *testing.T) {
 		prev, prevPruned = cur, pruned
 	}
 }
-
-// TestSubShardBatchPatches: the patch-recording variant leaves the store
-// exactly as SubShardBatch would and records exactly one TOTAL-weight
-// old→new transition per withdrawn edge per wave — on a signal-tracking
-// store too, where the per-signal shares are withdrawn in the same probe
-// and never surface as patches of their own. Page decrements record none.
-func TestSubShardBatchPatches(t *testing.T) {
-	for _, nsig := range []int{0, 2} {
-		g, _, wave := seedWaveStore(nsig, 11)
-		plain, _, _ := seedWaveStore(nsig, 11)
-		before := edgeMapOf(g.Snapshot())
-		beforeV := g.Version()
-		var patches []EdgePatch
-		for i := range wave.touched() {
-			patches = g.SubShardBatchPatches(i, wave.edges[i], wave.sig[i], wave.pages[i], patches)
-			plain.SubShardBatch(i, wave.edges[i], wave.sig[i], wave.pages[i])
-		}
-		if bumps := g.Version() - beforeV; bumps != uint64(len(wave.touched())) {
-			t.Fatalf("nsig=%d: wave bumped version %d times over %d touched shards", nsig, bumps, len(wave.touched()))
-		}
-		if !plain.Equal(g) {
-			t.Fatalf("nsig=%d: SubShardBatchPatches left a different store than SubShardBatch", nsig)
-		}
-
-		want := make(map[uint64]EdgePatch)
-		for i, ds := range wave.edges {
-			for k, d := range ds {
-				u, v := UnpackEdge(d.Key)
-				want[d.Key] = EdgePatch{U: u, V: v, Old: before[d.Key], New: before[d.Key] - d.W}
-				if nsig == 0 {
-					continue
-				}
-				// Shares started at 3/2 and go with the total.
-				shares := wave.sig[i][k*nsig : (k+1)*nsig]
-				got := g.SignalWeights(u, v)
-				if d.W == before[d.Key] {
-					shares = []uint32{3, 2} // deleted slot: lanes cleared
-				}
-				if got[0] != 3-shares[0] || got[1] != 2-shares[1] {
-					t.Fatalf("edge {%d,%d}: shares %v after withdrawing %v from [3 2]", u, v, got, shares)
-				}
-			}
-		}
-		if len(patches) != len(want) {
-			t.Fatalf("nsig=%d: got %d patches for %d withdrawn edges", nsig, len(patches), len(want))
-		}
-		SortEdgePatches(patches)
-		mirror := before
-		applyPatches(t, mirror, patches)
-		for _, p := range patches {
-			if p != want[PackEdge(p.U, p.V)] {
-				t.Fatalf("nsig=%d: patch %+v, want %+v", nsig, p, want[PackEdge(p.U, p.V)])
-			}
-		}
-		after := edgeMapOf(g.Snapshot())
-		if len(after) != len(mirror) {
-			t.Fatalf("nsig=%d: replayed patches give %d edges, store has %d", nsig, len(mirror), len(after))
-		}
-		for key, w := range after {
-			if mirror[key] != w {
-				t.Fatalf("nsig=%d: replayed patches give edge %d weight %d, store has %d", nsig, key, mirror[key], w)
-			}
-		}
-
-		// A page-only wave records nothing; an empty one returns out as is.
-		pv := VertexID(1) // odd authors were not in the wave: count still 4
-		if got := g.SubShardBatchPatches(g.VertexShard(pv), nil, nil, []PageDelta{{V: pv, N: 1}}, nil); len(got) != 0 {
-			t.Fatalf("nsig=%d: page-only wave recorded %d patches", nsig, len(got))
-		}
-		if got := g.SubShardBatchPatches(0, nil, nil, nil, patches); len(got) != len(patches) {
-			t.Fatalf("nsig=%d: empty wave changed the patch list", nsig)
-		}
-	}
-}

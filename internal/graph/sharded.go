@@ -215,35 +215,13 @@ func (g *ShardedCI) SetPageCount(u VertexID, n uint32) {
 // one lock acquisition and one version bump: edge decrements (with
 // optional stride-NumSignals share attribution, as in
 // EdgeTable.SubBatch), then page-count decrements, entries deleted at
-// zero. Each edge key must appear at most once per batch. The shard's
-// dirty version advances once per wave, not once per pair, so downstream
-// delta surveys see one coherent dirty unit. Panics on underflow (leaving
-// the shard unlocked). Keys routed to the wrong shard are a caller bug and
-// would silently corrupt lookups; callers route with EdgeShard /
-// VertexShard. This is the eviction-wave primitive of the sliding
-// projector.
+// zero. The shard's dirty version advances once per wave, not once per
+// pair, so downstream delta surveys see one coherent dirty unit. Panics on
+// underflow (leaving the shard unlocked). Keys routed to the wrong shard
+// are a caller bug and would silently corrupt lookups; callers route with
+// EdgeShard / VertexShard. This is the eviction-wave primitive of the
+// sliding projector.
 func (g *ShardedCI) SubShardBatch(i int, edges []EdgeDelta, sig []uint32, pages []PageDelta) {
-	g.subShardBatch(i, edges, sig, pages, nil)
-}
-
-// SubShardBatchPatches is SubShardBatch with the withdrawn TOTAL-weight
-// transitions appended to out: one EdgePatch {U, V, Old, New} per edge per
-// batch, recorded under the shard lock, regardless of how many signals
-// contributed — patch consumers (tripoll.Oriented.ApplyPatches via
-// SortEdgePatches) require each edge at most once per batch. Page-count
-// decrements produce no patches (P' drift never changes the edge set).
-func (g *ShardedCI) SubShardBatchPatches(i int, edges []EdgeDelta, sig []uint32, pages []PageDelta, out []EdgePatch) []EdgePatch {
-	if len(edges) == 0 && len(pages) == 0 {
-		return out
-	}
-	g.subShardBatch(i, edges, sig, pages, func(key uint64, old, new uint32) {
-		u, v := UnpackEdge(key)
-		out = append(out, EdgePatch{U: u, V: v, Old: old, New: new})
-	})
-	return out
-}
-
-func (g *ShardedCI) subShardBatch(i int, edges []EdgeDelta, sig []uint32, pages []PageDelta, record func(key uint64, old, new uint32)) {
 	if len(edges) == 0 && len(pages) == 0 {
 		return
 	}
@@ -251,7 +229,7 @@ func (g *ShardedCI) subShardBatch(i int, edges []EdgeDelta, sig []uint32, pages 
 	sh.mu.Lock()
 	defer sh.mu.Unlock()
 	sh.own()
-	sh.edges.SubBatch(edges, sig, record)
+	sh.edges.SubBatch(edges, sig)
 	for _, p := range pages {
 		cur, ok := sh.pages[p.V]
 		if !ok || cur < p.N {

@@ -229,9 +229,26 @@ func seedWaveStore(nsig int, seed int64) (*ShardedCI, *CIGraph, shardWave) {
 
 // TestSubShardBatch: a batched per-shard decrement wave equals the same
 // decrements applied pairwise (entries deleted at zero), bumps each
-// touched shard's version exactly once, and panics on underflow like
+// touched shard's version exactly once, withdraws per-signal shares in the
+// same probe on a signal-tracking store, and panics on underflow like
 // SubEdgeWeight — leaving the shard unlocked.
 func TestSubShardBatch(t *testing.T) {
+	// Signal tracking: the shares (3/2, see seedWaveStore) go with the
+	// total, down to zero for a slot withdrawn whole.
+	sg, _, swave := seedWaveStore(2, 11)
+	for i := range swave.touched() {
+		sg.SubShardBatch(i, swave.edges[i], swave.sig[i], swave.pages[i])
+	}
+	for i, ds := range swave.edges {
+		for k, d := range ds {
+			u, v := UnpackEdge(d.Key)
+			shares := swave.sig[i][k*2 : (k+1)*2]
+			if got := sg.SignalWeights(u, v); got[0] != 3-shares[0] || got[1] != 2-shares[1] {
+				t.Fatalf("edge {%d,%d}: shares %v after withdrawing %v from [3 2]", u, v, got, shares)
+			}
+		}
+	}
+
 	g, ref, wave := seedWaveStore(0, 11)
 	touched := wave.touched()
 	before := g.Version()

@@ -344,20 +344,3 @@ func compareTriplets(a, b Triplet) int {
 func SortScores(ss []Score) {
 	slices.SortFunc(ss, compareScores)
 }
-
-// TopKByWeight returns the k scores with the largest hyperedge weight,
-// ties broken by triplet order. The input is not modified.
-func TopKByWeight(ss []Score, k int) []Score {
-	out := make([]Score, len(ss))
-	copy(out, ss)
-	slices.SortFunc(out, func(a, b Score) int {
-		if c := cmp.Compare(b.W, a.W); c != 0 {
-			return c
-		}
-		return compareTriplets(a.Triplet, b.Triplet)
-	})
-	if k < len(out) {
-		out = out[:k]
-	}
-	return out
-}

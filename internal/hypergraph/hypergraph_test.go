@@ -339,21 +339,6 @@ func TestEvaluateAllEmpty(t *testing.T) {
 	}
 }
 
-func TestTopKByWeight(t *testing.T) {
-	ss := []Score{
-		{Triplet: NewTriplet(1, 2, 3), W: 5},
-		{Triplet: NewTriplet(4, 5, 6), W: 9},
-		{Triplet: NewTriplet(7, 8, 9), W: 1},
-	}
-	top := TopKByWeight(ss, 2)
-	if len(top) != 2 || top[0].W != 9 || top[1].W != 5 {
-		t.Fatalf("TopK = %+v", top)
-	}
-	if ss[0].W != 5 {
-		t.Fatal("input mutated")
-	}
-}
-
 func TestQuickHypergraphInvariants(t *testing.T) {
 	// Properties: w_xyz <= min(p_x,p_y,p_z); C in [0,1]; w matches a
 	// brute-force recount; windowed <= unwindowed, monotone in delta.

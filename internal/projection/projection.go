@@ -68,10 +68,12 @@ func (o Options) skip(a graph.VertexID) bool {
 	return o.Restrict != nil && !o.Restrict[a]
 }
 
-// pagePairs appends to pairs every unordered author pair of the page
+// PagePairs appends to pairs every unordered author pair of the page
 // neighborhood (time-sorted) whose delay lies in w, skipping out-of-scope
-// authors and self-pairs.
-func pagePairs(nbhd []graph.AuthorTime, w Window, opts Options, pairs map[uint64]struct{}) {
+// authors and self-pairs: Algorithm 1's pair rule for one page, shared by
+// every batch projection, in-process or distributed (ygmnet, distrank).
+// pairs dedupes, so a pair counts once per page however often it repeats.
+func PagePairs(nbhd []graph.AuthorTime, w Window, opts Options, pairs map[uint64]struct{}) {
 	for i := 0; i < len(nbhd); i++ {
 		ai := nbhd[i].Author
 		if opts.skip(ai) {
@@ -132,7 +134,7 @@ func ProjectSequential(b *graph.BTM, w Window, opts Options) (*graph.CIGraph, er
 	pairs := make(map[uint64]struct{})
 	for p := 0; p < b.NumPages(); p++ {
 		clear(pairs)
-		pagePairs(b.PageNeighborhood(graph.VertexID(p)), w, opts, pairs)
+		PagePairs(b.PageNeighborhood(graph.VertexID(p)), w, opts, pairs)
 		accumulatePage(g, pairs)
 	}
 	return g, nil
@@ -198,7 +200,7 @@ func ProjectBucketed(b *graph.BTM, buckets []Window, opts Options) (*graph.CIGra
 		nbhd := b.PageNeighborhood(graph.VertexID(p))
 		for _, bw := range buckets {
 			clear(bucketPairs)
-			pagePairs(nbhd, bw, opts, bucketPairs)
+			PagePairs(nbhd, bw, opts, bucketPairs)
 			for key := range bucketPairs {
 				union[key] = struct{}{}
 			}

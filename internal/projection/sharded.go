@@ -108,7 +108,7 @@ func projectObjectsSharded(g *graph.ShardedCI, si, numObjects int, nbhd func(int
 			authors := make(map[graph.VertexID]struct{})
 			for pg := r; pg < numObjects; pg += nr {
 				clear(pairs)
-				pagePairs(nbhd(pg), w, opts, pairs)
+				PagePairs(nbhd(pg), w, opts, pairs)
 				if len(pairs) == 0 {
 					continue
 				}

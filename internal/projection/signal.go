@@ -342,7 +342,7 @@ func ProjectSignals(comments []graph.Comment, sigs []Signal, opts Options) (*gra
 		w, wgt := sig.Window(), sig.Weight()
 		for o := 0; o < idx.NumObjects(); o++ {
 			clear(pairs)
-			pagePairs(idx.Neighborhood(o), w, opts, pairs)
+			PagePairs(idx.Neighborhood(o), w, opts, pairs)
 			accumulateObject(g, pairs, wgt, si)
 		}
 	}

@@ -130,22 +130,3 @@ func (s Summary) String() string {
 	return fmt.Sprintf("n=%d mean=%.4g min=%.4g p25=%.4g med=%.4g p75=%.4g max=%.4g",
 		s.N, s.Mean, s.Min, s.P25, s.Median, s.P75, s.Max)
 }
-
-// FractionAtOrBelow returns the fraction of ys[i] <= xs[i] — used to check
-// the paper's observation that hyperedge weights usually do not exceed the
-// CI minimum triangle weight for long windows.
-func FractionAtOrBelow(xs, ys []float64) float64 {
-	if len(xs) != len(ys) {
-		panic("stats: length mismatch")
-	}
-	if len(xs) == 0 {
-		return math.NaN()
-	}
-	n := 0
-	for i := range xs {
-		if ys[i] <= xs[i] {
-			n++
-		}
-	}
-	return float64(n) / float64(len(xs))
-}

@@ -77,17 +77,6 @@ func TestSummarize(t *testing.T) {
 	}
 }
 
-func TestFractionAtOrBelow(t *testing.T) {
-	xs := []float64{1, 2, 3}
-	ys := []float64{1, 3, 2}
-	if f := FractionAtOrBelow(xs, ys); math.Abs(f-2.0/3.0) > 1e-12 {
-		t.Fatalf("fraction = %f", f)
-	}
-	if !math.IsNaN(FractionAtOrBelow(nil, nil)) {
-		t.Fatal("empty should be NaN")
-	}
-}
-
 func TestQuickPearsonBounds(t *testing.T) {
 	// Property: r ∈ [-1, 1] (or NaN) for random samples; symmetric.
 	f := func(seed int64) bool {

@@ -10,11 +10,13 @@ import (
 // TestEvictionWaveBatchesShardWrites pins the shard-aware eviction
 // batching: one eviction wave decrements many pairs but takes each store
 // shard's lock at most once, so the graph version — one bump per shard
-// write — advances by at most NumShards per wave, not per evicted pair.
+// write — advances by at most NumShards per wave, not per evicted pair;
+// and AddBatch, serial or parallel, applies ONE wave per call.
 func TestEvictionWaveBatchesShardWrites(t *testing.T) {
 	const shards = 4
 	w := projection.Window{Min: 0, Max: 60}
-	p, err := NewSlidingProjectorShards(w, 100, projection.Options{}, shards)
+	sigs := []SignalConfig{{Signal: projection.CoComment{W: w}}}
+	p, err := NewMultiSlidingProjectorWorkers(sigs, 100, projection.Options{}, shards, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -54,47 +56,57 @@ func TestEvictionWaveBatchesShardWrites(t *testing.T) {
 		t.Fatalf("evicted author still has page count %d", got)
 	}
 
-	// A batch below the parallel-dispatch threshold is still ONE wave on a
-	// single lane: eight bursts expiring five seconds apart, then 50 lone
-	// comments (no pairs, so no store increments) stepping the watermark
-	// through every expiry. Each shard the evictions touch advances once.
-	const base = 10_000
-	for b := 0; b < 8; b++ {
-		for a := 0; a < 6; a++ {
-			c := graph.Comment{Author: graph.VertexID(10*b + a), Page: graph.VertexID(b), TS: base + int64(5*b)}
-			if err := p.Add(c); err != nil {
-				t.Fatal(err)
+	// One AddBatch is ONE wave: eight bursts expiring five seconds apart,
+	// then lone comments (no pairs, so no store increments) stepping the
+	// watermark through every expiry. Each shard the evictions touch
+	// advances exactly once — on a single lane with a batch below the
+	// parallel-dispatch threshold, and across four workers' lanes.
+	for _, tc := range []struct {
+		name         string
+		workers, len int
+	}{
+		{"single-lane", 1, 50},
+		{"parallel", 4, 2 * minParallelBatch},
+	} {
+		p, err := NewMultiSlidingProjectorWorkers(sigs, 100, projection.Options{}, shards, tc.workers)
+		if err != nil {
+			t.Fatal(err)
+		}
+		const base = 10_000
+		for b := 0; b < 8; b++ {
+			for a := 0; a < 6; a++ {
+				c := graph.Comment{Author: graph.VertexID(10*b + a), Page: graph.VertexID(b), TS: base + int64(5*b)}
+				if err := p.Add(c); err != nil {
+					t.Fatal(err)
+				}
 			}
 		}
-	}
-	if p.LivePairs() != 8*15 {
-		t.Fatalf("bursts projected %d pairs, want %d", p.LivePairs(), 8*15)
-	}
-	small := make([]graph.Comment, 50)
-	for i := range small {
-		small[i] = graph.Comment{Author: graph.VertexID(2000 + i), Page: graph.VertexID(2000 + i), TS: base + 100 + int64(i)}
-	}
-	if len(small) >= minParallelBatch {
-		t.Fatal("batch is not below the dispatch threshold")
-	}
-	versions := p.Snapshot().ShardVersions()
-	if err := p.AddBatch(small); err != nil {
-		t.Fatal(err)
-	}
-	if p.LivePairs() != 0 || p.NumEdges() != 0 {
-		t.Fatalf("%d pairs, %d edges left after the small batch", p.LivePairs(), p.NumEdges())
-	}
-	touched := 0
-	for s, v := range p.Snapshot().ShardVersions() {
-		switch v - versions[s] {
-		case 0:
-		case 1:
-			touched++
-		default:
-			t.Fatalf("shard %d advanced %d versions over one small batch, want 1", s, v-versions[s])
+		if p.LivePairs() != 8*15 {
+			t.Fatalf("%s: bursts projected %d pairs, want %d", tc.name, p.LivePairs(), 8*15)
 		}
-	}
-	if touched == 0 {
-		t.Fatal("no shard advanced")
+		lone := make([]graph.Comment, tc.len)
+		for i := range lone {
+			lone[i] = graph.Comment{Author: graph.VertexID(2000 + i), Page: graph.VertexID(2000 + i), TS: base + 100 + int64(i)}
+		}
+		versions := p.Snapshot().ShardVersions()
+		if err := p.AddBatch(lone); err != nil {
+			t.Fatal(err)
+		}
+		if p.LivePairs() != 0 || p.NumEdges() != 0 {
+			t.Fatalf("%s: %d pairs, %d edges left after the batch", tc.name, p.LivePairs(), p.NumEdges())
+		}
+		touched := 0
+		for s, v := range p.Snapshot().ShardVersions() {
+			switch v - versions[s] {
+			case 0:
+			case 1:
+				touched++
+			default:
+				t.Fatalf("%s: shard %d advanced %d versions over one batch, want 1", tc.name, s, v-versions[s])
+			}
+		}
+		if touched == 0 {
+			t.Fatalf("%s: no shard advanced", tc.name)
+		}
 	}
 }

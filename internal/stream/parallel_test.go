@@ -2,8 +2,7 @@
 // workers >= 2 consuming batches through the lane dispatcher must be
 // state-identical, at every batch boundary, to the serial reference path
 // consuming the same batches — graph, per-signal attribution, gauges,
-// and object-state GC alike — and its per-batch eviction waves must keep
-// the one-sorted-patch-per-edge-per-wave sink contract.
+// and object-state GC alike.
 package stream
 
 import (
@@ -44,7 +43,7 @@ func TestAddBatchParallelMatchesSerial(t *testing.T) {
 	const horizon = 6 * 3600
 	opts := projection.Options{Exclude: ds.Helpers}
 
-	serial, err := NewMultiSlidingProjector(sigs, horizon, opts, 0)
+	serial, err := NewMultiSlidingProjectorWorkers(sigs, horizon, opts, 0, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -52,13 +51,13 @@ func TestAddBatchParallelMatchesSerial(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if par.Workers() != 4 || len(par.lanes) < 2 {
-		t.Fatalf("parallel projector not parallel: workers=%d lanes=%d", par.Workers(), len(par.lanes))
+	if par.workers != 4 || len(par.lanes) < 2 {
+		t.Fatalf("parallel projector not parallel: workers=%d lanes=%d", par.workers, len(par.lanes))
 	}
 
 	// ref takes the stream one comment at a time: the per-comment drain
 	// both batch paths must agree with at every batch boundary.
-	ref, err := NewMultiSlidingProjector(sigs, horizon, opts, 0)
+	ref, err := NewMultiSlidingProjectorWorkers(sigs, horizon, opts, 0, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -124,66 +123,6 @@ func compareProjectors(t *testing.T, bi int, serial, par *SlidingProjector, sigs
 	compareGauges(t, bi, serial, par)
 }
 
-// TestAddBatchParallelPatchSink: on the parallel path every batch's
-// evictions land as ONE wave, so the sink must see, per AddBatch call,
-// sorted patches with at most one entry per edge whose New value is
-// exactly the edge's post-batch total.
-func TestAddBatchParallelPatchSink(t *testing.T) {
-	ds := redditgen.Generate(redditgen.MultiSignalCampaign(0.04))
-	sigs := parallelTestSignals()
-	p, err := NewMultiSlidingProjectorWorkers(sigs, 2*3600, projection.Options{Exclude: ds.Helpers}, 0, 4)
-	if err != nil {
-		t.Fatal(err)
-	}
-	var pending [][]graph.EdgePatch
-	p.SetEvictionPatchSink(func(batch []graph.EdgePatch) {
-		cp := make([]graph.EdgePatch, len(batch))
-		copy(cp, batch)
-		pending = append(pending, cp)
-	})
-	waves := 0
-	for _, batch := range batchesOf(ds.Comments) {
-		pending = pending[:0]
-		if err := p.AddBatch(batch); err != nil {
-			t.Fatal(err)
-		}
-		// Batches under the dispatch threshold run the serial fallback
-		// (one wave per watermark advance, additions interleaved); the
-		// parallel path applies exactly one wave after all additions, so
-		// there each patch's New is the edge's settled post-batch weight.
-		parallelPath := len(batch) >= minParallelBatch
-		if parallelPath && len(pending) > 1 {
-			t.Fatalf("parallel batch emitted %d waves, want at most 1", len(pending))
-		}
-		for _, wavePatches := range pending {
-			waves++
-			seen := make(map[uint64]bool, len(wavePatches))
-			for i, pt := range wavePatches {
-				key := graph.PackEdge(pt.U, pt.V)
-				if seen[key] {
-					t.Fatalf("edge {%d,%d} patched twice in one wave", pt.U, pt.V)
-				}
-				seen[key] = true
-				if i > 0 {
-					prev := wavePatches[i-1]
-					if prev.U > pt.U || (prev.U == pt.U && prev.V >= pt.V) {
-						t.Fatalf("wave not sorted at %d: {%d,%d} after {%d,%d}", i, pt.U, pt.V, prev.U, prev.V)
-					}
-				}
-				if pt.New >= pt.Old {
-					t.Fatalf("eviction patch {%d,%d} does not decrement: %d -> %d", pt.U, pt.V, pt.Old, pt.New)
-				}
-				if got := p.EdgeWeight(pt.U, pt.V); parallelPath && got != pt.New {
-					t.Fatalf("edge {%d,%d}: patch closed at %d but live weight is %d", pt.U, pt.V, pt.New, got)
-				}
-			}
-		}
-	}
-	if waves == 0 {
-		t.Fatal("no eviction waves reached the sink")
-	}
-}
-
 // TestAddBatchOutOfOrderStopsAtOffender: an out-of-order comment inside a
 // parallel batch must return an error AND leave the projector in exactly
 // the state of the serial path fed the valid prefix.
@@ -202,7 +141,7 @@ func TestAddBatchOutOfOrderStopsAtOffender(t *testing.T) {
 	if err := par.AddBatch(batch); err == nil {
 		t.Fatal("out-of-order batch accepted")
 	}
-	serial, err := NewMultiSlidingProjector(sigs, 6*3600, projection.Options{}, 0)
+	serial, err := NewMultiSlidingProjectorWorkers(sigs, 6*3600, projection.Options{}, 0, 1)
 	if err != nil {
 		t.Fatal(err)
 	}

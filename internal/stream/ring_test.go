@@ -138,7 +138,7 @@ func TestRingsStayBoundedInsideOneBatch(t *testing.T) {
 		{"100x-horizon-inside-window", projection.Window{Min: 0, Max: 3600}, 600, 100 * 600},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
-			p, err := NewSlidingProjector(tc.w, tc.horizon, projection.Options{})
+			p, err := newSliding(tc.w, tc.horizon, projection.Options{})
 			if err != nil {
 				t.Fatal(err)
 			}

@@ -55,7 +55,7 @@ func TestMultiSlidingMatchesPerSignalBatch(t *testing.T) {
 		{Signal: projection.ReplyTarget{W: projection.Window{Min: 0, Max: 120}}, Horizon: 3 * 3600},
 	}
 	opts := projection.Options{Exclude: ds.Helpers}
-	p, err := NewMultiSlidingProjector(sigs, defHorizon, opts, 0)
+	p, err := NewMultiSlidingProjectorWorkers(sigs, defHorizon, opts, 0, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -111,75 +111,5 @@ func TestMultiSlidingMatchesPerSignalBatch(t *testing.T) {
 	}
 	if n := p.numObjectStates(); n != 0 {
 		t.Fatalf("after drain: %d object states leaked", n)
-	}
-}
-
-// TestMultiSlidingEvictionPatchesPerWave: with several signals
-// decrementing the same edges, each eviction wave still delivers at most
-// one patch per edge, sorted, with consistent old→new total transitions —
-// the contract the persistent oriented adjacency consumes.
-func TestMultiSlidingEvictionPatchesPerWave(t *testing.T) {
-	ds := redditgen.Generate(redditgen.MultiSignalCampaign(0.04))
-	sigs := []SignalConfig{
-		{Signal: projection.CoComment{W: projection.Window{Min: 0, Max: 60}}},
-		{Signal: projection.URLShare{W: projection.Window{Min: 0, Max: 300}}},
-		{Signal: projection.HashtagShare{W: projection.Window{Min: 0, Max: 300}}},
-	}
-	p, err := NewMultiSlidingProjector(sigs, 4*3600, projection.Options{Exclude: ds.Helpers}, 0)
-	if err != nil {
-		t.Fatal(err)
-	}
-	// lastNew tracks each edge's total after its latest patch. Between
-	// patches the weight only grows (additions), so every patch must open
-	// at or above where the previous one closed, and close strictly lower
-	// than it opened — a patch records a real decrement of the TOTAL, no
-	// matter how many signals contributed.
-	lastNew := make(map[uint64]uint32)
-	waves := 0
-	p.SetEvictionPatchSink(func(batch []graph.EdgePatch) {
-		waves++
-		seen := make(map[uint64]bool, len(batch))
-		for i, ep := range batch {
-			key := graph.PackEdge(ep.U, ep.V)
-			if seen[key] {
-				t.Fatalf("wave %d: edge {%d,%d} patched twice", waves, ep.U, ep.V)
-			}
-			seen[key] = true
-			if i > 0 {
-				prev := batch[i-1]
-				if prev.U > ep.U || (prev.U == ep.U && prev.V >= ep.V) {
-					t.Fatalf("wave %d: patches not sorted at %d", waves, i)
-				}
-			}
-			if ep.New >= ep.Old {
-				t.Fatalf("wave %d: edge {%d,%d} patch %d→%d is not a decrement", waves, ep.U, ep.V, ep.Old, ep.New)
-			}
-			if ep.Old < lastNew[key] {
-				t.Fatalf("wave %d: edge {%d,%d} opens at %d below previous close %d",
-					waves, ep.U, ep.V, ep.Old, lastNew[key])
-			}
-			lastNew[key] = ep.New
-		}
-	})
-	if err := p.AddAll(ds.Comments); err != nil {
-		t.Fatal(err)
-	}
-	if waves == 0 {
-		t.Fatal("stream produced no eviction waves")
-	}
-	// Drain completely: every live contribution must leave through the
-	// sink, so each patched edge's final transition lands on zero and the
-	// store empties.
-	if err := p.AdvanceTo(p.Watermark() + 5*3600); err != nil {
-		t.Fatal(err)
-	}
-	if p.NumEdges() != 0 {
-		t.Fatalf("after drain: %d edges still live", p.NumEdges())
-	}
-	for key, n := range lastNew {
-		if n != 0 {
-			u, v := graph.UnpackEdge(key)
-			t.Fatalf("edge {%d,%d} closed at %d after a full drain", u, v, n)
-		}
 	}
 }

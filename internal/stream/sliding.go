@@ -37,9 +37,12 @@
 // a free list, so steady-state ingest allocates nothing. All signals'
 // expired contributions in one watermark advance land as a single
 // shard-grouped eviction wave, so each touched shard's dirty version
-// advances once per wave — the unit the delta surveys and patch consumers
-// count on — and patches report total-weight transitions only (each edge
-// at most once per wave, no matter how many signals decremented it).
+// advances once per wave — the unit the delta surveys count on.
+//
+// Algorithm 1's pair rule (delay in [δ1, δ2), self-pairs skipped, each
+// pair counted once per object) has three implementations, one per
+// execution model: projection.PagePairs for batch sweeps, Projector for an
+// unbounded stream, and addToObject here for the sliding window.
 //
 // The serial Add path drains the rings before every comment and is the
 // reference. The batch path reads expiry where it reads a lease: a pairing
@@ -58,9 +61,8 @@
 // independent serial projector over its own objects, incrementing the
 // (concurrent-writer-safe) store directly and deferring its eviction
 // decrements to a lane-local wave. After the join, the lane waves merge
-// into one batch-wide eviction wave applied centrally, preserving the
-// one-patch-per-edge-per-wave contract. The final graph, gauges, and
-// per-object states are identical to the serial path; only the
+// into one batch-wide eviction wave applied centrally. The final graph,
+// gauges, and per-object states are identical to the serial path; only the
 // wave granularity (one per batch instead of one per watermark advance)
 // and thus the store's version-counter arithmetic differ.
 package stream
@@ -83,10 +85,9 @@ type SignalConfig struct {
 }
 
 // SlidingProjector maintains the CI graph of the trailing horizon of a
-// time-ordered comment stream. Create with NewSlidingProjector (single
-// default signal) or NewMultiSlidingProjector; feed with Add, AddBatch,
-// or AddAll (or advance idle time with AdvanceTo); read with Snapshot;
-// finalize with Result.
+// time-ordered comment stream. Create with NewMultiSlidingProjectorWorkers;
+// feed with Add, AddBatch, or AddAll (or advance idle time with
+// AdvanceTo); read with Snapshot; finalize with Result.
 //
 // The live graph is a sharded store (graph.ShardedCI) so Snapshot is
 // copy-on-write: O(shards) per call, with dirty shards recopied lazily by
@@ -131,10 +132,6 @@ type SlidingProjector struct {
 	outEdges []graph.EdgeDelta // one shard's aggregated decrements
 	outSig   []uint32          // stride len(sigs) shares, aligned with outEdges
 	outPages []graph.PageDelta
-
-	// patchSink, when set, receives every eviction wave's edge transitions
-	// as one sorted patch batch (SetEvictionPatchSink).
-	patchSink func([]graph.EdgePatch)
 }
 
 // sigMeta is one signal's immutable configuration plus the dispatcher's
@@ -261,41 +258,23 @@ func mix64(x uint64) uint64 {
 	return x ^ (x >> 31)
 }
 
-// NewSlidingProjector creates a sliding projector for window w over a
-// trailing horizon of event-time seconds. The horizon may be shorter than
-// w.Max (pairs then simply never outlive their own delay span), but must be
-// positive.
-func NewSlidingProjector(w projection.Window, horizon int64, opts projection.Options) (*SlidingProjector, error) {
-	return NewSlidingProjectorShards(w, horizon, opts, 0)
-}
-
-// NewSlidingProjectorShards is NewSlidingProjector with an explicit shard
-// count for the live CI store (rounded up to a power of two; <= 0 means
-// graph.DefaultShards). More shards lower the per-shard copy-on-write cost
-// a hot ingest pays after each snapshot, at slightly more per-snapshot
-// bookkeeping.
-func NewSlidingProjectorShards(w projection.Window, horizon int64, opts projection.Options, shards int) (*SlidingProjector, error) {
-	if err := w.Validate(); err != nil {
-		return nil, err
-	}
-	return NewMultiSlidingProjector([]SignalConfig{{Signal: projection.CoComment{W: w}}}, horizon, opts, shards)
-}
-
-// NewMultiSlidingProjector creates a sliding projector fanning the stream
-// out to the given signals, each evicting on its own horizon (0 = the
-// default horizon argument), merged into one live store. A single-signal
-// configuration tracks no breakdown and is bit-identical to the legacy
-// projector; with two or more signals the store attributes every edge's
-// weight per signal (graph.NewShardedCISignals).
-func NewMultiSlidingProjector(sigs []SignalConfig, horizon int64, opts projection.Options, shards int) (*SlidingProjector, error) {
-	return NewMultiSlidingProjectorWorkers(sigs, horizon, opts, shards, 1)
-}
-
-// NewMultiSlidingProjectorWorkers is NewMultiSlidingProjector with an
-// ingest parallelism degree: AddBatch dispatches batches across
-// object-striped lanes processed by up to `workers` goroutines. workers
-// <= 1 keeps the single-lane serial reference path. The projected graph
-// is identical either way; see the package comment.
+// NewMultiSlidingProjectorWorkers creates a sliding projector fanning the
+// stream out to the given signals (a single projection.CoComment{W: w} is
+// the paper's Algorithm 1 over window w), each evicting on its own horizon
+// (0 = the default horizon argument; every horizon must be positive, and
+// may be shorter than the signal's window, in which case pairs never
+// outlive their own delay span), merged into one live store. A
+// single-signal configuration tracks no breakdown; with two or more
+// signals the store attributes every edge's weight per signal
+// (graph.NewShardedCISignals).
+//
+// shards is the live store's shard count (rounded up to a power of two;
+// <= 0 means graph.DefaultShards): more shards lower the per-shard
+// copy-on-write cost a hot ingest pays after each snapshot. workers is the
+// ingest parallelism: AddBatch dispatches batches across object-striped
+// lanes processed by up to that many goroutines, and workers <= 1 keeps
+// the single-lane serial reference path. The projected graph is identical
+// either way; see the package comment.
 func NewMultiSlidingProjectorWorkers(sigs []SignalConfig, horizon int64, opts projection.Options, shards, workers int) (*SlidingProjector, error) {
 	ss := make([]projection.Signal, len(sigs))
 	for i, sc := range sigs {
@@ -372,9 +351,6 @@ func (p *SlidingProjector) Count() int64 { return p.count }
 // Watermark returns the event time the projector has advanced to (the
 // largest timestamp seen by Add/AdvanceTo; 0 before the first).
 func (p *SlidingProjector) Watermark() int64 { return p.lastTS }
-
-// Workers returns the configured ingest parallelism degree.
-func (p *SlidingProjector) Workers() int { return p.workers }
 
 // LivePairs returns the number of (signal, object, pair) contributions
 // currently in the graph; EvictedPairs the cumulative number aged out.
@@ -628,10 +604,9 @@ const minParallelBatch = 64
 // object-striped lanes — processed concurrently with workers >= 2,
 // inline otherwise — and all of the batch's evictions land as ONE merged
 // wave at the batch's final watermark: state-identical to the serial
-// path at every batch boundary, with the same
-// one-patch-per-edge-per-wave sink contract, but with the store-delta
-// application amortized over the whole batch instead of paid per
-// watermark advance. An out-of-order comment stops dispatch at that
+// path at every batch boundary, but with the store-delta application
+// amortized over the whole batch instead of paid per watermark advance
+// (each shard the evictions touch is written once). An out-of-order comment stops dispatch at that
 // comment: everything before it is applied, and the error is returned
 // after the joined lanes are consistent.
 func (p *SlidingProjector) AddBatch(batch []graph.Comment) error {
@@ -850,11 +825,7 @@ func dueAt(since []graph.Comment, due, wm int64) int64 {
 // shares, each log entry contributing its signal's weight — and the batch
 // is withdrawn under a single shard lock acquisition and version bump
 // (SubShardBatch). All sort and aggregation scratch is recycled between
-// waves. With a patch sink installed the per-shard withdrawals also
-// record each edge's TOTAL weight transition, and the wave's combined
-// batch is delivered to the sink sorted by (U, V) — one patch per edge
-// per wave regardless of how many signals contributed, preserving the
-// contract of graph.SortEdgePatches.
+// waves.
 func (p *SlidingProjector) applyWave(w *wave) {
 	ns := p.g.NumShards()
 
@@ -897,7 +868,6 @@ func (p *SlidingProjector) applyWave(w *wave) {
 	if p.track {
 		nsig = len(p.sigs)
 	}
-	var patches []graph.EdgePatch
 	prevE, prevP := 0, 0
 	for s := 0; s < ns; s++ {
 		seg := p.sortEdge[prevE:p.edgeOff[s]]
@@ -962,27 +932,8 @@ func (p *SlidingProjector) applyWave(w *wave) {
 		if nsig == 0 {
 			sig = nil
 		}
-		if p.patchSink != nil {
-			patches = p.g.SubShardBatchPatches(s, p.outEdges, sig, p.outPages, patches)
-		} else {
-			p.g.SubShardBatch(s, p.outEdges, sig, p.outPages)
-		}
+		p.g.SubShardBatch(s, p.outEdges, sig, p.outPages)
 	}
-	if p.patchSink != nil && len(patches) > 0 {
-		graph.SortEdgePatches(patches)
-		p.patchSink(patches)
-	}
-}
-
-// SetEvictionPatchSink installs a callback receiving each eviction wave's
-// edge-weight transitions as one sorted batch of explicit patches — the
-// feed a persistent oriented adjacency (tripoll.Oriented.ApplyPatches)
-// consumes to stay current without diffing snapshots. Page-count decay
-// produces no patches. The sink runs on the mutator goroutine (Add /
-// AdvanceTo / AddAll / AddBatch), so it must not call back into the
-// projector. Pass nil to detach.
-func (p *SlidingProjector) SetEvictionPatchSink(sink func([]graph.EdgePatch)) {
-	p.patchSink = sink
 }
 
 // Snapshot returns a copy-on-write snapshot of the current trailing-window

@@ -10,6 +10,13 @@ import (
 	"coordbot/internal/redditgen"
 )
 
+// newSliding is the projector most tests here drive: Algorithm 1 over
+// window w (the single co-comment signal) on the default shard count and
+// the single-lane serial reference path.
+func newSliding(w projection.Window, horizon int64, opts projection.Options) (*SlidingProjector, error) {
+	return NewMultiSlidingProjectorWorkers([]SignalConfig{{Signal: projection.CoComment{W: w}}}, horizon, opts, 0, 1)
+}
+
 // restrictedBatch projects, with the batch reference implementation, only
 // the comments still inside the horizon at watermark: TS > watermark-H.
 func restrictedBatch(t *testing.T, comments []graph.Comment, w projection.Window, watermark, horizon int64) *graph.CIGraph {
@@ -60,13 +67,13 @@ func TestSlidingMatchesBatchRestricted(t *testing.T) {
 		{"horizon-shorter-than-window-min-delay", projection.Window{Min: 5, Max: 900}, 300},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
-			p, err := NewSlidingProjector(tc.w, tc.horizon, projection.Options{})
+			p, err := newSliding(tc.w, tc.horizon, projection.Options{})
 			if err != nil {
 				t.Fatal(err)
 			}
 			// b takes the same stream through AddBatch, where expiry is read
 			// off the leases between drains.
-			b, err := NewSlidingProjector(tc.w, tc.horizon, projection.Options{})
+			b, err := newSliding(tc.w, tc.horizon, projection.Options{})
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -120,7 +127,7 @@ func TestSlidingMatchesBatchRandomStream(t *testing.T) {
 	rng := rand.New(rand.NewSource(7))
 	w := projection.Window{Min: 0, Max: 50}
 	const horizon = 400
-	p, err := NewSlidingProjector(w, horizon, projection.Options{})
+	p, err := newSliding(w, horizon, projection.Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -153,7 +160,7 @@ func TestSlidingMatchesBatchRandomStream(t *testing.T) {
 
 func TestSlidingEvictionDropsAndRestores(t *testing.T) {
 	w := projection.Window{Min: 0, Max: 60}
-	p, err := NewSlidingProjector(w, 1000, projection.Options{})
+	p, err := newSliding(w, 1000, projection.Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -205,7 +212,7 @@ func TestSlidingEvictionDropsAndRestores(t *testing.T) {
 
 func TestSlidingPageStateGC(t *testing.T) {
 	w := projection.Window{Min: 0, Max: 60}
-	p, err := NewSlidingProjector(w, 300, projection.Options{})
+	p, err := newSliding(w, 300, projection.Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -227,7 +234,7 @@ func TestSlidingPageStateGC(t *testing.T) {
 }
 
 func TestSlidingAddAfterResult(t *testing.T) {
-	p, _ := NewSlidingProjector(projection.Window{Min: 0, Max: 60}, 100, projection.Options{})
+	p, _ := newSliding(projection.Window{Min: 0, Max: 60}, 100, projection.Options{})
 	_ = p.Result()
 	if err := p.Add(graph.Comment{}); !errors.Is(err, ErrAddAfterResult) {
 		t.Fatalf("Add after Result: got %v, want ErrAddAfterResult", err)
@@ -238,7 +245,7 @@ func TestSlidingAddAfterResult(t *testing.T) {
 }
 
 func TestSlidingRejectsOutOfOrder(t *testing.T) {
-	p, _ := NewSlidingProjector(projection.Window{Min: 0, Max: 60}, 100, projection.Options{})
+	p, _ := newSliding(projection.Window{Min: 0, Max: 60}, 100, projection.Options{})
 	mustAdd(t, p, graph.Comment{Author: 1, Page: 0, TS: 50})
 	if err := p.Add(graph.Comment{Author: 2, Page: 0, TS: 49}); err == nil {
 		t.Fatal("out-of-order Add accepted")
@@ -252,16 +259,16 @@ func TestSlidingRejectsOutOfOrder(t *testing.T) {
 }
 
 func TestSlidingRejectsBadConfig(t *testing.T) {
-	if _, err := NewSlidingProjector(projection.Window{Min: 5, Max: 5}, 100, projection.Options{}); err == nil {
+	if _, err := newSliding(projection.Window{Min: 5, Max: 5}, 100, projection.Options{}); err == nil {
 		t.Fatal("bad window accepted")
 	}
-	if _, err := NewSlidingProjector(projection.Window{Min: 0, Max: 60}, 0, projection.Options{}); err == nil {
+	if _, err := newSliding(projection.Window{Min: 0, Max: 60}, 0, projection.Options{}); err == nil {
 		t.Fatal("zero horizon accepted")
 	}
 }
 
 func TestSlidingSnapshotIsolation(t *testing.T) {
-	p, _ := NewSlidingProjector(projection.Window{Min: 0, Max: 60}, 1000, projection.Options{})
+	p, _ := newSliding(projection.Window{Min: 0, Max: 60}, 1000, projection.Options{})
 	mustAdd(t, p, graph.Comment{Author: 1, Page: 0, TS: 0})
 	mustAdd(t, p, graph.Comment{Author: 2, Page: 0, TS: 10})
 	snap := p.Snapshot()
@@ -277,7 +284,7 @@ func TestSlidingSnapshotIsolation(t *testing.T) {
 // TestSlidingExcludeRestrict checks Options scoping carries over.
 func TestSlidingExcludeRestrict(t *testing.T) {
 	opts := projection.Options{Exclude: map[graph.VertexID]bool{9: true}}
-	p, _ := NewSlidingProjector(projection.Window{Min: 0, Max: 60}, 1000, opts)
+	p, _ := newSliding(projection.Window{Min: 0, Max: 60}, 1000, opts)
 	mustAdd(t, p, graph.Comment{Author: 9, Page: 0, TS: 0})
 	mustAdd(t, p, graph.Comment{Author: 1, Page: 0, TS: 5})
 	mustAdd(t, p, graph.Comment{Author: 2, Page: 0, TS: 10})
@@ -403,7 +410,7 @@ func TestBufferedCommentsTrimAtEvictionTime(t *testing.T) {
 			return p.AddBatch(comments[3:])
 		}},
 	} {
-		p, err := NewSlidingProjector(projection.Window{Min: 0, Max: 60}, 2000, projection.Options{})
+		p, err := newSliding(projection.Window{Min: 0, Max: 60}, 2000, projection.Options{})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -436,7 +443,7 @@ func TestAddBatchSteadyStateAllocs(t *testing.T) {
 			AuthorZipfS: 1.2, PageZipfS: 1.15, PageHalfLife: 2 * 3600,
 		},
 	})
-	p, err := NewSlidingProjector(projection.Window{Min: 0, Max: 60}, horizon, projection.Options{})
+	p, err := newSliding(projection.Window{Min: 0, Max: 60}, horizon, projection.Options{})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -167,10 +167,6 @@ func MergeSorted(a, b []Triangle) []Triangle {
 	return append(out, b[j:]...)
 }
 
-// TriangleLess exposes the canonical triangle total order for callers
-// that maintain their own sorted triangle stores.
-func TriangleLess(a, b Triangle) bool { return triangleLess(a, b) }
-
 // triangleLess is the canonical (X, Y, Z, WXY, WXZ, WYZ) total order.
 func triangleLess(a, b Triangle) bool {
 	if a.X != b.X {

@@ -51,12 +51,6 @@ func (pc *ProjectionCluster) Project(b *graph.BTM, w projection.Window, opts pro
 	if err := w.Validate(); err != nil {
 		return nil, err
 	}
-	skip := func(a graph.VertexID) bool {
-		if opts.Exclude[a] {
-			return true
-		}
-		return opts.Restrict != nil && !opts.Restrict[a]
-	}
 	pc.Cluster.Run(func(node *Node) {
 		edges := pc.edges[node.Rank()]
 		counts := pc.counts[node.Rank()]
@@ -64,25 +58,7 @@ func (pc *ProjectionCluster) Project(b *graph.BTM, w projection.Window, opts pro
 		authors := make(map[graph.VertexID]struct{})
 		for p := node.Rank(); p < b.NumPages(); p += node.NRanks() {
 			clear(pairs)
-			nbhd := b.PageNeighborhood(graph.VertexID(p))
-			for i := 0; i < len(nbhd); i++ {
-				if skip(nbhd[i].Author) {
-					continue
-				}
-				for j := i + 1; j < len(nbhd); j++ {
-					d := nbhd[j].TS - nbhd[i].TS
-					if d >= w.Max {
-						break
-					}
-					if d < w.Min {
-						continue
-					}
-					if nbhd[j].Author == nbhd[i].Author || skip(nbhd[j].Author) {
-						continue
-					}
-					pairs[graph.PackEdge(nbhd[i].Author, nbhd[j].Author)] = struct{}{}
-				}
-			}
+			projection.PagePairs(b.PageNeighborhood(graph.VertexID(p)), w, opts, pairs)
 			if len(pairs) == 0 {
 				continue
 			}

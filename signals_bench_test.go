@@ -65,7 +65,7 @@ func benchSignalsIngest(b *testing.B, d *redditgen.Dataset, cfgs []stream.Signal
 	b.ResetTimer()
 	var pairs int64
 	for i := 0; i < b.N; i++ {
-		p, err := stream.NewMultiSlidingProjector(cfgs, signalsBenchHorizon, opts, 0)
+		p, err := stream.NewMultiSlidingProjectorWorkers(cfgs, signalsBenchHorizon, opts, 0, 1)
 		if err != nil {
 			b.Fatal(err)
 		}
