@@ -2,18 +2,23 @@
 
 GO ?= go
 
-.PHONY: all build check vet test test-race check-bench check-deps bench bench-e2e bench-adjacency bench-community bench-signals bench-ingest fuzz experiments examples clean
+.PHONY: all build check fmt vet test test-race check-bench check-deps bench bench-e2e bench-adjacency bench-community bench-signals bench-ingest fuzz experiments examples clean
 
 all: build check
 
-# The gate PRs must pass: static checks plus the full suite under the
-# race detector (the daemon's ingest/survey concurrency depends on it),
-# the benchmark's module, which the root ./... does not reach, and the
-# product path's import boundary.
-check: vet test-race check-bench check-deps
+# The gate PRs must pass: formatting and static checks plus the full
+# suite under the race detector (the daemon's ingest/survey concurrency
+# depends on it), the benchmark's module, which the root ./... does not
+# reach, and the product path's import boundary.
+check: fmt vet test-race check-bench check-deps
 
 build:
 	$(GO) build ./...
+
+# Every tracked Go file, bench/ included, must be gofmt-clean.
+fmt:
+	@out=$$(gofmt -l $$(git ls-files '*.go')); \
+	if [ -n "$$out" ]; then echo "fmt: gofmt -l lists:" >&2; echo "$$out" >&2; exit 1; fi
 
 vet:
 	$(GO) vet ./...
@@ -93,8 +98,8 @@ bench-signals:
 	BENCH_SIGNALS_OUT=BENCH_signals.json $(GO) test -run TestWriteSignalsBench -v -timeout 60m .
 
 # End-to-end ingest fast path (wire decode + batch intern + projector
-# apply) in both wire formats at serial and all-core worker settings;
-# writes the JSON report and enforces <=0.6 heap allocations per comment.
+# apply) in both wire formats; writes the JSON report and enforces <=0.4
+# heap allocations per comment.
 bench-ingest:
 	BENCH_INGEST_OUT=BENCH_ingest.json $(GO) test -run TestWriteIngestBench -v -timeout 60m .
 

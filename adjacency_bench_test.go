@@ -222,7 +222,7 @@ func TestWriteAdjacencyBench(t *testing.T) {
 			"authors":  incrementalAuthors,
 			"comments": incrementalComments,
 			"edge_cut": adjacencyCut,
-		}, 1, incrementalShards),
+		}, incrementalShards),
 		"cycle":   "threshold-delta + orientation maintenance (patch vs rebuild) + dirty survey",
 		"regimes": regimes,
 	}

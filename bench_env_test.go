@@ -7,20 +7,13 @@ import (
 )
 
 // benchRuntime stamps the runtime knobs that make recorded perf numbers
-// comparable across boxes into a report's corpus block: GOMAXPROCS, the
-// ingest lane count the benchmark ran with (the -ingest-workers setting,
-// 0 meaning all cores), and the CI store's shard count (0 meaning
-// graph.DefaultShards). Batch-projection benchmarks pass ingestWorkers 1
-// — they have no lane-striped ingest path.
-func benchRuntime(corpus map[string]any, ingestWorkers, shards int) map[string]any {
-	if ingestWorkers <= 0 {
-		ingestWorkers = runtime.GOMAXPROCS(0)
-	}
+// comparable across boxes into a report's corpus block: GOMAXPROCS and the
+// CI store's shard count (0 meaning graph.DefaultShards).
+func benchRuntime(corpus map[string]any, shards int) map[string]any {
 	if shards <= 0 {
 		shards = graph.DefaultShards
 	}
 	corpus["gomaxprocs"] = runtime.GOMAXPROCS(0)
-	corpus["ingest_workers"] = ingestWorkers
 	corpus["shards"] = shards
 	return corpus
 }

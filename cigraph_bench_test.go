@@ -248,7 +248,7 @@ func TestWriteCIGraphBench(t *testing.T) {
 			"window_sec": 600,
 			"edges":      ref.NumEdges(),
 			"authors":    ref.NumAuthors(),
-		}, 1, sh.NumShards()),
+		}, sh.NumShards()),
 		"edge_upsert": map[string]any{
 			"multi_signal_ns": upsert.NsPerOp(),
 			"allocs":          upsert.AllocsPerOp(),

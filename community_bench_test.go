@@ -215,7 +215,7 @@ func TestWriteCommunityBench(t *testing.T) {
 			"authors":  incrementalAuthors,
 			"comments": incrementalComments,
 			"edge_cut": adjacencyCut,
-		}, 1, incrementalShards),
+		}, incrementalShards),
 		"cycle":   "Leiden partition of the pruned graph (warm component reuse vs cold)",
 		"regimes": regimes,
 	}

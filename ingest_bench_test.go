@@ -5,7 +5,7 @@ package coordbot_test
 // Service.IngestBytes, the embedding equivalent of POST /v1/ingest.
 // Unlike BenchmarkDetectdIngest (which applies pre-interned comments),
 // these start from the bytes a client actually sends, in both wire
-// formats and at both worker settings. Run with
+// formats. Run with
 //
 //	go test -bench BenchmarkIngest -benchmem .
 //
@@ -18,7 +18,6 @@ import (
 	"encoding/json"
 	"fmt"
 	"os"
-	"runtime"
 	"testing"
 
 	"coordbot/internal/detectd"
@@ -63,7 +62,7 @@ func ingestBenchBodies(d *redditgen.Dataset, frame bool) (bodies [][]byte, total
 // benchmarkIngest replays the pre-encoded bodies through a fresh service
 // per pass: the full decode → intern → project pipeline, steady-state
 // eviction included (14-day corpus, 6-hour horizon).
-func benchmarkIngest(b *testing.B, frame bool, workers int) {
+func benchmarkIngest(b *testing.B, frame bool) {
 	d := corpusOf(detectdBenchComments)
 	bodies, total := ingestBenchBodies(d, frame)
 	contentType := "application/json"
@@ -73,9 +72,7 @@ func benchmarkIngest(b *testing.B, frame bool, workers int) {
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		cfg := detectdBenchConfig(false)
-		cfg.IngestWorkers = workers
-		s, err := detectd.NewService(cfg)
+		s, err := detectd.NewService(detectdBenchConfig(false))
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -89,10 +86,8 @@ func benchmarkIngest(b *testing.B, frame bool, workers int) {
 	b.ReportMetric(float64(total*b.N)/b.Elapsed().Seconds(), "comments/s")
 }
 
-func BenchmarkIngestJSONSerial(b *testing.B)    { benchmarkIngest(b, false, 1) }
-func BenchmarkIngestJSONParallel(b *testing.B)  { benchmarkIngest(b, false, 0) }
-func BenchmarkIngestFrameSerial(b *testing.B)   { benchmarkIngest(b, true, 1) }
-func BenchmarkIngestFrameParallel(b *testing.B) { benchmarkIngest(b, true, 0) }
+func BenchmarkIngestJSONSerial(b *testing.B)  { benchmarkIngest(b, false) }
+func BenchmarkIngestFrameSerial(b *testing.B) { benchmarkIngest(b, true) }
 
 // ingestBaselineCommentsPerSec is the pre-fast-path ingest throughput
 // recorded in BENCH_detectd.json at the previous release (per-comment
@@ -106,8 +101,8 @@ const ingestBaselineCommentsPerSec = 204768.28
 //
 // It also enforces the fast path's allocation budget: a pass — a fresh
 // service growing its window to working size, then steady state — must
-// stay at or under 0.6 heap allocations per comment (measured 0.24
-// serial, 0.41 on two workers, plus half).
+// stay at or under 0.4 heap allocations per comment (measured 0.24, plus
+// two thirds).
 func TestWriteIngestBench(t *testing.T) {
 	out := os.Getenv("BENCH_INGEST_OUT")
 	if out == "" {
@@ -116,14 +111,11 @@ func TestWriteIngestBench(t *testing.T) {
 	d := corpusOf(detectdBenchComments)
 	total := float64(len(d.Comments))
 	variants := []struct {
-		name    string
-		fn      func(*testing.B)
-		workers int
+		name string
+		fn   func(*testing.B)
 	}{
-		{"json_serial", BenchmarkIngestJSONSerial, 1},
-		{"json_parallel", BenchmarkIngestJSONParallel, 0},
-		{"frame_serial", BenchmarkIngestFrameSerial, 1},
-		{"frame_parallel", BenchmarkIngestFrameParallel, 0},
+		{"json_serial", BenchmarkIngestJSONSerial},
+		{"frame_serial", BenchmarkIngestFrameSerial},
 	}
 	results := map[string]any{}
 	best := 0.0
@@ -132,24 +124,19 @@ func TestWriteIngestBench(t *testing.T) {
 		cps := r.Extra["comments/s"]
 		apc := float64(r.AllocsPerOp()) / total
 		bpc := float64(r.AllocedBytesPerOp()) / total
-		workers := v.workers
-		if workers <= 0 {
-			workers = runtime.GOMAXPROCS(0)
-		}
 		results[v.name] = map[string]any{
 			"comments_per_sec":   cps,
 			"allocs_per_comment": apc,
 			"bytes_per_comment":  bpc,
 			"passes":             r.N,
-			"ingest_workers":     workers,
 		}
 		if cps > best {
 			best = cps
 		}
 		t.Logf("%s: %.0f comments/s, %.2f allocs/comment, %.0f B/comment",
 			v.name, cps, apc, bpc)
-		if apc > 0.6 {
-			t.Errorf("%s: %.2f allocs/comment exceeds the budget of 0.6", v.name, apc)
+		if apc > 0.4 {
+			t.Errorf("%s: %.2f allocs/comment exceeds the budget of 0.4", v.name, apc)
 		}
 	}
 	report := map[string]any{
@@ -160,7 +147,7 @@ func TestWriteIngestBench(t *testing.T) {
 			"horizon_sec": 6 * 3600,
 			"window_sec":  60,
 			"batch_size":  512,
-		}, 0, 0), // parallel variants; serial ones pin workers=1 per variant
+		}, 0),
 		"variants":                  results,
 		"baseline_comments_per_sec": ingestBaselineCommentsPerSec,
 		"best_comments_per_sec":     best,

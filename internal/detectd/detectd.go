@@ -32,7 +32,6 @@ package detectd
 import (
 	"context"
 	"fmt"
-	"runtime"
 	"runtime/pprof"
 	"sync"
 	"sync/atomic"
@@ -97,11 +96,10 @@ type Config struct {
 	// copy-on-write cost hot ingestion pays after each snapshot — and
 	// tighten the dirty-shard diff the incremental survey starts from.
 	Shards int
-	// IngestWorkers is the projector's batch-ingest parallelism: batches
-	// are dispatched across object-striped lanes processed by this many
-	// goroutines (stream.NewMultiSlidingProjectorWorkers). 0 means
-	// GOMAXPROCS; 1 forces the serial reference path. The projected graph
-	// is identical either way.
+	// IngestWorkers has no effect: the ingest goroutine feeds the projector
+	// itself, whatever this says. The field remains only because
+	// bench/coordbench/workloads.go sets it; a change that may also edit
+	// bench/ can drop it from both.
 	IngestWorkers int
 	// Communities enables the clustering layer: each cycle partitions the
 	// pruned snapshot into communities (Leiden or Label Propagation) and
@@ -336,11 +334,7 @@ func NewService(cfg Config) (*Service, error) {
 	if len(sigs) == 0 {
 		sigs = []stream.SignalConfig{{Signal: projection.CoComment{W: cfg.Window}}}
 	}
-	workers := cfg.IngestWorkers
-	if workers <= 0 {
-		workers = runtime.GOMAXPROCS(0)
-	}
-	proj, err := stream.NewMultiSlidingProjectorWorkers(sigs, cfg.Horizon, opts, cfg.Shards, workers)
+	proj, err := stream.NewMultiSlidingProjectorWorkers(sigs, cfg.Horizon, opts, cfg.Shards, 1)
 	if err != nil {
 		return nil, err
 	}
@@ -424,13 +418,14 @@ func (s *Service) Enqueue(batch []graph.Comment) error {
 }
 
 // Apply ingests a batch synchronously, bypassing the queue — the embedding
-// path for in-process pipelines and benchmarks. The caller's slice is not
-// mutated and not retained. Concurrent-safe.
-func (s *Service) Apply(batch []graph.Comment) {
+// path for in-process pipelines and benchmarks — and returns the number of
+// comments applied: without ClampLate, late comments are dropped. The
+// caller's slice is not mutated and not retained. Concurrent-safe.
+func (s *Service) Apply(batch []graph.Comment) int {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	s.gatherLocked(batch)
-	s.flushLocked()
+	return s.flushLocked()
 }
 
 // gatherLocked clamps (or drops) late comments from batch into the staging
@@ -461,10 +456,11 @@ func (s *Service) gatherLocked(batch []graph.Comment) {
 // ingest, then settles counters and the validation log. Caller holds
 // s.mu. Gathering guarantees nondecreasing timestamps, so the projector
 // cannot reject — the count delta is still consulted rather than assumed,
-// and any shortfall lands in the dropped counter.
-func (s *Service) flushLocked() {
+// and any shortfall lands in the dropped counter. Returns the number of
+// comments applied.
+func (s *Service) flushLocked() int {
 	if len(s.applyBuf) == 0 {
-		return
+		return 0
 	}
 	before := s.proj.Count()
 	err := s.proj.AddBatch(s.applyBuf)
@@ -481,6 +477,7 @@ func (s *Service) flushLocked() {
 		s.evictLogLocked()
 	}
 	s.applyBuf = s.applyBuf[:0]
+	return applied
 }
 
 // markHyperDirty records that a's windowed comment set changed. Caller
@@ -508,9 +505,9 @@ func (s *Service) evictLogLocked() {
 }
 
 // maxCoalesce bounds how many comments the ingest worker folds into one
-// projector batch: big enough to amortize the per-batch eviction wave and
-// lane dispatch, small enough that a survey waiting on s.mu is not held
-// off indefinitely under sustained load.
+// projector batch: big enough to amortize the per-batch eviction wave,
+// small enough that a survey waiting on s.mu is not held off indefinitely
+// under sustained load.
 const maxCoalesce = 1 << 16
 
 func (s *Service) ingestLoop() {

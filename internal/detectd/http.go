@@ -295,8 +295,7 @@ func (s *Service) IngestBytes(contentType string, body []byte) (int, error) {
 	if err != nil {
 		return 0, err
 	}
-	s.Apply(batch)
-	return len(batch), nil
+	return s.Apply(batch), nil
 }
 
 // decodeBatch turns one ingest body into an interned comment batch in

@@ -252,6 +252,23 @@ func TestIngestEmptyBatches(t *testing.T) {
 	resp.Body.Close()
 }
 
+// TestIngestBytesCountsApplied: without ClampLate a late comment is
+// dropped, and IngestBytes reports only the comments it applied.
+func TestIngestBytesCountsApplied(t *testing.T) {
+	s, err := NewService(Config{Window: projection.Window{Min: 0, Max: 60}, Horizon: 3600})
+	if err != nil {
+		t.Fatal(err)
+	}
+	body := `[{"author":"a","page":"p","ts":100},{"author":"b","page":"p","ts":50},{"author":"c","page":"p","ts":101}]`
+	n, err := s.IngestBytes("application/json", []byte(body))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if n != 2 || s.Ingested() != 2 || s.dropped.Load() != 1 {
+		t.Fatalf("IngestBytes = %d, ingested %d, dropped %d; want 2, 2, 1", n, s.Ingested(), s.dropped.Load())
+	}
+}
+
 // TestIngestBodyTooLarge: a body over maxIngestBody is refused with 413
 // before any decoding.
 func TestIngestBodyTooLarge(t *testing.T) {

@@ -191,9 +191,17 @@ func RunOnTriangles(ci, thresholded graph.CIView, tris []tripoll.Triangle, b *gr
 		cfg.SkipHypergraph = true
 	}
 	res := &Result{Config: cfg, CI: ci}
+	validate(res, thresholded, tris, b, cfg, hyperCache, time.Now())
+	return res, nil
+}
 
-	// The tail of Step 2: the T-score cut the survey would have applied.
-	t0 := time.Now()
+// validate runs everything after a weight-only survey: the T-score cut
+// the survey deferred, Step 3 (cache-aware when hyperCache is non-nil),
+// the component census on thresholded (nil recomputes it from res.CI) and
+// the optional community stage. Timings.Survey runs from surveyStart to
+// the end of the cut.
+func validate(res *Result, thresholded graph.CIView, tris []tripoll.Triangle, b *graph.BTM, cfg Config, hyperCache map[hypergraph.Triplet]hypergraph.Score, surveyStart time.Time) {
+	ci := res.CI
 	if cfg.MinTScore > 0 {
 		kept := make([]tripoll.Triangle, 0, len(tris))
 		for _, tr := range tris {
@@ -203,10 +211,10 @@ func RunOnTriangles(ci, thresholded graph.CIView, tris []tripoll.Triangle, b *gr
 		}
 		tris = kept
 	}
-	res.Timings.Survey = time.Since(t0)
+	res.Timings.Survey = time.Since(surveyStart)
 
-	// Step 3: hypergraph validation, cache-aware.
-	t0 = time.Now()
+	// Step 3: hypergraph validation.
+	t0 := time.Now()
 	res.Triangles = make([]TriangleResult, len(tris))
 	for i, tr := range tris {
 		res.Triangles[i] = TriangleResult{Triangle: tr, T: tr.TScore(ci.PageCount)}
@@ -246,23 +254,18 @@ func RunOnTriangles(ci, thresholded graph.CIView, tris []tripoll.Triangle, b *gr
 	}
 	res.Timings.Validate = time.Since(t0)
 
-	// Component census on the thresholded view.
+	// Components of the thresholded graph (Figures 1–2 artifacts).
 	t0 = time.Now()
 	if thresholded == nil {
-		cut := cfg.MinTriangleWeight
-		if cfg.MinEdgeWeight > cut {
-			cut = cfg.MinEdgeWeight
-		}
-		if cut < 1 {
-			cut = 1
-		}
-		thresholded = ci.ThresholdView(cut)
+		thresholded = ci.ThresholdView(tripoll.EffectiveEdgeCut(tripoll.Options{
+			MinEdgeWeight:     cfg.MinEdgeWeight,
+			MinTriangleWeight: cfg.MinTriangleWeight,
+		}))
 	}
 	res.Thresholded = thresholded
 	res.Components = graph.ConnectedComponents(res.Thresholded)
 	res.Timings.Component = time.Since(t0)
 	cluster(res, b, cfg, tris)
-	return res, nil
 }
 
 // cluster runs the optional community stage: a cold Detect over the
@@ -280,74 +283,30 @@ func cluster(res *Result, b *graph.BTM, cfg Config, tris []tripoll.Triangle) {
 	res.Timings.Cluster = time.Since(t0)
 }
 
-// finish runs Steps 2–4 (survey, validation, components) on res.CI.
+// finish runs Step 2 on res.CI — a weight-only survey of the graph
+// thresholded and oriented exactly once — and hands the census to
+// validate, which cuts, validates and counts components on the same
+// pruned view, so the O(edges) filter is paid a single time.
 func finish(res *Result, b *graph.BTM, cfg Config) {
 	ci := res.CI
-
-	// Step 2: triangle survey. Threshold and orient exactly once — the
-	// survey's edge cut equals the component census's, so the same pruned
-	// view serves both and the O(edges) filter is paid a single time.
 	t0 := time.Now()
 	sopts := tripoll.Options{
 		MinEdgeWeight:     cfg.MinEdgeWeight,
 		MinTriangleWeight: cfg.MinTriangleWeight,
-		MinTScore:         cfg.MinTScore,
 		Ranks:             cfg.Ranks,
 	}
 	thresholded := ci.ThresholdView(tripoll.EffectiveEdgeCut(sopts))
 	o := tripoll.Orient(thresholded.BuildAdjacency())
 	var tris []tripoll.Triangle
 	if cfg.Sequential {
-		o.SurveyAll(sopts, ci.PageCount, func(tr tripoll.Triangle) {
+		o.SurveyAll(sopts, nil, func(tr tripoll.Triangle) {
 			tris = append(tris, tr)
 		})
 		tripoll.SortTriangles(tris)
 	} else {
-		tris = o.SurveyParallel(sopts, ci.PageCount)
+		tris = o.SurveyParallel(sopts, nil)
 	}
-	res.Timings.Survey = time.Since(t0)
-
-	// Step 3: hypergraph validation.
-	t0 = time.Now()
-	res.Triangles = make([]TriangleResult, len(tris))
-	for i, tr := range tris {
-		res.Triangles[i] = TriangleResult{Triangle: tr, T: tr.TScore(ci.PageCount)}
-	}
-	if !cfg.SkipHypergraph && len(tris) > 0 {
-		triplets := make([]hypergraph.Triplet, len(tris))
-		for i, tr := range tris {
-			triplets[i] = hypergraph.Triplet{X: tr.X, Y: tr.Y, Z: tr.Z}
-		}
-		var scores []hypergraph.Score
-		if cfg.Sequential {
-			scores = make([]hypergraph.Score, len(triplets))
-			for i, t := range triplets {
-				scores[i] = hypergraph.Evaluate(b, t)
-			}
-			hypergraph.SortScores(scores)
-		} else {
-			scores = hypergraph.EvaluateAll(b, triplets, cfg.Ranks)
-		}
-		// Both lists are sorted by triplet; triangles are unique per
-		// (X,Y,Z), so they zip 1:1.
-		for i := range res.Triangles {
-			res.Triangles[i].Hyper = scores[i]
-		}
-	}
-	res.Timings.Validate = time.Since(t0)
-
-	// Components of the thresholded graph (Figures 1–2 artifacts), on the
-	// pruned view the survey already built.
-	t0 = time.Now()
-	res.Thresholded = thresholded
-	res.Components = graph.ConnectedComponents(res.Thresholded)
-	res.Timings.Component = time.Since(t0)
-
-	kept := make([]tripoll.Triangle, len(res.Triangles))
-	for i := range res.Triangles {
-		kept[i] = res.Triangles[i].Triangle
-	}
-	cluster(res, b, cfg, kept)
+	validate(res, thresholded, tris, b, cfg, nil, t0)
 }
 
 // FlaggedAuthors returns the union of authors appearing in surviving

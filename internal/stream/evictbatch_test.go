@@ -11,7 +11,7 @@ import (
 // batching: one eviction wave decrements many pairs but takes each store
 // shard's lock at most once, so the graph version — one bump per shard
 // write — advances by at most NumShards per wave, not per evicted pair;
-// and AddBatch, serial or parallel, applies ONE wave per call.
+// and AddBatch, whatever the batch size, applies ONE wave per call.
 func TestEvictionWaveBatchesShardWrites(t *testing.T) {
 	const shards = 4
 	w := projection.Window{Min: 0, Max: 60}
@@ -59,16 +59,15 @@ func TestEvictionWaveBatchesShardWrites(t *testing.T) {
 	// One AddBatch is ONE wave: eight bursts expiring five seconds apart,
 	// then lone comments (no pairs, so no store increments) stepping the
 	// watermark through every expiry. Each shard the evictions touch
-	// advances exactly once — on a single lane with a batch below the
-	// parallel-dispatch threshold, and across four workers' lanes.
+	// advances exactly once, for a short batch and a longer one.
 	for _, tc := range []struct {
-		name         string
-		workers, len int
+		name string
+		len  int
 	}{
-		{"single-lane", 1, 50},
-		{"parallel", 4, 2 * minParallelBatch},
+		{"batch-50", 50},
+		{"batch-128", 128},
 	} {
-		p, err := NewMultiSlidingProjectorWorkers(sigs, 100, projection.Options{}, shards, tc.workers)
+		p, err := NewMultiSlidingProjectorWorkers(sigs, 100, projection.Options{}, shards, 1)
 		if err != nil {
 			t.Fatal(err)
 		}

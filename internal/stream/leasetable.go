@@ -7,14 +7,14 @@ import "coordbot/internal/graph"
 // in graph.EdgeTable's shape — power-of-two capacity indexed by the top
 // bits of a splitmix64 hash, linear probing, 13/16 load, backshift
 // deletion (no tombstones, so churn never lengthens probe chains), key 0
-// the empty-slot sentinel. One per (signal, lane) holds the leases (key =
+// the empty-slot sentinel. One per signal holds the leases (key =
 // packed pair, value = newest supporting timestamp) and one the incident
 // counts (key = author+1, value = live pairs touching the author on the
 // object), replacing two Go maps per object state: a new object allocates
 // nothing, a lease lookup needs no object lookup first, and the whole
 // window is two allocations that grow by doubling.
 //
-// Not synchronized: a table belongs to one lane.
+// Not synchronized: a table belongs to one projector.
 type leaseTable struct {
 	slots []leaseSlot
 	mask  uint64
@@ -122,3 +122,12 @@ func (t *leaseTable) grow() {
 
 // release drops the storage (projector finalization).
 func (t *leaseTable) release() { *t = leaseTable{} }
+
+// mix64 is the splitmix64 finalizer, the same hash graph.EdgeTable indexes
+// by.
+func mix64(x uint64) uint64 {
+	x += 0x9e3779b97f4a7c15
+	x = (x ^ (x >> 30)) * 0xbf58476d1ce4e5b9
+	x = (x ^ (x >> 27)) * 0x94d049bb133111eb
+	return x ^ (x >> 31)
+}

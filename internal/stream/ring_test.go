@@ -160,7 +160,7 @@ func TestRingsStayBoundedInsideOneBatch(t *testing.T) {
 			if tc.span > tc.horizon && p.EvictedPairs() == 0 {
 				t.Fatal("batch evicted nothing")
 			}
-			sl := &p.lanes[0].sig[0]
+			sl := &p.cells[0]
 			exp, idle := newExpiryRing(tc.horizon), newExpiryRing(tc.w.Max)
 			if got, design := len(sl.exp.buckets), len(exp.buckets); got > 2*design {
 				t.Errorf("expiry ring grew to %d buckets, sized for %d", got, design)

@@ -28,16 +28,16 @@
 // Mechanics: a counted (signal, object, pair) holds a lease — the newest
 // "older comment" timestamp supporting it — and its contribution dies when
 // that timestamp leaves the signal's horizon. The rule the mutable state is
-// built around: a live lease has exactly ONE entry in its (signal, lane)
+// built around: a live lease has exactly ONE entry in its signal's
 // calendar ring (expiryRing; O(1) push, batch drain). A refresh only
 // overwrites the lease; when the ring entry comes up and the lease has
 // moved on, the entry is re-armed at the lease instead of evicting. Leases
 // and per-(object, author) incident counts live in two flat open-addressed
-// tables per (signal, lane) (leaseTable) and object states in a slab with
-// a free list, so steady-state ingest allocates nothing. All signals'
-// expired contributions in one watermark advance land as a single
-// shard-grouped eviction wave, so each touched shard's dirty version
-// advances once per wave — the unit the delta surveys count on.
+// tables per signal (leaseTable) and object states in a slab with a free
+// list, so steady-state ingest allocates nothing. All signals' expired
+// contributions in one watermark advance land as a single shard-grouped
+// eviction wave, so each touched shard's dirty version advances once per
+// wave — the unit the delta surveys count on.
 //
 // Algorithm 1's pair rule (delay in [δ1, δ2), self-pairs skipped, each
 // pair counted once per object) has three implementations, one per
@@ -48,30 +48,18 @@
 // reference. The batch path reads expiry where it reads a lease: a pairing
 // that finds a lease at or behind ts - horizon accounts it as the eviction
 // the serial path had already made plus a fresh count (net zero on the
-// store), so a lane only has to drain once per min(window, horizon) of
-// event time — which bounds the rings — and at the batch watermark, where
-// every gauge and the graph equal the serial path's again.
-//
-// Ingest parallelism: all mutable sliding state is keyed by (signal,
-// object), so the object space is striped into lanes by the same
-// splitmix64 mix the sharded store uses for vertices. The serial Add
-// path routes through the lanes one comment at a time; AddBatch with
-// workers >= 2 dispatches a whole time-ordered batch into per-lane task
-// queues and processes the lanes concurrently — each lane is an
-// independent serial projector over its own objects, incrementing the
-// (concurrent-writer-safe) store directly and deferring its eviction
-// decrements to a lane-local wave. After the join, the lane waves merge
-// into one batch-wide eviction wave applied centrally. The final graph,
-// gauges, and per-object states are identical to the serial path; only the
-// wave granularity (one per batch instead of one per watermark advance)
-// and thus the store's version-counter arithmetic differ.
+// store), so a signal's cell only has to drain once per min(window,
+// horizon) of event time — which bounds the rings — and at the batch
+// watermark, where every gauge and the graph equal the serial path's
+// again. Only the wave granularity (one per batch instead of one per
+// watermark advance), and thus the store's version-counter arithmetic,
+// differs.
 package stream
 
 import (
 	"cmp"
 	"fmt"
 	"slices"
-	"sync"
 
 	"coordbot/internal/graph"
 	"coordbot/internal/projection"
@@ -93,9 +81,9 @@ type SignalConfig struct {
 // copy-on-write: O(shards) per call, with dirty shards recopied lazily by
 // the next Add that touches them. Mutators (Add, AddAll, AddBatch,
 // AdvanceTo, Result) are single-caller — wrap with a lock (detectd does)
-// or shard by page upstream; AddBatch parallelizes internally. The point
-// reads EdgeWeight, PageCount, NumEdges, and GraphVersion go through the
-// store's per-shard locks and are safe concurrently with the mutators.
+// or shard by page upstream. The point reads EdgeWeight, PageCount,
+// NumEdges, and GraphVersion go through the store's per-shard locks and
+// are safe concurrently with the mutators.
 type SlidingProjector struct {
 	sigs    []*sigMeta
 	horizon int64 // default trailing horizon (per-signal states hold their own)
@@ -106,24 +94,19 @@ type SlidingProjector struct {
 	// eviction waves carry per-signal decrements.
 	track bool
 
-	// lanes stripe the object space; laneMask is len(lanes)-1. With
-	// workers <= 1 there is a single lane and batch ingest is the serial
-	// reference path.
-	lanes    []lane
-	laneMask uint64
-	workers  int
+	// cells holds each signal's mutable projection state, in sigs order.
+	cells []sigLane
 
 	lastTS   int64
 	started  bool
 	finished bool
 	count    int64
 
-	// wave is the reusable merged eviction-wave scratch: flat decrement
-	// logs with the owning shard precomputed at push time (on the lane
-	// goroutines, in batch mode). applyWave counting-sorts them by shard
-	// and aggregates each shard's segment into the store's flat batch API
-	// through the sort/out scratch below — all recycled between waves, so
-	// steady-state eviction allocates nothing.
+	// wave is the reusable eviction-wave scratch: flat decrement logs with
+	// the owning shard precomputed at push time. applyWave counting-sorts
+	// them by shard and aggregates each shard's segment into the store's
+	// flat batch API through the sort/out scratch below — all recycled
+	// between waves, so steady-state eviction allocates nothing.
 	wave     wave
 	edgeOff  []int // len shards+1: counting-sort offsets, then cursors
 	pageOff  []int
@@ -134,27 +117,19 @@ type SlidingProjector struct {
 	outPages []graph.PageDelta
 }
 
-// sigMeta is one signal's immutable configuration plus the dispatcher's
-// extraction scratch. Mutable projection state lives in the lanes.
+// sigMeta is one signal's immutable configuration plus its extraction
+// scratch. Mutable projection state lives in the signal's cell.
 type sigMeta struct {
 	sig     projection.Signal
 	si      int
 	w       projection.Window
 	weight  uint32
 	horizon int64
-	// objbuf is the reusable extractor scratch (dispatcher-only).
+	// objbuf is the reusable extractor scratch.
 	objbuf []graph.VertexID
 }
 
-// lane is one stripe of the object space: per-signal object states and
-// expiry rings, a batch-mode task queue, and a lane-local eviction wave.
-type lane struct {
-	sig  []sigLane
-	pend []laneTask
-	wave wave
-}
-
-// sigLane is one (signal, lane) cell of mutable projection state.
+// sigLane is one signal's cell of mutable projection state.
 type sigLane struct {
 	// objects indexes pages, the slab of object states; freed slots are
 	// recycled through free with their buffers' capacity.
@@ -177,7 +152,7 @@ type sigLane struct {
 	// take pushes while it drains).
 	rearm []expiryEntry
 
-	// nextDrain is the event time from which a batch lane drains the
+	// nextDrain is the event time from which a batch drains the cell's
 	// rings again; drainedAt the batch index of the comment it last
 	// drained at (0 between batches).
 	nextDrain int64
@@ -187,16 +162,6 @@ type sigLane struct {
 	evicted  int64
 	rearmed  int64
 	buffered int
-}
-
-// laneTask is one dispatched (signal, object) engagement; idx is its
-// comment's position in the batch.
-type laneTask struct {
-	obj    graph.VertexID
-	author graph.VertexID
-	ts     int64
-	si     int32
-	idx    int32
 }
 
 type slidingPage struct {
@@ -211,8 +176,7 @@ type slidingPage struct {
 
 // edgeDec is one evicted (signal, object, pair) contribution in a wave:
 // the packed edge key, its owning shard (precomputed where the eviction
-// is discovered, so batch mode pays the route hash on the lane
-// goroutines), and the signal it came from. The decrement amount is
+// is discovered), and the signal it came from. The decrement amount is
 // implied — it is always that signal's weight — so the log stays a flat
 // 16-byte record and aggregation is a run-length sum at apply time.
 type edgeDec struct {
@@ -243,21 +207,6 @@ func (w *wave) reset() {
 	w.pages = w.pages[:0]
 }
 
-// merge folds src into w (batch mode: lane waves into the batch wave).
-func (w *wave) merge(src *wave) {
-	w.edges = append(w.edges, src.edges...)
-	w.pages = append(w.pages, src.pages...)
-}
-
-// mix64 is the splitmix64 finalizer — the same striping the sharded
-// store uses — so lane assignment spreads adjacent IDs.
-func mix64(x uint64) uint64 {
-	x += 0x9e3779b97f4a7c15
-	x = (x ^ (x >> 30)) * 0xbf58476d1ce4e5b9
-	x = (x ^ (x >> 27)) * 0x94d049bb133111eb
-	return x ^ (x >> 31)
-}
-
 // NewMultiSlidingProjectorWorkers creates a sliding projector fanning the
 // stream out to the given signals (a single projection.CoComment{W: w} is
 // the paper's Algorithm 1 over window w), each evicting on its own horizon
@@ -270,11 +219,10 @@ func mix64(x uint64) uint64 {
 //
 // shards is the live store's shard count (rounded up to a power of two;
 // <= 0 means graph.DefaultShards): more shards lower the per-shard
-// copy-on-write cost a hot ingest pays after each snapshot. workers is the
-// ingest parallelism: AddBatch dispatches batches across object-striped
-// lanes processed by up to that many goroutines, and workers <= 1 keeps
-// the single-lane serial reference path. The projected graph is identical
-// either way; see the package comment.
+// copy-on-write cost a hot ingest pays after each snapshot. workers has no
+// effect: ingest runs on the calling goroutine whatever it says. The
+// argument remains only because bench/coordbench/trace.go passes it; a
+// change that may also edit bench/ can drop it from both.
 func NewMultiSlidingProjectorWorkers(sigs []SignalConfig, horizon int64, opts projection.Options, shards, workers int) (*SlidingProjector, error) {
 	ss := make([]projection.Signal, len(sigs))
 	for i, sc := range sigs {
@@ -283,25 +231,13 @@ func NewMultiSlidingProjectorWorkers(sigs []SignalConfig, horizon int64, opts pr
 	if err := projection.ValidateSignals(ss); err != nil {
 		return nil, err
 	}
-	if workers < 1 {
-		workers = 1
-	}
-	nlanes := 1
-	if workers > 1 {
-		// Oversubscribe lanes 2x over workers so stragglers balance.
-		for nlanes < workers*2 && nlanes < 64 {
-			nlanes <<= 1
-		}
-	}
 	p := &SlidingProjector{
-		sigs:     make([]*sigMeta, len(sigs)),
-		horizon:  horizon,
-		opts:     opts,
-		g:        graph.NewShardedCISignals(shards, len(sigs)),
-		track:    len(sigs) >= 2,
-		lanes:    make([]lane, nlanes),
-		laneMask: uint64(nlanes - 1),
-		workers:  workers,
+		sigs:    make([]*sigMeta, len(sigs)),
+		horizon: horizon,
+		opts:    opts,
+		g:       graph.NewShardedCISignals(shards, len(sigs)),
+		track:   len(sigs) >= 2,
+		cells:   make([]sigLane, len(sigs)),
 	}
 	for i, sc := range sigs {
 		h := sc.Horizon
@@ -311,38 +247,26 @@ func NewMultiSlidingProjectorWorkers(sigs []SignalConfig, horizon int64, opts pr
 		if h <= 0 {
 			return nil, fmt.Errorf("stream: signal %q: non-positive horizon %d", sc.Signal.Name(), h)
 		}
-		p.sigs[i] = &sigMeta{
+		m := &sigMeta{
 			sig:     sc.Signal,
 			si:      i,
 			w:       sc.Signal.Window(),
 			weight:  sc.Signal.Weight(),
 			horizon: h,
 		}
-	}
-	for li := range p.lanes {
-		ln := &p.lanes[li]
-		ln.sig = make([]sigLane, len(sigs))
-		for si, m := range p.sigs {
-			ln.sig[si] = sigLane{
-				objects:  make(map[graph.VertexID]int32),
-				leases:   newLeaseTable(),
-				incident: newLeaseTable(),
-				exp:      newExpiryRing(m.horizon),
-				idle:     newExpiryRing(m.w.Max),
-			}
+		p.sigs[i] = m
+		p.cells[i] = sigLane{
+			objects:  make(map[graph.VertexID]int32),
+			leases:   newLeaseTable(),
+			incident: newLeaseTable(),
+			exp:      newExpiryRing(m.horizon),
+			idle:     newExpiryRing(m.w.Max),
 		}
 	}
 	ns := p.g.NumShards()
 	p.edgeOff = make([]int, ns+1)
 	p.pageOff = make([]int, ns+1)
 	return p, nil
-}
-
-func (p *SlidingProjector) laneOf(obj graph.VertexID) *lane {
-	if p.laneMask == 0 {
-		return &p.lanes[0]
-	}
-	return &p.lanes[mix64(uint64(obj))&p.laneMask]
 }
 
 // Count returns the number of comments consumed.
@@ -356,20 +280,16 @@ func (p *SlidingProjector) Watermark() int64 { return p.lastTS }
 // currently in the graph; EvictedPairs the cumulative number aged out.
 func (p *SlidingProjector) LivePairs() int64 {
 	var n int64
-	for li := range p.lanes {
-		for si := range p.lanes[li].sig {
-			n += p.lanes[li].sig[si].live
-		}
+	for i := range p.cells {
+		n += p.cells[i].live
 	}
 	return n
 }
 
 func (p *SlidingProjector) EvictedPairs() int64 {
 	var n int64
-	for li := range p.lanes {
-		for si := range p.lanes[li].sig {
-			n += p.lanes[li].sig[si].evicted
-		}
+	for i := range p.cells {
+		n += p.cells[i].evicted
 	}
 	return n
 }
@@ -408,21 +328,18 @@ type SignalStat struct {
 func (p *SlidingProjector) SignalStats() []SignalStat {
 	out := make([]SignalStat, len(p.sigs))
 	for i, m := range p.sigs {
-		st := SignalStat{
-			Name:    m.sig.Name(),
-			Window:  m.w,
-			Horizon: m.horizon,
-			Weight:  m.weight,
+		sl := &p.cells[i]
+		out[i] = SignalStat{
+			Name:         m.sig.Name(),
+			Window:       m.w,
+			Horizon:      m.horizon,
+			Weight:       m.weight,
+			LivePairs:    sl.live,
+			EvictedPairs: sl.evicted,
+			LiveObjects:  len(sl.objects),
+			RingEntries:  sl.exp.len(),
+			Rearmed:      sl.rearmed,
 		}
-		for li := range p.lanes {
-			sl := &p.lanes[li].sig[i]
-			st.LivePairs += sl.live
-			st.EvictedPairs += sl.evicted
-			st.LiveObjects += len(sl.objects)
-			st.RingEntries += sl.exp.len()
-			st.Rearmed += sl.rearmed
-		}
-		out[i] = st
 	}
 	return out
 }
@@ -469,9 +386,9 @@ func (p *SlidingProjector) Add(c graph.Comment) error {
 	}
 	for _, m := range p.sigs {
 		m.objbuf = projection.DedupeObjects(m.sig.AppendObjects(c, m.objbuf[:0]))
+		sl := &p.cells[m.si]
 		for _, obj := range m.objbuf {
-			ln := p.laneOf(obj)
-			p.addToObject(&ln.sig[m.si], m, obj, c.Author, c.TS)
+			p.addToObject(sl, m, obj, c.Author, c.TS)
 		}
 	}
 	return nil
@@ -480,9 +397,7 @@ func (p *SlidingProjector) Add(c graph.Comment) error {
 // addToObject runs the windowed pairing of one (signal, object)
 // engagement: pair the comment against the object's buffered trailing-δ2
 // comments, count fresh pairs into the store with the signal's weight and
-// attribution, refresh leases on already-counted pairs. Safe for
-// concurrent callers on DIFFERENT lanes: lane state is exclusive to the
-// caller and the store mutators take per-shard locks.
+// attribution, refresh leases on already-counted pairs.
 func (p *SlidingProjector) addToObject(sl *sigLane, m *sigMeta, obj graph.VertexID, author graph.VertexID, ts int64) {
 	ps := &sl.pages[sl.pageOf(obj)]
 
@@ -494,7 +409,7 @@ func (p *SlidingProjector) addToObject(sl *sigLane, m *sigMeta, obj graph.Vertex
 	}
 
 	// A lease at or behind dead has expired. The serial path never finds
-	// one (it drains to ts first); a batch lane may, between two drains.
+	// one (it drains to ts first); a batch may, between two drains.
 	dead := ts - m.horizon
 	for i := ps.start; i < len(ps.buf); i++ {
 		old := ps.buf[i]
@@ -584,7 +499,7 @@ func (sl *sigLane) trim(ps *slidingPage, bound int64) {
 }
 
 // AddAll consumes a time-ordered batch one comment at a time (the serial
-// reference path; AddBatch is the parallel equivalent).
+// reference path AddBatch is tested against).
 func (p *SlidingProjector) AddAll(comments []graph.Comment) error {
 	for _, c := range comments {
 		if err := p.Add(c); err != nil {
@@ -594,25 +509,20 @@ func (p *SlidingProjector) AddAll(comments []graph.Comment) error {
 	return nil
 }
 
-// minParallelBatch is the batch size below which a multi-lane AddBatch
-// falls back to the serial path: dispatch overhead dominates tiny batches.
-// A single lane has nothing to dispatch and takes the batch path (one
-// eviction wave) at any size.
-const minParallelBatch = 64
-
-// AddBatch consumes a time-ordered batch. The batch is dispatched to
-// object-striped lanes — processed concurrently with workers >= 2,
-// inline otherwise — and all of the batch's evictions land as ONE merged
-// wave at the batch's final watermark: state-identical to the serial
-// path at every batch boundary, but with the store-delta application
-// amortized over the whole batch instead of paid per watermark advance
-// (each shard the evictions touch is written once). An out-of-order comment stops dispatch at that
-// comment: everything before it is applied, and the error is returned
-// after the joined lanes are consistent.
+// AddBatch consumes a time-ordered batch, pairing each comment as it comes
+// and landing all of the batch's evictions as ONE wave at the batch's
+// final watermark: state-identical to the serial path at every batch
+// boundary, but with the store-delta application amortized over the whole
+// batch instead of paid per watermark advance (each shard the evictions
+// touch is written once). A cell's rings are drained when one of its
+// engagements finds them a cadence behind and, for every cell, at the
+// batch watermark, so signals without trailing engagements decay too; in
+// between, addToObject reads expiry off the leases it touches. A drain
+// looks up in the batch when the serial path would have made each
+// eviction. An out-of-order comment stops the batch at that comment:
+// everything before it is applied, and the error is returned after the
+// wave.
 func (p *SlidingProjector) AddBatch(batch []graph.Comment) error {
-	if len(batch) < minParallelBatch && len(p.lanes) > 1 {
-		return p.AddAll(batch)
-	}
 	if p.finished {
 		return ErrAddAfterResult
 	}
@@ -631,69 +541,27 @@ func (p *SlidingProjector) AddBatch(batch []graph.Comment) error {
 			continue
 		}
 		for _, m := range p.sigs {
+			sl := &p.cells[m.si]
 			m.objbuf = projection.DedupeObjects(m.sig.AppendObjects(*c, m.objbuf[:0]))
 			for _, obj := range m.objbuf {
-				ln := p.laneOf(obj)
-				ln.pend = append(ln.pend, laneTask{obj: obj, author: c.Author, ts: c.TS, si: int32(m.si), idx: int32(i)})
+				if c.TS >= sl.nextDrain {
+					p.evictSig(sl, m, c.TS, batch[sl.drainedAt:i+1])
+					sl.drainedAt = i
+				}
+				p.addToObject(sl, m, obj, c.Author, c.TS)
 			}
 		}
 	}
 	if !p.started {
 		return err
 	}
-	wm := p.lastTS
-	if p.workers <= 1 || len(p.lanes) == 1 {
-		for li := range p.lanes {
-			p.processLane(&p.lanes[li], batch, wm)
-		}
-	} else {
-		var wg sync.WaitGroup
-		for k := 0; k < p.workers; k++ {
-			wg.Add(1)
-			go func(k int) {
-				defer wg.Done()
-				for li := k; li < len(p.lanes); li += p.workers {
-					p.processLane(&p.lanes[li], batch, wm)
-				}
-			}(k)
-		}
-		wg.Wait()
-	}
-	for li := range p.lanes {
-		p.wave.merge(&p.lanes[li].wave)
-		p.lanes[li].wave.reset()
-	}
-	if !p.wave.empty() {
-		p.applyWave(&p.wave)
-		p.wave.reset()
-	}
-	return err
-}
-
-// processLane replays one lane's dispatched engagements in stream order.
-// A cell's rings are drained when a task finds them a cadence behind and,
-// for every cell, at the batch watermark, so lanes without trailing tasks
-// decay too; in between, addToObject reads expiry off the leases it
-// touches. batch is the accepted comments (read-only, shared by all
-// lanes): a drain looks up in it when the serial path would have made each
-// eviction. Store increments go directly to the sharded store; decrements
-// accumulate in the lane wave for the post-join merge.
-func (p *SlidingProjector) processLane(ln *lane, batch []graph.Comment, wm int64) {
-	for i := range ln.pend {
-		t := &ln.pend[i]
-		sl, m := &ln.sig[t.si], p.sigs[t.si]
-		if t.ts >= sl.nextDrain {
-			p.evictSig(sl, m, t.ts, batch[sl.drainedAt:t.idx+1], &ln.wave)
-			sl.drainedAt = int(t.idx)
-		}
-		p.addToObject(sl, m, t.obj, t.author, t.ts)
-	}
-	ln.pend = ln.pend[:0]
-	for si := range ln.sig {
-		sl := &ln.sig[si]
-		p.evictSig(sl, p.sigs[si], wm, batch[sl.drainedAt:], &ln.wave)
+	for si := range p.cells {
+		sl := &p.cells[si]
+		p.evictSig(sl, p.sigs[si], p.lastTS, batch[sl.drainedAt:])
 		sl.drainedAt = 0
 	}
+	p.flushWave()
+	return err
 }
 
 // AdvanceTo moves event time forward to ts without ingesting a comment,
@@ -713,24 +581,26 @@ func (p *SlidingProjector) AdvanceTo(ts int64) error {
 	return nil
 }
 
-// evictAll drains every lane up to watermark wm and applies the merged
-// wave (the serial path's once-per-advance wave).
+// evictAll drains every cell up to watermark wm and applies the wave (the
+// serial path's once-per-advance wave).
 func (p *SlidingProjector) evictAll(wm int64) {
-	for li := range p.lanes {
-		ln := &p.lanes[li]
-		for si := range ln.sig {
-			p.evictSig(&ln.sig[si], p.sigs[si], wm, nil, &p.wave)
-		}
+	for si := range p.cells {
+		p.evictSig(&p.cells[si], p.sigs[si], wm, nil)
 	}
+	p.flushWave()
+}
+
+// flushWave applies the pending eviction wave, if any, and recycles it.
+func (p *SlidingProjector) flushWave() {
 	if !p.wave.empty() {
 		p.applyWave(&p.wave)
 		p.wave.reset()
 	}
 }
 
-// evictSig withdraws one (signal, lane) cell's contributions whose lease
-// has aged past the signal's horizon (timestamp <= wm - horizon),
-// accumulating the decrements into w; a ring entry that comes up behind a
+// evictSig withdraws one signal's contributions whose lease has aged past
+// the signal's horizon (timestamp <= wm - horizon), accumulating the
+// decrements into the pending wave; a ring entry that comes up behind a
 // refreshed lease is pushed back at the lease. It then GCs idle object
 // states.
 //
@@ -739,11 +609,11 @@ func (p *SlidingProjector) evictAll(wm int64) {
 // which drains at every comment. It only serves the buffered-comments
 // gauge: an eviction trims its object's buffer against the time the
 // eviction was due, the first comment at or after lease + horizon, so the
-// gauge does not depend on how often a lane drains.
-func (p *SlidingProjector) evictSig(sl *sigLane, m *sigMeta, wm int64, since []graph.Comment, w *wave) {
-	// A batch lane may let min(w.Max, horizon) of event time pass before
-	// it drains again: neither ring then ever holds more than twice the
-	// span it was sized for.
+// gauge does not depend on how often a batch drains.
+func (p *SlidingProjector) evictSig(sl *sigLane, m *sigMeta, wm int64, since []graph.Comment) {
+	// A batch may let min(w.Max, horizon) of event time pass before it
+	// drains a cell again: neither ring then ever holds more than twice
+	// the span it was sized for.
 	sl.nextDrain = wm + min(m.w.Max, m.horizon)
 	cutoff := wm - m.horizon
 	sl.exp.drain(cutoff, func(e expiryEntry) {
@@ -758,7 +628,7 @@ func (p *SlidingProjector) evictSig(sl *sigLane, m *sigMeta, wm int64, since []g
 			return
 		}
 		sl.leases.remove(li)
-		w.edges = append(w.edges, edgeDec{key: e.key, shard: int32(p.g.EdgeShard(e.key)), si: int32(m.si)})
+		p.wave.edges = append(p.wave.edges, edgeDec{key: e.key, shard: int32(p.g.EdgeShard(e.key)), si: int32(m.si)})
 		sl.live--
 		sl.evicted++
 		u, v := graph.UnpackEdge(e.key)
@@ -772,7 +642,7 @@ func (p *SlidingProjector) evictSig(sl *sigLane, m *sigMeta, wm int64, since []g
 				continue
 			}
 			sl.incident.remove(ii)
-			w.pages = append(w.pages, pageDec{v: a, shard: int32(p.g.VertexShard(a))})
+			p.wave.pages = append(p.wave.pages, pageDec{v: a, shard: int32(p.g.VertexShard(a))})
 		}
 		// Buffered comments w.Max behind the eviction can never pair again;
 		// once the newest is and no lease is left, the object state is dead.
@@ -954,17 +824,13 @@ func (p *SlidingProjector) GraphVersion() uint64 { return p.g.Version() }
 // must not be used afterwards; Add and AdvanceTo return ErrAddAfterResult.
 func (p *SlidingProjector) Result() graph.CIView {
 	p.finished = true
-	for li := range p.lanes {
-		ln := &p.lanes[li]
-		for si := range ln.sig {
-			sl := &ln.sig[si]
-			sl.objects, sl.pages, sl.free = nil, nil, nil
-			sl.leases.release()
-			sl.incident.release()
-			sl.exp.release()
-			sl.idle.release()
-		}
-		ln.pend = nil
+	for si := range p.cells {
+		sl := &p.cells[si]
+		sl.objects, sl.pages, sl.free = nil, nil, nil
+		sl.leases.release()
+		sl.incident.release()
+		sl.exp.release()
+		sl.idle.release()
 	}
 	return p.g
 }
@@ -974,10 +840,8 @@ func (p *SlidingProjector) Result() graph.CIView {
 // under the ingest lock).
 func (p *SlidingProjector) BufferedComments() int {
 	n := 0
-	for li := range p.lanes {
-		for si := range p.lanes[li].sig {
-			n += p.lanes[li].sig[si].buffered
-		}
+	for si := range p.cells {
+		n += p.cells[si].buffered
 	}
 	return n
 }
@@ -986,10 +850,8 @@ func (p *SlidingProjector) BufferedComments() int {
 // the GC behaviour with it).
 func (p *SlidingProjector) numObjectStates() int {
 	n := 0
-	for li := range p.lanes {
-		for si := range p.lanes[li].sig {
-			n += len(p.lanes[li].sig[si].objects)
-		}
+	for si := range p.cells {
+		n += len(p.cells[si].objects)
 	}
 	return n
 }

@@ -11,8 +11,7 @@ import (
 )
 
 // newSliding is the projector most tests here drive: Algorithm 1 over
-// window w (the single co-comment signal) on the default shard count and
-// the single-lane serial reference path.
+// window w (the single co-comment signal) on the default shard count.
 func newSliding(w projection.Window, horizon int64, opts projection.Options) (*SlidingProjector, error) {
 	return NewMultiSlidingProjectorWorkers([]SignalConfig{{Signal: projection.CoComment{W: w}}}, horizon, opts, 0, 1)
 }
@@ -62,7 +61,7 @@ func TestSlidingMatchesBatchRestricted(t *testing.T) {
 		{"short-window-6h-horizon", projection.Window{Min: 0, Max: 60}, 6 * 3600},
 		{"min-delay-window", projection.Window{Min: 10, Max: 300}, 12 * 3600},
 		// horizon < w.Max: supports are born dead past the horizon, and a
-		// batch lane drains on the horizon's cadence, not the window's.
+		// batch drains on the horizon's cadence, not the window's.
 		{"horizon-shorter-than-window", projection.Window{Min: 0, Max: 3600}, 600},
 		{"horizon-shorter-than-window-min-delay", projection.Window{Min: 5, Max: 900}, 300},
 	} {
@@ -300,65 +299,63 @@ func mustAdd(t *testing.T, p *SlidingProjector, c graph.Comment) {
 	}
 }
 
-// checkWindowState recounts, for every (signal, lane) cell, what the
-// kernel maintains incrementally: the buffered-comment gauge, one ring
-// entry per lease, the per-object lease counts, the incident table (from
-// the leases), and the slab's bookkeeping.
+// checkWindowState recounts, for every signal's cell, what the kernel
+// maintains incrementally: the buffered-comment gauge, one ring entry per
+// lease, the per-object lease counts, the incident table (from the
+// leases), and the slab's bookkeeping.
 func checkWindowState(t *testing.T, p *SlidingProjector) {
 	t.Helper()
-	for li := range p.lanes {
-		for si := range p.lanes[li].sig {
-			sl := &p.lanes[li].sig[si]
-			buffered := 0
-			var leases int32
-			for obj, pi := range sl.objects {
-				ps := &sl.pages[pi]
-				buffered += len(ps.buf) - ps.start
-				leases += ps.live
-				if ps.live < 0 {
-					t.Fatalf("lane %d signal %d object %d: %d leases", li, si, obj, ps.live)
-				}
+	for si := range p.cells {
+		sl := &p.cells[si]
+		buffered := 0
+		var leases int32
+		for obj, pi := range sl.objects {
+			ps := &sl.pages[pi]
+			buffered += len(ps.buf) - ps.start
+			leases += ps.live
+			if ps.live < 0 {
+				t.Fatalf("signal %d object %d: %d leases", si, obj, ps.live)
 			}
-			if sl.buffered != buffered {
-				t.Fatalf("lane %d signal %d: buffered gauge %d, recount %d", li, si, sl.buffered, buffered)
+		}
+		if sl.buffered != buffered {
+			t.Fatalf("signal %d: buffered gauge %d, recount %d", si, sl.buffered, buffered)
+		}
+		if sl.exp.len() != int(sl.live) || sl.leases.len() != int(sl.live) || int64(leases) != sl.live {
+			t.Fatalf("signal %d: %d ring entries, %d leases in the table, %d on the objects, live gauge %d",
+				si, sl.exp.len(), sl.leases.len(), leases, sl.live)
+		}
+		if len(sl.objects)+len(sl.free) != len(sl.pages) {
+			t.Fatalf("signal %d: %d objects + %d free != %d slab slots",
+				si, len(sl.objects), len(sl.free), len(sl.pages))
+		}
+		type objAuthor struct{ obj, a graph.VertexID }
+		incident := make(map[objAuthor]int64)
+		perObj := make(map[graph.VertexID]int32)
+		for _, s := range sl.leases.slots {
+			if s.key == 0 {
+				continue
 			}
-			if sl.exp.len() != int(sl.live) || sl.leases.len() != int(sl.live) || int64(leases) != sl.live {
-				t.Fatalf("lane %d signal %d: %d ring entries, %d leases in the table, %d on the objects, live gauge %d",
-					li, si, sl.exp.len(), sl.leases.len(), leases, sl.live)
+			u, v := graph.UnpackEdge(s.key)
+			incident[objAuthor{s.obj, u}]++
+			incident[objAuthor{s.obj, v}]++
+			perObj[s.obj]++
+		}
+		for obj, n := range perObj {
+			pi, ok := sl.objects[obj]
+			if !ok || sl.pages[pi].live != n {
+				t.Fatalf("signal %d object %d: %d leases in the table, state %v", si, obj, n, ok)
 			}
-			if len(sl.objects)+len(sl.free) != len(sl.pages) {
-				t.Fatalf("lane %d signal %d: %d objects + %d free != %d slab slots",
-					li, si, len(sl.objects), len(sl.free), len(sl.pages))
+		}
+		if sl.incident.len() != len(incident) {
+			t.Fatalf("signal %d: %d incident counts, leases imply %d", si, sl.incident.len(), len(incident))
+		}
+		for _, s := range sl.incident.slots {
+			if s.key == 0 {
+				continue
 			}
-			type objAuthor struct{ obj, a graph.VertexID }
-			incident := make(map[objAuthor]int64)
-			perObj := make(map[graph.VertexID]int32)
-			for _, s := range sl.leases.slots {
-				if s.key == 0 {
-					continue
-				}
-				u, v := graph.UnpackEdge(s.key)
-				incident[objAuthor{s.obj, u}]++
-				incident[objAuthor{s.obj, v}]++
-				perObj[s.obj]++
-			}
-			for obj, n := range perObj {
-				pi, ok := sl.objects[obj]
-				if !ok || sl.pages[pi].live != n {
-					t.Fatalf("lane %d signal %d object %d: %d leases in the table, state %v", li, si, obj, n, ok)
-				}
-			}
-			if sl.incident.len() != len(incident) {
-				t.Fatalf("lane %d signal %d: %d incident counts, leases imply %d", li, si, sl.incident.len(), len(incident))
-			}
-			for _, s := range sl.incident.slots {
-				if s.key == 0 {
-					continue
-				}
-				if want := incident[objAuthor{s.obj, graph.VertexID(s.key - 1)}]; s.val != want {
-					t.Fatalf("lane %d signal %d object %d author %d: incident count %d, leases imply %d",
-						li, si, s.obj, s.key-1, s.val, want)
-				}
+			if want := incident[objAuthor{s.obj, graph.VertexID(s.key - 1)}]; s.val != want {
+				t.Fatalf("signal %d object %d author %d: incident count %d, leases imply %d",
+					si, s.obj, s.key-1, s.val, want)
 			}
 		}
 	}

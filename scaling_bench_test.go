@@ -249,7 +249,7 @@ func TestWriteDetectdBench(t *testing.T) {
 			"span_days":   14,
 			"horizon_sec": 6 * 3600,
 			"window_sec":  60,
-		}, 0, 0),
+		}, 0),
 		"ingest": map[string]any{
 			"comments_per_sec":   ingest.Extra["comments/s"],
 			"ns_per_pass":        ingest.NsPerOp(),

@@ -154,7 +154,7 @@ func TestWriteSignalsBench(t *testing.T) {
 			"span_days":    14,
 			"horizon_sec":  signalsBenchHorizon,
 			"multi_signal": sigNames,
-		}, 1, 0),
+		}, 0),
 		"ingest": map[string]any{
 			"single_ms":          ingestSingleNs / 1e6,
 			"multi_ms":           ingestMultiNs / 1e6,
