@@ -2,15 +2,15 @@
 
 GO ?= go
 
-.PHONY: all build check fmt vet test test-race check-bench check-deps bench bench-e2e bench-adjacency bench-community bench-signals bench-ingest fuzz experiments examples clean
+.PHONY: all build check fmt vet test test-race check-bench check-deps check-surface bench bench-e2e bench-adjacency bench-community bench-signals bench-ingest fuzz experiments examples clean
 
 all: build check
 
 # The gate PRs must pass: formatting and static checks plus the full
 # suite under the race detector (the daemon's ingest/survey concurrency
 # depends on it), the benchmark's module, which the root ./... does not
-# reach, and the product path's import boundary.
-check: fmt vet test-race check-bench check-deps
+# reach, the product path's import boundary, and the exported surface.
+check: fmt vet test-race check-bench check-deps check-surface
 
 build:
 	$(GO) build ./...
@@ -43,14 +43,23 @@ check-deps:
 		echo "check-deps: the product path imports a message runtime (above)" >&2; exit 1; \
 	fi
 
+# The exported surface as a checked file: api/surface.txt lists every
+# exported identifier of internal/ and every cmd/ flag with its non-test
+# users (bench/ included). Fails when an identifier has no user and no
+# surface:keep reason, or when the committed file is stale.
+check-surface:
+	$(GO) run ./tools/surface > api/surface.txt && git diff --exit-code -- api/surface.txt
+
 # Short fuzz of the edge-key codec, the open-addressed edge table vs a
 # map reference model, the sharded-vs-map adjacency equivalence, the
 # patched-vs-rebuilt oriented CSR, the archive reader vs its
 # encoding/json reference, the sliding window's flat lease table vs a
 # map reference model, the archive timestamp's digit fast path vs the
 # strconv path behind it, the JSON scanner's two entry points (One vs
-# Reset+Next) on arbitrary bytes, and the run-sharing Step-3 kernel
-# (EvaluateAll) vs the single-triplet Evaluate (seed corpora also run
+# Reset+Next) on arbitrary bytes, the binary ingest frame decoder on
+# arbitrary bytes and its Encoder round trip, the run-sharing Step-3
+# kernel (EvaluateAll) vs the single-triplet Evaluate, and the ygmnet
+# transport's frame reader on arbitrary bytes (seed corpora also run
 # under plain `make test`).
 FUZZTIME ?= 20s
 fuzz:
@@ -62,7 +71,9 @@ fuzz:
 	$(GO) test ./internal/stream/ -fuzz FuzzLeaseTable -fuzztime $(FUZZTIME)
 	$(GO) test ./internal/wire/ -fuzz FuzzLenientTS -fuzztime $(FUZZTIME)
 	$(GO) test ./internal/wire/ -fuzz FuzzScanner -fuzztime $(FUZZTIME)
+	$(GO) test ./internal/wire/ -fuzz FuzzFrameScanner -fuzztime $(FUZZTIME)
 	$(GO) test ./internal/hypergraph/ -fuzz FuzzEvaluateAll -fuzztime $(FUZZTIME)
+	$(GO) test ./internal/ygmnet/ -fuzz FuzzReadFrame -fuzztime $(FUZZTIME)
 
 # Captures for the repo-root result files.
 test-output:

@@ -93,8 +93,10 @@ func (s *adjState) applyDirty(b *testing.B, authors int) map[graph.VertexID]bool
 		}
 		dirty[a1], dirty[a2] = true, true
 	}
-	if err := s.proj.AddAll(batch); err != nil {
-		b.Fatal(err)
+	for _, c := range batch {
+		if err := s.proj.Add(c); err != nil {
+			b.Fatal(err)
+		}
 	}
 	s.ts += int64(4*(authors/2)) + 61
 	return dirty

@@ -230,13 +230,27 @@ func BenchmarkConnectedComponents(b *testing.B) {
 	}
 }
 
+// streamProject feeds time-ordered comments through one stream.Projector.
+func streamProject(comments []graph.Comment, w projection.Window, opts projection.Options) (*graph.CIGraph, error) {
+	p, err := stream.NewProjector(w, opts)
+	if err != nil {
+		return nil, err
+	}
+	for _, c := range comments {
+		if err := p.Add(c); err != nil {
+			return nil, err
+		}
+	}
+	return p.Result(), nil
+}
+
 func BenchmarkStreamingProjection(b *testing.B) {
 	d := redditgen.Generate(redditgen.DenseWeek(7))
 	helpers := d.Helpers
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := stream.Project(d.Comments, projection.Window{Min: 0, Max: 60},
+		if _, err := streamProject(d.Comments, projection.Window{Min: 0, Max: 60},
 			projection.Options{Exclude: helpers}); err != nil {
 			b.Fatal(err)
 		}

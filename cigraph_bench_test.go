@@ -38,12 +38,13 @@ func benchProjection(b testing.TB) (*graph.CIGraph, *graph.ShardedCI) {
 
 // BenchmarkSnapshotClone is the old regime: every survey cycle deep-copies
 // the entire edge and page-count maps — O(E) with E ≈ a quarter million.
+// Threshold(1) keeps every edge, so it is that full deep copy.
 func BenchmarkSnapshotClone(b *testing.B) {
 	ref, _ := benchProjection(b)
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		ref.Clone()
+		ref.Threshold(1)
 	}
 	b.ReportMetric(float64(ref.NumEdges()), "edges")
 }
@@ -69,7 +70,7 @@ func BenchmarkSnapshotCOW(b *testing.B) {
 			for i := 0; i < b.N; i++ {
 				for k := 0; k < writes; k++ {
 					e := edges[rng.Intn(len(edges))]
-					sh.AddEdgeWeight(e.U, e.V, 1)
+					sh.AddEdgeWeightSig(e.U, e.V, 1, 0)
 				}
 				sh.Snapshot()
 			}
@@ -202,7 +203,7 @@ func TestWriteCIGraphBench(t *testing.T) {
 	clone := testing.Benchmark(func(b *testing.B) {
 		b.ReportAllocs()
 		for i := 0; i < b.N; i++ {
-			ref.Clone()
+			ref.Threshold(1)
 		}
 	})
 	cowIdle := testing.Benchmark(func(b *testing.B) {
@@ -218,7 +219,7 @@ func TestWriteCIGraphBench(t *testing.T) {
 		for i := 0; i < b.N; i++ {
 			for k := 0; k < hotWrites; k++ {
 				e := edges[rng.Intn(len(edges))]
-				sh.AddEdgeWeight(e.U, e.V, 1)
+				sh.AddEdgeWeightSig(e.U, e.V, 1, 0)
 			}
 			sh.Snapshot()
 		}

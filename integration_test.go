@@ -14,7 +14,6 @@ import (
 	"coordbot/internal/projection"
 	"coordbot/internal/pushshift"
 	"coordbot/internal/redditgen"
-	"coordbot/internal/stream"
 	"coordbot/internal/temporal"
 )
 
@@ -91,7 +90,7 @@ func TestStreamingMatchesPipelineProjection(t *testing.T) {
 	dataset := redditgen.Generate(redditgen.Tiny(9))
 	w := projection.Window{Min: 0, Max: 60}
 	opts := projection.Options{Exclude: dataset.Helpers}
-	streamed, err := stream.Project(dataset.Comments, w, opts)
+	streamed, err := streamProject(dataset.Comments, w, opts)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -184,32 +184,6 @@ func (p *Partition) appendComponent(groups [][]graph.VertexID) {
 	}
 }
 
-// NumCommunities returns the community count.
-func (p *Partition) NumCommunities() int { return len(p.Communities) }
-
-// Equal reports structural equality of two partitions (same communities
-// with the same members in the same canonical order).
-func (p *Partition) Equal(o *Partition) bool {
-	if p == nil || o == nil {
-		return p == o
-	}
-	if len(p.Communities) != len(o.Communities) {
-		return false
-	}
-	for i := range p.Communities {
-		a, b := p.Communities[i], o.Communities[i]
-		if len(a) != len(b) {
-			return false
-		}
-		for j := range a {
-			if a[j] != b[j] {
-				return false
-			}
-		}
-	}
-	return true
-}
-
 // component is one connected component in dense-adjacency space.
 type component struct {
 	// verts are the dense vertex indices, sorted ascending (which, by

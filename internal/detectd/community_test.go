@@ -7,9 +7,11 @@ package detectd
 
 import (
 	"encoding/json"
+	"fmt"
 	"math/rand"
 	"net/http"
 	"net/http/httptest"
+	"reflect"
 	"sync"
 	"testing"
 
@@ -78,9 +80,9 @@ func TestWarmCommunitiesMatchCold(t *testing.T) {
 			t.Fatalf("cycle %d published no partition", sr.Cycle)
 		}
 		cold := community.Detect(sr.Result.Thresholded, ccfg)
-		if !sr.Result.Partition.Equal(cold) {
+		if !reflect.DeepEqual(sr.Result.Partition.Communities, cold.Communities) {
 			t.Fatalf("cycle %d: warm partition differs from cold Detect (warm %d communities, cold %d)",
-				sr.Cycle, sr.Result.Partition.NumCommunities(), cold.NumCommunities())
+				sr.Cycle, len(sr.Result.Partition.Communities), len(cold.Communities))
 		}
 		reused += sr.ReusedComponents
 		clustered += sr.ClusteredComponents
@@ -184,7 +186,20 @@ func TestIngestDuringCommunitiesQuery(t *testing.T) {
 		t.Fatal("no partition after full stream")
 	}
 	cold := community.Detect(sr.Result.Thresholded, cfg.Community.Defaults())
-	if !sr.Result.Partition.Equal(cold) {
+	if !reflect.DeepEqual(sr.Result.Partition.Communities, cold.Communities) {
 		t.Fatal("final warm partition differs from cold Detect")
+	}
+	// ?limit=n returns the first n rows, none for n = 0; total counts all.
+	for _, limit := range []int{0, 1} {
+		resp, err := http.Get(fmt.Sprintf("%s/v1/communities?limit=%d", srv.URL, limit))
+		if err != nil {
+			t.Fatal(err)
+		}
+		var out CommunitiesOut
+		err = json.NewDecoder(resp.Body).Decode(&out)
+		resp.Body.Close()
+		if err != nil || len(out.Communities) != limit || out.Total < 2 {
+			t.Fatalf("?limit=%d: %d rows of %d (%v)", limit, len(out.Communities), out.Total, err)
+		}
 	}
 }

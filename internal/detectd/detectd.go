@@ -357,12 +357,6 @@ func NewService(cfg Config) (*Service, error) {
 	}, nil
 }
 
-// Authors exposes the author name↔ID table (shared with API responses).
-func (s *Service) Authors() *interner.Interner { return s.authors }
-
-// Pages exposes the page name↔ID table.
-func (s *Service) Pages() *interner.Interner { return s.pageIDs }
-
 // Start launches the ingest worker and, if configured, the survey loop.
 // Each long-lived goroutine carries a pprof "phase" label (ingest /
 // survey, with the clustering section additionally labeled communities),
@@ -827,10 +821,6 @@ func (s *Service) liveStats() liveStats {
 		signals:      s.proj.SignalStats(),
 	}
 }
-
-// SignalNames returns the configured signals' names in breakdown order
-// (always at least the default co-comment signal).
-func (s *Service) SignalNames() []string { return s.signalNames }
 
 // signalMix labels a per-signal weight vector with the signal names,
 // dropping zero entries; nil in (single-signal stores) is nil out.

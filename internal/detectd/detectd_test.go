@@ -445,6 +445,9 @@ func TestTrianglesOrderIsTotal(t *testing.T) {
 	grown := append([]pipeline.TriangleResult{weak}, base...)
 
 	publishCensus(s, base)
+	if zero := getTriangles(t, s, "?limit=0"); zero.Total != 1000 || len(zero.Triangles) != 0 {
+		t.Fatalf("?limit=0: total %d, %d rows; want 1000, 0", zero.Total, len(zero.Triangles))
+	}
 	want := getTriangles(t, s, "?limit=50")
 	if want.Total != 1000 || len(want.Triangles) != 50 {
 		t.Fatalf("total %d, %d rows", want.Total, len(want.Triangles))

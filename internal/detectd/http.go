@@ -60,20 +60,6 @@ import (
 // maxIngestBody bounds one ingest request (64 MiB of JSON).
 const maxIngestBody = 64 << 20
 
-// CommentIn documents the JSON wire form of one ingested comment (the
-// endpoint itself decodes with the zero-copy wire.Scanner, not through
-// this struct). URLs, Tags, and ReplyTo are optional signal attributes;
-// they only matter when the daemon runs with the matching non-default
-// signals and are dropped otherwise.
-type CommentIn struct {
-	Author  string   `json:"author"`
-	Page    string   `json:"page"`
-	TS      int64    `json:"ts"`
-	URLs    []string `json:"urls,omitempty"`
-	Tags    []string `json:"tags,omitempty"`
-	ReplyTo string   `json:"reply_to,omitempty"`
-}
-
 // TriangleOut is the wire form of one surveyed triangle.
 type TriangleOut struct {
 	Authors   [3]string `json:"authors"`
@@ -484,6 +470,9 @@ func (s *Service) handleTriangles(w http.ResponseWriter, r *http.Request) {
 		if tr.T < minT {
 			continue
 		}
+		if limit >= 0 && len(out.Triangles) >= limit {
+			break
+		}
 		to := TriangleOut{
 			Authors: [3]string{
 				s.nameOf(tr.X), s.nameOf(tr.Y), s.nameOf(tr.Z),
@@ -496,9 +485,6 @@ func (s *Service) handleTriangles(w http.ResponseWriter, r *http.Request) {
 			to.WXYZ, to.C = &wxyz, &c
 		}
 		out.Triangles = append(out.Triangles, to)
-		if limit >= 0 && len(out.Triangles) >= limit {
-			break
-		}
 	}
 	writeJSON(w, http.StatusOK, out)
 }
@@ -834,6 +820,9 @@ func (s *Service) handleCommunities(w http.ResponseWriter, r *http.Request) {
 		if cs.C < minC {
 			continue
 		}
+		if limit >= 0 && len(out.Communities) >= limit {
+			break
+		}
 		co := CommunityOut{
 			ID:             cs.ID,
 			Size:           cs.Size,
@@ -854,9 +843,6 @@ func (s *Service) handleCommunities(w http.ResponseWriter, r *http.Request) {
 			}
 		}
 		out.Communities = append(out.Communities, co)
-		if limit >= 0 && len(out.Communities) >= limit {
-			break
-		}
 	}
 	writeJSON(w, http.StatusOK, out)
 }

@@ -187,45 +187,3 @@ func Run(opts Options) error {
 	node.Barrier()
 	return node.Err()
 }
-
-// MergeShards parses concatenated rank shards (as written by Run) back
-// into a CIGraph, resolving names through the provided lookup. Unknown
-// names are interned via intern. It is the inverse used by tests and by
-// downstream tooling that wants one graph from per-rank outputs.
-func MergeShards(r io.Reader, intern func(string) graph.VertexID) (*graph.CIGraph, error) {
-	g := graph.NewCIGraph()
-	sc := bufio.NewScanner(r)
-	sc.Buffer(make([]byte, 1<<20), 1<<24)
-	inCounts := false
-	for sc.Scan() {
-		line := sc.Text()
-		if line == "" {
-			continue
-		}
-		if strings.HasPrefix(line, "#") {
-			inCounts = strings.HasPrefix(line, "#pagecounts")
-			continue
-		}
-		parts := strings.Split(line, "\t")
-		if inCounts {
-			if len(parts) != 2 {
-				return nil, fmt.Errorf("distrank: bad count line %q", line)
-			}
-			var c int64
-			if _, err := fmt.Sscanf(parts[1], "%d", &c); err != nil {
-				return nil, err
-			}
-			g.AddPageCount(intern(parts[0]), uint32(c))
-			continue
-		}
-		if len(parts) != 3 {
-			return nil, fmt.Errorf("distrank: bad edge line %q", line)
-		}
-		var wgt uint32
-		if _, err := fmt.Sscanf(parts[2], "%d", &wgt); err != nil {
-			return nil, err
-		}
-		g.AddEdgeWeight(intern(parts[0]), intern(parts[1]), wgt)
-	}
-	return g, sc.Err()
-}

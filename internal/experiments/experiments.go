@@ -8,7 +8,6 @@ package experiments
 import (
 	"fmt"
 	"io"
-	"sort"
 	"sync"
 
 	"coordbot/internal/graph"
@@ -596,24 +595,6 @@ func (l *Lab) X2() (*Report, error) {
 	}
 	r.addf("cutoff 10 + T >= 0.5   : %s", pipeline.Evaluate(flagged, truth))
 	return r, nil
-}
-
-// WindowSweep measures how the C–T correlation tightens with window length
-// (the paper's F5→F7→F9 narrative) and returns (window seconds, Pearson r)
-// pairs in ascending window order.
-func (l *Lab) WindowSweep(dataset string, windows []int64) ([][2]float64, error) {
-	out := make([][2]float64, 0, len(windows))
-	for _, max := range windows {
-		res, err := l.Run(dataset, projection.Window{Min: 0, Max: max}, 10)
-		if err != nil {
-			return nil, err
-		}
-		ts, cs, _, _ := res.MetricSeries()
-		r := stats.Pearson(ts, cs)
-		out = append(out, [2]float64{float64(max), r})
-	}
-	sort.Slice(out, func(i, j int) bool { return out[i][0] < out[j][0] })
-	return out, nil
 }
 
 // writerBuffer is a minimal strings.Builder alias implementing io.Writer.

@@ -100,13 +100,14 @@ func TestScoreHexbinCorrelationsPositive(t *testing.T) {
 	// All window lengths must show the positive T–C relationship of
 	// Figures 3/5/7/9.
 	lab := newTestLab(t)
-	sweep, err := lab.WindowSweep("oct2016", []int64{60, 600})
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, wr := range sweep {
-		if math.IsNaN(wr[1]) || wr[1] <= 0 {
-			t.Fatalf("correlation not positive: %v", sweep)
+	for _, max := range []int64{60, 600} {
+		res, err := lab.Run("oct2016", projection.Window{Min: 0, Max: max}, 10)
+		if err != nil {
+			t.Fatal(err)
+		}
+		ts, cs, _, _ := res.MetricSeries()
+		if r := stats.Pearson(ts, cs); math.IsNaN(r) || r <= 0 {
+			t.Fatalf("window %ds: correlation %v not positive", max, r)
 		}
 	}
 }

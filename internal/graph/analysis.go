@@ -4,121 +4,11 @@ import "sort"
 
 // Analysis helpers used when characterizing detected components: the paper
 // remarks that the share/reshare ring "contains an 8-clique" and is denser
-// than the GPT-2 ring, so we provide clique and core machinery to make
-// those statements checkable.
-
-// KCore returns the maximal subgraph of g in which every vertex has degree
-// >= k, as the set of surviving author IDs (standard peeling algorithm).
-func KCore(g *CIGraph, k int) map[VertexID]bool {
-	adj := g.BuildAdjacency()
-	n := adj.NumVertices()
-	deg := make([]int, n)
-	for i := 0; i < n; i++ {
-		deg[i] = adj.Degree(int32(i))
-	}
-	removed := make([]bool, n)
-	queue := make([]int32, 0, n)
-	for i := 0; i < n; i++ {
-		if deg[i] < k {
-			queue = append(queue, int32(i))
-			removed[i] = true
-		}
-	}
-	for len(queue) > 0 {
-		v := queue[len(queue)-1]
-		queue = queue[:len(queue)-1]
-		for _, nb := range adj.Neighbors(v) {
-			if removed[nb] {
-				continue
-			}
-			deg[nb]--
-			if deg[nb] < k {
-				removed[nb] = true
-				queue = append(queue, nb)
-			}
-		}
-	}
-	out := make(map[VertexID]bool)
-	for i := 0; i < n; i++ {
-		if !removed[i] {
-			out[adj.Orig[i]] = true
-		}
-	}
-	return out
-}
-
-// CoreNumbers computes the core number of every dense vertex of adj using
-// the Batagelj–Zaversnik bin-sort peeling algorithm (O(V+E)).
-func CoreNumbers(adj *Adjacency) []int {
-	n := adj.NumVertices()
-	if n == 0 {
-		return nil
-	}
-	deg := make([]int, n)
-	maxDeg := 0
-	for i := 0; i < n; i++ {
-		deg[i] = adj.Degree(int32(i))
-		if deg[i] > maxDeg {
-			maxDeg = deg[i]
-		}
-	}
-	bin := make([]int, maxDeg+1)
-	for _, d := range deg {
-		bin[d]++
-	}
-	start := 0
-	for d := 0; d <= maxDeg; d++ {
-		c := bin[d]
-		bin[d] = start
-		start += c
-	}
-	pos := make([]int, n)
-	vert := make([]int32, n)
-	for v := 0; v < n; v++ {
-		pos[v] = bin[deg[v]]
-		vert[pos[v]] = int32(v)
-		bin[deg[v]]++
-	}
-	for d := maxDeg; d > 0; d-- {
-		bin[d] = bin[d-1]
-	}
-	bin[0] = 0
-	core := make([]int, n)
-	copy(core, deg)
-	for i := 0; i < n; i++ {
-		v := vert[i]
-		for _, u := range adj.Neighbors(v) {
-			if core[u] > core[v] {
-				du, pu := core[u], pos[u]
-				pw := bin[du]
-				w := vert[pw]
-				if u != w {
-					pos[u], vert[pu] = pw, w
-					pos[w], vert[pw] = pu, u
-				}
-				bin[du]++
-				core[u]--
-			}
-		}
-	}
-	return core
-}
-
-// Degeneracy returns the largest k such that the k-core of g is non-empty.
-// It upper-bounds the clique number minus one.
-func Degeneracy(g *CIGraph) int {
-	core := CoreNumbers(g.BuildAdjacency())
-	d := 0
-	for _, c := range core {
-		if c > d {
-			d = c
-		}
-	}
-	return d
-}
+// than the GPT-2 ring, so we provide clique machinery to make those
+// statements checkable.
 
 // MaxCliqueSize returns the clique number of g via a Bron–Kerbosch search
-// with pivoting and a degeneracy-order outer loop. Intended for the small
+// with pivoting. Intended for the small
 // thresholded components the pipeline produces (tens to hundreds of
 // vertices), not the full CI graph.
 func MaxCliqueSize(g *CIGraph) int {

@@ -24,9 +24,9 @@ type VertexID = uint32
 // (shared URLs, hashtags, reply target). It is nil for the plain
 // co-comment workload, so existing code paths and literals are
 // unaffected; only signal-aware projectors look at it. The BTM itself
-// indexes pages only — Comments() drops attrs, which is
-// fine because every non-page signal is projected straight from the
-// comment stream, never from the BTM.
+// indexes pages only and drops attrs, which is fine because every
+// non-page signal is projected straight from the comment stream, never
+// from the BTM.
 type Comment struct {
 	Author VertexID
 	Page   VertexID
@@ -232,16 +232,4 @@ func (b *BTM) buildTimedIndex() {
 		slices.SortFunc(timed[a], func(x, y PageTimes) int { return cmp.Compare(x.Page, y.Page) })
 	}
 	b.authorTimed = timed
-}
-
-// Comments reconstructs the flat comment stream (page-major, time order).
-// Intended for tests and re-projection; allocates a fresh slice.
-func (b *BTM) Comments() []Comment {
-	out := make([]Comment, 0, b.numEdges)
-	for p := 0; p < b.numPages; p++ {
-		for _, at := range b.pageEntries[b.pageOff[p]:b.pageOff[p+1]] {
-			out = append(out, Comment{Author: at.Author, Page: VertexID(p), TS: at.TS})
-		}
-	}
-	return out
 }

@@ -80,15 +80,21 @@ func TestBTMAuthorPageTimes(t *testing.T) {
 	}
 }
 
+// TestBTMCommentsRoundTrip: the page neighborhoods hold every comment,
+// so the BTM rebuilt from them is identical.
 func TestBTMCommentsRoundTrip(t *testing.T) {
 	orig := sampleComments()
 	b := BuildBTM(orig, 0, 0)
-	back := b.Comments()
+	var back []Comment
+	for p := VertexID(0); int(p) < b.NumPages(); p++ {
+		for _, at := range b.PageNeighborhood(p) {
+			back = append(back, Comment{Author: at.Author, Page: p, TS: at.TS})
+		}
+	}
 	if len(back) != len(orig) {
 		t.Fatalf("round trip length %d != %d", len(back), len(orig))
 	}
 	b2 := BuildBTM(back, 0, 0)
-	// Rebuilt BTM must be identical (compare page neighborhoods).
 	for p := VertexID(0); int(p) < b.NumPages(); p++ {
 		n1, n2 := b.PageNeighborhood(p), b2.PageNeighborhood(p)
 		if len(n1) != len(n2) {

@@ -82,6 +82,8 @@ func (g *CIGraph) AddPageCount(u VertexID, n uint32) {
 // comparisons against fresh batch projections exact). It panics on
 // underflow — withdrawing more weight than was contributed is a logic bug
 // in the caller's bookkeeping, not a recoverable condition.
+// surface:keep the sharded ≡ map-backed suites (TestShardedMatchesMapUnderInterleaving,
+// TestSubShardBatch, FuzzBuildAdjacency) withdraw from the reference through it.
 func (g *CIGraph) SubEdgeWeight(u, v VertexID, w uint32) {
 	key := PackEdge(u, v)
 	cur, ok := g.edges[key]
@@ -97,6 +99,7 @@ func (g *CIGraph) SubEdgeWeight(u, v VertexID, w uint32) {
 
 // SubPageCount subtracts n from P'_u, deleting the entry at zero. Panics on
 // underflow (see SubEdgeWeight).
+// surface:keep the same sharded ≡ map-backed suites as SubEdgeWeight.
 func (g *CIGraph) SubPageCount(u VertexID, n uint32) {
 	cur, ok := g.pageCounts[u]
 	if !ok || cur < n {
@@ -107,33 +110,6 @@ func (g *CIGraph) SubPageCount(u VertexID, n uint32) {
 	} else {
 		g.pageCounts[u] = cur - n
 	}
-}
-
-// Clone returns a deep copy of the graph. The copy shares nothing with the
-// original, so a live accumulator can be snapshotted under a brief lock and
-// surveyed concurrently while ingestion continues to mutate the original.
-func (g *CIGraph) Clone() *CIGraph {
-	out := &CIGraph{
-		edges:      make(map[uint64]uint32, len(g.edges)),
-		pageCounts: make(map[VertexID]uint32, len(g.pageCounts)),
-	}
-	for key, w := range g.edges {
-		out.edges[key] = w
-	}
-	for k, v := range g.pageCounts {
-		out.pageCounts[k] = v
-	}
-	if g.sig != nil {
-		out.sig = make([]map[uint64]uint32, len(g.sig))
-		for si, m := range g.sig {
-			cp := make(map[uint64]uint32, len(m))
-			for key, w := range m {
-				cp[key] = w
-			}
-			out.sig[si] = cp
-		}
-	}
-	return out
 }
 
 // Weight returns w'_uv (0 if the edge is absent).

@@ -107,21 +107,6 @@ func TestCIGraphSubPageCount(t *testing.T) {
 	g.SubPageCount(7, 1)
 }
 
-func TestCIGraphClone(t *testing.T) {
-	g := NewCIGraph()
-	g.AddEdgeWeight(1, 2, 3)
-	g.AddPageCount(1, 4)
-	c := g.Clone()
-	if !c.Equal(g) {
-		t.Fatal("clone differs from original")
-	}
-	g.AddEdgeWeight(1, 2, 1)
-	g.AddPageCount(2, 1)
-	if c.Weight(1, 2) != 3 || c.PageCount(2) != 0 {
-		t.Fatal("clone shares storage with original")
-	}
-}
-
 func TestCIGraphMerge(t *testing.T) {
 	a, b := NewCIGraph(), NewCIGraph()
 	a.AddEdgeWeight(1, 2, 3)

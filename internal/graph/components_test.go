@@ -8,7 +8,7 @@ import (
 
 func TestUnionFindBasics(t *testing.T) {
 	uf := NewUnionFind(5)
-	if uf.Sets() != 5 || uf.Len() != 5 {
+	if uf.Find(4) != 4 {
 		t.Fatal("fresh union-find wrong")
 	}
 	if !uf.Union(0, 1) {
@@ -19,29 +19,29 @@ func TestUnionFindBasics(t *testing.T) {
 	}
 	uf.Union(2, 3)
 	uf.Union(0, 3)
-	if uf.Sets() != 2 {
-		t.Fatalf("sets = %d, want 2", uf.Sets())
-	}
-	if !uf.Same(1, 2) || uf.Same(0, 4) {
-		t.Fatal("Same() wrong")
+	if uf.Find(1) != uf.Find(2) || uf.Find(0) == uf.Find(4) {
+		t.Fatal("Find() wrong")
 	}
 }
 
 func TestQuickUnionFindPartition(t *testing.T) {
 	// Property: representatives partition the elements — every element has
-	// exactly one root, and Sets() equals the number of distinct roots.
+	// exactly one root, and each merging Union removes exactly one root.
 	f := func(seed int64) bool {
 		rng := rand.New(rand.NewSource(seed))
 		n := rng.Intn(50) + 1
 		uf := NewUnionFind(n)
+		sets := n
 		for i := 0; i < n; i++ {
-			uf.Union(int32(rng.Intn(n)), int32(rng.Intn(n)))
+			if uf.Union(int32(rng.Intn(n)), int32(rng.Intn(n))) {
+				sets--
+			}
 		}
 		roots := make(map[int32]bool)
 		for i := 0; i < n; i++ {
 			roots[uf.Find(int32(i))] = true
 		}
-		return len(roots) == uf.Sets()
+		return len(roots) == sets
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 50}); err != nil {
 		t.Fatal(err)
@@ -115,27 +115,6 @@ func TestQuickComponentsPartitionVertices(t *testing.T) {
 	}
 }
 
-func TestKCore(t *testing.T) {
-	g := NewCIGraph()
-	// 4-clique 1-2-3-4 with a tail 4-5.
-	for _, e := range [][2]VertexID{{1, 2}, {1, 3}, {1, 4}, {2, 3}, {2, 4}, {3, 4}, {4, 5}} {
-		g.AddEdgeWeight(e[0], e[1], 1)
-	}
-	core3 := KCore(g, 3)
-	if len(core3) != 4 {
-		t.Fatalf("3-core has %d vertices, want 4", len(core3))
-	}
-	if core3[5] {
-		t.Fatal("tail vertex in 3-core")
-	}
-	if len(KCore(g, 4)) != 0 {
-		t.Fatal("4-core should be empty")
-	}
-	if d := Degeneracy(g); d != 3 {
-		t.Fatalf("degeneracy = %d, want 3", d)
-	}
-}
-
 func TestMaxCliqueSize(t *testing.T) {
 	g := NewCIGraph()
 	// 8-clique (the paper's reshare core) plus noise edges.
@@ -159,26 +138,5 @@ func TestMaxCliqueEmptyAndSingle(t *testing.T) {
 	g.AddEdgeWeight(1, 2, 1)
 	if k := MaxCliqueSize(g); k != 2 {
 		t.Fatalf("single edge clique = %d, want 2", k)
-	}
-}
-
-func TestQuickDegeneracyBoundsClique(t *testing.T) {
-	// Property: clique number <= degeneracy + 1 on random graphs.
-	f := func(seed int64) bool {
-		rng := rand.New(rand.NewSource(seed))
-		g := NewCIGraph()
-		for i := 0; i < 50; i++ {
-			u, v := VertexID(rng.Intn(15)), VertexID(rng.Intn(15))
-			if u != v {
-				g.AddEdgeWeight(u, v, 1)
-			}
-		}
-		if g.NumEdges() == 0 {
-			return true
-		}
-		return MaxCliqueSize(g) <= Degeneracy(g)+1
-	}
-	if err := quick.Check(f, &quick.Config{MaxCount: 30}); err != nil {
-		t.Fatal(err)
 	}
 }

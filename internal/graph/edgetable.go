@@ -99,9 +99,6 @@ func (t *EdgeTable) alloc(capacity int) {
 // Len returns the number of live entries.
 func (t *EdgeTable) Len() int { return t.n }
 
-// NumSignals returns the breakdown lane count (0 when untracked).
-func (t *EdgeTable) NumSignals() int { return t.nsig }
-
 // slot probes for key: the slot holding it (found) or the empty slot
 // terminating its probe chain (not found).
 func (t *EdgeTable) slot(key uint64) (uint64, bool) {
@@ -327,41 +324,10 @@ func (t *EdgeTable) ForEach(fn func(key uint64, w uint32) bool) {
 	}
 }
 
-// AddBatch folds a batch of increments in — the zero-alloc merge
-// primitive for shard-grouped, key-sorted patch slices (growth aside,
-// which is amortized). sig, when non-nil, is the stride-nsig attribution
-// aligned with deltas: deltas[k]'s per-signal shares are
-// sig[k*nsig : (k+1)*nsig] and must sum to deltas[k].W.
-func (t *EdgeTable) AddBatch(deltas []EdgeDelta, sig []uint32) {
-	if t.nsig == 0 || sig == nil {
-		for _, d := range deltas {
-			t.add(d.Key, d.W, -1)
-		}
-		return
-	}
-	for k, d := range deltas {
-		if d.Key == 0 {
-			panic("graph: EdgeTable key 0 (empty-slot sentinel)")
-		}
-		i, ok := t.slot(d.Key)
-		if !ok {
-			if (t.n+1)*edgeTableLoadDen > len(t.keys)*edgeTableLoadNum {
-				t.grow()
-				i, _ = t.slot(d.Key)
-			}
-			t.keys[i] = d.Key
-			t.n++
-		}
-		t.w[i] += d.W
-		base := i * uint64(t.nsig)
-		for si, s := range sig[k*t.nsig : (k+1)*t.nsig] {
-			t.sig[base+uint64(si)] += s
-		}
-	}
-}
-
 // SubBatch withdraws a batch of decrements — the eviction-wave
-// counterpart of AddBatch, zero-alloc. sig follows the AddBatch layout.
+// primitive, zero-alloc. sig, when non-nil, is the stride-nsig
+// attribution aligned with deltas: deltas[k]'s per-signal shares are
+// sig[k*nsig : (k+1)*nsig] and must sum to deltas[k].W.
 // Panics on underflow.
 func (t *EdgeTable) SubBatch(deltas []EdgeDelta, sig []uint32) {
 	for k, d := range deltas {

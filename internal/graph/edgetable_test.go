@@ -32,8 +32,8 @@ func tableEqualsModel(t *testing.T, et *EdgeTable, model map[uint64]uint32, sigM
 			t.Fatalf("Has(%#x) false for live key", key)
 		}
 	}
-	if sigModel != nil && et.NumSignals() > 0 {
-		out := make([]uint32, et.NumSignals())
+	if sigModel != nil {
+		out := make([]uint32, len(sigModel))
 		for key := range model {
 			et.SignalShares(key, out)
 			for si := range out {
@@ -145,8 +145,8 @@ func TestEdgeTableRandomOps(t *testing.T) {
 	}
 }
 
-// TestEdgeTableBatchMatchesScalar: AddBatch/SubBatch with stride-nsig
-// attribution equal the scalar ops.
+// TestEdgeTableBatchMatchesScalar: SubBatch with stride-nsig attribution
+// equals the scalar Sub.
 func TestEdgeTableBatchMatchesScalar(t *testing.T) {
 	const nsig = 3
 	rng := rand.New(rand.NewSource(42))
@@ -168,32 +168,16 @@ func TestEdgeTableBatchMatchesScalar(t *testing.T) {
 		deltas = append(deltas, EdgeDelta{Key: key, W: shares[0] + shares[1] + shares[2]})
 		sig = append(sig, shares[:]...)
 	}
-	batch.AddBatch(deltas, sig)
 	for k, d := range deltas {
 		for si := 0; si < nsig; si++ {
 			if s := sig[k*nsig+si]; s > 0 {
+				batch.AddSig(d.Key, s, si)
 				scalar.AddSig(d.Key, s, si)
 			}
 		}
 	}
-	if batch.Len() != scalar.Len() {
-		t.Fatalf("AddBatch Len %d != scalar %d", batch.Len(), scalar.Len())
-	}
 	bs := make([]uint32, nsig)
 	ss := make([]uint32, nsig)
-	scalar.ForEach(func(key uint64, w uint32) bool {
-		if bw := batch.Get(key); bw != w {
-			t.Fatalf("key %#x: AddBatch weight %d != scalar %d", key, bw, w)
-		}
-		batch.SignalShares(key, bs)
-		scalar.SignalShares(key, ss)
-		for si := range bs {
-			if bs[si] != ss[si] {
-				t.Fatalf("key %#x signal %d: AddBatch share %d != scalar %d", key, si, bs[si], ss[si])
-			}
-		}
-		return true
-	})
 
 	// Withdraw half of each entry, then the rest — equal to the scalar Sub
 	// after each pass, and empty at the end.

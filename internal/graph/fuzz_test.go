@@ -65,7 +65,7 @@ func FuzzBuildAdjacency(f *testing.F) {
 			case 0:
 				w := uint32(wb%8) + 1
 				ref.AddEdgeWeight(u, v, w)
-				g.AddEdgeWeight(u, v, w)
+				g.AddEdgeWeightSig(u, v, w, 0)
 				weights[PackEdge(u, v)] += w
 			case 1:
 				key := PackEdge(u, v)
@@ -75,7 +75,7 @@ func FuzzBuildAdjacency(f *testing.F) {
 				}
 				w := uint32(wb)%cur + 1
 				ref.SubEdgeWeight(u, v, w)
-				g.SubEdgeWeight(u, v, w)
+				subEdge(g, u, v, w)
 				if w == cur {
 					delete(weights, key)
 				} else {
@@ -93,7 +93,7 @@ func FuzzBuildAdjacency(f *testing.F) {
 				}
 				n := uint32(wb)%cur + 1
 				ref.SubPageCount(u, n)
-				g.SubPageCount(u, n)
+				subPages(g, u, n)
 				if n == cur {
 					delete(pages, u)
 				} else {

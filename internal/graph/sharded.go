@@ -143,69 +143,12 @@ func (g *ShardedCI) VertexShard(v VertexID) int { return int(mix64(uint64(v)) & 
 // unchanged graph (the converse need not hold).
 func (g *ShardedCI) Version() uint64 { return g.version.Load() }
 
-// AddEdgeWeight adds w to the weight of undirected edge {u,v}.
-func (g *ShardedCI) AddEdgeWeight(u, v VertexID, w uint32) {
-	key := PackEdge(u, v)
-	sh := &g.shards[g.EdgeShard(key)]
-	sh.mu.Lock()
-	sh.own()
-	sh.edges.Add(key, w)
-	sh.version++
-	sh.mu.Unlock()
-	g.version.Add(1)
-}
-
-// SubEdgeWeight subtracts w from edge {u,v}, deleting it at zero. Panics
-// on underflow, mirroring CIGraph.SubEdgeWeight.
-func (g *ShardedCI) SubEdgeWeight(u, v VertexID, w uint32) {
-	key := PackEdge(u, v)
-	sh := &g.shards[g.EdgeShard(key)]
-	sh.mu.Lock()
-	defer sh.mu.Unlock()
-	sh.own()
-	sh.edges.Sub(key, w, nil)
-	sh.version++
-	g.version.Add(1)
-}
-
 // AddPageCount adds n to P'_u.
 func (g *ShardedCI) AddPageCount(u VertexID, n uint32) {
 	sh := &g.shards[g.VertexShard(u)]
 	sh.mu.Lock()
 	sh.own()
 	sh.pages[u] += n
-	sh.version++
-	sh.mu.Unlock()
-	g.version.Add(1)
-}
-
-// SubPageCount subtracts n from P'_u, deleting the entry at zero. Panics
-// on underflow, mirroring CIGraph.SubPageCount.
-func (g *ShardedCI) SubPageCount(u VertexID, n uint32) {
-	sh := &g.shards[g.VertexShard(u)]
-	sh.mu.Lock()
-	cur, ok := sh.pages[u]
-	if !ok || cur < n {
-		sh.mu.Unlock()
-		panic(fmt.Sprintf("graph: author %d page count underflow (%d - %d)", u, cur, n))
-	}
-	sh.own()
-	if cur == n {
-		delete(sh.pages, u)
-	} else {
-		sh.pages[u] = cur - n
-	}
-	sh.version++
-	sh.mu.Unlock()
-	g.version.Add(1)
-}
-
-// SetPageCount overwrites P'_u (used when merging projections).
-func (g *ShardedCI) SetPageCount(u VertexID, n uint32) {
-	sh := &g.shards[g.VertexShard(u)]
-	sh.mu.Lock()
-	sh.own()
-	sh.pages[u] = n
 	sh.version++
 	sh.mu.Unlock()
 	g.version.Add(1)
@@ -419,6 +362,8 @@ func (s *CISnapshot) NumShards() int { return len(s.edges) }
 // ShardVersions returns the per-shard dirty versions at snapshot time.
 // Two snapshots with an equal version share that shard's table by
 // reference — the COW invariant the property tests pin down.
+// surface:keep TestSnapshotSharesCleanShards and stream
+// TestEvictionWaveBatchesShardWrites (one version per wave) read it.
 func (s *CISnapshot) ShardVersions() []uint64 {
 	out := make([]uint64, len(s.versions))
 	copy(out, s.versions)

@@ -88,18 +88,18 @@ func TestDirtyVerticesMatchesBruteDiff(t *testing.T) {
 // different shard geometry refuse with ok=false.
 func TestDirtyVerticesIncomparable(t *testing.T) {
 	g := NewShardedCI(8)
-	g.AddEdgeWeight(1, 2, 3)
+	g.AddEdgeWeightSig(1, 2, 3, 0)
 	s := g.Snapshot()
 	if _, _, ok := s.DirtyVertices(nil); ok {
 		t.Fatal("nil prev comparable")
 	}
 	other := NewShardedCI(8)
-	other.AddEdgeWeight(1, 2, 3)
+	other.AddEdgeWeightSig(1, 2, 3, 0)
 	if _, _, ok := s.DirtyVertices(other.Snapshot()); ok {
 		t.Fatal("snapshot of a different store comparable")
 	}
 	narrow := NewShardedCI(4)
-	narrow.AddEdgeWeight(1, 2, 3)
+	narrow.AddEdgeWeightSig(1, 2, 3, 0)
 	if _, _, ok := s.DirtyVertices(narrow.Snapshot()); ok {
 		t.Fatal("different shard geometry comparable")
 	}
@@ -146,7 +146,7 @@ func TestThresholdDeltaMatchesThresholdView(t *testing.T) {
 		}
 		// Incomparable baselines still produce the exact pruning.
 		other := NewShardedCI(16)
-		other.AddEdgeWeight(1, 2, 9)
+		other.AddEdgeWeightSig(1, 2, 9, 0)
 		os := other.Snapshot()
 		if got := cur.ThresholdDelta(os, os.ThresholdView(minW).(*CISnapshot), minW); !got.Equal(cur.ThresholdView(minW)) {
 			t.Fatal("incomparable-baseline delta != full ThresholdView")
@@ -194,7 +194,7 @@ func seedWaveStore(nsig int, seed int64) (*ShardedCI, *CIGraph, shardWave) {
 				g.AddEdgeWeightSig(u, v, 3, 0)
 				g.AddEdgeWeightSig(u, v, 2, 1)
 			} else {
-				g.AddEdgeWeight(u, v, 5)
+				g.AddEdgeWeightSig(u, v, 5, 0)
 			}
 			ref.AddEdgeWeight(u, v, 5)
 		}
@@ -308,7 +308,7 @@ func TestSubShardBatch(t *testing.T) {
 		g.shards[shard].mu.Unlock()
 	}
 	key := PackEdge(200, 201)
-	g.AddEdgeWeight(200, 201, 1)
+	g.AddEdgeWeightSig(200, 201, 1, 0)
 	mustPanicUnlocked("edge underflow", g.EdgeShard(key), func() {
 		g.SubShardBatch(g.EdgeShard(key), []EdgeDelta{{Key: key, W: 2}}, nil, nil)
 	})
@@ -321,7 +321,7 @@ func TestSubShardBatch(t *testing.T) {
 // and bump the shard version (so DirtyVertices sees them).
 func TestUpdateShardCOW(t *testing.T) {
 	g := NewShardedCI(4)
-	g.AddEdgeWeight(1, 2, 7)
+	g.AddEdgeWeightSig(1, 2, 7, 0)
 	s1 := g.Snapshot()
 	key := PackEdge(1, 2)
 	i := g.EdgeShard(key)

@@ -7,6 +7,17 @@ import (
 	"testing"
 )
 
+// subEdge and subPages withdraw through SubShardBatch, the store's one
+// withdrawal path, one entry at a time.
+func subEdge(g *ShardedCI, u, v VertexID, w uint32) {
+	key := PackEdge(u, v)
+	g.SubShardBatch(g.EdgeShard(key), []EdgeDelta{{Key: key, W: w}}, nil, nil)
+}
+
+func subPages(g *ShardedCI, u VertexID, n uint32) {
+	g.SubShardBatch(g.VertexShard(u), nil, nil, []PageDelta{{V: u, N: n}})
+}
+
 // applyRandomOp applies one random mutation to both the sharded store and
 // the map-backed reference, keeping them in lockstep. weights/pages mirror
 // the reference state so Sub ops can be kept underflow-free while still
@@ -22,7 +33,7 @@ func applyRandomOp(rng *rand.Rand, g *ShardedCI, ref *CIGraph,
 	switch rng.Intn(5) {
 	case 0, 1: // bias toward growth so Sub has material to work with
 		w := uint32(rng.Intn(4) + 1)
-		g.AddEdgeWeight(u, v, w)
+		g.AddEdgeWeightSig(u, v, w, 0)
 		ref.AddEdgeWeight(u, v, w)
 		weights[PackEdge(u, v)] += w
 	case 2:
@@ -32,7 +43,7 @@ func applyRandomOp(rng *rand.Rand, g *ShardedCI, ref *CIGraph,
 			return
 		}
 		w := uint32(rng.Intn(int(cur))) + 1 // 1..cur: exercises both paths
-		g.SubEdgeWeight(u, v, w)
+		subEdge(g, u, v, w)
 		ref.SubEdgeWeight(u, v, w)
 		if w == cur {
 			delete(weights, key)
@@ -50,7 +61,7 @@ func applyRandomOp(rng *rand.Rand, g *ShardedCI, ref *CIGraph,
 			return
 		}
 		n := uint32(rng.Intn(int(cur))) + 1
-		g.SubPageCount(u, n)
+		subPages(g, u, n)
 		ref.SubPageCount(u, n)
 		if n == cur {
 			delete(pages, u)
@@ -114,7 +125,7 @@ func TestShardedMatchesMapUnderInterleaving(t *testing.T) {
 			for step := 0; step < 1200; step++ {
 				applyRandomOp(rng, g, ref, weights, pages)
 				if rng.Intn(120) == 0 {
-					frozens = append(frozens, frozen{g.Snapshot(), ref.Clone()})
+					frozens = append(frozens, frozen{g.Snapshot(), ref.Threshold(1)})
 				}
 			}
 
@@ -150,7 +161,7 @@ func TestShardedMatchesMapUnderInterleaving(t *testing.T) {
 func TestSnapshotSharesCleanShards(t *testing.T) {
 	g := NewShardedCI(16)
 	for i := VertexID(0); i < 200; i++ {
-		g.AddEdgeWeight(i, i+1000, 3)
+		g.AddEdgeWeightSig(i, i+1000, 3, 0)
 		g.AddPageCount(i, 2)
 	}
 	s1 := g.Snapshot()
@@ -168,7 +179,7 @@ func TestSnapshotSharesCleanShards(t *testing.T) {
 	}
 
 	// Dirty exactly one edge; only its owning shard may change.
-	g.AddEdgeWeight(7, 1007, 1)
+	g.AddEdgeWeightSig(7, 1007, 1, 0)
 	dirty := g.EdgeShard(PackEdge(7, 1007))
 	s3 := g.Snapshot()
 	v2, v3 := s2.ShardVersions(), s3.ShardVersions()
@@ -194,11 +205,10 @@ func TestShardedVersionMonotonic(t *testing.T) {
 	g := NewShardedCI(8)
 	last := g.Version()
 	ops := []func(){
-		func() { g.AddEdgeWeight(1, 2, 5) },
-		func() { g.AddPageCount(1, 1) },
-		func() { g.SetPageCount(2, 9) },
-		func() { g.SubEdgeWeight(1, 2, 2) },
-		func() { g.SubPageCount(2, 9) },
+		func() { g.AddEdgeWeightSig(1, 2, 5, 0) },
+		func() { g.AddPageCount(2, 9) },
+		func() { subEdge(g, 1, 2, 2) },
+		func() { subPages(g, 2, 9) },
 	}
 	for i, op := range ops {
 		op()
@@ -213,7 +223,8 @@ func TestShardedVersionMonotonic(t *testing.T) {
 	}
 }
 
-// TestShardedUnderflowPanics mirrors the reference store's contract.
+// TestShardedUnderflowPanics mirrors the reference store's contract on
+// the store's withdrawal path.
 func TestShardedUnderflowPanics(t *testing.T) {
 	mustPanic := func(name string, fn func()) {
 		t.Helper()
@@ -225,12 +236,12 @@ func TestShardedUnderflowPanics(t *testing.T) {
 		fn()
 	}
 	g := NewShardedCI(4)
-	g.AddEdgeWeight(1, 2, 3)
+	g.AddEdgeWeightSig(1, 2, 3, 0)
 	g.AddPageCount(1, 2)
-	mustPanic("SubEdgeWeight", func() { g.SubEdgeWeight(1, 2, 4) })
-	mustPanic("SubEdgeWeight(absent)", func() { g.SubEdgeWeight(5, 6, 1) })
-	mustPanic("SubPageCount", func() { g.SubPageCount(1, 3) })
-	mustPanic("SubPageCount(absent)", func() { g.SubPageCount(9, 1) })
+	mustPanic("edge", func() { subEdge(g, 1, 2, 4) })
+	mustPanic("edge(absent)", func() { subEdge(g, 5, 6, 1) })
+	mustPanic("pages", func() { subPages(g, 1, 3) })
+	mustPanic("pages(absent)", func() { subPages(g, 9, 1) })
 }
 
 // TestShardedConcurrentReadersAndSnapshots exercises the store's internal

@@ -35,9 +35,6 @@ func NewCIGraphSignals(n int) *CIGraph {
 	return g
 }
 
-// NumSignals returns the breakdown width (0 when untracked).
-func (g *CIGraph) NumSignals() int { return len(g.sig) }
-
 // AddEdgeWeightSig adds w to edge {u,v} and attributes it to signal si.
 // On an untracked graph it is exactly AddEdgeWeight.
 func (g *CIGraph) AddEdgeWeightSig(u, v VertexID, w uint32, si int) {
@@ -50,27 +47,15 @@ func (g *CIGraph) AddEdgeWeightSig(u, v VertexID, w uint32, si int) {
 
 // SignalWeight returns signal si's share of edge {u,v} (0 when untracked
 // or absent).
+// surface:keep the multi-signal ≡ suites (projection
+// TestMultiSignalShardedMatchesSequential, stream
+// TestMultiSlidingMatchesPerSignalBatch) read the reference breakdown
+// through it.
 func (g *CIGraph) SignalWeight(u, v VertexID, si int) uint32 {
 	if g.sig == nil || u == v {
 		return 0
 	}
 	return g.sig[si][PackEdge(u, v)]
-}
-
-// MergeSignal folds other's edge weights and page counts into g,
-// attributing every merged edge to signal si — the reference construction
-// of a multi-signal graph from independent single-signal projections,
-// which the equivalence tests compare the fused projectors against.
-func (g *CIGraph) MergeSignal(other *CIGraph, si int) {
-	for key, w := range other.edges {
-		g.edges[key] += w
-		if g.sig != nil {
-			g.sig[si][key] += w
-		}
-	}
-	for k, v := range other.pageCounts {
-		g.pageCounts[k] += v
-	}
 }
 
 // --- sharded store ------------------------------------------------------
@@ -82,13 +67,10 @@ func NewShardedCISignals(n, numSignals int) *ShardedCI {
 	return newShardedCI(n, numSignals)
 }
 
-// NumSignals returns the breakdown width (0 when untracked).
-func (g *ShardedCI) NumSignals() int { return g.numSignals }
-
 // AddEdgeWeightSig adds w to edge {u,v} and attributes it to signal si
 // under one shard lock acquisition and one table probe. On an untracked
-// store it is exactly AddEdgeWeight — the single-signal ingest hot path
-// pays nothing.
+// store only the total moves — the single-signal ingest hot path pays
+// nothing.
 func (g *ShardedCI) AddEdgeWeightSig(u, v VertexID, w uint32, si int) {
 	key := PackEdge(u, v)
 	sh := &g.shards[g.EdgeShard(key)]
@@ -121,18 +103,6 @@ func (g *ShardedCI) SignalWeights(u, v VertexID) []uint32 {
 // NumSignals returns the breakdown width frozen in the snapshot (0 when
 // the store tracks none, and always 0 on threshold products).
 func (s *CISnapshot) NumSignals() int { return s.numSignals }
-
-// SignalWeights returns the frozen per-signal breakdown of edge {u,v},
-// indexed by signal, or nil when the snapshot carries none.
-func (s *CISnapshot) SignalWeights(u, v VertexID) []uint32 {
-	if s.numSignals == 0 || u == v {
-		return nil
-	}
-	key := PackEdge(u, v)
-	out := make([]uint32, s.numSignals)
-	s.edges[mix64(key)&s.mask].SignalShares(key, out)
-	return out
-}
 
 // SignalMix sums the per-signal breakdown over every unordered pair of
 // members — the signal mix of a flagged group: which coordination signals

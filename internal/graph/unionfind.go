@@ -6,12 +6,11 @@ package graph
 type UnionFind struct {
 	parent []int32
 	rank   []uint8
-	sets   int
 }
 
 // NewUnionFind creates n singleton sets.
 func NewUnionFind(n int) *UnionFind {
-	uf := &UnionFind{parent: make([]int32, n), rank: make([]uint8, n), sets: n}
+	uf := &UnionFind{parent: make([]int32, n), rank: make([]uint8, n)}
 	for i := range uf.parent {
 		uf.parent[i] = int32(i)
 	}
@@ -40,15 +39,5 @@ func (uf *UnionFind) Union(x, y int32) bool {
 	if uf.rank[rx] == uf.rank[ry] {
 		uf.rank[rx]++
 	}
-	uf.sets--
 	return true
 }
-
-// Same reports whether x and y are in one set.
-func (uf *UnionFind) Same(x, y int32) bool { return uf.Find(x) == uf.Find(y) }
-
-// Sets returns the current number of disjoint sets.
-func (uf *UnionFind) Sets() int { return uf.sets }
-
-// Len returns the number of elements.
-func (uf *UnionFind) Len() int { return len(uf.parent) }

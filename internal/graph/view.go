@@ -34,6 +34,8 @@ type CIView interface {
 	BuildAdjacency() *Adjacency
 	// Equal reports whether two views have identical edges, weights, and
 	// page counts.
+	// surface:keep the ≡ suites of graph, stream, projection, pipeline and
+	// detectd compare every view against its reference through it.
 	Equal(other CIView) bool
 }
 

@@ -37,39 +37,6 @@ func New(binsX, binsY int, minX, maxX, minY, maxY float64) *Hist2D {
 	}
 }
 
-// FromPoints builds a histogram sized to the data (with k bins per axis).
-func FromPoints(xs, ys []float64, binsX, binsY int) *Hist2D {
-	if len(xs) != len(ys) {
-		panic("hexbin: length mismatch")
-	}
-	minX, maxX := bounds(xs)
-	minY, maxY := bounds(ys)
-	h := New(binsX, binsY, minX, maxX, minY, maxY)
-	for i := range xs {
-		h.Add(xs[i], ys[i])
-	}
-	return h
-}
-
-func bounds(v []float64) (lo, hi float64) {
-	lo, hi = math.Inf(1), math.Inf(-1)
-	for _, x := range v {
-		if x < lo {
-			lo = x
-		}
-		if x > hi {
-			hi = x
-		}
-	}
-	if math.IsInf(lo, 1) {
-		lo, hi = 0, 1
-	}
-	if hi == lo {
-		hi = lo + 1
-	}
-	return lo, hi
-}
-
 func (h *Hist2D) bin(v, min, max float64, bins int) (int, bool) {
 	clipped := false
 	if v < min {

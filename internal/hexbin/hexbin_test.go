@@ -36,31 +36,6 @@ func TestClipping(t *testing.T) {
 	}
 }
 
-func TestFromPoints(t *testing.T) {
-	xs := []float64{0, 1, 2, 3}
-	ys := []float64{0, 10, 20, 30}
-	h := FromPoints(xs, ys, 4, 4)
-	if h.Total != 4 || h.MinX != 0 || h.MaxX != 3 || h.MaxY != 30 {
-		t.Fatalf("histogram = %+v", h)
-	}
-	if h.NonEmptyBins() != 4 {
-		t.Fatalf("non-empty bins = %d, want 4 (diagonal)", h.NonEmptyBins())
-	}
-}
-
-func TestFromPointsDegenerate(t *testing.T) {
-	// All-equal input must not panic (range widened internally).
-	h := FromPoints([]float64{5, 5}, []float64{5, 5}, 3, 3)
-	if h.Total != 2 {
-		t.Fatal("points lost")
-	}
-	// Empty input.
-	h2 := FromPoints(nil, nil, 3, 3)
-	if h2.Total != 0 {
-		t.Fatal("empty input mishandled")
-	}
-}
-
 func TestNewPanicsOnBadDims(t *testing.T) {
 	defer func() {
 		if recover() == nil {

@@ -23,7 +23,7 @@ func TestGroupWeightMatchesTriplet(t *testing.T) {
 	if GroupWeight(b, g) != TripletWeight(b, tr) {
 		t.Fatal("3-group weight must equal triplet weight")
 	}
-	if GroupCScore(b, g) != CScore(b, tr) {
+	if GroupCScore(b, g) != Evaluate(b, tr).C {
 		t.Fatal("3-group C must equal triplet C")
 	}
 }

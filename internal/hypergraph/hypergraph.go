@@ -96,16 +96,6 @@ func CommonPages(b *graph.BTM, t Triplet) []graph.VertexID {
 	return intersectSorted(nil, xy, b.AuthorPages(t.Z))
 }
 
-// CScore computes C(x,y,z) = 3·w_xyz/(p_x+p_y+p_z), in [0,1]; 0 when the
-// denominator is 0.
-func CScore(b *graph.BTM, t Triplet) float64 {
-	den := float64(b.PageCount(t.X)) + float64(b.PageCount(t.Y)) + float64(b.PageCount(t.Z))
-	if den == 0 {
-		return 0
-	}
-	return 3 * float64(TripletWeight(b, t)) / den
-}
-
 // pageTimesOf returns author a's comment times on page p (nil if none),
 // via binary search of the timed index.
 func pageTimesOf(b *graph.BTM, a, p graph.VertexID) []int64 {

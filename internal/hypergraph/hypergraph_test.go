@@ -59,7 +59,7 @@ func TestCommonPages(t *testing.T) {
 func TestCScore(t *testing.T) {
 	b := testBTM()
 	// p_0 = 4, p_1 = 3, p_2 = 2; w = 2 → C = 6/9.
-	got := CScore(b, NewTriplet(0, 1, 2))
+	got := Evaluate(b, NewTriplet(0, 1, 2)).C
 	want := 6.0 / 9.0
 	if got != want {
 		t.Fatalf("C = %f, want %f", got, want)
@@ -364,7 +364,7 @@ func TestQuickHypergraphInvariants(t *testing.T) {
 			if w > minP {
 				return false
 			}
-			if c := CScore(b, tr); c < 0 || c > 1 {
+			if c := Evaluate(b, tr).C; c < 0 || c > 1 {
 				return false
 			}
 			// Brute force w.

@@ -135,12 +135,3 @@ func (in *Interner) Len() int {
 	defer in.mu.RUnlock()
 	return len(in.names)
 }
-
-// Names returns a copy of the id→name table.
-func (in *Interner) Names() []string {
-	in.mu.RLock()
-	defer in.mu.RUnlock()
-	out := make([]string, len(in.names))
-	copy(out, in.names)
-	return out
-}

@@ -53,16 +53,6 @@ func TestZeroValueUsable(t *testing.T) {
 	}
 }
 
-func TestNamesCopy(t *testing.T) {
-	in := New(2)
-	in.Intern("a")
-	names := in.Names()
-	names[0] = "mutated"
-	if in.Name(0) != "a" {
-		t.Fatal("Names() aliases internal storage")
-	}
-}
-
 func TestConcurrentIntern(t *testing.T) {
 	in := New(0)
 	var wg sync.WaitGroup
@@ -253,7 +243,7 @@ func TestConcurrentBatchAndReads(t *testing.T) {
 		t.Fatalf("Len = %d, want 512", in.Len())
 	}
 	// All names must round-trip after the dust settles.
-	for i, name := range in.Names() {
+	for i, name := range in.names {
 		if id, ok := in.Lookup(name); !ok || id != ID(i) {
 			t.Fatalf("name %q: id %d ok=%v, want %d", name, id, ok, i)
 		}

@@ -16,7 +16,6 @@ package projection
 
 import (
 	"fmt"
-	"sort"
 
 	"coordbot/internal/graph"
 )
@@ -25,9 +24,6 @@ import (
 type Window struct {
 	Min, Max int64
 }
-
-// Contains reports whether delay d falls in the window.
-func (w Window) Contains(d int64) bool { return d >= w.Min && d < w.Max }
 
 // Validate returns an error for degenerate windows.
 func (w Window) Validate() error {
@@ -140,23 +136,10 @@ func ProjectSequential(b *graph.BTM, w Window, opts Options) (*graph.CIGraph, er
 	return g, nil
 }
 
-// Buckets splits [min,max) at the given interior cut points, e.g.
-// Buckets(0, 3600, 60, 600) → [0,60) [60,600) [600,3600).
-func Buckets(min, max int64, cuts ...int64) []Window {
-	points := append([]int64{min}, cuts...)
-	points = append(points, max)
-	sort.Slice(points, func(i, j int) bool { return points[i] < points[j] })
-	out := make([]Window, 0, len(points)-1)
-	for i := 0; i+1 < len(points); i++ {
-		if points[i] < points[i+1] {
-			out = append(out, Window{Min: points[i], Max: points[i+1]})
-		}
-	}
-	return out
-}
-
 // UniformBuckets splits [min,max) into k equal windows (the paper's
 // example: {(0,60s), (60s,120s), …, (59min,1hr)}).
+// surface:keep EXPERIMENTS.md S2 (TestBucketedEqualsDirect,
+// ExampleProjectBucketed) builds its buckets with it.
 func UniformBuckets(min, max int64, k int) []Window {
 	if k < 1 {
 		k = 1
@@ -179,6 +162,7 @@ func UniformBuckets(min, max int64, k int) []Window {
 // window, the union per page equals the direct pair set, so the result is
 // identical to ProjectSequential over [buckets[0].Min, buckets[last].Max)
 // while the per-bucket working sets stay small.
+// surface:keep EXPERIMENTS.md S2 measures it (TestBucketedEqualsDirect).
 func ProjectBucketed(b *graph.BTM, buckets []Window, opts Options) (*graph.CIGraph, error) {
 	if len(buckets) == 0 {
 		return nil, fmt.Errorf("projection: no buckets")
@@ -216,6 +200,8 @@ func ProjectBucketed(b *graph.BTM, buckets []Window, opts Options) (*graph.CIGra
 // (page, pair) whose delays straddle multiple buckets (each contributing
 // bucket adds 1), so the result dominates the direct projection edge-wise.
 // ProjectBucketed avoids the bias; this exists to quantify it.
+// surface:keep EXPERIMENTS.md S2 quantifies the bias with it
+// (TestMergeSummedDominatesDirect).
 func MergeSummed(graphs ...*graph.CIGraph) *graph.CIGraph {
 	out := graph.NewCIGraph()
 	for _, g := range graphs {
@@ -223,18 +209,3 @@ func MergeSummed(graphs ...*graph.CIGraph) *graph.CIGraph {
 	}
 	return out
 }
-
-// ExcludeNames resolves conventional helper-bot names to an ID exclusion
-// set given a name→ID lookup. Unknown names are skipped.
-func ExcludeNames(lookup func(string) (graph.VertexID, bool), names ...string) map[graph.VertexID]bool {
-	out := make(map[graph.VertexID]bool, len(names))
-	for _, n := range names {
-		if id, ok := lookup(n); ok {
-			out[id] = true
-		}
-	}
-	return out
-}
-
-// DefaultExcludedNames are the paper's §3 exclusions.
-var DefaultExcludedNames = []string{"AutoModerator", "[deleted]"}

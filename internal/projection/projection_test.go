@@ -133,16 +133,6 @@ func TestParallelMatchesSequential(t *testing.T) {
 }
 
 func TestBucketsHelpers(t *testing.T) {
-	bs := Buckets(0, 3600, 60, 600)
-	want := []Window{{0, 60}, {60, 600}, {600, 3600}}
-	if len(bs) != len(want) {
-		t.Fatalf("Buckets = %v", bs)
-	}
-	for i := range want {
-		if bs[i] != want[i] {
-			t.Fatalf("Buckets[%d] = %v, want %v", i, bs[i], want[i])
-		}
-	}
 	ub := UniformBuckets(0, 3600, 60)
 	if len(ub) != 60 || ub[0] != (Window{0, 60}) || ub[59] != (Window{3540, 3600}) {
 		t.Fatalf("UniformBuckets wrong: first %v last %v n=%d", ub[0], ub[len(ub)-1], len(ub))
@@ -251,6 +241,10 @@ func TestProjectionGrowsWithWindow(t *testing.T) {
 // randomBTM builds a BTM with n comments over the given author/page pools,
 // timestamps within one hour.
 func randomBTM(rng *rand.Rand, n, authors, pages int) *graph.BTM {
+	return graph.BuildBTM(randomComments(rng, n, authors, pages), authors, pages)
+}
+
+func randomComments(rng *rand.Rand, n, authors, pages int) []graph.Comment {
 	cs := make([]graph.Comment, n)
 	for i := range cs {
 		cs[i] = graph.Comment{
@@ -259,5 +253,5 @@ func randomBTM(rng *rand.Rand, n, authors, pages int) *graph.BTM {
 			TS:     int64(rng.Intn(3600)),
 		}
 	}
-	return graph.BuildBTM(cs, authors, pages)
+	return cs
 }

@@ -125,16 +125,6 @@ func (s TimeBucket) AppendObjects(c graph.Comment, dst []graph.VertexID) []graph
 	return append(dst, graph.VertexID(b))
 }
 
-// Weighted scales another signal's edge contribution: each coordinated
-// object adds W instead of the wrapped signal's own weight. Name, window,
-// and extraction pass through.
-type Weighted struct {
-	Signal
-	W uint32
-}
-
-func (s Weighted) Weight() uint32 { return s.W }
-
 // DefaultSignals is the legacy configuration: the co-comment signal alone
 // over window w.
 func DefaultSignals(w Window) []Signal { return []Signal{CoComment{W: w}} }

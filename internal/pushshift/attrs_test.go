@@ -18,7 +18,7 @@ const attrSample = `{"author":"alice","link_id":"t3_aaa","created_utc":100,"urls
 `
 
 func TestReadAttrs(t *testing.T) {
-	c, err := Read(strings.NewReader(attrSample))
+	c, err := readAll(strings.NewReader(attrSample))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -52,7 +52,7 @@ func TestReadAttrs(t *testing.T) {
 // every attribute resolves to the same names in the same order.
 func TestAttrsRoundTrip(t *testing.T) {
 	for _, gz := range []bool{false, true} {
-		c, err := Read(strings.NewReader(attrSample))
+		c, err := readAll(strings.NewReader(attrSample))
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -62,7 +62,7 @@ func TestAttrsRoundTrip(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		back, err := Read(&buf)
+		back, err := readAll(&buf)
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -64,7 +64,7 @@ func benchRead(b *testing.B, read func(*bytes.Reader) (comments int, err error))
 func TestReadAllocsPerComment(t *testing.T) {
 	d := benchDump()
 	perRun := testing.AllocsPerRun(2, func() {
-		if _, err := Read(bytes.NewReader(d.plain)); err != nil {
+		if _, err := readAll(bytes.NewReader(d.plain)); err != nil {
 			t.Fatal(err)
 		}
 	})
@@ -75,7 +75,7 @@ func TestReadAllocsPerComment(t *testing.T) {
 
 func BenchmarkRead(b *testing.B) {
 	benchRead(b, func(r *bytes.Reader) (int, error) {
-		c, err := Read(r)
+		c, err := readAll(r)
 		if err != nil {
 			return 0, err
 		}

@@ -368,7 +368,7 @@ func TestReadMatchesReference(t *testing.T) {
 // records in the same order and skips the same lines.
 func TestReadFuncMatchesRead(t *testing.T) {
 	file := manyLines()
-	c, err := Read(strings.NewReader(file))
+	c, err := readAll(strings.NewReader(file))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -393,7 +393,7 @@ func TestReadSkipsOverlongLine(t *testing.T) {
 	long := `{"author":"big","link_id":"t3_x","created_utc":1,"body":"` + strings.Repeat("x", 17<<20) + `"}`
 	input := good("a") + "\n" + long + "\n" + good("b") + "\n"
 	for _, gz := range []bool{false, true} {
-		c, err := Read(stream(input, gz))
+		c, err := readAll(stream(input, gz))
 		if err != nil {
 			t.Fatalf("gz %v: %v", gz, err)
 		}

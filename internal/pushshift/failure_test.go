@@ -16,7 +16,7 @@ func TestReadTruncatedGzip(t *testing.T) {
 	gz.Write([]byte(`{"author":"a","link_id":"t3_x","created_utc":1}` + "\n"))
 	gz.Close()
 	raw := buf.Bytes()
-	_, err := Read(bytes.NewReader(raw[:len(raw)-5])) // chop the tail
+	_, err := readAll(bytes.NewReader(raw[:len(raw)-5])) // chop the tail
 	if err == nil {
 		t.Fatal("truncated gzip read without error")
 	}
@@ -28,13 +28,13 @@ func TestReadTruncatedGzip(t *testing.T) {
 func TestReadGarbageAfterMagic(t *testing.T) {
 	// Starts with gzip magic but is not a gzip stream.
 	junk := append([]byte{0x1f, 0x8b}, []byte("this is not gzip at all")...)
-	if _, err := Read(bytes.NewReader(junk)); err == nil {
+	if _, err := readAll(bytes.NewReader(junk)); err == nil {
 		t.Fatal("bogus gzip accepted")
 	}
 }
 
 func TestReadAllLinesMalformed(t *testing.T) {
-	c, err := Read(strings.NewReader("not json\nalso not json\n{\"broken\":\n"))
+	c, err := readAll(strings.NewReader("not json\nalso not json\n{\"broken\":\n"))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -47,7 +47,7 @@ func TestReadVeryLongLine(t *testing.T) {
 	// A single multi-megabyte record must fit the scanner buffer.
 	pad := strings.Repeat("x", 2<<20)
 	line := `{"author":"a","link_id":"t3_y","created_utc":5,"body":"` + pad + `"}`
-	c, err := Read(strings.NewReader(line + "\n"))
+	c, err := readAll(strings.NewReader(line + "\n"))
 	if err != nil {
 		t.Fatal(err)
 	}

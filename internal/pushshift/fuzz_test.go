@@ -24,7 +24,7 @@ func FuzzRead(f *testing.F) {
 		f.Add([]byte(d.line))
 	}
 	f.Fuzz(func(t *testing.T, data []byte) {
-		c, err := Read(bytes.NewReader(data))
+		c, err := readAll(bytes.NewReader(data))
 		want, werr := refRead(bytes.NewReader(data))
 		if (err == nil) != (werr == nil) {
 			t.Fatalf("Read: %v; reference: %v", err, werr)
@@ -75,7 +75,7 @@ func readsBack(t *testing.T, c *Corpus) {
 	if err := Write(&buf, c.Comments, c.Authors, c.Pages, false); err != nil {
 		t.Fatalf("write-back failed: %v", err)
 	}
-	c2, err := Read(&buf)
+	c2, err := readAll(&buf)
 	if err != nil {
 		t.Fatalf("re-read failed: %v", err)
 	}

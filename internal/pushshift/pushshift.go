@@ -137,12 +137,10 @@ func scanLines(r io.Reader, block, maxLine int, fn func(*wire.Comment) error) (s
 	}
 }
 
-// Read ingests an NDJSON (optionally gzipped) comment stream. Malformed
-// lines are counted and skipped, not fatal — real dumps contain them.
-func Read(r io.Reader) (*Corpus, error) { return read(r, blockSize, maxLine, 0) }
-
-// read is Read with the line loop's sizes and a guess at the number of
-// comments (0 for none) laid open.
+// read ingests an NDJSON (optionally gzipped) comment stream with the
+// line loop's sizes and a guess at the number of comments (0 for none)
+// laid open. Malformed lines are counted and skipped, not fatal — real
+// dumps contain them.
 func read(r io.Reader, block, maxLine, comments int) (*Corpus, error) {
 	c := &Corpus{
 		Comments: make([]graph.Comment, 0, comments),

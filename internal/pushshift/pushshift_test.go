@@ -21,6 +21,9 @@ import (
 	"coordbot/internal/interner"
 )
 
+// readAll ingests r with the production line-loop sizes.
+func readAll(r io.Reader) (*Corpus, error) { return read(r, blockSize, maxLine, 0) }
+
 const sample = `{"author":"alice","link_id":"t3_aaa","created_utc":100}
 {"author":"bob","link_id":"t3_aaa","created_utc":"105"}
 
@@ -30,7 +33,7 @@ not json at all
 `
 
 func TestReadBasic(t *testing.T) {
-	c, err := Read(strings.NewReader(sample))
+	c, err := readAll(strings.NewReader(sample))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -77,7 +80,7 @@ func roundTrip(t *testing.T, gz bool) {
 	if err := Write(&buf, comments, authors, pages, gz); err != nil {
 		t.Fatal(err)
 	}
-	c, err := Read(&buf)
+	c, err := readAll(&buf)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -143,7 +146,7 @@ func TestQuickRoundTripIdentity(t *testing.T) {
 		if err := Write(&buf, comments, authors, pages, seed%2 == 0); err != nil {
 			return false
 		}
-		c, err := Read(&buf)
+		c, err := readAll(&buf)
 		if err != nil || len(c.Comments) != n || c.Skipped != 0 {
 			return false
 		}
@@ -278,8 +281,15 @@ func diffCorpus(got, want *Corpus) error {
 		got, want *interner.Interner
 	}{{"authors", got.Authors, want.Authors}, {"pages", got.Pages, want.Pages},
 		{"urls", got.URLs, want.URLs}, {"tags", got.Tags, want.Tags}}
+	names := func(in *interner.Interner) []string {
+		out := make([]string, in.Len())
+		for i := range out {
+			out[i] = in.Name(interner.ID(i))
+		}
+		return out
+	}
 	for _, tb := range tables {
-		if g, w := tb.got.Names(), tb.want.Names(); !slices.Equal(g, w) {
+		if g, w := names(tb.got), names(tb.want); !slices.Equal(g, w) {
 			return fmt.Errorf("%s %q, want %q", tb.name, g, w)
 		}
 	}

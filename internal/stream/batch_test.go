@@ -57,8 +57,8 @@ func TestAddBatchMatchesPerComment(t *testing.T) {
 		if err := got.AddBatch(batch); err != nil {
 			t.Fatal(err)
 		}
-		if err := ref.AddAll(batch); err != nil {
-			t.Fatal(err)
+		for _, c := range batch {
+			mustAdd(t, ref, c)
 		}
 		checkWindowState(t, got)
 		compareGauges(t, bi, ref, got)
@@ -129,8 +129,8 @@ func TestAddBatchOutOfOrderStopsAtOffender(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := ref.AddAll(batch[:400]); err != nil {
-		t.Fatal(err)
+	for _, c := range batch[:400] {
+		mustAdd(t, ref, c)
 	}
 	compareProjectors(t, 0, ref, got, sigs)
 

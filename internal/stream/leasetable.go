@@ -120,9 +120,6 @@ func (t *leaseTable) grow() {
 	}
 }
 
-// release drops the storage (projector finalization).
-func (t *leaseTable) release() { *t = leaseTable{} }
-
 // mix64 is the splitmix64 finalizer, the same hash graph.EdgeTable indexes
 // by.
 func mix64(x uint64) uint64 {

@@ -184,10 +184,3 @@ func (r *expiryRing) drain(cutoff int64, fn func(expiryEntry)) {
 
 // len reports the scheduled entry count.
 func (r *expiryRing) len() int { return r.n }
-
-// release drops the bucket storage (projector finalization).
-func (r *expiryRing) release() {
-	r.buckets = nil
-	r.n = 0
-	r.mask = 0
-}

@@ -29,7 +29,7 @@ func TestStreamTieOrderIndependent(t *testing.T) {
 		copy(cs, base)
 		rng.Shuffle(len(cs), func(i, j int) { cs[i], cs[j] = cs[j], cs[i] })
 		sort.SliceStable(cs, func(i, j int) bool { return cs[i].TS < cs[j].TS })
-		g, err := Project(cs, w, projection.Options{})
+		g, err := project(cs, w, projection.Options{})
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -15,8 +15,8 @@ import (
 
 // multiSignalBatch builds the reference multi-signal graph at a
 // watermark: every signal projected independently (batch reference) over
-// the comments still inside that signal's horizon, merged with
-// attribution via graph.MergeSignal.
+// the comments still inside that signal's horizon, merged with per-signal
+// attribution.
 func multiSignalBatch(t *testing.T, comments []graph.Comment, sigs []SignalConfig, defHorizon, watermark int64, opts projection.Options) *graph.CIGraph {
 	t.Helper()
 	want := graph.NewCIGraphSignals(len(sigs))
@@ -35,7 +35,12 @@ func multiSignalBatch(t *testing.T, comments []graph.Comment, sigs []SignalConfi
 		if err != nil {
 			t.Fatal(err)
 		}
-		want.MergeSignal(g, si)
+		for _, e := range g.Edges() {
+			want.AddEdgeWeightSig(e.U, e.V, e.W, si)
+		}
+		for v, n := range g.PageCounts() {
+			want.AddPageCount(v, n)
+		}
 	}
 	return want
 }

@@ -74,13 +74,13 @@ type SignalConfig struct {
 
 // SlidingProjector maintains the CI graph of the trailing horizon of a
 // time-ordered comment stream. Create with NewMultiSlidingProjectorWorkers;
-// feed with Add, AddBatch, or AddAll (or advance idle time with
-// AdvanceTo); read with Snapshot; finalize with Result.
+// feed with AddBatch or Add (or advance idle time with AdvanceTo); read
+// with Snapshot.
 //
 // The live graph is a sharded store (graph.ShardedCI) so Snapshot is
 // copy-on-write: O(shards) per call, with dirty shards recopied lazily by
-// the next Add that touches them. Mutators (Add, AddAll, AddBatch,
-// AdvanceTo, Result) are single-caller — wrap with a lock (detectd does)
+// the next Add that touches them. Mutators (Add, AddBatch, AdvanceTo) are
+// single-caller — wrap with a lock (detectd does)
 // or shard by page upstream. The point reads EdgeWeight, PageCount,
 // NumEdges, and GraphVersion go through the store's per-shard locks and
 // are safe concurrently with the mutators.
@@ -97,10 +97,9 @@ type SlidingProjector struct {
 	// cells holds each signal's mutable projection state, in sigs order.
 	cells []sigLane
 
-	lastTS   int64
-	started  bool
-	finished bool
-	count    int64
+	lastTS  int64
+	started bool
+	count   int64
 
 	// wave is the reusable eviction-wave scratch: flat decrement logs with
 	// the owning shard precomputed at push time. applyWave counting-sorts
@@ -294,9 +293,6 @@ func (p *SlidingProjector) EvictedPairs() int64 {
 	return n
 }
 
-// Horizon returns the configured default trailing horizon in seconds.
-func (p *SlidingProjector) Horizon() int64 { return p.horizon }
-
 // Signals returns the configured signals in breakdown order.
 func (p *SlidingProjector) Signals() []projection.Signal {
 	out := make([]projection.Signal, len(p.sigs))
@@ -367,12 +363,11 @@ func (p *SlidingProjector) skip(a graph.VertexID) bool {
 }
 
 // Add consumes one comment. Comments must arrive in nondecreasing global
-// timestamp order; Add returns an error otherwise, and ErrAddAfterResult
-// once Result has been called.
+// timestamp order; Add returns an error otherwise.
+// surface:keep the serial reference the batch ≡ per-comment suites
+// (TestSlidingMatchesBatchRestricted, TestAddBatchMatchesPerComment)
+// compare AddBatch against.
 func (p *SlidingProjector) Add(c graph.Comment) error {
-	if p.finished {
-		return ErrAddAfterResult
-	}
 	if p.started && c.TS < p.lastTS {
 		return fmt.Errorf("stream: out-of-order comment at t=%d after t=%d", c.TS, p.lastTS)
 	}
@@ -498,17 +493,6 @@ func (sl *sigLane) trim(ps *slidingPage, bound int64) {
 	sl.buffered -= ps.start - from
 }
 
-// AddAll consumes a time-ordered batch one comment at a time (the serial
-// reference path AddBatch is tested against).
-func (p *SlidingProjector) AddAll(comments []graph.Comment) error {
-	for _, c := range comments {
-		if err := p.Add(c); err != nil {
-			return err
-		}
-	}
-	return nil
-}
-
 // AddBatch consumes a time-ordered batch, pairing each comment as it comes
 // and landing all of the batch's evictions as ONE wave at the batch's
 // final watermark: state-identical to the serial path at every batch
@@ -523,9 +507,6 @@ func (p *SlidingProjector) AddAll(comments []graph.Comment) error {
 // everything before it is applied, and the error is returned after the
 // wave.
 func (p *SlidingProjector) AddBatch(batch []graph.Comment) error {
-	if p.finished {
-		return ErrAddAfterResult
-	}
 	var err error
 	for i := range batch {
 		c := &batch[i]
@@ -568,10 +549,10 @@ func (p *SlidingProjector) AddBatch(batch []graph.Comment) error {
 // evicting everything that ages out — the idle-stream path: a quiet topic
 // must still decay. ts earlier than the watermark is an error (a no-op
 // advance to the current watermark is fine).
+// surface:keep the sliding ≡ restricted-batch suites (TestSliding*,
+// TestAddBatchMatchesPerComment, TestMultiSlidingMatchesPerSignalBatch)
+// drain idle time through it.
 func (p *SlidingProjector) AdvanceTo(ts int64) error {
-	if p.finished {
-		return ErrAddAfterResult
-	}
 	if p.started && ts < p.lastTS {
 		return fmt.Errorf("stream: AdvanceTo(%d) behind watermark %d", ts, p.lastTS)
 	}
@@ -819,21 +800,6 @@ func (p *SlidingProjector) NumShards() int { return p.g.NumShards() }
 // unchanged version guarantees an unchanged CI graph, which lets a survey
 // loop skip recomputing over an idle stream.
 func (p *SlidingProjector) GraphVersion() uint64 { return p.g.Version() }
-
-// Result finalizes and returns the live CI graph (no copy). The projector
-// must not be used afterwards; Add and AdvanceTo return ErrAddAfterResult.
-func (p *SlidingProjector) Result() graph.CIView {
-	p.finished = true
-	for si := range p.cells {
-		sl := &p.cells[si]
-		sl.objects, sl.pages, sl.free = nil, nil, nil
-		sl.leases.release()
-		sl.incident.release()
-		sl.exp.release()
-		sl.idle.release()
-	}
-	return p.g
-}
 
 // BufferedComments reports the transient δ2 buffer size across every
 // signal's object states (a maintained count: the stats endpoint reads it

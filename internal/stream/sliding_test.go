@@ -1,7 +1,6 @@
 package stream
 
 import (
-	"errors"
 	"math/rand"
 	"testing"
 
@@ -232,17 +231,6 @@ func TestSlidingPageStateGC(t *testing.T) {
 	}
 }
 
-func TestSlidingAddAfterResult(t *testing.T) {
-	p, _ := newSliding(projection.Window{Min: 0, Max: 60}, 100, projection.Options{})
-	_ = p.Result()
-	if err := p.Add(graph.Comment{}); !errors.Is(err, ErrAddAfterResult) {
-		t.Fatalf("Add after Result: got %v, want ErrAddAfterResult", err)
-	}
-	if err := p.AdvanceTo(10); !errors.Is(err, ErrAddAfterResult) {
-		t.Fatalf("AdvanceTo after Result: got %v, want ErrAddAfterResult", err)
-	}
-}
-
 func TestSlidingRejectsOutOfOrder(t *testing.T) {
 	p, _ := newSliding(projection.Window{Min: 0, Max: 60}, 100, projection.Options{})
 	mustAdd(t, p, graph.Comment{Author: 1, Page: 0, TS: 50})
@@ -398,7 +386,14 @@ func TestBufferedCommentsTrimAtEvictionTime(t *testing.T) {
 		name string
 		add  func(p *SlidingProjector) error
 	}{
-		{"per-comment", func(p *SlidingProjector) error { return p.AddAll(comments) }},
+		{"per-comment", func(p *SlidingProjector) error {
+			for _, c := range comments {
+				if err := p.Add(c); err != nil {
+					return err
+				}
+			}
+			return nil
+		}},
 		{"one-batch", func(p *SlidingProjector) error { return p.AddBatch(comments) }},
 		{"two-batches", func(p *SlidingProjector) error {
 			if err := p.AddBatch(comments[:3]); err != nil {

@@ -25,8 +25,8 @@ import (
 	"coordbot/internal/projection"
 )
 
-// ErrAddAfterResult is returned by Add (on both Projector and
-// SlidingProjector) once Result has finalized the accumulator. A daemon
+// ErrAddAfterResult is returned by Projector.Add once Result has
+// finalized the accumulator. A daemon
 // restart path that keeps a stale handle must see a hard error rather than
 // silently corrupting — or silently dropping into — a finished graph.
 var ErrAddAfterResult = errors.New("stream: Add after Result")
@@ -146,43 +146,10 @@ func (p *Projector) Add(c graph.Comment) error {
 	return nil
 }
 
-// AddAll consumes a time-ordered batch.
-func (p *Projector) AddAll(comments []graph.Comment) error {
-	for _, c := range comments {
-		if err := p.Add(c); err != nil {
-			return err
-		}
-	}
-	return nil
-}
-
 // Result finalizes and returns the CI graph. The projector must not be
 // used afterwards.
 func (p *Projector) Result() *graph.CIGraph {
 	p.finished = true
 	p.pages = nil
 	return p.g
-}
-
-// BufferedComments reports the current transient buffer size across pages
-// (a memory telemetry hook; it shrinks as pages go quiet).
-func (p *Projector) BufferedComments() int {
-	n := 0
-	for _, ps := range p.pages {
-		n += len(ps.buf) - ps.start
-	}
-	return n
-}
-
-// Project is the convenience one-shot: stream the (time-ordered) comments
-// through a Projector.
-func Project(comments []graph.Comment, w projection.Window, opts projection.Options) (*graph.CIGraph, error) {
-	p, err := NewProjector(w, opts)
-	if err != nil {
-		return nil, err
-	}
-	if err := p.AddAll(comments); err != nil {
-		return nil, err
-	}
-	return p.Result(), nil
 }

@@ -52,8 +52,13 @@ func TestSurveyDirtyMatchesFilteredFull(t *testing.T) {
 					want = append(want, tr)
 				}
 			}
-			var got []Triangle
-			SurveyDirtySequential(g, opts, dirty, func(tr Triangle) { got = append(got, tr) })
+			o := Orient(g.ThresholdView(opts.effectiveEdgeCut()).BuildAdjacency())
+			surveyDirty := func(dirty map[graph.VertexID]bool) []Triangle {
+				var got []Triangle
+				o.SurveyDirty(opts, dirty, g.PageCount, func(tr Triangle) { got = append(got, tr) })
+				return got
+			}
+			got := surveyDirty(dirty)
 			SortTriangles(got)
 			if !trianglesEqual(got, want) {
 				t.Fatalf("seed=%d opts=%+v: dirty survey %d triangles, filtered full survey %d",
@@ -65,23 +70,18 @@ func TestSurveyDirtyMatchesFilteredFull(t *testing.T) {
 			for v := 0; v < nv; v++ {
 				all[graph.VertexID(v)] = true
 			}
-			got = got[:0]
-			SurveyDirtySequential(g, opts, all, func(tr Triangle) { got = append(got, tr) })
+			got = surveyDirty(all)
 			SortTriangles(got)
 			if !trianglesEqual(got, full) {
 				t.Fatalf("seed=%d opts=%+v: all-dirty survey != full survey (%d vs %d)",
 					seed, opts, len(got), len(full))
 			}
-			got = got[:0]
-			SurveyDirtySequential(g, opts, nil, func(tr Triangle) { got = append(got, tr) })
-			if len(got) != 0 {
+			if got = surveyDirty(nil); len(got) != 0 {
 				t.Fatalf("seed=%d: empty dirty set surveyed %d triangles", seed, len(got))
 			}
 			// False entries count as clean, not dirty.
 			falsy := map[graph.VertexID]bool{0: false, 1: false}
-			got = got[:0]
-			SurveyDirtySequential(g, opts, falsy, func(tr Triangle) { got = append(got, tr) })
-			if len(got) != 0 {
+			if got = surveyDirty(falsy); len(got) != 0 {
 				t.Fatalf("seed=%d: false-valued dirty entries surveyed %d triangles", seed, len(got))
 			}
 		}

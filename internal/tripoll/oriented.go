@@ -301,13 +301,6 @@ func (o *Oriented) Out(v int32) ([]int32, []uint32) {
 	return o.out.ids[s : s+o.out.ln[v]], o.out.wts[s : s+o.out.ln[v]]
 }
 
-// NumVertices returns the dense vertex count (including vertices whose
-// live degree has dropped to zero since the epoch froze).
-func (o *Oriented) NumVertices() int { return len(o.orig) }
-
-// OrigID maps a dense vertex back to its original author id.
-func (o *Oriented) OrigID(v int32) graph.VertexID { return o.orig[v] }
-
 // Epoch returns the orientation epoch (0 at Orient, +1 per Reorient).
 func (o *Oriented) Epoch() int64 { return o.epoch }
 
@@ -316,15 +309,6 @@ func (o *Oriented) PatchedEdges() int64 { return o.patched }
 
 // Rebuilds returns the cumulative count of drift-triggered Reorients.
 func (o *Oriented) Rebuilds() int64 { return o.rebuilds }
-
-// Drifted returns the number of vertices whose live degree differs from
-// their frozen epoch degree.
-func (o *Oriented) Drifted() int { return o.drifted }
-
-// SetRebuildFrac overrides the drift fraction that triggers Reorient:
-// 0 rebuilds on any drift, a huge value never rebuilds (the orientation
-// stays correct, only the out-degree bound loosens).
-func (o *Oriented) SetRebuildFrac(f float64) { o.rebuildFrac = f }
 
 // ClosingWeight returns the weight of the edge between u and w (both
 // higher-order than some pivot), searching the out-list of the lower-order
@@ -459,14 +443,6 @@ func (o *Oriented) ApplyPatches(patches []graph.EdgePatch) (rebuilt bool) {
 		o.in.compact()
 	}
 	return false
-}
-
-// Compact reclaims gap-buffer holes in both directions without changing
-// content or order — the epoch-boundary housekeeping, exposed for tests
-// and fuzzing.
-func (o *Oriented) Compact() {
-	o.out.compact()
-	o.in.compact()
 }
 
 // Reorient opens a new epoch: drop zero-degree vertices, renumber the rest

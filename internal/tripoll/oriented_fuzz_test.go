@@ -12,7 +12,7 @@ import (
 // the structure matches a from-scratch orientation of a mirror edge map:
 // same edge set, same invariant structure, same survey. Three input bytes
 // encode one step: two endpoint choices and a weight/op byte whose high bit
-// requests a Compact before the patch and whose low bits pick the new
+// requests a compaction before the patch and whose low bits pick the new
 // weight (0 = delete).
 func FuzzOrientedPatch(f *testing.F) {
 	f.Add([]byte{0x01, 0x02, 0x03})
@@ -25,7 +25,7 @@ func FuzzOrientedPatch(f *testing.F) {
 		const nv = 8
 		mirror := make(map[[2]graph.VertexID]uint32)
 		o := Orient(graph.NewCIGraph().BuildAdjacency())
-		o.SetRebuildFrac(1e9) // exercise the patched CSR, not the rebuilder
+		o.rebuildFrac = 1e9 // exercise the patched CSR, not the rebuilder
 		opts := Options{MinTriangleWeight: 1}
 		for i := 0; i+2 < len(data); i += 3 {
 			u := graph.VertexID(data[i]%nv) + 1
@@ -37,7 +37,8 @@ func FuzzOrientedPatch(f *testing.F) {
 				u, v = v, u
 			}
 			if data[i+2]&0x80 != 0 {
-				o.Compact()
+				o.out.compact()
+				o.in.compact()
 				if o.out.holes != 0 || o.in.holes != 0 {
 					t.Fatalf("step %d: holes survive compact: out %d in %d", i, o.out.holes, o.in.holes)
 				}

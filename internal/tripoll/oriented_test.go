@@ -19,10 +19,10 @@ func surveyAllSorted(o *Oriented, opts Options) []Triangle {
 // (minOrig, maxOrig) → weight map.
 func edgeSetOf(o *Oriented) map[[2]graph.VertexID]uint32 {
 	es := make(map[[2]graph.VertexID]uint32)
-	for v := int32(0); v < int32(o.NumVertices()); v++ {
+	for v := int32(0); v < int32(len(o.orig)); v++ {
 		ids, wts := o.Out(v)
 		for i, u := range ids {
-			a, b := o.OrigID(v), o.OrigID(u)
+			a, b := o.orig[v], o.orig[u]
 			if b < a {
 				a, b = b, a
 			}
@@ -38,7 +38,7 @@ func edgeSetOf(o *Oriented) map[[2]graph.VertexID]uint32 {
 // stored edges.
 func checkOrientedInvariants(t *testing.T, o *Oriented) {
 	t.Helper()
-	n := int32(o.NumVertices())
+	n := int32(len(o.orig))
 	liveDeg := make([]int32, n)
 	type dirEdge struct{ from, to int32 }
 	outEdges := make(map[dirEdge]bool)
@@ -102,13 +102,13 @@ func runPatchStream(t *testing.T, seed int64, rebuildFrac float64, rounds int) *
 		u := graph.VertexID(rng.Intn(nv))
 		v := graph.VertexID(rng.Intn(nv))
 		if u != v {
-			g.AddEdgeWeight(u, v, 1+uint32(rng.Intn(4)))
+			g.AddEdgeWeightSig(u, v, 1+uint32(rng.Intn(4)), 0)
 		}
 	}
 	prev := g.Snapshot()
 	prevPruned := prev.ThresholdView(cut).(*graph.CISnapshot)
 	o := Orient(prevPruned.BuildAdjacency())
-	o.SetRebuildFrac(rebuildFrac)
+	o.rebuildFrac = rebuildFrac
 
 	for round := 0; round < rounds; round++ {
 		// Occasional heavy rounds drift many vertices at once, forcing
@@ -125,9 +125,10 @@ func runPatchStream(t *testing.T, seed int64, rebuildFrac float64, rounds int) *
 				continue
 			}
 			if w := g.Weight(u, v); w > 0 && rng.Intn(3) == 0 {
-				g.SubEdgeWeight(u, v, 1+uint32(rng.Intn(int(w))))
+				key := graph.PackEdge(u, v)
+				g.SubShardBatch(g.EdgeShard(key), []graph.EdgeDelta{{Key: key, W: 1 + uint32(rng.Intn(int(w)))}}, nil, nil)
 			} else {
-				g.AddEdgeWeight(u, v, 1+uint32(rng.Intn(3)))
+				g.AddEdgeWeightSig(u, v, 1+uint32(rng.Intn(3)), 0)
 			}
 			dirty[u], dirty[v] = true, true
 		}
@@ -209,7 +210,7 @@ func TestOrientedPatchedEqualsRebuilt(t *testing.T) {
 		if o.Rebuilds() != 0 || o.Epoch() != 0 {
 			t.Fatalf("frac 1e9 rebuilt anyway: epoch %d rebuilds %d", o.Epoch(), o.Rebuilds())
 		}
-		if o.Drifted() == 0 {
+		if o.drifted == 0 {
 			t.Fatal("stream never drifted a vertex")
 		}
 	})
@@ -223,7 +224,8 @@ func TestOrientedCompactPreservesContent(t *testing.T) {
 	opts := Options{MinTriangleWeight: 2}
 	before := surveyAllSorted(o, opts)
 	edgesBefore := edgeSetOf(o)
-	o.Compact()
+	o.out.compact()
+	o.in.compact()
 	if o.out.holes != 0 || o.in.holes != 0 {
 		t.Fatalf("holes after compact: out %d, in %d", o.out.holes, o.in.holes)
 	}

@@ -117,16 +117,6 @@ func SurveySequential(g graph.CIView, opts Options, visit func(Triangle)) {
 	o.SurveyAll(opts, g.PageCount, visit)
 }
 
-// SurveyDirtySequential is the delta-survey path: it enumerates only the
-// triangles with at least one endpoint in dirty, and is equivalent to
-// filtering SurveySequential's output on the same graph (property-tested)
-// at a cost proportional to the dirty frontier's wedges, not the graph's.
-func SurveyDirtySequential(g graph.CIView, opts Options, dirty map[graph.VertexID]bool, visit func(Triangle)) {
-	pruned := g.ThresholdView(opts.effectiveEdgeCut())
-	o := Orient(pruned.BuildAdjacency())
-	o.SurveyDirty(opts, dirty, g.PageCount, visit)
-}
-
 // Survey enumerates triangles with a worker pool, mirroring TriPoll's
 // structure in shared memory: pivots are dealt to workers, each closing
 // its wedges over the shared read-only orientation
@@ -294,6 +284,7 @@ func topkSiftDown(h []Triangle) {
 
 // CountNaive counts triangles by testing all vertex triples — O(n³),
 // test oracle only.
+// surface:keep TestSurveyMatchesNaive compares every survey against it.
 func CountNaive(g graph.CIView, minTriangleWeight uint32) int64 {
 	adj := g.BuildAdjacency()
 	n := adj.NumVertices()

@@ -1,12 +1,11 @@
 // Package viz exports detected components as Graphviz DOT (the paper uses
 // Cytoscape; DOT is the portable equivalent for Figures 1–2 style network
-// diagrams) and renders small components as ASCII edge lists.
+// diagrams) and describes them in one line.
 package viz
 
 import (
 	"fmt"
 	"io"
-	"sort"
 	"strings"
 
 	"coordbot/internal/graph"
@@ -76,52 +75,4 @@ func Describe(c *graph.Component, names NameFunc) string {
 	return fmt.Sprintf("%d authors, %d edges, weights [%d..%d], density %.2f, max clique %d, diameter %d: %s",
 		c.Size(), len(c.Edges), c.MinWeight(), c.MaxWeight(), c.Density(), clique, diam,
 		strings.Join(sample, ", "))
-}
-
-// WriteGraphML emits the component as GraphML — the interchange format
-// Cytoscape (the paper's visualization tool) imports directly, with edge
-// weights as a data attribute.
-func WriteGraphML(w io.Writer, c *graph.Component, names NameFunc) error {
-	var sb strings.Builder
-	sb.WriteString(`<?xml version="1.0" encoding="UTF-8"?>` + "\n")
-	sb.WriteString(`<graphml xmlns="http://graphml.graphdrawing.org/xmlns">` + "\n")
-	sb.WriteString(`  <key id="w" for="edge" attr.name="weight" attr.type="int"/>` + "\n")
-	sb.WriteString(`  <graph edgedefault="undirected">` + "\n")
-	for _, a := range c.Authors {
-		fmt.Fprintf(&sb, "    <node id=%q/>\n", xmlEscape(name(names, a)))
-	}
-	for i, e := range c.Edges {
-		fmt.Fprintf(&sb, "    <edge id=\"e%d\" source=%q target=%q><data key=\"w\">%d</data></edge>\n",
-			i, xmlEscape(name(names, e.U)), xmlEscape(name(names, e.V)), e.W)
-	}
-	sb.WriteString("  </graph>\n</graphml>\n")
-	_, err := io.WriteString(w, sb.String())
-	return err
-}
-
-func xmlEscape(s string) string {
-	r := strings.NewReplacer("&", "&amp;", "<", "&lt;", ">", "&gt;", `"`, "&quot;", "'", "&apos;")
-	return r.Replace(s)
-}
-
-// WriteEdgeList emits "u v w" lines sorted by weight descending — a compact
-// textual form of a component.
-func WriteEdgeList(w io.Writer, c *graph.Component, names NameFunc) error {
-	es := make([]graph.WeightedEdge, len(c.Edges))
-	copy(es, c.Edges)
-	sort.Slice(es, func(i, j int) bool {
-		if es[i].W != es[j].W {
-			return es[i].W > es[j].W
-		}
-		if es[i].U != es[j].U {
-			return es[i].U < es[j].U
-		}
-		return es[i].V < es[j].V
-	})
-	for _, e := range es {
-		if _, err := fmt.Fprintf(w, "%s\t%s\t%d\n", name(names, e.U), name(names, e.V), e.W); err != nil {
-			return err
-		}
-	}
-	return nil
 }

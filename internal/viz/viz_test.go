@@ -54,39 +54,3 @@ func TestDescribe(t *testing.T) {
 		}
 	}
 }
-
-func TestWriteGraphML(t *testing.T) {
-	var buf bytes.Buffer
-	names := func(v graph.VertexID) string {
-		return map[graph.VertexID]string{1: `a<&>"x`, 2: "b", 3: "c"}[v]
-	}
-	if err := WriteGraphML(&buf, testComponent(), names); err != nil {
-		t.Fatal(err)
-	}
-	out := buf.String()
-	for _, want := range []string{
-		"<graphml", `<node id="a&lt;&amp;&gt;&quot;x"/>`,
-		`<data key="w">25</data>`, "</graphml>",
-	} {
-		if !strings.Contains(out, want) {
-			t.Fatalf("GraphML missing %q:\n%s", want, out)
-		}
-	}
-	if strings.Count(out, "<edge ") != 3 {
-		t.Fatalf("edge count wrong:\n%s", out)
-	}
-}
-
-func TestWriteEdgeList(t *testing.T) {
-	var buf bytes.Buffer
-	if err := WriteEdgeList(&buf, testComponent(), nil); err != nil {
-		t.Fatal(err)
-	}
-	lines := strings.Split(strings.TrimSpace(buf.String()), "\n")
-	if len(lines) != 3 {
-		t.Fatalf("edge list lines = %d", len(lines))
-	}
-	if !strings.HasPrefix(lines[0], "u2\tu3\t33") {
-		t.Fatalf("not weight-descending: %q", lines[0])
-	}
-}

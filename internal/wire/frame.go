@@ -100,9 +100,6 @@ func appendString(b []byte, s string) []byte {
 	return append(b, s...)
 }
 
-// Len reports the number of comments encoded since the last Reset.
-func (e *Encoder) Len() int { return int(e.count) }
-
 // Bytes patches the count into the header and returns the finished
 // frame. The slice aliases the encoder's buffer: valid until Reset.
 func (e *Encoder) Bytes() []byte {

@@ -2,6 +2,7 @@ package wire
 
 import (
 	"bytes"
+	"encoding/binary"
 	"encoding/json"
 	"reflect"
 	"strconv"
@@ -65,7 +66,7 @@ func FuzzScanner(f *testing.F) {
 		f.Add([]byte(body), false)
 	}
 	f.Fuzz(func(t *testing.T, data []byte, archive bool) {
-		format := Ingest
+		var format Format
 		if archive {
 			format = Pushshift
 		}
@@ -104,6 +105,83 @@ func FuzzScanner(f *testing.F) {
 		}
 		if oneErr == nil && !reflect.DeepEqual(c, first) {
 			t.Fatalf("%q: One read %+v, Next %+v", data, c, first)
+		}
+	})
+}
+
+// FuzzFrameScanner: on any bytes, FrameScanner returns instead of
+// panicking, every view it hands out lies inside the input, and a frame
+// either fails or yields exactly its declared count; and any comment the
+// fuzzer builds reads back from Encoder's frame field for field.
+func FuzzFrameScanner(f *testing.F) {
+	e := NewEncoder()
+	e.Add("a", "p", 7)
+	e.AddAttrs("böb", "p/2", -5, []string{"u1", ""}, []string{"t"}, "a")
+	frame := e.Bytes()
+	f.Add(frame, "a", "p", int64(1), "", "", "")
+	f.Add(frame[:len(frame)-3], "c\td", "はた", int64(-1)<<62, "u1,u2", "t", "r")
+	f.Add([]byte("CBF1\x00\x00\x00\x02\x07\x01a\x01p\x02\xff\xff\xff\xff\x0f"), "", "", int64(0), ",", ",", "")
+	f.Fuzz(func(t *testing.T, data []byte, author, page string, ts int64, urls, tags, reply string) {
+		inside := func(v []byte) {
+			if len(v) == 0 {
+				return
+			}
+			for i := range data {
+				if &data[i] == &v[0] && i+len(v) <= len(data) {
+					return
+				}
+			}
+			t.Fatalf("%q: view %q outside the input", data, v)
+		}
+		if fs, err := NewFrameScanner(data); err == nil {
+			var c Comment
+			n := uint32(0)
+			for {
+				ok, err := fs.Next(&c)
+				if err != nil {
+					break
+				} else if !ok {
+					if want := binary.BigEndian.Uint32(data[4:8]); n != want {
+						t.Fatalf("%q: clean end after %d comments, %d declared", data, n, want)
+					}
+					break
+				}
+				n++
+				for _, v := range append([][]byte{c.Author, c.Page, c.ReplyTo}, append(c.URLs, c.Tags...)...) {
+					inside(v)
+				}
+			}
+		}
+
+		list := func(s string) []string {
+			if s == "" {
+				return nil
+			}
+			return strings.Split(s, ",")
+		}
+		e := NewEncoder()
+		e.AddAttrs(author, page, ts, list(urls), list(tags), reply)
+		fs, err := NewFrameScanner(e.Bytes())
+		if err != nil {
+			t.Fatal(err)
+		}
+		var c Comment
+		if ok, err := fs.Next(&c); !ok || err != nil {
+			t.Fatalf("encoded comment does not read back: %v, %v", ok, err)
+		}
+		strs := func(vs [][]byte) (out []string) {
+			for _, v := range vs {
+				out = append(out, string(v))
+			}
+			return out
+		}
+		got := []any{string(c.Author), string(c.Page), c.TS, strs(c.URLs), strs(c.Tags), string(c.ReplyTo)}
+		want := []any{author, page, ts, list(urls), list(tags), reply}
+		if !reflect.DeepEqual(got, want) {
+			t.Fatalf("round trip: got %q, want %q", got, want)
+		}
+		if ok, err := fs.Next(&c); ok || err != nil {
+			t.Fatalf("one-comment frame: second Next = %v, %v", ok, err)
 		}
 	})
 }

@@ -12,15 +12,13 @@ import (
 // for every format.
 type Format uint8
 
-const (
-	// Ingest is the daemon's dialect and the zero value:
-	// author/page/ts/urls/tags/reply_to, ts a plain integer.
-	Ingest Format = iota
-	// Pushshift is the archives' spelling:
-	// author/link_id/created_utc/urls/hashtags/parent_author, created_utc
-	// an integer, a float or either in quotes, truncated toward zero.
-	Pushshift
-)
+// The zero Format is the daemon's dialect: author/page/ts/urls/tags/
+// reply_to, ts a plain integer.
+
+// Pushshift is the archives' spelling:
+// author/link_id/created_utc/urls/hashtags/parent_author, created_utc an
+// integer, a float or either in quotes, truncated toward zero.
+const Pushshift Format = 1
 
 // The daemon's key names, which scanObject switches on; pushshiftKey
 // returns these.
@@ -53,7 +51,7 @@ func pushshiftKey(key []byte) []byte {
 // comment objects — a superset of both the JSON-array and NDJSON bodies
 // the daemon has always taken, including the two mixed on one
 // connection. Unknown object fields are skipped structurally. The zero
-// value reads the Ingest format.
+// value reads the daemon's format.
 //
 // Field views point into the scanned buffer except for strings carrying
 // escapes, which are unescaped once into an internal arena; arena blocks
@@ -79,11 +77,6 @@ type Scanner struct {
 	// attrs is the flat backing for URLs/Tags views; like the arena it is
 	// append-only from the views' point of view.
 	attrs [][]byte
-}
-
-// NewScanner returns a Scanner over one ingest body.
-func NewScanner(buf []byte) *Scanner {
-	return &Scanner{buf: buf}
 }
 
 // Reset re-arms the scanner for a new buffer, keeping the arena and

@@ -8,7 +8,8 @@ import (
 	"testing"
 )
 
-// refComment mirrors the daemon's historical CommentIn for the oracle.
+// refComment is the JSON wire form of one ingested comment, decoded by
+// encoding/json for the oracle.
 type refComment struct {
 	Author  string   `json:"author"`
 	Page    string   `json:"page"`
@@ -20,7 +21,7 @@ type refComment struct {
 
 func scanAll(t *testing.T, body []byte) ([]refComment, error) {
 	t.Helper()
-	return readAll(NewScanner(body))
+	return readAll(&Scanner{buf: body})
 }
 
 func readAll(r Reader) ([]refComment, error) {
@@ -233,8 +234,8 @@ func TestFrameRoundTrip(t *testing.T) {
 	e.AddAttrs("böb", "p/2", -5, []string{"http://x/y", "u2"}, nil, "")
 	e.AddAttrs("c\td", "はた", 1<<62, nil, []string{"t1", "t2"}, "alice")
 	e.AddAttrs("", "", 0, nil, nil, "")
-	if e.Len() != 4 {
-		t.Fatalf("Len = %d", e.Len())
+	if e.count != 4 {
+		t.Fatalf("count = %d", e.count)
 	}
 	f, err := NewFrameScanner(e.Bytes())
 	if err != nil {
@@ -260,8 +261,8 @@ func TestFrameEncoderReset(t *testing.T) {
 	e.Add("a", "p", 1)
 	first := len(e.Bytes())
 	e.Reset()
-	if e.Len() != 0 {
-		t.Fatalf("Len after Reset = %d", e.Len())
+	if e.count != 0 {
+		t.Fatalf("count after Reset = %d", e.count)
 	}
 	e.Add("a", "p", 1)
 	if len(e.Bytes()) != first {
@@ -329,7 +330,7 @@ func TestScannerZeroAllocSteadyState(t *testing.T) {
 	sb.WriteByte(']')
 	body := []byte(sb.String())
 	var c Comment
-	s := NewScanner(body)
+	s := &Scanner{buf: body}
 	allocs := testing.AllocsPerRun(50, func() {
 		s.Reset(body)
 		for {

@@ -92,11 +92,6 @@ func (c *Cluster) Run(body func(node *Node)) {
 	}
 }
 
-// Barrier runs a cluster-wide barrier from all ranks.
-func (c *Cluster) Barrier() {
-	c.Run(func(nd *Node) { nd.Barrier() })
-}
-
 // Close shuts every node down.
 func (c *Cluster) Close() {
 	for _, node := range c.Nodes {

@@ -53,9 +53,6 @@ func (c *Counter) AsyncAdd(k uint64, delta int64) {
 	c.node.Async(c.Owner(k), c.handler, payload[:])
 }
 
-// AsyncIncrement adds 1 to key k.
-func (c *Counter) AsyncIncrement(k uint64) { c.AsyncAdd(k, 1) }
-
 // LocalShard copies this rank's shard. Call at quiescence.
 func (c *Counter) LocalShard() map[uint64]int64 {
 	c.mu.Lock()
@@ -129,13 +126,6 @@ func (c *StrCounter) LocalShard() map[string]int64 {
 		out[k] = v
 	}
 	return out
-}
-
-// Reset clears the shard for reuse.
-func (c *StrCounter) Reset() {
-	c.mu.Lock()
-	c.local = make(map[string]int64)
-	c.mu.Unlock()
 }
 
 // ReduceMapU32 is a distributed uint64→uint32 map with additive reduce —

@@ -226,18 +226,6 @@ func (hc *HypergraphCluster) Build(b *graph.BTM) {
 	})
 }
 
-// Reset clears the partitioned index and result bags.
-func (hc *HypergraphCluster) Reset() {
-	for i := range hc.shards {
-		hc.shards[i].mu.Lock()
-		hc.shards[i].pages = make(map[graph.VertexID][]graph.VertexID)
-		hc.shards[i].mu.Unlock()
-		hc.outs[i].mu.Lock()
-		hc.outs[i].items = nil
-		hc.outs[i].mu.Unlock()
-	}
-}
-
 // EvaluateAll computes Step-3 records for the triplets against the built
 // index, dealing triplets round-robin; each evaluation gathers its three
 // author lists by messaging their owners. Results are sorted by triplet.

@@ -509,11 +509,6 @@ func (n *Node) coordinate() {
 	}
 }
 
-// Stats returns (sent, processed) app-message counters.
-func (n *Node) Stats() (sent, processed int64) {
-	return n.sent.Load(), n.processed.Load()
-}
-
 // Err returns the first transport error observed (nil if none).
 func (n *Node) Err() error {
 	if v := n.readErr.Load(); v != nil {
@@ -556,6 +551,3 @@ func (n *Node) Close() error {
 	n.wg.Wait()
 	return nil
 }
-
-// Addr returns the node's actual listen address (useful with ":0").
-func (n *Node) Addr() string { return n.ln.Addr().String() }

@@ -18,7 +18,6 @@ import (
 	"coordbot/internal/graph"
 	"coordbot/internal/projection"
 	"coordbot/internal/redditgen"
-	"coordbot/internal/stream"
 	"coordbot/internal/tripoll"
 )
 
@@ -91,7 +90,7 @@ func BenchmarkScalingStreamVsBatch(b *testing.B) {
 	b.Run("stream", func(b *testing.B) {
 		b.ReportAllocs()
 		for i := 0; i < b.N; i++ {
-			if _, err := stream.Project(d.Comments, w,
+			if _, err := streamProject(d.Comments, w,
 				projection.Options{Exclude: d.Helpers}); err != nil {
 				b.Fatal(err)
 			}

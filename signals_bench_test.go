@@ -69,8 +69,10 @@ func benchSignalsIngest(b *testing.B, d *redditgen.Dataset, cfgs []stream.Signal
 		if err != nil {
 			b.Fatal(err)
 		}
-		if err := p.AddAll(d.Comments); err != nil {
-			b.Fatal(err)
+		for _, c := range d.Comments {
+			if err := p.Add(c); err != nil {
+				b.Fatal(err)
+			}
 		}
 		// Live pairs at stream end can legitimately be sparse (the horizon
 		// trails the last watermark); cumulative evictions prove the stream
