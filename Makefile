@@ -118,15 +118,20 @@ bench-ingest:
 experiments:
 	$(GO) run ./cmd/experiments -scale 1.0 -out results
 
+# Each example must exit 0 and print its verdict line (fixed string).
+example = out=$$($(GO) run ./examples/$(1)) && printf '%s\n' "$$out" && \
+	printf '%s\n' "$$out" | grep -qF -- '$(2)' || \
+	{ echo "examples: $(1) failed or did not print: $(2)" >&2; exit 1; }
+
 examples:
-	$(GO) run ./examples/quickstart
-	$(GO) run ./examples/gpt2net
-	$(GO) run ./examples/sharereshare
-	$(GO) run ./examples/windowsweep
-	$(GO) run ./examples/refine
-	$(GO) run ./examples/baselinecompare
-	$(GO) run ./examples/distributed
-	$(GO) run ./examples/daemon
+	@$(call example,quickstart,P=1.000 R=0.818)
+	@$(call example,gpt2net,30/30 members are planted GPT-2 bots)
+	@$(call example,sharereshare,reshare: density 0.91)
+	@$(call example,windowsweep,n=145270)
+	@$(call example,refine,[ring_000 ring_001 ring_002 ring_003 ring_004 ring_005])
+	@$(call example,baselinecompare,benign cohort members flagged: 6/6)
+	@$(call example,distributed,P=1.000 R=0.818)
+	@$(call example,daemon,live score for the cast: min weight 32)
 
 clean:
 	rm -rf results test_output.txt bench_output.txt

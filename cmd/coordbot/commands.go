@@ -109,7 +109,7 @@ func cmdProject(args []string) error {
 	in := fs.String("in", "", "input NDJSON(.gz) comment stream")
 	exclude := fs.String("exclude", "AutoModerator,[deleted]", "authors to exclude")
 	out := fs.String("out", "", "output edge TSV (default stdout)")
-	ranks := fs.Int("ranks", 0, "worker goroutines, or TCP ranks under -transport tcp (0 = auto)")
+	ranks := fs.Int("ranks", 0, "TCP cluster size under -transport tcp (0 = 4); the sharded transport runs GOMAXPROCS workers")
 	transport := fs.String("transport", "sharded", "sharded (in-process workers, owner-computes merge into the lock-striped store) or tcp (loopback rank cluster, serialized messages; co-comment only)")
 	signals := fs.String("signals", "", "comma-separated coordination signals, each optionally with a window override (e.g. cocomment,urlshare=0:300,reply); empty = co-comment only")
 	minW, maxW := windowFlag(fs)
@@ -117,6 +117,9 @@ func cmdProject(args []string) error {
 
 	switch *transport {
 	case "sharded":
+		if *ranks != 0 {
+			return fmt.Errorf("-ranks sets the -transport tcp cluster size; -transport sharded runs GOMAXPROCS workers")
+		}
 	case "tcp":
 		if *signals != "" {
 			return fmt.Errorf("-transport tcp projects co-comments only; drop -signals or use -transport sharded")
@@ -129,7 +132,7 @@ func cmdProject(args []string) error {
 		return err
 	}
 	window := projection.Window{Min: *minW, Max: *maxW}
-	opts := projection.Options{Exclude: ex, Ranks: *ranks}
+	opts := projection.Options{Exclude: ex}
 	var g graph.CIView
 	switch {
 	case *signals != "":
@@ -193,7 +196,6 @@ func cmdTriangles(args []string) error {
 	cut := fs.Uint("cut", 25, "min triangle weight cutoff")
 	tscore := fs.Float64("tscore", 0, "min T score (0 disables)")
 	top := fs.Int("top", 0, "print only the top-K by min weight (0 = all)")
-	ranks := fs.Int("ranks", 0, "worker goroutines (0 = auto)")
 	minW, maxW := windowFlag(fs)
 	fs.Parse(args)
 
@@ -202,12 +204,12 @@ func cmdTriangles(args []string) error {
 		return err
 	}
 	g, err := projection.ProjectSharded(b, projection.Window{Min: *minW, Max: *maxW},
-		projection.Options{Exclude: ex, Ranks: *ranks})
+		projection.Options{Exclude: ex})
 	if err != nil {
 		return err
 	}
 	tris := tripoll.Survey(g, tripoll.Options{
-		MinTriangleWeight: uint32(*cut), MinTScore: *tscore, Ranks: *ranks,
+		MinTriangleWeight: uint32(*cut), MinTScore: *tscore,
 	})
 	if *top > 0 {
 		tris = tripoll.TopKByMinWeight(tris, *top)
@@ -264,7 +266,6 @@ func cmdPipeline(args []string) error {
 	exclude := fs.String("exclude", "AutoModerator,[deleted]", "authors to exclude")
 	cut := fs.Uint("cut", 25, "min triangle weight cutoff")
 	tscore := fs.Float64("tscore", 0, "min T score (0 disables)")
-	ranks := fs.Int("ranks", 0, "worker goroutines (0 = auto)")
 	dotDir := fs.String("dot", "", "write per-component DOT files to this directory")
 	topComps := fs.Int("components", 10, "components to print")
 	communities := fs.Bool("communities", false, "cluster the pruned graph and print the top communities")
@@ -287,7 +288,6 @@ func cmdPipeline(args []string) error {
 		MinTriangleWeight: uint32(*cut),
 		MinTScore:         *tscore,
 		Exclude:           ex,
-		Ranks:             *ranks,
 		Communities:       *communities,
 		Community: community.Config{
 			Algorithm:  algo,

@@ -29,7 +29,6 @@ func cmdHexbin(args []string) error {
 	cut := fs.Uint("cut", 10, "min triangle weight cutoff")
 	kind := fs.String("kind", "scores", "scores (T vs C) or weights (minW vs w_xyz)")
 	csv := fs.String("csv", "", "also write bin CSV to this file")
-	ranks := fs.Int("ranks", 0, "worker goroutines (0 = auto)")
 	minW, maxW := windowFlag(fs)
 	fs.Parse(args)
 
@@ -41,7 +40,6 @@ func cmdHexbin(args []string) error {
 		Window:            projection.Window{Min: *minW, Max: *maxW},
 		MinTriangleWeight: uint32(*cut),
 		Exclude:           ex,
-		Ranks:             *ranks,
 	})
 	if err != nil {
 		return err
@@ -165,7 +163,6 @@ func cmdClassify(args []string) error {
 	in := fs.String("in", "", "input NDJSON(.gz) comment stream")
 	exclude := fs.String("exclude", "AutoModerator,[deleted]", "authors to exclude")
 	cut := fs.Uint("cut", 25, "min triangle weight cutoff")
-	ranks := fs.Int("ranks", 0, "worker goroutines (0 = auto)")
 	minW, maxW := windowFlag(fs)
 	fs.Parse(args)
 
@@ -177,7 +174,6 @@ func cmdClassify(args []string) error {
 		Window:            projection.Window{Min: *minW, Max: *maxW},
 		MinTriangleWeight: uint32(*cut),
 		Exclude:           ex,
-		Ranks:             *ranks,
 		SkipHypergraph:    true,
 	})
 	if err != nil {
@@ -248,7 +244,6 @@ func cmdBackbone(args []string) error {
 	exclude := fs.String("exclude", "AutoModerator,[deleted]", "authors to exclude")
 	alpha := fs.Float64("alpha", 1e-9, "significance level")
 	top := fs.Int("top", 20, "most significant edges to print")
-	ranks := fs.Int("ranks", 0, "worker goroutines (0 = auto)")
 	minW, maxW := windowFlag(fs)
 	fs.Parse(args)
 
@@ -257,7 +252,7 @@ func cmdBackbone(args []string) error {
 		return err
 	}
 	g, err := projection.ProjectSharded(b, projection.Window{Min: *minW, Max: *maxW},
-		projection.Options{Exclude: ex, Ranks: *ranks})
+		projection.Options{Exclude: ex})
 	if err != nil {
 		return err
 	}
@@ -283,7 +278,6 @@ func cmdGroups(args []string) error {
 	exclude := fs.String("exclude", "AutoModerator,[deleted]", "authors to exclude")
 	cut := fs.Uint("cut", 25, "min triangle weight cutoff")
 	tscore := fs.Float64("tscore", 0, "min T score (0 disables)")
-	ranks := fs.Int("ranks", 0, "worker goroutines (0 = auto)")
 	minW, maxW := windowFlag(fs)
 	fs.Parse(args)
 
@@ -296,7 +290,6 @@ func cmdGroups(args []string) error {
 		MinTriangleWeight: uint32(*cut),
 		MinTScore:         *tscore,
 		Exclude:           ex,
-		Ranks:             *ranks,
 	})
 	if err != nil {
 		return err

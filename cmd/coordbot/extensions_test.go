@@ -138,6 +138,16 @@ func TestCmdProjectTCPTransport(t *testing.T) {
 		!strings.Contains(err.Error(), "co-comments only") {
 		t.Fatalf("project -transport tcp -signals: err %v, want a co-comments-only rejection", err)
 	}
+	// -ranks sizes the tcp cluster only: under sharded it is refused, not
+	// silently ignored.
+	for _, args := range [][]string{
+		{"-in", data, "-ranks", "3"},
+		{"-in", data, "-transport", "sharded", "-ranks", "3"},
+	} {
+		if err := cmdProject(args); err == nil || !strings.Contains(err.Error(), "-ranks sets the -transport tcp cluster size") {
+			t.Fatalf("project %v: err %v, want a -ranks rejection", args[2:], err)
+		}
+	}
 	sig := filepath.Join(dir, "sig.tsv")
 	if err := cmdProject([]string{"-in", data, "-max", "60", "-transport", "sharded", "-signals", "cocomment", "-out", sig}); err != nil {
 		t.Fatal(err)

@@ -53,7 +53,6 @@ func main() {
 	excludeIDs := fs.String("exclude-ids", "", "comma-separated numeric vertex IDs to exclude")
 	noHyper := fs.Bool("no-hyper", false, "skip hypergraph validation (no comment log kept)")
 	dropLate := fs.Bool("drop-late", false, "drop out-of-order comments instead of clamping to the watermark")
-	ranks := fs.Int("ranks", 0, "survey parallelism (0 = all cores)")
 	shards := fs.Int("shards", 0, "live CI store shard count, rounded up to a power of two (0 = default)")
 	pprofAddr := fs.String("pprof-addr", "", "serve net/http/pprof on this address (empty = disabled)")
 	communities := fs.Bool("communities", false, "cluster the pruned graph each cycle and serve /v1/communities")
@@ -110,7 +109,6 @@ func main() {
 		ExcludeIDs:         exclIDs,
 		QueueSize:          *queue,
 		ClampLate:          !*dropLate,
-		Ranks:              *ranks,
 		Shards:             *shards,
 		Communities:        *communities,
 		Community: community.Config{

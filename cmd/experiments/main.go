@@ -27,7 +27,6 @@ func main() {
 	scale := flag.Float64("scale", 1.0, "organic corpus scale")
 	fig := flag.String("fig", "all", "experiment id or 'all' (see DESIGN.md index)")
 	out := flag.String("out", "", "directory for CSV/DOT artifacts (empty = none)")
-	ranks := flag.Int("ranks", 0, "worker goroutines (0 = auto)")
 	list := flag.Bool("list", false, "list experiment ids and exit")
 	flag.Parse()
 
@@ -39,7 +38,6 @@ func main() {
 	}
 
 	lab := experiments.NewLab(*scale)
-	lab.Ranks = *ranks
 
 	ids := experiments.IDs()
 	if *fig != "all" {

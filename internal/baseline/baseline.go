@@ -60,16 +60,16 @@ type Options struct {
 	// (default 0.99, matching the paper's "retain the top percentile of
 	// edge weights" practice). 0 keeps everything.
 	Percentile float64
-	// MaxPageAuthors skips pages whose distinct-author count exceeds
-	// this during candidate generation (default 200). Mega-pages
-	// generate quadratic candidate pairs while contributing near-zero
-	// IDF signal; skipping them is the standard scalability device.
-	// Similarities of surviving pairs are still computed over *all*
-	// their pages.
-	MaxPageAuthors int
 	// Exclude removes authors entirely (same semantics as projection).
 	Exclude map[graph.VertexID]bool
 }
+
+// maxPageAuthors skips pages whose distinct-author count exceeds this
+// during candidate generation. Mega-pages generate quadratic candidate
+// pairs while contributing near-zero IDF signal; skipping them is the
+// standard scalability device. Similarities of surviving pairs are still
+// computed over *all* their pages.
+const maxPageAuthors = 200
 
 func (o *Options) defaults() {
 	if o.MinSharedPages <= 0 {
@@ -80,9 +80,6 @@ func (o *Options) defaults() {
 	}
 	if o.Percentile < 0 {
 		o.Percentile = 0
-	}
-	if o.MaxPageAuthors <= 0 {
-		o.MaxPageAuthors = 200
 	}
 }
 
@@ -97,7 +94,7 @@ type SimEdge struct {
 
 // SimilarityNetwork computes the similarity of every candidate pair (pairs
 // co-touching >= MinSharedPages distinct pages, generated from pages with
-// <= MaxPageAuthors distinct authors). Edges are returned sorted by
+// <= maxPageAuthors distinct authors). Edges are returned sorted by
 // similarity descending, ties by (U, V).
 func SimilarityNetwork(b *graph.BTM, opts Options) []SimEdge {
 	opts.defaults()
@@ -119,7 +116,7 @@ func SimilarityNetwork(b *graph.BTM, opts Options) []SimEdge {
 			last = a
 		}
 		_ = last
-		if len(authorsOnPage) < 2 || len(authorsOnPage) > opts.MaxPageAuthors {
+		if len(authorsOnPage) < 2 || len(authorsOnPage) > maxPageAuthors {
 			continue
 		}
 		for i := 0; i < len(authorsOnPage); i++ {

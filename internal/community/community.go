@@ -98,10 +98,10 @@ type Config struct {
 	// Seed drives every randomized choice; identical (graph, config)
 	// pairs produce identical partitions (default 1).
 	Seed int64
-	// MaxIterations caps Leiden's aggregation levels and LabelProp's
-	// sweeps (default 32).
-	MaxIterations int
 }
+
+// maxIterations caps Leiden's aggregation levels and LabelProp's sweeps.
+const maxIterations = 32
 
 // Defaults returns c with zero values resolved to their defaults — what
 // Detect actually runs with.
@@ -117,9 +117,6 @@ func (c Config) withDefaults() Config {
 	}
 	if c.Seed == 0 {
 		c.Seed = 1
-	}
-	if c.MaxIterations <= 0 {
-		c.MaxIterations = 32
 	}
 	return c
 }
@@ -414,9 +411,9 @@ func clusterComponent(adj *graph.Adjacency, comp component, cfg Config) [][]grap
 	var labels []int32
 	switch cfg.Algorithm {
 	case LabelProp:
-		labels = labelPropagate(sub, seed, cfg.MaxIterations)
+		labels = labelPropagate(sub, seed, maxIterations)
 	default:
-		labels = leiden(sub, cfg.Resolution, seed, cfg.MaxIterations)
+		labels = leiden(sub, cfg.Resolution, seed, maxIterations)
 	}
 	return canonicalGroups(sub, labels)
 }

@@ -35,7 +35,6 @@ func surveyOracle(t *testing.T, cfg Config, sr *SurveyResult) *pipeline.Result {
 	t.Helper()
 	want, err := pipeline.RunOnCI(sr.snap, sr.btm, pipeline.Config{
 		Window:            cfg.Window,
-		MinEdgeWeight:     cfg.MinEdgeWeight,
 		MinTriangleWeight: cfg.MinTriangleWeight,
 		MinTScore:         cfg.MinTScore,
 		Sequential:        true,

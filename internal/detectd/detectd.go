@@ -67,9 +67,8 @@ type Config struct {
 	// loop. Zero or negative disables the loop; surveys then run only via
 	// SurveyNow (the embedding/test mode).
 	SurveyInterval time.Duration
-	// MinEdgeWeight / MinTriangleWeight / MinTScore are the survey
-	// thresholds, as in pipeline.Config.
-	MinEdgeWeight     uint32
+	// MinTriangleWeight / MinTScore are the survey thresholds, as in
+	// pipeline.Config.
 	MinTriangleWeight uint32
 	MinTScore         float64
 	// ValidateHypergraph keeps a trailing-horizon comment log and runs
@@ -89,8 +88,6 @@ type Config struct {
 	// of rejecting them (live feeds are only approximately ordered).
 	// When false, out-of-order comments are dropped and counted.
 	ClampLate bool
-	// Ranks is the survey parallelism (0 = library default).
-	Ranks int
 	// Shards is the shard count of the live CI store (rounded up to a
 	// power of two; 0 = graph.DefaultShards). More shards cut the
 	// copy-on-write cost hot ingestion pays after each snapshot — and
@@ -113,19 +110,6 @@ type Config struct {
 	// Community parameterizes the clustering (zero value = Leiden,
 	// resolution 1.0, min community size 3, seed 1).
 	Community community.Config
-}
-
-// edgeCut is the effective edge threshold of the survey (and the
-// component census): max(MinTriangleWeight, MinEdgeWeight, 1).
-func (c *Config) edgeCut() uint32 {
-	cut := c.MinTriangleWeight
-	if c.MinEdgeWeight > cut {
-		cut = c.MinEdgeWeight
-	}
-	if cut < 1 {
-		cut = 1
-	}
-	return cut
 }
 
 func (c *Config) setDefaults() error {
@@ -236,8 +220,9 @@ type surveyCache struct {
 	// snap is the snapshot the cached triangles were surveyed on — the
 	// version-vector baseline the next cycle diffs against.
 	snap *graph.CISnapshot
-	// pruned is snap thresholded at Config.edgeCut, reused shard-by-shard
-	// via ThresholdDelta so unchanged shards are never re-filtered.
+	// pruned is snap thresholded at the survey's edge cut, reused
+	// shard-by-shard via ThresholdDelta so unchanged shards are never
+	// re-filtered.
 	pruned *graph.CISnapshot
 	// tris is the full weight-thresholded triangle census of pruned, in
 	// SortTriangles order and deliberately NOT T-score filtered: T depends
@@ -310,7 +295,11 @@ type Service struct {
 	metrics *metrics
 	started time.Time
 
-	stopping             atomic.Bool
+	stopping atomic.Bool
+	// stopMu makes Enqueue's stopping check and queue send one step with
+	// respect to Close: a batch Enqueue accepts is queued before quit
+	// closes, so the ingest loop's final drain applies it.
+	stopMu               sync.RWMutex
 	quit                 chan struct{}
 	wg                   sync.WaitGroup
 	startOnce, closeOnce sync.Once
@@ -381,8 +370,10 @@ func (s *Service) Start() {
 // ErrStopped as soon as Close begins.
 func (s *Service) Close() {
 	s.closeOnce.Do(func() {
+		s.stopMu.Lock()
 		s.stopping.Store(true)
 		close(s.quit)
+		s.stopMu.Unlock()
 	})
 	s.wg.Wait()
 }
@@ -400,6 +391,8 @@ func (s *Service) Enqueue(batch []graph.Comment) error {
 	if len(batch) == 0 {
 		return nil
 	}
+	s.stopMu.RLock()
+	defer s.stopMu.RUnlock()
 	if s.stopping.Load() {
 		return ErrStopped
 	}
@@ -612,7 +605,8 @@ func (s *Service) SurveyNow() (*SurveyResult, error) {
 		btm = graph.BuildBTM(windowed, 0, 0)
 	}
 
-	cut := s.cfg.edgeCut()
+	sopts := tripoll.Options{MinTriangleWeight: s.cfg.MinTriangleWeight}
+	cut := tripoll.EffectiveEdgeCut(sopts)
 	cache := s.cache
 	var (
 		dirty       map[graph.VertexID]bool
@@ -629,7 +623,6 @@ func (s *Service) SurveyNow() (*SurveyResult, error) {
 		tris                 []tripoll.Triangle
 		cachedN, resurveyedN int
 	)
-	sopts := tripoll.Options{MinTriangleWeight: s.cfg.MinTriangleWeight, Ranks: s.cfg.Ranks}
 	if delta {
 		// Incremental path. A triangle's weights changed only if one of
 		// its edges did, which dirties both endpoints — so cached
@@ -693,10 +686,8 @@ func (s *Service) SurveyNow() (*SurveyResult, error) {
 
 	res, err := pipeline.RunOnTriangles(ci, pruned, tris, btm, pipeline.Config{
 		Window:            s.cfg.Window,
-		MinEdgeWeight:     s.cfg.MinEdgeWeight,
 		MinTriangleWeight: s.cfg.MinTriangleWeight,
 		MinTScore:         s.cfg.MinTScore,
-		Ranks:             s.cfg.Ranks,
 		SkipHypergraph:    !s.cfg.ValidateHypergraph,
 	}, hyper)
 	if err != nil {

@@ -5,7 +5,10 @@ import (
 	"fmt"
 	"net/http"
 	"net/http/httptest"
+	"runtime"
 	"strings"
+	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -277,6 +280,48 @@ func TestGracefulShutdownRejectsIngest(t *testing.T) {
 	}
 	hresp.Body.Close()
 	s.Close() // idempotent
+}
+
+// TestEnqueueRacingCloseLosesNothing: every batch Enqueue accepts while
+// Close runs is applied before Close returns. A Close that ran between
+// Enqueue's stopping check and its queue send used to let the send land
+// after the ingest loop's final drain: acknowledged, never applied. The
+// window is narrow, so the test races many short-lived services on eight
+// Ps.
+func TestEnqueueRacingCloseLosesNothing(t *testing.T) {
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(8))
+	cfg := testConfig()
+	cfg.ValidateHypergraph = false
+	const trials, senders, sends = 3000, 4, 200
+	for trial := 0; trial < trials; trial++ {
+		s, err := NewService(cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		s.Start()
+		var accepted atomic.Int64
+		var wg sync.WaitGroup
+		start := make(chan struct{})
+		for g := 0; g < senders; g++ {
+			wg.Add(1)
+			go func(g int) {
+				defer wg.Done()
+				<-start
+				for i := 0; i < sends; i++ {
+					c := graph.Comment{Author: graph.VertexID(g), Page: graph.VertexID(i), TS: int64(i)}
+					if s.Enqueue([]graph.Comment{c}) == nil {
+						accepted.Add(1)
+					}
+				}
+			}(g)
+		}
+		close(start)
+		s.Close()
+		wg.Wait()
+		if got, want := s.Ingested(), accepted.Load(); got != want {
+			t.Fatalf("trial %d: %d comments accepted, %d applied", trial, want, got)
+		}
+	}
 }
 
 func TestScoreUnknownUsers(t *testing.T) {

@@ -142,7 +142,6 @@ type SignalStatsOut struct {
 	WindowMin    int64  `json:"window_min_sec"`
 	WindowMax    int64  `json:"window_max_sec"`
 	HorizonSec   int64  `json:"horizon_sec"`
-	Weight       uint32 `json:"weight"`
 	LivePairs    int64  `json:"live_pairs"`
 	EvictedPairs int64  `json:"evicted_pairs"`
 	LiveObjects  int    `json:"live_objects"`
@@ -901,7 +900,6 @@ func (s *Service) handleStats(w http.ResponseWriter, r *http.Request) {
 			WindowMin:    sg.Window.Min,
 			WindowMax:    sg.Window.Max,
 			HorizonSec:   sg.Horizon,
-			Weight:       sg.Weight,
 			LivePairs:    sg.LivePairs,
 			EvictedPairs: sg.EvictedPairs,
 			LiveObjects:  sg.LiveObjects,

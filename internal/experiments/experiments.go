@@ -27,8 +27,6 @@ type Lab struct {
 	// redditgen's presets). The figures' *shape* claims hold across
 	// scales; see DESIGN.md "Scale honesty".
 	Scale float64
-	// Ranks is the worker count for all runs (0 = GOMAXPROCS).
-	Ranks int
 
 	mu       sync.Mutex
 	datasets map[string]*redditgen.Dataset
@@ -112,7 +110,6 @@ func (l *Lab) Run(dataset string, w projection.Window, cut uint32) (*pipeline.Re
 		Window:            w,
 		MinTriangleWeight: cut,
 		Exclude:           d.Helpers,
-		Ranks:             l.Ranks,
 	})
 	if err != nil {
 		return nil, err
@@ -507,11 +504,11 @@ func (l *Lab) S3() (*Report, error) {
 	d := l.Dataset("jan2020")
 	b := l.BTM("jan2020")
 	w := projection.Window{Min: 0, Max: 60}
-	with, err := projection.ProjectSharded(b, w, projection.Options{Exclude: d.Helpers, Ranks: l.Ranks})
+	with, err := projection.ProjectSharded(b, w, projection.Options{Exclude: d.Helpers})
 	if err != nil {
 		return nil, err
 	}
-	without, err := projection.ProjectSharded(b, w, projection.Options{Ranks: l.Ranks})
+	without, err := projection.ProjectSharded(b, w, projection.Options{})
 	if err != nil {
 		return nil, err
 	}

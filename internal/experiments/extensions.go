@@ -144,7 +144,6 @@ func (l *Lab) X6() (*Report, error) {
 			Window:            projection.Window{Min: 0, Max: max},
 			MinTriangleWeight: 10,
 			Exclude:           d.Helpers,
-			Ranks:             l.Ranks,
 		})
 		if err != nil {
 			return nil, err
@@ -280,7 +279,7 @@ func (l *Lab) X8() (*Report, error) {
 		sigs[i] = sg
 	}
 	g, err := projection.ProjectSignalsSharded(d.Comments, sigs,
-		projection.Options{Exclude: d.Helpers, Ranks: l.Ranks})
+		projection.Options{Exclude: d.Helpers})
 	if err != nil {
 		return nil, err
 	}
@@ -362,7 +361,6 @@ func (l *Lab) X7() (*Report, error) {
 		Window:            projection.Window{Min: 0, Max: 60},
 		MinTriangleWeight: 25,
 		Exclude:           d.Helpers,
-		Ranks:             l.Ranks,
 		Communities:       true,
 	})
 	if err != nil {

@@ -47,14 +47,6 @@ func compareEdgeUV(a, b WeightedEdge) int {
 type CIGraph struct {
 	edges      map[uint64]uint32
 	pageCounts map[VertexID]uint32
-
-	// sig, when non-nil, holds the per-signal breakdown of every edge
-	// weight: sig[si][key] is signal si's share of edges[key]. The
-	// breakdown is attribution metadata behind the CIView — edges stays
-	// the single source of truth for weights, and Equal/Threshold/Merge
-	// compare and act on totals only. Allocated by NewCIGraphSignals;
-	// nil (zero cost) for single-signal graphs.
-	sig []map[uint64]uint32
 }
 
 // NewCIGraph returns an empty CI graph.

@@ -594,17 +594,11 @@ func (s *CISnapshot) ThresholdView(minW uint32) CIView {
 // Materialize copies the snapshot into a map-backed CIGraph (reference
 // form, for tests and interop with map-only callers).
 func (s *CISnapshot) Materialize() *CIGraph {
-	out := NewCIGraphSignals(s.numSignals)
+	out := NewCIGraph()
 	for _, t := range s.edges {
 		for i, k := range t.keys {
-			if k == 0 {
-				continue
-			}
-			out.edges[k] = t.w[i]
-			for si := 0; si < t.nsig; si++ {
-				if share := t.sig[i*t.nsig+si]; share != 0 {
-					out.sig[si][k] += share
-				}
+			if k != 0 {
+				out.edges[k] = t.w[i]
 			}
 		}
 	}

@@ -10,53 +10,16 @@
 //
 // What this file adds is the breakdown behind that view: a store created
 // with a signal count >= 2 keeps each signal's share of each edge's total
-// weight. In the map-backed reference graph the shares live in side maps;
-// in the sharded store they are the EdgeTable's inline stride-numSignals
-// share lanes, so attributing an increment or reading a breakdown costs
-// the same single probe as the total itself. The breakdown is attribution
-// metadata — it rides the same copy-on-write discipline as the edge
-// tables (frozen by Snapshot, cloned by own), is withdrawn in the same
-// eviction waves, and is never consulted by Equal, Threshold, or the
-// snapshot diffs. Single-signal stores allocate nothing and behave
-// bit-identically to the pre-signal code.
+// weight in the EdgeTable's inline stride-numSignals share lanes, so
+// attributing an increment or reading a breakdown costs the same single
+// probe as the total itself. The breakdown is attribution metadata — it
+// rides the same copy-on-write discipline as the edge tables (frozen by
+// Snapshot, cloned by own), is withdrawn in the same eviction waves, and
+// is never consulted by Equal, Threshold, or the snapshot diffs.
+// Single-signal stores allocate nothing and behave bit-identically to the
+// pre-signal code. The map-backed reference graph keeps totals only: a
+// signal's reference share is that signal projected alone.
 package graph
-
-// NewCIGraphSignals returns an empty map-backed CI graph that tracks a
-// per-signal weight breakdown for n signals. n < 2 disables tracking and
-// is equivalent to NewCIGraph (one signal has nothing to attribute).
-func NewCIGraphSignals(n int) *CIGraph {
-	g := NewCIGraph()
-	if n >= 2 {
-		g.sig = make([]map[uint64]uint32, n)
-		for si := range g.sig {
-			g.sig[si] = make(map[uint64]uint32)
-		}
-	}
-	return g
-}
-
-// AddEdgeWeightSig adds w to edge {u,v} and attributes it to signal si.
-// On an untracked graph it is exactly AddEdgeWeight.
-func (g *CIGraph) AddEdgeWeightSig(u, v VertexID, w uint32, si int) {
-	key := PackEdge(u, v)
-	g.edges[key] += w
-	if g.sig != nil {
-		g.sig[si][key] += w
-	}
-}
-
-// SignalWeight returns signal si's share of edge {u,v} (0 when untracked
-// or absent).
-// surface:keep the multi-signal ≡ suites (projection
-// TestMultiSignalShardedMatchesSequential, stream
-// TestMultiSlidingMatchesPerSignalBatch) read the reference breakdown
-// through it.
-func (g *CIGraph) SignalWeight(u, v VertexID, si int) uint32 {
-	if g.sig == nil || u == v {
-		return 0
-	}
-	return g.sig[si][PackEdge(u, v)]
-}
 
 // --- sharded store ------------------------------------------------------
 

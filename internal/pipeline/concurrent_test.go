@@ -41,7 +41,6 @@ func TestRunConcurrentSharedBTM(t *testing.T) {
 		Window:            projection.Window{Min: 0, Max: 60},
 		MinTriangleWeight: 10,
 		Exclude:           ds.Helpers,
-		Ranks:             2,
 	}
 
 	ref, err := Run(btm, cfg)

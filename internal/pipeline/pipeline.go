@@ -32,12 +32,9 @@ import (
 type Config struct {
 	// Window is the projection delay window (δ1, δ2).
 	Window projection.Window
-	// MinEdgeWeight prunes CI edges before the survey (0 = no pruning
-	// beyond MinTriangleWeight).
-	MinEdgeWeight uint32
 	// MinTriangleWeight is the triangle min-edge-weight cutoff (the
 	// paper uses 10 for the hexbin figures and 25 for the component
-	// anecdotes).
+	// anecdotes). CI edges below it are pruned before the survey.
 	MinTriangleWeight uint32
 	// MinTScore optionally thresholds on the normalized CI score.
 	MinTScore float64
@@ -47,12 +44,10 @@ type Config struct {
 	// paper's §2.2 targeted re-run: take a group of interest found with
 	// a short window and re-project just those users with a longer one.
 	Restrict map[graph.VertexID]bool
-	// Ranks is the worker count of each step's goroutine pool (<= 0 =
-	// GOMAXPROCS). Sequential forces the single-threaded reference
-	// implementations instead: Step 1 into the map-backed CIGraph rather
-	// than projection.ProjectSharded's lock-striped store, the one the
-	// streaming daemon runs on.
-	Ranks      int
+	// Sequential forces the single-threaded reference implementations
+	// instead of each step's GOMAXPROCS-sized goroutine pool: Step 1 into
+	// the map-backed CIGraph rather than projection.ProjectSharded's
+	// lock-striped store, the one the streaming daemon runs on.
 	Sequential bool
 	// Sharded has no effect: Step 1 takes the sharded path whenever
 	// Sequential is unset, whatever this says. The field remains only
@@ -101,9 +96,8 @@ type Result struct {
 	// Sequential), or a *graph.CISnapshot for daemon snapshot surveys —
 	// all behind the read-only view interface.
 	CI graph.CIView
-	// Thresholded is CI restricted to edges >= MinTriangleWeight (or
-	// MinEdgeWeight if higher) — the graph whose components the paper
-	// draws in Figures 1–2.
+	// Thresholded is CI restricted to edges >= MinTriangleWeight — the
+	// graph whose components the paper draws in Figures 1–2.
 	Thresholded graph.CIView
 	// Components of the thresholded graph, largest first.
 	Components []graph.Component
@@ -133,7 +127,7 @@ func Run(b *graph.BTM, cfg Config) (*Result, error) {
 	t0 := time.Now()
 	var ci graph.CIView
 	var err error
-	popts := projection.Options{Exclude: cfg.Exclude, Restrict: cfg.Restrict, Ranks: cfg.Ranks}
+	popts := projection.Options{Exclude: cfg.Exclude, Restrict: cfg.Restrict}
 	if cfg.Sequential {
 		ci, err = projection.ProjectSequential(b, cfg.Window, popts)
 	} else {
@@ -242,7 +236,7 @@ func validate(res *Result, thresholded graph.CIView, tris []tripoll.Triangle, b 
 					scores[i] = hypergraph.Evaluate(b, t)
 				}
 			} else {
-				scores = hypergraph.EvaluateAll(b, missing, cfg.Ranks)
+				scores = hypergraph.EvaluateAll(b, missing, 0)
 			}
 			for k, sc := range scores {
 				res.Triangles[missingAt[k]].Hyper = sc
@@ -257,10 +251,7 @@ func validate(res *Result, thresholded graph.CIView, tris []tripoll.Triangle, b 
 	// Components of the thresholded graph (Figures 1–2 artifacts).
 	t0 = time.Now()
 	if thresholded == nil {
-		thresholded = ci.ThresholdView(tripoll.EffectiveEdgeCut(tripoll.Options{
-			MinEdgeWeight:     cfg.MinEdgeWeight,
-			MinTriangleWeight: cfg.MinTriangleWeight,
-		}))
+		thresholded = ci.ThresholdView(tripoll.EffectiveEdgeCut(tripoll.Options{MinTriangleWeight: cfg.MinTriangleWeight}))
 	}
 	res.Thresholded = thresholded
 	res.Components = graph.ConnectedComponents(res.Thresholded)
@@ -290,11 +281,7 @@ func cluster(res *Result, b *graph.BTM, cfg Config, tris []tripoll.Triangle) {
 func finish(res *Result, b *graph.BTM, cfg Config) {
 	ci := res.CI
 	t0 := time.Now()
-	sopts := tripoll.Options{
-		MinEdgeWeight:     cfg.MinEdgeWeight,
-		MinTriangleWeight: cfg.MinTriangleWeight,
-		Ranks:             cfg.Ranks,
-	}
+	sopts := tripoll.Options{MinTriangleWeight: cfg.MinTriangleWeight}
 	thresholded := ci.ThresholdView(tripoll.EffectiveEdgeCut(sopts))
 	o := tripoll.Orient(thresholded.BuildAdjacency())
 	var tris []tripoll.Triangle

@@ -34,10 +34,8 @@ func resultsEqual(t *testing.T, a, b *Result) {
 // cfg but no T-score filter, sorted — the census RunOnTriangles expects.
 func surveyWeightOnly(ci graph.CIView, cfg Config) []tripoll.Triangle {
 	var tris []tripoll.Triangle
-	tripoll.SurveySequential(ci, tripoll.Options{
-		MinEdgeWeight:     cfg.MinEdgeWeight,
-		MinTriangleWeight: cfg.MinTriangleWeight,
-	}, func(tr tripoll.Triangle) { tris = append(tris, tr) })
+	tripoll.SurveySequential(ci, tripoll.Options{MinTriangleWeight: cfg.MinTriangleWeight},
+		func(tr tripoll.Triangle) { tris = append(tris, tr) })
 	tripoll.SortTriangles(tris)
 	return tris
 }

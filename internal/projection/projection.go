@@ -50,10 +50,6 @@ type Options struct {
 	// Bipartite Temporal Multigraph for just this smaller group of users
 	// with a longer time window". Exclude still applies on top.
 	Restrict map[graph.VertexID]bool
-	// Ranks is the worker count of the sharded paths (ProjectSharded,
-	// ProjectSignalsSharded); <= 0 means GOMAXPROCS (minimum 2). Ignored
-	// by ProjectSequential and ProjectBucketed.
-	Ranks int
 }
 
 // skip reports whether an author is out of scope for this projection.
@@ -92,26 +88,17 @@ func PagePairs(nbhd []graph.AuthorTime, w Window, opts Options, pairs map[uint64
 	}
 }
 
-// accumulatePage folds one page's pair set into the CI graph: +1 weight per
-// pair, +1 page count per distinct incident author (Algorithm 1 lines 9–20).
-func accumulatePage(g *graph.CIGraph, pairs map[uint64]struct{}) {
-	accumulateObject(g, pairs, 1, 0)
-}
-
-// accumulateObject is accumulatePage generalized to any coordinated
-// object and signal: +wgt edge weight per pair attributed to signal si,
-// +1 object count per distinct incident author. P' stays a unit count of
-// contributing (signal, object) occurrences regardless of wgt — the
-// weight scales how loudly a signal speaks, not how many objects backed
-// it, and the T score normalizer keeps its equation-6 meaning.
-func accumulateObject(g *graph.CIGraph, pairs map[uint64]struct{}, wgt uint32, si int) {
+// accumulateObject folds one coordinated object's pair set into the CI
+// graph: +1 weight per pair, +1 object count per distinct incident author
+// (Algorithm 1 lines 9–20, with the page as the object).
+func accumulateObject(g *graph.CIGraph, pairs map[uint64]struct{}) {
 	if len(pairs) == 0 {
 		return
 	}
 	authors := make(map[graph.VertexID]struct{}, len(pairs)*2)
 	for key := range pairs {
 		u, v := graph.UnpackEdge(key)
-		g.AddEdgeWeightSig(u, v, wgt, si)
+		g.AddEdgeWeight(u, v, 1)
 		authors[u] = struct{}{}
 		authors[v] = struct{}{}
 	}
@@ -131,7 +118,7 @@ func ProjectSequential(b *graph.BTM, w Window, opts Options) (*graph.CIGraph, er
 	for p := 0; p < b.NumPages(); p++ {
 		clear(pairs)
 		PagePairs(b.PageNeighborhood(graph.VertexID(p)), w, opts, pairs)
-		accumulatePage(g, pairs)
+		accumulateObject(g, pairs)
 	}
 	return g, nil
 }
@@ -189,7 +176,7 @@ func ProjectBucketed(b *graph.BTM, buckets []Window, opts Options) (*graph.CIGra
 				union[key] = struct{}{}
 			}
 		}
-		accumulatePage(g, union)
+		accumulateObject(g, union)
 	}
 	return g, nil
 }

@@ -120,7 +120,7 @@ func TestParallelMatchesSequential(t *testing.T) {
 			t.Fatal(err)
 		}
 		for _, ranks := range []int{1, 3, 8} {
-			par, err := ProjectSharded(b, w, Options{Ranks: ranks})
+			par, err := projectSharded(b, w, Options{}, ranks)
 			if err != nil {
 				t.Fatal(err)
 			}

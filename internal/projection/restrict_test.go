@@ -91,8 +91,7 @@ func TestRestrictParallelMatchesSequential(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	opts.Ranks = 4
-	par, err := ProjectSharded(b, Window{0, 300}, opts)
+	par, err := projectSharded(b, Window{0, 300}, opts, 4)
 	if err != nil {
 		t.Fatal(err)
 	}

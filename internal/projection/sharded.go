@@ -8,16 +8,10 @@ import (
 	"coordbot/internal/graph"
 )
 
-// ranks resolves the worker count for the sharded batch paths.
-func ranks(opts Options) int {
-	nr := opts.Ranks
-	if nr <= 0 {
-		nr = runtime.GOMAXPROCS(0)
-		if nr < 2 {
-			nr = 2
-		}
-	}
-	return nr
+// workers is the worker count of the sharded batch paths: GOMAXPROCS,
+// and at least 2.
+func workers() int {
+	return max(runtime.GOMAXPROCS(0), 2)
 }
 
 // ProjectSharded runs Algorithm 1 with the sharded owner-computes merge:
@@ -35,50 +29,58 @@ func ranks(opts Options) int {
 // This is the batch counterpart of the daemon's sharded live store: both
 // land in a *graph.ShardedCI whose snapshots are copy-on-write. It is the
 // single-signal specialization of projectObjectsSharded — co-comment
-// pages as the coordinated object, unit weight, no breakdown maps.
+// pages as the coordinated object, no breakdown lanes.
 func ProjectSharded(b *graph.BTM, w Window, opts Options) (*graph.ShardedCI, error) {
+	return projectSharded(b, w, opts, workers())
+}
+
+// projectSharded is ProjectSharded with nr workers.
+func projectSharded(b *graph.BTM, w Window, opts Options, nr int) (*graph.ShardedCI, error) {
 	if err := w.Validate(); err != nil {
 		return nil, err
 	}
 	g := graph.NewShardedCI(0)
 	projectObjectsSharded(g, 0, b.NumPages(), func(p int) []graph.AuthorTime {
 		return b.PageNeighborhood(graph.VertexID(p))
-	}, w, 1, opts, ranks(opts))
+	}, w, opts, nr)
 	return g, nil
 }
 
 // ProjectSignalsSharded projects one comment stream through every signal
 // and merges the results into a single multi-signal store: each signal's
 // objects are indexed (BuildObjectIndex), run through the same flat-log
-// owner-computes core as ProjectSharded with that signal's window and
-// weight, and attributed to the signal in the store's per-signal
-// breakdown. With exactly the default co-comment signal the result is
-// graph-equal to ProjectSharded (and carries no breakdown maps).
+// owner-computes core as ProjectSharded with that signal's window, and
+// attributed to the signal in the store's per-signal breakdown. With
+// exactly the default co-comment signal the result is graph-equal to
+// ProjectSharded (and carries no breakdown lanes).
 func ProjectSignalsSharded(comments []graph.Comment, sigs []Signal, opts Options) (*graph.ShardedCI, error) {
+	return projectSignalsSharded(comments, sigs, opts, workers())
+}
+
+// projectSignalsSharded is ProjectSignalsSharded with nr workers.
+func projectSignalsSharded(comments []graph.Comment, sigs []Signal, opts Options, nr int) (*graph.ShardedCI, error) {
 	if err := ValidateSignals(sigs); err != nil {
 		return nil, err
 	}
 	g := graph.NewShardedCISignals(0, len(sigs))
-	nr := ranks(opts)
 	for si, sig := range sigs {
 		idx := BuildObjectIndex(comments, sig)
-		projectObjectsSharded(g, si, idx.NumObjects(), idx.Neighborhood, sig.Window(), sig.Weight(), opts, nr)
+		projectObjectsSharded(g, si, idx.NumObjects(), idx.Neighborhood, sig.Window(), opts, nr)
 	}
 	return g, nil
 }
 
 // projectObjectsSharded is the owner-computes projection core over an
 // abstract object space: objects 0..numObjects-1 with time-sorted author
-// neighborhoods served by nbhd. Every windowed pair contributes wgt to
-// its edge total (attributed to signal si when the store tracks a
-// breakdown) and each distinct incident author +1 to the P' table per
-// object — see accumulateObject for why P' ignores wgt.
-func projectObjectsSharded(g *graph.ShardedCI, si, numObjects int, nbhd func(int) []graph.AuthorTime, w Window, wgt uint32, opts Options, nr int) {
+// neighborhoods served by nbhd. Every windowed pair adds 1 to its edge
+// total (attributed to signal si when the store tracks a breakdown) and
+// each distinct incident author +1 to the P' table per object.
+func projectObjectsSharded(g *graph.ShardedCI, si, numObjects int, nbhd func(int) []graph.AuthorTime, w Window, opts Options, nr int) {
 	p := g.NumShards()
 
 	// edgeRec / pageRec are one append-log occurrence each; the implicit
 	// weight is 1 (a pair or author counts once per object), so aggregation
-	// is a run-length count at merge time, scaled by wgt for edges.
+	// is a run-length count at merge time.
 	type edgeRec struct {
 		shard int32
 		key   uint64
@@ -183,7 +185,7 @@ func projectObjectsSharded(g *graph.ShardedCI, si, numObjects int, nbhd func(int
 							for run < len(seg) && seg[run].key == seg[k].key {
 								run++
 							}
-							edges.AddSig(seg[k].key, uint32(run-k)*wgt, si)
+							edges.AddSig(seg[k].key, uint32(run-k), si)
 							k = run
 						}
 						pseg := logs[r].pages[logs[r].pageOff[s]:logs[r].pageOff[s+1]]

@@ -16,7 +16,7 @@ func TestShardedMatchesSequential(t *testing.T) {
 			t.Fatal(err)
 		}
 		for _, ranks := range []int{1, 3, 8} {
-			sh, err := ProjectSharded(b, w, Options{Ranks: ranks})
+			sh, err := projectSharded(b, w, Options{}, ranks)
 			if err != nil {
 				t.Fatal(err)
 			}

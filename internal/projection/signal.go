@@ -7,19 +7,20 @@
 // SNIPPETS.md §3) fuse several such notions — synchronized posting, URL
 // co-sharing, hashtag overlap, reply patterns — into one weighted edge.
 //
-// Signal abstracts exactly the three things that vary: which objects a
-// comment engages (the extractor), how close in time two engagements must
-// be to count (the per-signal window), and how much one co-engagement is
-// worth (the weight). Everything else — the windowed pairing kernel, the
-// sharded owner-computes merge, the sliding-window eviction, the survey
-// and validation layers — is shared verbatim with the co-comment path,
-// which is itself just the default Signal.
+// Signal abstracts exactly the two things that vary: which objects a
+// comment engages (the extractor) and how close in time two engagements
+// must be to count (the per-signal window). Everything else — the
+// windowed pairing kernel, the sharded owner-computes merge, the
+// sliding-window eviction, the survey and validation layers — is shared
+// verbatim with the co-comment path, which is itself just the default
+// Signal.
 //
 // Pair semantics per signal mirror the page semantics of Algorithm 1:
 // a pair of authors is counted once per distinct object they co-engaged
 // within the window (not once per engagement pair), each counted object
-// contributes the signal's weight to the pair's edge, and each object an
-// author projected through adds one unit to the author's P' normalizer.
+// adds one unit to the pair's edge whatever the signal, and each object
+// an author projected through adds one unit to the author's P'
+// normalizer.
 package projection
 
 import (
@@ -32,17 +33,14 @@ import (
 )
 
 // Signal is one coordination channel: an object extractor with a delay
-// window and a weight. Implementations must be immutable after
-// construction (they are shared across goroutines).
+// window. Implementations must be immutable after construction (they are
+// shared across goroutines).
 type Signal interface {
 	// Name is the stable identifier used by flags, stats, and the signal
 	// mix of flagged groups. Lower-case, no commas.
 	Name() string
 	// Window is the per-signal delay window [δ1, δ2).
 	Window() Window
-	// Weight is the contribution of one coordinated object to the pair's
-	// CI edge weight (>= 1; the default signals use 1).
-	Weight() uint32
 	// AppendObjects appends the IDs of every object the comment engages
 	// to dst and returns it. Extractors may emit duplicates; callers
 	// dedupe (a comment engages an object once no matter how many times
@@ -56,7 +54,6 @@ type CoComment struct{ W Window }
 
 func (s CoComment) Name() string   { return "cocomment" }
 func (s CoComment) Window() Window { return s.W }
-func (s CoComment) Weight() uint32 { return 1 }
 func (s CoComment) AppendObjects(c graph.Comment, dst []graph.VertexID) []graph.VertexID {
 	return append(dst, c.Page)
 }
@@ -67,7 +64,6 @@ type URLShare struct{ W Window }
 
 func (s URLShare) Name() string   { return "urlshare" }
 func (s URLShare) Window() Window { return s.W }
-func (s URLShare) Weight() uint32 { return 1 }
 func (s URLShare) AppendObjects(c graph.Comment, dst []graph.VertexID) []graph.VertexID {
 	if c.Attrs == nil {
 		return dst
@@ -80,7 +76,6 @@ type HashtagShare struct{ W Window }
 
 func (s HashtagShare) Name() string   { return "hashtag" }
 func (s HashtagShare) Window() Window { return s.W }
-func (s HashtagShare) Weight() uint32 { return 1 }
 func (s HashtagShare) AppendObjects(c graph.Comment, dst []graph.VertexID) []graph.VertexID {
 	if c.Attrs == nil {
 		return dst
@@ -95,7 +90,6 @@ type ReplyTarget struct{ W Window }
 
 func (s ReplyTarget) Name() string   { return "reply" }
 func (s ReplyTarget) Window() Window { return s.W }
-func (s ReplyTarget) Weight() uint32 { return 1 }
 func (s ReplyTarget) AppendObjects(c graph.Comment, dst []graph.VertexID) []graph.VertexID {
 	if c.Attrs == nil || !c.Attrs.IsReply {
 		return dst
@@ -116,7 +110,6 @@ type TimeBucket struct {
 
 func (s TimeBucket) Name() string   { return "timebucket" }
 func (s TimeBucket) Window() Window { return Window{Min: 0, Max: s.Bucket} }
-func (s TimeBucket) Weight() uint32 { return 1 }
 func (s TimeBucket) AppendObjects(c graph.Comment, dst []graph.VertexID) []graph.VertexID {
 	b := c.TS / s.Bucket
 	if c.TS < 0 && c.TS%s.Bucket != 0 {
@@ -206,7 +199,7 @@ func ParseSignals(spec string, def Window) ([]Signal, error) {
 }
 
 // ValidateSignals checks a signal set: non-empty, unique names, valid
-// windows, non-zero weights.
+// windows.
 func ValidateSignals(sigs []Signal) error {
 	if len(sigs) == 0 {
 		return fmt.Errorf("projection: no signals")
@@ -219,9 +212,6 @@ func ValidateSignals(sigs []Signal) error {
 		seen[s.Name()] = true
 		if err := s.Window().Validate(); err != nil {
 			return fmt.Errorf("projection: signal %q: %w", s.Name(), err)
-		}
-		if s.Weight() == 0 {
-			return fmt.Errorf("projection: signal %q has zero weight", s.Name())
 		}
 	}
 	return nil
@@ -316,24 +306,25 @@ func (x *ObjectIndex) Neighborhood(o int) []graph.AuthorTime {
 
 // ProjectSignals is the sequential multi-signal reference projection:
 // every signal's objects run through the Algorithm 1 pairing kernel with
-// that signal's window and weight, accumulated into one merged CI graph
-// with per-signal attribution. It is to ProjectSignalsSharded what
-// ProjectSequential is to ProjectSharded — the implementation the
-// parallel and streaming paths are property-tested against. With exactly
-// the default co-comment signal it equals ProjectSequential bit for bit.
+// that signal's window, accumulated independently into one merged CI
+// graph — so projecting one signal alone yields that signal's share of
+// every edge. It is to ProjectSignalsSharded what ProjectSequential is to
+// ProjectSharded — the implementation the parallel and streaming paths
+// are property-tested against. With exactly the default co-comment
+// signal it equals ProjectSequential bit for bit.
 func ProjectSignals(comments []graph.Comment, sigs []Signal, opts Options) (*graph.CIGraph, error) {
 	if err := ValidateSignals(sigs); err != nil {
 		return nil, err
 	}
-	g := graph.NewCIGraphSignals(len(sigs))
+	g := graph.NewCIGraph()
 	pairs := make(map[uint64]struct{})
-	for si, sig := range sigs {
+	for _, sig := range sigs {
 		idx := BuildObjectIndex(comments, sig)
-		w, wgt := sig.Window(), sig.Weight()
+		w := sig.Window()
 		for o := 0; o < idx.NumObjects(); o++ {
 			clear(pairs)
 			PagePairs(idx.Neighborhood(o), w, opts, pairs)
-			accumulateObject(g, pairs, wgt, si)
+			accumulateObject(g, pairs)
 		}
 	}
 	return g, nil

@@ -48,8 +48,6 @@ func (t *leaseTable) alloc(capacity int) {
 	}
 }
 
-func (t *leaseTable) len() int { return t.n }
-
 // home is the slot (obj, key)'s probe chain starts at.
 func (t *leaseTable) home(obj graph.VertexID, key uint64) uint64 {
 	return mix64(key^(uint64(obj)+1)*0x9e3779b97f4a7c15) >> t.shift

@@ -7,6 +7,8 @@ import (
 	"coordbot/internal/graph"
 )
 
+func (t *leaseTable) len() int { return t.n }
+
 // leaseModel drives a leaseTable and a map side by side.
 type leaseModel struct {
 	t     leaseTable

@@ -15,11 +15,12 @@ import (
 
 // multiSignalBatch builds the reference multi-signal graph at a
 // watermark: every signal projected independently (batch reference) over
-// the comments still inside that signal's horizon, merged with per-signal
-// attribution.
-func multiSignalBatch(t *testing.T, comments []graph.Comment, sigs []SignalConfig, defHorizon, watermark int64, opts projection.Options) *graph.CIGraph {
+// the comments still inside that signal's horizon, merged. The per-signal
+// projections are returned too: each one is its signal's reference share.
+func multiSignalBatch(t *testing.T, comments []graph.Comment, sigs []SignalConfig, defHorizon, watermark int64, opts projection.Options) (*graph.CIGraph, []*graph.CIGraph) {
 	t.Helper()
-	want := graph.NewCIGraphSignals(len(sigs))
+	want := graph.NewCIGraph()
+	shares := make([]*graph.CIGraph, len(sigs))
 	for si, sc := range sigs {
 		h := sc.Horizon
 		if h == 0 {
@@ -35,14 +36,10 @@ func multiSignalBatch(t *testing.T, comments []graph.Comment, sigs []SignalConfi
 		if err != nil {
 			t.Fatal(err)
 		}
-		for _, e := range g.Edges() {
-			want.AddEdgeWeightSig(e.U, e.V, e.W, si)
-		}
-		for v, n := range g.PageCounts() {
-			want.AddPageCount(v, n)
-		}
+		want.Merge(g)
+		shares[si] = g
 	}
-	return want
+	return want, shares
 }
 
 // TestMultiSlidingMatchesPerSignalBatch is the multi-signal tentpole
@@ -72,7 +69,7 @@ func TestMultiSlidingMatchesPerSignalBatch(t *testing.T) {
 		if i%step != step-1 {
 			continue
 		}
-		want := multiSignalBatch(t, ds.Comments[:i+1], sigs, defHorizon, p.Watermark(), opts)
+		want, shares := multiSignalBatch(t, ds.Comments[:i+1], sigs, defHorizon, p.Watermark(), opts)
 		got := p.Snapshot()
 		if !got.Equal(want) {
 			t.Fatalf("checkpoint %d (watermark %d): sliding merge (%d edges) != per-signal batch merge (%d edges)",
@@ -82,7 +79,7 @@ func TestMultiSlidingMatchesPerSignalBatch(t *testing.T) {
 			live := p.SignalWeights(u, v)
 			var sum uint32
 			for si := range sigs {
-				if ref := want.SignalWeight(u, v, si); live[si] != ref {
+				if ref := shares[si].Weight(u, v); live[si] != ref {
 					t.Fatalf("checkpoint %d edge {%d,%d} signal %s: live %d, reference %d",
 						i, u, v, sigs[si].Signal.Name(), live[si], ref)
 				}

@@ -122,7 +122,6 @@ type sigMeta struct {
 	sig     projection.Signal
 	si      int
 	w       projection.Window
-	weight  uint32
 	horizon int64
 	// objbuf is the reusable extractor scratch.
 	objbuf []graph.VertexID
@@ -176,8 +175,8 @@ type slidingPage struct {
 // edgeDec is one evicted (signal, object, pair) contribution in a wave:
 // the packed edge key, its owning shard (precomputed where the eviction
 // is discovered), and the signal it came from. The decrement amount is
-// implied — it is always that signal's weight — so the log stays a flat
-// 16-byte record and aggregation is a run-length sum at apply time.
+// implied — it is always 1 — so the log stays a flat 16-byte record and
+// aggregation is a run-length count at apply time.
 type edgeDec struct {
 	key   uint64
 	shard int32
@@ -250,7 +249,6 @@ func NewMultiSlidingProjectorWorkers(sigs []SignalConfig, horizon int64, opts pr
 			sig:     sc.Signal,
 			si:      i,
 			w:       sc.Signal.Window(),
-			weight:  sc.Signal.Weight(),
 			horizon: h,
 		}
 		p.sigs[i] = m
@@ -307,7 +305,6 @@ type SignalStat struct {
 	Name         string
 	Window       projection.Window
 	Horizon      int64
-	Weight       uint32
 	LivePairs    int64
 	EvictedPairs int64
 	LiveObjects  int
@@ -329,7 +326,6 @@ func (p *SlidingProjector) SignalStats() []SignalStat {
 			Name:         m.sig.Name(),
 			Window:       m.w,
 			Horizon:      m.horizon,
-			Weight:       m.weight,
 			LivePairs:    sl.live,
 			EvictedPairs: sl.evicted,
 			LiveObjects:  len(sl.objects),
@@ -391,7 +387,7 @@ func (p *SlidingProjector) Add(c graph.Comment) error {
 
 // addToObject runs the windowed pairing of one (signal, object)
 // engagement: pair the comment against the object's buffered trailing-δ2
-// comments, count fresh pairs into the store with the signal's weight and
+// comments, count fresh pairs into the store with the signal's
 // attribution, refresh leases on already-counted pairs.
 func (p *SlidingProjector) addToObject(sl *sigLane, m *sigMeta, obj graph.VertexID, author graph.VertexID, ts int64) {
 	ps := &sl.pages[sl.pageOf(obj)]
@@ -435,7 +431,7 @@ func (p *SlidingProjector) addToObject(sl *sigLane, m *sigMeta, obj graph.Vertex
 		}
 		sl.leases.insert(li, obj, key, old.TS)
 		sl.exp.push(expiryEntry{oldTS: old.TS, page: obj, key: key})
-		p.g.AddEdgeWeightSig(old.Author, author, m.weight, m.si)
+		p.g.AddEdgeWeightSig(old.Author, author, 1, m.si)
 		sl.live++
 		ps.live++
 		for _, a := range [2]graph.VertexID{old.Author, author} {
@@ -673,8 +669,8 @@ func dueAt(since []graph.Comment, due, wm int64) int64 {
 // (shards were precomputed at push time), each shard's edge segment is
 // key-sorted and run-length aggregated into one flat batch — total per
 // edge plus, on multi-signal projectors, the stride-len(sigs) per-signal
-// shares, each log entry contributing its signal's weight — and the batch
-// is withdrawn under a single shard lock acquisition and version bump
+// shares, each log entry contributing 1 to its signal's share — and the
+// batch is withdrawn under a single shard lock acquisition and version bump
 // (SubShardBatch). All sort and aggregation scratch is recycled between
 // waves.
 func (p *SlidingProjector) applyWave(w *wave) {
@@ -750,10 +746,9 @@ func (p *SlidingProjector) applyWave(w *wave) {
 			}
 			var tot uint32
 			for ; k < len(seg) && seg[k].key == key; k++ {
-				wgt := p.sigs[seg[k].si].weight
-				tot += wgt
+				tot++
 				if nsig > 0 {
-					p.outSig[base+int(seg[k].si)] += wgt
+					p.outSig[base+int(seg[k].si)]++
 				}
 			}
 			p.outEdges = append(p.outEdges, graph.EdgeDelta{Key: key, W: tot})
@@ -808,16 +803,6 @@ func (p *SlidingProjector) BufferedComments() int {
 	n := 0
 	for si := range p.cells {
 		n += p.cells[si].buffered
-	}
-	return n
-}
-
-// numObjectStates counts retained object states across signals (tests pin
-// the GC behaviour with it).
-func (p *SlidingProjector) numObjectStates() int {
-	n := 0
-	for si := range p.cells {
-		n += len(p.cells[si].objects)
 	}
 	return n
 }

@@ -15,6 +15,16 @@ func newSliding(w projection.Window, horizon int64, opts projection.Options) (*S
 	return NewMultiSlidingProjectorWorkers([]SignalConfig{{Signal: projection.CoComment{W: w}}}, horizon, opts, 0, 1)
 }
 
+// numObjectStates counts retained object states across signals (tests pin
+// the GC behaviour with it).
+func (p *SlidingProjector) numObjectStates() int {
+	n := 0
+	for si := range p.cells {
+		n += len(p.cells[si].objects)
+	}
+	return n
+}
+
 // restrictedBatch projects, with the batch reference implementation, only
 // the comments still inside the horizon at watermark: TS > watermark-H.
 func restrictedBatch(t *testing.T, comments []graph.Comment, w projection.Window, watermark, horizon int64) *graph.CIGraph {

@@ -57,9 +57,9 @@ type pageState struct {
 	authors map[graph.VertexID]struct{}
 }
 
-// NewProjector creates a streaming projector for window w. opts.Ranks is
-// ignored (the projector is single-writer by design; shard streams by page
-// upstream to parallelize).
+// NewProjector creates a streaming projector for window w. The projector
+// is single-writer by design; shard streams by page upstream to
+// parallelize.
 func NewProjector(w projection.Window, opts projection.Options) (*Projector, error) {
 	if err := w.Validate(); err != nil {
 		return nil, err

@@ -52,7 +52,7 @@ func TestSurveyDirtyMatchesFilteredFull(t *testing.T) {
 					want = append(want, tr)
 				}
 			}
-			o := Orient(g.ThresholdView(opts.effectiveEdgeCut()).BuildAdjacency())
+			o := Orient(g.ThresholdView(EffectiveEdgeCut(opts)).BuildAdjacency())
 			surveyDirty := func(dirty map[graph.VertexID]bool) []Triangle {
 				var got []Triangle
 				o.SurveyDirty(opts, dirty, g.PageCount, func(tr Triangle) { got = append(got, tr) })

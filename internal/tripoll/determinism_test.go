@@ -34,14 +34,14 @@ func tieHeavyGraph(n int, w uint32) *graph.CIGraph {
 // as do two TopK cuts at a k that lands mid-tie.
 func TestSurveyDeterministicOnTies(t *testing.T) {
 	g := tieHeavyGraph(14, 7)
-	opts := Options{MinTriangleWeight: 1, Ranks: 4}
+	opts := Options{MinTriangleWeight: 1}
 
-	first := Survey(g, opts)
+	first := surveyWith(g, opts, 4)
 	if len(first) == 0 {
 		t.Fatal("no triangles surveyed")
 	}
 	for run := 0; run < 4; run++ {
-		again := Survey(g, opts)
+		again := surveyWith(g, opts, 4)
 		if !reflect.DeepEqual(first, again) {
 			t.Fatalf("run %d: parallel survey order differs on tie-heavy graph", run)
 		}

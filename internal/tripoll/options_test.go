@@ -6,30 +6,24 @@ import (
 	"coordbot/internal/graph"
 )
 
-// MinEdgeWeight prunes edges before enumeration independently of the
-// triangle cutoff: a triangle whose weakest edge is below it disappears
-// even when MinTriangleWeight alone would keep it.
-func TestMinEdgeWeightPrunesBeforeEnumeration(t *testing.T) {
+// The survey's one edge cut is the triangle cutoff (at least 1): edges
+// below it are pruned before enumeration, which drops exactly the
+// triangles whose weakest edge misses the cutoff.
+func TestEffectiveEdgeCut(t *testing.T) {
 	g := graph.NewCIGraph()
 	g.AddEdgeWeight(1, 2, 3)
 	g.AddEdgeWeight(2, 3, 9)
 	g.AddEdgeWeight(1, 3, 9)
-	// MinTriangleWeight 2 alone keeps it (min weight 3 >= 2)…
 	if n := Count(g, Options{MinTriangleWeight: 2}); n != 1 {
-		t.Fatalf("baseline count = %d, want 1", n)
+		t.Fatalf("count at cutoff 2 = %d, want 1", n)
 	}
-	// …but MinEdgeWeight 5 removes the weight-3 edge first.
-	if n := Count(g, Options{MinTriangleWeight: 2, MinEdgeWeight: 5}); n != 0 {
-		t.Fatalf("count with edge cut = %d, want 0", n)
+	if n := Count(g, Options{MinTriangleWeight: 5}); n != 0 {
+		t.Fatalf("count at cutoff 5 = %d, want 0", n)
 	}
-	// EffectiveEdgeCut is the max of the two knobs (min 1).
 	if c := EffectiveEdgeCut(Options{}); c != 1 {
 		t.Fatalf("default cut = %d, want 1", c)
 	}
-	if c := EffectiveEdgeCut(Options{MinEdgeWeight: 5, MinTriangleWeight: 3}); c != 5 {
-		t.Fatalf("cut = %d, want 5", c)
-	}
-	if c := EffectiveEdgeCut(Options{MinEdgeWeight: 2, MinTriangleWeight: 7}); c != 7 {
+	if c := EffectiveEdgeCut(Options{MinTriangleWeight: 7}); c != 7 {
 		t.Fatalf("cut = %d, want 7", c)
 	}
 }

@@ -646,18 +646,19 @@ func (o *Oriented) SurveyAll(opts Options, pageCount func(graph.VertexID) uint32
 	}
 }
 
-// SurveyParallel enumerates triangles with a pool of opts.Ranks workers
+// SurveyParallel enumerates triangles with a pool of GOMAXPROCS workers
 // over the shared read-only orientation: pivots are dealt round-robin,
 // each worker runs the intersection kernel into its own slice, and the
-// slices are concatenated. Ranks <= 0 means GOMAXPROCS; the count is
-// clamped to the number of vertices, and a single worker runs inline on
-// the caller. Output is SortTriangles-ordered.
+// slices are concatenated. The worker count is clamped to the number of
+// vertices, and a single worker runs inline on the caller. Output is
+// SortTriangles-ordered.
 func (o *Oriented) SurveyParallel(opts Options, pageCount func(graph.VertexID) uint32) []Triangle {
+	return o.surveyParallel(opts, pageCount, runtime.GOMAXPROCS(0))
+}
+
+// surveyParallel is SurveyParallel with nw workers.
+func (o *Oriented) surveyParallel(opts Options, pageCount func(graph.VertexID) uint32, nw int) []Triangle {
 	n := len(o.orig)
-	nw := opts.Ranks
-	if nw <= 0 {
-		nw = runtime.GOMAXPROCS(0)
-	}
 	if nw > n {
 		nw = n
 	}

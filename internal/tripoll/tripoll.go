@@ -52,32 +52,14 @@ func (t Triangle) TScore(pageCount func(graph.VertexID) uint32) float64 {
 
 // Options configures a survey.
 type Options struct {
-	// MinEdgeWeight drops CI edges below this weight before enumeration
-	// (the paper's edge-weight threshold; e.g. 5 for the October 2016
-	// one-hour projection).
-	MinEdgeWeight uint32
 	// MinTriangleWeight keeps only triangles whose minimum edge weight
 	// is at least this (the paper's cutoffs of 10 and 25). Because a
 	// triangle's min weight ≥ τ implies all edges ≥ τ, the survey also
-	// prunes edges below it up front.
+	// prunes edges below it up front — the only edge cut there is.
 	MinTriangleWeight uint32
 	// MinTScore keeps only triangles with T(x,y,z) >= this. Requires
 	// page counts on the surveyed graph; 0 disables.
 	MinTScore float64
-	// Ranks is the worker count of Survey / SurveyParallel; <= 0 means
-	// GOMAXPROCS. Clamped to the vertex count; one worker runs inline.
-	Ranks int
-}
-
-func (o Options) effectiveEdgeCut() uint32 {
-	cut := o.MinEdgeWeight
-	if o.MinTriangleWeight > cut {
-		cut = o.MinTriangleWeight
-	}
-	if cut < 1 {
-		cut = 1
-	}
-	return cut
 }
 
 // Assemble builds the canonical Triangle (orig IDs sorted, weights mapped)
@@ -105,14 +87,14 @@ func assembleIDs(va, vb, vc graph.VertexID, wab, wac, wbc uint32) Triangle {
 	return Triangle{X: va, Y: vb, Z: vc, WXY: wc, WXZ: wb, WYZ: wa}
 }
 
-// EffectiveEdgeCut exposes the edge pruning threshold the survey applies
-// up front for the given options.
-func EffectiveEdgeCut(opts Options) uint32 { return opts.effectiveEdgeCut() }
+// EffectiveEdgeCut is the edge pruning threshold the survey applies up
+// front for the given options: max(MinTriangleWeight, 1).
+func EffectiveEdgeCut(opts Options) uint32 { return max(opts.MinTriangleWeight, 1) }
 
 // SurveySequential enumerates triangles single-threaded, invoking visit for
 // each triangle that passes the thresholds. The reference implementation.
 func SurveySequential(g graph.CIView, opts Options, visit func(Triangle)) {
-	pruned := g.ThresholdView(opts.effectiveEdgeCut())
+	pruned := g.ThresholdView(EffectiveEdgeCut(opts))
 	o := Orient(pruned.BuildAdjacency())
 	o.SurveyAll(opts, g.PageCount, visit)
 }
@@ -123,7 +105,7 @@ func SurveySequential(g graph.CIView, opts Options, visit func(Triangle)) {
 // (Oriented.SurveyParallel). The partitioned, message-passing survey is
 // ygmnet.TriangleCluster.
 func Survey(g graph.CIView, opts Options) []Triangle {
-	pruned := g.ThresholdView(opts.effectiveEdgeCut())
+	pruned := g.ThresholdView(EffectiveEdgeCut(opts))
 	o := Orient(pruned.BuildAdjacency())
 	return o.SurveyParallel(opts, g.PageCount)
 }

@@ -2,6 +2,7 @@ package tripoll
 
 import (
 	"math/rand"
+	"runtime"
 	"testing"
 	"testing/quick"
 
@@ -107,6 +108,12 @@ func TestSurveyMatchesNaive(t *testing.T) {
 	}
 }
 
+// surveyWith is Survey with a pool of nw workers.
+func surveyWith(g graph.CIView, opts Options, nw int) []Triangle {
+	o := Orient(g.ThresholdView(EffectiveEdgeCut(opts)).BuildAdjacency())
+	return o.surveyParallel(opts, g.PageCount, nw)
+}
+
 func TestParallelMatchesSequential(t *testing.T) {
 	single := graph.NewCIGraph()
 	single.AddEdgeWeight(1, 2, 5)
@@ -124,10 +131,10 @@ func TestParallelMatchesSequential(t *testing.T) {
 		var seq []Triangle
 		SurveySequential(tc.g, Options{MinTriangleWeight: 2}, func(tr Triangle) { seq = append(seq, tr) })
 		SortTriangles(seq)
-		// 0 = GOMAXPROCS, 1 = inline on the caller, 1000 = more workers
-		// than vertices (clamped).
-		for _, ranks := range []int{0, 1, 4, 7, 1000} {
-			par := Survey(tc.g, Options{MinTriangleWeight: 2, Ranks: ranks})
+		// GOMAXPROCS = Survey's pool, 1 = inline on the caller, 1000 =
+		// more workers than vertices (clamped).
+		for _, ranks := range []int{runtime.GOMAXPROCS(0), 1, 4, 7, 1000} {
+			par := surveyWith(tc.g, Options{MinTriangleWeight: 2}, ranks)
 			if len(par) != len(seq) {
 				t.Fatalf("%s ranks %d: %d triangles, want %d", tc.name, ranks, len(par), len(seq))
 			}
@@ -164,7 +171,7 @@ func TestEmptyGraph(t *testing.T) {
 	if n := Count(graph.NewCIGraph(), Options{}); n != 0 {
 		t.Fatalf("empty graph has %d triangles", n)
 	}
-	if out := Survey(graph.NewCIGraph(), Options{Ranks: 2}); len(out) != 0 {
+	if out := surveyWith(graph.NewCIGraph(), Options{}, 2); len(out) != 0 {
 		t.Fatalf("empty parallel survey returned %d", len(out))
 	}
 }

@@ -12,6 +12,7 @@ import (
 	"encoding/json"
 	"fmt"
 	"os"
+	"runtime"
 	"testing"
 
 	"coordbot/internal/detectd"
@@ -106,12 +107,14 @@ func BenchmarkScalingTriangleRanks(b *testing.B) {
 	if err != nil {
 		b.Fatal(err)
 	}
+	// The survey pool is GOMAXPROCS workers.
 	for _, ranks := range []int{1, 2, 4, 8} {
 		ranks := ranks
 		b.Run(fmt.Sprintf("ranks=%d", ranks), func(b *testing.B) {
+			defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(ranks))
 			b.ReportAllocs()
 			for i := 0; i < b.N; i++ {
-				tripoll.Survey(g, tripoll.Options{MinTriangleWeight: 3, Ranks: ranks})
+				tripoll.Survey(g, tripoll.Options{MinTriangleWeight: 3})
 			}
 		})
 	}
