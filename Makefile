@@ -51,7 +51,8 @@ check-surface:
 	$(GO) run ./tools/surface > api/surface.txt && git diff --exit-code -- api/surface.txt
 
 # Short fuzz of the edge-key codec, the open-addressed edge table vs a
-# map reference model, the sharded-vs-map adjacency equivalence, the
+# map reference model, the sharded-vs-map adjacency and connected
+# components equivalence, the
 # patched-vs-rebuilt oriented CSR, the archive reader vs its
 # encoding/json reference, the sliding window's flat lease table vs a
 # map reference model, the archive timestamp's digit fast path vs the

@@ -56,7 +56,7 @@ func BenchmarkSnapshotClone(b *testing.B) {
 // shards.
 func BenchmarkSnapshotCOW(b *testing.B) {
 	_, sh := benchProjection(b)
-	edges := sh.Edges()
+	edges := sh.Snapshot().Edges()
 	b.Run("idle", func(b *testing.B) {
 		b.ReportAllocs()
 		for i := 0; i < b.N; i++ {
@@ -102,7 +102,7 @@ func edgeUpsertKeys(n int) [][2]graph.VertexID {
 // map operation per signal here.
 func BenchmarkEdgeUpsert(b *testing.B) {
 	const nsig = 3
-	g := graph.NewShardedCISignals(0, nsig)
+	g := graph.NewShardedCI(0, nsig)
 	keys := edgeUpsertKeys(1 << 16)
 	b.ReportAllocs()
 	b.ResetTimer()
@@ -198,7 +198,7 @@ func TestWriteCIGraphBench(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	edges := sh.Edges()
+	edges := sh.Snapshot().Edges()
 
 	clone := testing.Benchmark(func(b *testing.B) {
 		b.ReportAllocs()

@@ -134,6 +134,7 @@ func cmdProject(args []string) error {
 	window := projection.Window{Min: *minW, Max: *maxW}
 	opts := projection.Options{Exclude: ex}
 	var g graph.CIView
+	var sharded *graph.ShardedCI
 	switch {
 	case *signals != "":
 		var sigs []projection.Signal
@@ -141,7 +142,7 @@ func cmdProject(args []string) error {
 		if err != nil {
 			return err
 		}
-		g, err = projection.ProjectSignalsSharded(c.Comments, sigs, opts)
+		sharded, err = projection.ProjectSignalsSharded(c.Comments, sigs, opts)
 	case *transport == "tcp":
 		nr := *ranks
 		if nr == 0 {
@@ -155,10 +156,13 @@ func cmdProject(args []string) error {
 		defer pc.Close()
 		g, err = pc.Project(b, window, opts)
 	default:
-		g, err = projection.ProjectSharded(b, window, opts)
+		sharded, err = projection.ProjectSharded(b, window, opts)
 	}
 	if err != nil {
 		return err
+	}
+	if sharded != nil {
+		g = sharded.Snapshot()
 	}
 	return writeEdges(*out, c, g, *minW, *maxW)
 }
@@ -203,11 +207,12 @@ func cmdTriangles(args []string) error {
 	if err != nil {
 		return err
 	}
-	g, err := projection.ProjectSharded(b, projection.Window{Min: *minW, Max: *maxW},
+	sharded, err := projection.ProjectSharded(b, projection.Window{Min: *minW, Max: *maxW},
 		projection.Options{Exclude: ex})
 	if err != nil {
 		return err
 	}
+	g := sharded.Snapshot()
 	tris := tripoll.Survey(g, tripoll.Options{
 		MinTriangleWeight: uint32(*cut), MinTScore: *tscore,
 	})

@@ -251,11 +251,12 @@ func cmdBackbone(args []string) error {
 	if err != nil {
 		return err
 	}
-	g, err := projection.ProjectSharded(b, projection.Window{Min: *minW, Max: *maxW},
+	sharded, err := projection.ProjectSharded(b, projection.Window{Min: *minW, Max: *maxW},
 		projection.Options{Exclude: ex})
 	if err != nil {
 		return err
 	}
+	g := sharded.Snapshot()
 	bb := backbone.Extract(g, b.NumPages(), *alpha)
 	fmt.Printf("projection: %d edges; backbone at α=%.0e: %d edges\n",
 		g.NumEdges(), *alpha, bb.NumEdges())

@@ -181,13 +181,6 @@ func (p *Partition) appendComponent(groups [][]graph.VertexID) {
 	}
 }
 
-// component is one connected component in dense-adjacency space.
-type component struct {
-	// verts are the dense vertex indices, sorted ascending (which, by
-	// BuildAdjacency's construction, is also ascending original ID).
-	verts []int32
-}
-
 // Detect clusters v from scratch: the cold path.
 func Detect(v graph.CIView, cfg Config) *Partition {
 	return DetectWarm(v, cfg, nil, nil)
@@ -218,7 +211,7 @@ func DetectWarm(v graph.CIView, cfg Config, prev *Partition, dirty map[graph.Ver
 func detectCold(v graph.CIView, cfg Config) *Partition {
 	adj := v.BuildAdjacency()
 	p := newPartition(cfg, adj.NumVertices())
-	for _, comp := range components(adj) {
+	for _, comp := range adj.Components() {
 		p.appendComponent(clusterComponent(adj, comp, cfg))
 		p.ClusteredComponents++
 	}
@@ -251,10 +244,10 @@ func detectWarm(v graph.CIView, cfg Config, prev *Partition, dirty map[graph.Ver
 		}
 	}
 	var adjT *graph.Adjacency
-	var tcomps []component
+	var tcomps [][]int32
 	if len(inT) > 0 {
 		adjT = induceAdjacency(v, inT)
-		tcomps = components(adjT)
+		tcomps = adjT.Components()
 	}
 
 	// Clean old components, as contiguous community ranges of prev in
@@ -282,7 +275,7 @@ func detectWarm(v graph.CIView, cfg Config, prev *Partition, dirty map[graph.Ver
 	i, j := 0, 0
 	for i < len(clean) || j < len(tcomps) {
 		takeClean := j >= len(tcomps) ||
-			(i < len(clean) && clean[i].min < adjT.Orig[tcomps[j].verts[0]])
+			(i < len(clean) && clean[i].min < adjT.Orig[tcomps[j][0]])
 		if takeClean {
 			p.appendComponent(prev.Communities[clean[i].lo:clean[i].hi])
 			p.ReusedComponents++
@@ -359,55 +352,18 @@ func induceAdjacency(v graph.CIView, in map[graph.VertexID]bool) *graph.Adjacenc
 	return adj
 }
 
-// components returns the connected components of adj, each with sorted
-// dense vertex lists, ordered by smallest member — the canonical
-// traversal both numbering and per-component seeding hang off.
-func components(adj *graph.Adjacency) []component {
-	n := adj.NumVertices()
-	root := make([]int32, n)
-	for i := range root {
-		root[i] = -1
-	}
-	var comps []component
-	stack := make([]int32, 0, 64)
-	for s := int32(0); s < int32(n); s++ {
-		if root[s] >= 0 {
-			continue
-		}
-		// Iterative DFS from the smallest unvisited vertex: every vertex
-		// discovered gets s as its root, so components come out ordered
-		// by smallest member with members collected then sorted.
-		verts := []int32{s}
-		root[s] = s
-		stack = append(stack[:0], s)
-		for len(stack) > 0 {
-			v := stack[len(stack)-1]
-			stack = stack[:len(stack)-1]
-			for _, u := range adj.Neighbors(v) {
-				if root[u] < 0 {
-					root[u] = s
-					verts = append(verts, u)
-					stack = append(stack, u)
-				}
-			}
-		}
-		slices.Sort(verts)
-		comps = append(comps, component{verts: verts})
-	}
-	return comps
-}
-
-// clusterComponent runs the configured algorithm on one component and
-// returns its communities in canonical order. The RNG seed mixes the
+// clusterComponent runs the configured algorithm on one component — its
+// dense vertices, sorted ascending, as Adjacency.Components lists them —
+// and returns its communities in canonical order. The RNG seed mixes the
 // config seed with the component's smallest original member, so a
 // component's clustering depends only on its own structure — the
 // decomposition warm starts rely on.
-func clusterComponent(adj *graph.Adjacency, comp component, cfg Config) [][]graph.VertexID {
-	if len(comp.verts) == 1 {
-		return [][]graph.VertexID{{adj.Orig[comp.verts[0]]}}
+func clusterComponent(adj *graph.Adjacency, comp []int32, cfg Config) [][]graph.VertexID {
+	if len(comp) == 1 {
+		return [][]graph.VertexID{{adj.Orig[comp[0]]}}
 	}
 	sub := buildSubgraph(adj, comp)
-	seed := mixSeed(cfg.Seed, uint64(adj.Orig[comp.verts[0]]))
+	seed := mixSeed(cfg.Seed, uint64(adj.Orig[comp[0]]))
 	var labels []int32
 	switch cfg.Algorithm {
 	case LabelProp:
@@ -433,10 +389,10 @@ func (s *subgraph) n() int { return len(s.orig) }
 // neighbor of a component vertex is in the component, so the rows copy
 // over whole; neighbor lists stay sorted because the local renumbering is
 // monotone in dense index.
-func buildSubgraph(adj *graph.Adjacency, comp component) *subgraph {
-	n := len(comp.verts)
+func buildSubgraph(adj *graph.Adjacency, comp []int32) *subgraph {
+	n := len(comp)
 	local := make(map[int32]int32, n)
-	for i, dv := range comp.verts {
+	for i, dv := range comp {
 		local[dv] = int32(i)
 	}
 	sub := &subgraph{
@@ -444,14 +400,14 @@ func buildSubgraph(adj *graph.Adjacency, comp component) *subgraph {
 		off:  make([]int32, n+1),
 	}
 	total := 0
-	for i, dv := range comp.verts {
+	for i, dv := range comp {
 		sub.orig[i] = adj.Orig[dv]
 		total += adj.Degree(dv)
 		sub.off[i+1] = int32(total)
 	}
 	sub.nbr = make([]int32, total)
 	sub.wt = make([]uint64, total)
-	for i, dv := range comp.verts {
+	for i, dv := range comp {
 		base := sub.off[i]
 		for k, u := range adj.Neighbors(dv) {
 			sub.nbr[base+int32(k)] = local[u]

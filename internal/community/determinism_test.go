@@ -15,7 +15,7 @@ import (
 func buildStores(seed int64) (*graph.CIGraph, *graph.ShardedCI) {
 	rng := rand.New(rand.NewSource(seed))
 	plain := graph.NewCIGraph()
-	sharded := graph.NewShardedCI(16)
+	sharded := graph.NewShardedCI(16, 0)
 	add := func(u, v graph.VertexID, w uint32) {
 		plain.AddEdgeWeight(u, v, w)
 		sharded.AddEdgeWeightSig(u, v, w, 0)
@@ -49,12 +49,13 @@ func buildStores(seed int64) (*graph.CIGraph, *graph.ShardedCI) {
 
 // TestDetectDeterministicAcrossRunsAndStores: the same seed must yield a
 // structurally identical partition on repeated runs AND regardless of
-// which CIView implementation backs the graph (map-backed vs sharded vs
-// the sharded store's snapshot). This is what makes the daemon's warm
+// which CIView implementation backs the graph (map-backed vs the sharded
+// store's snapshot). This is what makes the daemon's warm
 // start and the batch pipeline comparable at all.
 func TestDetectDeterministicAcrossRunsAndStores(t *testing.T) {
 	plain, sharded := buildStores(42)
-	if !plain.Equal(sharded) {
+	snap := sharded.Snapshot()
+	if !plain.Equal(snap) {
 		t.Fatal("fixture bug: stores hold different graphs")
 	}
 	for _, algo := range []Algorithm{Leiden, LabelProp} {
@@ -64,14 +65,10 @@ func TestDetectDeterministicAcrossRunsAndStores(t *testing.T) {
 		if !reflect.DeepEqual(p1.Communities, p2.Communities) {
 			t.Fatalf("%s: repeated runs with the same seed differ", algo)
 		}
-		p3 := Detect(sharded, cfg)
+		p3 := Detect(snap, cfg)
 		if !reflect.DeepEqual(p1.Communities, p3.Communities) {
-			t.Fatalf("%s: sharded store partition differs from map-backed (%d vs %d communities)",
+			t.Fatalf("%s: snapshot partition differs from map-backed (%d vs %d communities)",
 				algo, len(p3.Communities), len(p1.Communities))
-		}
-		p4 := Detect(sharded.Snapshot(), cfg)
-		if !reflect.DeepEqual(p1.Communities, p4.Communities) {
-			t.Fatalf("%s: snapshot partition differs from map-backed", algo)
 		}
 		if len(p1.Communities) < 3 {
 			t.Fatalf("%s: expected at least the 3 planted cliques, got %d communities",

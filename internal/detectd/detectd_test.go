@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"net/http"
 	"net/http/httptest"
+	"reflect"
 	"runtime"
 	"strings"
 	"sync"
@@ -335,6 +336,36 @@ func TestScoreUnknownUsers(t *testing.T) {
 	if len(out.Unknown) != 1 || out.Unknown[0] != "ghost" {
 		t.Fatalf("unknown = %v", out.Unknown)
 	}
+
+	// One unknown name must not zero the known users: a and b keep their
+	// live page counts and their pair weight, and only pairs with ghost
+	// (and the group's w_S) read 0.
+	ingestAndSettle(t, s, srv.URL, `[{"author":"b","page":"p","ts":2}]`, 2)
+	if _, err := s.SurveyNow(); err != nil {
+		t.Fatal(err)
+	}
+	resp, err = http.Get(srv.URL + "/v1/score?users=a,b,ghost")
+	if err != nil {
+		t.Fatal(err)
+	}
+	out = decodeBody[ScoreOut](t, resp)
+	if len(out.Unknown) != 1 || out.Unknown[0] != "ghost" {
+		t.Fatalf("unknown = %v", out.Unknown)
+	}
+	if out.PageCounts["a"] != 1 || out.PageCounts["b"] != 1 || out.PageCounts["ghost"] != 0 {
+		t.Fatalf("page counts = %v, want a:1 b:1 ghost:0", out.PageCounts)
+	}
+	want := []PairOut{{U: "a", V: "b", Weight: 1}, {U: "a", V: "ghost"}, {U: "b", V: "ghost"}}
+	if !reflect.DeepEqual(out.Pairs, want) {
+		t.Fatalf("pairs = %+v, want %+v", out.Pairs, want)
+	}
+	if out.MinWeight == nil || *out.MinWeight != 0 {
+		t.Fatalf("min weight = %v, want 0 (pairs with ghost)", out.MinWeight)
+	}
+	if out.Group == nil || out.Group.Size != 3 || out.Group.WS != 0 {
+		t.Fatalf("group = %+v, want size 3 with w_s 0", out.Group)
+	}
+
 	// Malformed queries.
 	for _, q := range []string{"/v1/score", "/v1/score?users=a"} {
 		resp, err := http.Get(srv.URL + q)

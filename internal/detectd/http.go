@@ -601,40 +601,44 @@ func (s *Service) handleScore(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	out := ScoreOut{Users: names, PageCounts: make(map[string]uint32)}
-	ids := make([]graph.VertexID, len(names))
-	known := true
+	// Known users are scored exactly as in an all-known query; unknown
+	// ones have no edges and no pages by definition, so they contribute
+	// zeros (pos -1) and are named in Unknown.
+	var ids []graph.VertexID
+	pos := make([]int, len(names))
 	for i, n := range names {
 		id, ok := s.authors.Lookup(n)
 		if !ok {
 			out.Unknown = append(out.Unknown, n)
-			known = false
+			pos[i] = -1
 			continue
 		}
-		ids[i] = id
-	}
-	if !known {
-		// Unknown users have no edges by definition; respond with zeros so
-		// the endpoint is total, but name the unknowns.
-		for _, n := range names {
-			out.PageCounts[n] = 0
-		}
-		writeJSON(w, http.StatusOK, out)
-		return
+		pos[i] = len(ids)
+		ids = append(ids, id)
 	}
 
-	if len(names) == 3 {
+	if len(names) == 3 && len(ids) == 3 {
 		s.scoreTriple(&out, ids)
 	}
 	if len(names) <= scorePairUsers {
 		weights, counts := s.PairScore(ids)
+		count := func(i int) uint32 {
+			if pos[i] < 0 {
+				return 0
+			}
+			return counts[pos[i]]
+		}
 		for i, n := range names {
-			out.PageCounts[n] = counts[i]
+			out.PageCounts[n] = count(i)
 		}
 		var minW uint32
 		first := true
 		for i := 0; i < len(names); i++ {
 			for j := i + 1; j < len(names); j++ {
-				wgt := weights[[2]int{i, j}]
+				var wgt uint32
+				if pos[i] >= 0 && pos[j] >= 0 {
+					wgt = weights[[2]int{pos[i], pos[j]}]
+				}
 				out.Pairs = append(out.Pairs, PairOut{U: names[i], V: names[j], Weight: wgt})
 				if first || wgt < minW {
 					minW, first = wgt, false
@@ -642,7 +646,7 @@ func (s *Service) handleScore(w http.ResponseWriter, r *http.Request) {
 			}
 		}
 		if len(names) == 3 && out.MinWeight == nil {
-			den := float64(counts[0]) + float64(counts[1]) + float64(counts[2])
+			den := float64(count(0)) + float64(count(1)) + float64(count(2))
 			t := 0.0
 			if den > 0 {
 				t = 3 * float64(minW) / den
@@ -653,10 +657,13 @@ func (s *Service) handleScore(w http.ResponseWriter, r *http.Request) {
 	} else {
 		// Too many users for the quadratic pair matrix: page counts only.
 		for i, n := range names {
-			out.PageCounts[n] = s.proj.PageCount(ids[i])
+			out.PageCounts[n] = 0
+			if pos[i] >= 0 {
+				out.PageCounts[n] = s.proj.PageCount(ids[pos[i]])
+			}
 		}
 	}
-	s.scoreGroup(&out, ids)
+	s.scoreGroup(&out, ids, out.Unknown)
 	writeJSON(w, http.StatusOK, out)
 }
 
@@ -698,16 +705,21 @@ func (s *Service) scoreTriple(out *ScoreOut, ids []graph.VertexID) {
 }
 
 // scoreGroup fills the group-metric block from the latest survey's
-// windowed BTM. Authors outside the BTM (interned but silent within the
-// horizon) force w_S = 0 without touching it.
-func (s *Service) scoreGroup(out *ScoreOut, ids []graph.VertexID) {
+// windowed BTM for the known members ids plus the unknown names. Unknown
+// members, and authors outside the BTM (interned but silent within the
+// horizon), force w_S = 0 without touching it.
+func (s *Service) scoreGroup(out *ScoreOut, ids []graph.VertexID, unknown []string) {
 	sr := s.Latest()
 	if sr == nil || sr.btm == nil {
 		return
 	}
 	g := hypergraph.NewGroup(ids...)
-	go2 := &GroupOut{Size: len(g), Watermark: sr.Watermark}
-	inRange := true
+	distinct := make(map[string]bool, len(unknown))
+	for _, n := range unknown {
+		distinct[n] = true
+	}
+	go2 := &GroupOut{Size: len(g) + len(distinct), Watermark: sr.Watermark}
+	inRange := len(unknown) == 0
 	for _, m := range g {
 		if int(m) >= sr.btm.NumAuthors() {
 			inRange = false

@@ -284,9 +284,8 @@ func (l *Lab) X8() (*Report, error) {
 		return nil, err
 	}
 	snap := g.Snapshot()
-	ci := snap.Materialize()
-	r.addf("4-signal merged CI graph: %d edges over %d authors", ci.NumEdges(), ci.NumVertices())
-	comps := graph.ConnectedComponents(ci.ThresholdView(cut))
+	r.addf("4-signal merged CI graph: %d edges over %d authors", snap.NumEdges(), snap.NumVertices())
+	comps := graph.ConnectedComponents(snap.ThresholdView(cut))
 	r.addf("components at cutoff %d: %d", cut, len(comps))
 
 	wantSig := map[string]string{"urlring": "urlshare", "tagburst": "hashtag", "dogpile": "reply"}
@@ -334,7 +333,7 @@ func (l *Lab) X8() (*Report, error) {
 	var maxW uint32
 	for i := range cohort {
 		for j := i + 1; j < len(cohort); j++ {
-			if wgt := ci.Weight(cohort[i], cohort[j]); wgt > maxW {
+			if wgt := snap.Weight(cohort[i], cohort[j]); wgt > maxW {
 				maxW = wgt
 			}
 		}

@@ -52,49 +52,68 @@ func (c *Component) Density() float64 {
 
 // ConnectedComponents returns the connected components of g (vertices with
 // at least one edge), largest first; ties broken by smallest author ID.
+// Each component's edges come off its CSR rows in (U, V) order.
 func ConnectedComponents(g CIView) []Component {
 	adj := g.BuildAdjacency()
-	n := adj.NumVertices()
-	uf := NewUnionFind(n)
-	g.ForEachEdge(func(u, v VertexID, _ uint32) bool {
-		uf.Union(adj.Dense[u], adj.Dense[v])
-		return true
+	verts := adj.Components()
+	comps := make([]Component, len(verts))
+	for ci, vs := range verts {
+		c := &comps[ci]
+		c.Authors = make([]VertexID, len(vs))
+		for k, v := range vs {
+			c.Authors[k] = adj.Orig[v]
+			// Rows are sorted by dense index, which is ascending author
+			// ID, so taking each edge from its lower endpoint's row emits
+			// (U, V) order directly.
+			wts := adj.Weights(v)
+			for j, nb := range adj.Neighbors(v) {
+				if nb > v {
+					c.Edges = append(c.Edges, WeightedEdge{U: adj.Orig[v], V: adj.Orig[nb], W: wts[j]})
+				}
+			}
+		}
+	}
+	// Components arrive ordered by smallest member; a stable sort by size
+	// keeps that order among equal sizes.
+	slices.SortStableFunc(comps, func(a, b Component) int {
+		return cmp.Compare(len(b.Authors), len(a.Authors))
 	})
-	groups := make(map[int32][]VertexID)
-	for i := 0; i < n; i++ {
-		r := uf.Find(int32(i))
-		groups[r] = append(groups[r], adj.Orig[i])
-	}
-	comps := make([]Component, 0, len(groups))
-	for _, authors := range groups {
-		slices.Sort(authors)
-		comps = append(comps, Component{Authors: authors})
-	}
-	// Attach induced edges.
-	repOf := func(a VertexID) int32 { return uf.Find(adj.Dense[a]) }
-	index := make(map[int32]int, len(comps))
-	for i := range comps {
-		index[repOf(comps[i].Authors[0])] = i
-	}
-	g.ForEachEdge(func(u, v VertexID, w uint32) bool {
-		ci := index[repOf(u)]
-		comps[ci].Edges = append(comps[ci].Edges, WeightedEdge{U: u, V: v, W: w})
-		return true
-	})
-	sortComponents(comps)
 	return comps
 }
 
-// sortComponents orders each component's edges by (U, V) and the component
-// list largest-first (ties by smallest author), the canonical output order.
-func sortComponents(comps []Component) {
-	for i := range comps {
-		slices.SortFunc(comps[i].Edges, compareEdgeUV)
-	}
-	slices.SortFunc(comps, func(a, b Component) int {
-		if c := cmp.Compare(len(b.Authors), len(a.Authors)); c != 0 {
-			return c
+// Components returns the connected components of the adjacency as dense
+// vertex lists, each sorted ascending (which, by BuildAdjacency's
+// construction, is also ascending original ID) and ordered by smallest
+// member — the canonical traversal both ConnectedComponents and the
+// community layer's per-component clustering hang off.
+func (a *Adjacency) Components() [][]int32 {
+	n := a.NumVertices()
+	seen := make([]bool, n)
+	var comps [][]int32
+	stack := make([]int32, 0, 64)
+	for s := int32(0); s < int32(n); s++ {
+		if seen[s] {
+			continue
 		}
-		return cmp.Compare(a.Authors[0], b.Authors[0])
-	})
+		// Iterative DFS from the smallest unvisited vertex, so components
+		// come out ordered by smallest member; members are collected, then
+		// sorted.
+		verts := []int32{s}
+		seen[s] = true
+		stack = append(stack[:0], s)
+		for len(stack) > 0 {
+			v := stack[len(stack)-1]
+			stack = stack[:len(stack)-1]
+			for _, u := range a.Neighbors(v) {
+				if !seen[u] {
+					seen[u] = true
+					verts = append(verts, u)
+					stack = append(stack, u)
+				}
+			}
+		}
+		slices.Sort(verts)
+		comps = append(comps, verts)
+	}
+	return comps
 }

@@ -1,52 +1,12 @@
 package graph
 
 import (
+	"cmp"
 	"math/rand"
+	"slices"
 	"testing"
 	"testing/quick"
 )
-
-func TestUnionFindBasics(t *testing.T) {
-	uf := NewUnionFind(5)
-	if uf.Find(4) != 4 {
-		t.Fatal("fresh union-find wrong")
-	}
-	if !uf.Union(0, 1) {
-		t.Fatal("first union should merge")
-	}
-	if uf.Union(1, 0) {
-		t.Fatal("repeat union should not merge")
-	}
-	uf.Union(2, 3)
-	uf.Union(0, 3)
-	if uf.Find(1) != uf.Find(2) || uf.Find(0) == uf.Find(4) {
-		t.Fatal("Find() wrong")
-	}
-}
-
-func TestQuickUnionFindPartition(t *testing.T) {
-	// Property: representatives partition the elements — every element has
-	// exactly one root, and each merging Union removes exactly one root.
-	f := func(seed int64) bool {
-		rng := rand.New(rand.NewSource(seed))
-		n := rng.Intn(50) + 1
-		uf := NewUnionFind(n)
-		sets := n
-		for i := 0; i < n; i++ {
-			if uf.Union(int32(rng.Intn(n)), int32(rng.Intn(n))) {
-				sets--
-			}
-		}
-		roots := make(map[int32]bool)
-		for i := 0; i < n; i++ {
-			roots[uf.Find(int32(i))] = true
-		}
-		return len(roots) == sets
-	}
-	if err := quick.Check(f, &quick.Config{MaxCount: 50}); err != nil {
-		t.Fatal(err)
-	}
-}
 
 func TestConnectedComponents(t *testing.T) {
 	g := NewCIGraph()
@@ -75,8 +35,9 @@ func TestConnectedComponents(t *testing.T) {
 }
 
 func TestQuickComponentsPartitionVertices(t *testing.T) {
-	// Property: components partition the non-isolated vertex set, and the
-	// induced edge lists partition the edge set.
+	// Property: components come out in canonical order, partition the
+	// non-isolated vertex set, and their induced edge lists partition the
+	// edge set.
 	f := func(seed int64) bool {
 		rng := rand.New(rand.NewSource(seed))
 		g := NewCIGraph()
@@ -87,6 +48,21 @@ func TestQuickComponentsPartitionVertices(t *testing.T) {
 			}
 		}
 		comps := ConnectedComponents(g)
+		// Canonical order: largest first, ties by smallest author; each
+		// component's authors ascending and edges by (U, V).
+		if !slices.IsSortedFunc(comps, func(a, b Component) int {
+			if c := cmp.Compare(len(b.Authors), len(a.Authors)); c != 0 {
+				return c
+			}
+			return cmp.Compare(a.Authors[0], b.Authors[0])
+		}) {
+			return false
+		}
+		for _, c := range comps {
+			if !slices.IsSorted(c.Authors) || !slices.IsSortedFunc(c.Edges, compareEdgeUV) {
+				return false
+			}
+		}
 		seen := make(map[VertexID]bool)
 		edges := 0
 		for _, c := range comps {

@@ -1,4 +1,4 @@
-// EdgeTable: the flat open-addressed edge store behind the sharded CI
+// edgeTable: the flat open-addressed edge store behind the sharded CI
 // graph.
 //
 // The packed edge key (PackEdge: smaller endpoint in the high 32 bits,
@@ -19,11 +19,11 @@
 //   - backshift deletion (no tombstones): removing an entry re-packs the
 //     probe chain behind it, so load never degrades from churn and lookups
 //     stay probe-length-bounded without periodic rebuilds;
-//   - Clone is a per-lane memcpy — the copy-on-write unit of the sharded
+//   - clone is a per-lane memcpy — the copy-on-write unit of the sharded
 //     store's snapshots, replacing per-entry map cloning.
 //
 // Key 0 is the empty-slot sentinel. PackEdge cannot produce it (u != v is
-// enforced, so the packed value is at least 1); AddBatch/Add panic if
+// enforced, so the packed value is at least 1); add panics if
 // handed one rather than corrupt the table.
 package graph
 
@@ -53,11 +53,11 @@ type PageDelta struct {
 	N uint32
 }
 
-// EdgeTable is an open-addressed hash table from packed edge key to edge
+// edgeTable is an open-addressed hash table from packed edge key to edge
 // weight, with an optional per-signal weight breakdown stored inline.
 // Not synchronized — the sharded store wraps one per shard under the
-// shard lock. The zero value is not usable; create with NewEdgeTable.
-type EdgeTable struct {
+// shard lock. The zero value is not usable; create with newEdgeTable.
+type edgeTable struct {
 	keys  []uint64 // len == capacity; 0 marks an empty slot
 	w     []uint32 // total weight lane, parallel to keys
 	sig   []uint32 // per-signal share lanes, stride nsig (nil when untracked)
@@ -67,10 +67,10 @@ type EdgeTable struct {
 	n     int    // live entries
 }
 
-// NewEdgeTable returns an empty table sized for at least hint entries,
+// newEdgeTable returns an empty table sized for at least hint entries,
 // tracking a per-signal breakdown of nsig lanes (nsig < 2 disables
 // tracking — one signal has nothing to attribute).
-func NewEdgeTable(hint, nsig int) *EdgeTable {
+func newEdgeTable(hint, nsig int) *edgeTable {
 	capacity := edgeTableMinCap
 	for capacity*edgeTableLoadNum < hint*edgeTableLoadDen {
 		capacity <<= 1
@@ -78,12 +78,12 @@ func NewEdgeTable(hint, nsig int) *EdgeTable {
 	if nsig < 2 {
 		nsig = 0
 	}
-	t := &EdgeTable{nsig: nsig}
+	t := &edgeTable{nsig: nsig}
 	t.alloc(capacity)
 	return t
 }
 
-func (t *EdgeTable) alloc(capacity int) {
+func (t *edgeTable) alloc(capacity int) {
 	t.keys = make([]uint64, capacity)
 	t.w = make([]uint32, capacity)
 	if t.nsig > 0 {
@@ -96,12 +96,12 @@ func (t *EdgeTable) alloc(capacity int) {
 	}
 }
 
-// Len returns the number of live entries.
-func (t *EdgeTable) Len() int { return t.n }
+// size returns the number of live entries.
+func (t *edgeTable) size() int { return t.n }
 
 // slot probes for key: the slot holding it (found) or the empty slot
 // terminating its probe chain (not found).
-func (t *EdgeTable) slot(key uint64) (uint64, bool) {
+func (t *edgeTable) slot(key uint64) (uint64, bool) {
 	i := mix64(key) >> t.shift
 	for {
 		k := t.keys[i]
@@ -115,8 +115,8 @@ func (t *EdgeTable) slot(key uint64) (uint64, bool) {
 	}
 }
 
-// Get returns key's total weight (0 when absent).
-func (t *EdgeTable) Get(key uint64) uint32 {
+// get returns key's total weight (0 when absent).
+func (t *edgeTable) get(key uint64) uint32 {
 	i := mix64(key) >> t.shift
 	for {
 		k := t.keys[i]
@@ -130,17 +130,17 @@ func (t *EdgeTable) Get(key uint64) uint32 {
 	}
 }
 
-// Has reports whether key is present (a zero-weight entry counts, exactly
+// has reports whether key is present (a zero-weight entry counts, exactly
 // as a zero-valued map entry would).
-func (t *EdgeTable) Has(key uint64) bool {
+func (t *edgeTable) has(key uint64) bool {
 	_, ok := t.slot(key)
 	return ok
 }
 
-// SignalShares copies key's per-signal breakdown into out (len >= nsig)
+// signalShares copies key's per-signal breakdown into out (len >= nsig)
 // in one probe. False when the table tracks no breakdown; absent keys
 // write zeros.
-func (t *EdgeTable) SignalShares(key uint64, out []uint32) bool {
+func (t *edgeTable) signalShares(key uint64, out []uint32) bool {
 	if t.nsig == 0 {
 		return false
 	}
@@ -154,9 +154,9 @@ func (t *EdgeTable) SignalShares(key uint64, out []uint32) bool {
 	return true
 }
 
-// AddSignalShares accumulates key's per-signal breakdown into out
+// addSignalShares accumulates key's per-signal breakdown into out
 // (uint64 accumulators), one probe. No-op when untracked or absent.
-func (t *EdgeTable) AddSignalShares(key uint64, out []uint64) {
+func (t *edgeTable) addSignalShares(key uint64, out []uint64) {
 	if t.nsig == 0 {
 		return
 	}
@@ -168,17 +168,15 @@ func (t *EdgeTable) AddSignalShares(key uint64, out []uint64) {
 	}
 }
 
-// Add adds w to key's total weight, inserting the entry if absent.
-func (t *EdgeTable) Add(key uint64, w uint32) { t.add(key, w, -1) }
+// add adds w to key's total weight, inserting the entry if absent.
+func (t *edgeTable) add(key uint64, w uint32) { t.addSig(key, w, -1) }
 
-// AddSig is Add with the increment attributed to signal lane si — one
-// probe updates both the total and the share. On an untracked table it is
-// exactly Add.
-func (t *EdgeTable) AddSig(key uint64, w uint32, si int) { t.add(key, w, si) }
-
-func (t *EdgeTable) add(key uint64, w uint32, si int) {
+// addSig is add with the increment attributed to signal lane si — one
+// probe updates both the total and the share. On an untracked table (or
+// with si < 0) it is exactly add.
+func (t *edgeTable) addSig(key uint64, w uint32, si int) {
 	if key == 0 {
-		panic("graph: EdgeTable key 0 (empty-slot sentinel)")
+		panic("graph: edge table key 0 (empty-slot sentinel)")
 	}
 	i, ok := t.slot(key)
 	if !ok {
@@ -195,7 +193,7 @@ func (t *EdgeTable) add(key uint64, w uint32, si int) {
 	}
 }
 
-// Sub subtracts w from key's total, deleting the entry (and its signal
+// sub subtracts w from key's total, deleting the entry (and its signal
 // lanes) when the total reaches zero, with the probe chain behind it
 // backshifted. Returns the old and new totals; panics on underflow,
 // mirroring the map-backed store's contract. dec, when non-nil, carries
@@ -203,7 +201,7 @@ func (t *EdgeTable) add(key uint64, w uint32, si int) {
 // lanes in the same operation — they must each be covered by the lane's
 // current share (panic otherwise), and on full deletion the lanes are
 // simply cleared with the slot.
-func (t *EdgeTable) Sub(key uint64, w uint32, dec []uint32) (old, new uint32) {
+func (t *edgeTable) sub(key uint64, w uint32, dec []uint32) (old, new uint32) {
 	i, ok := t.slot(key)
 	if !ok || t.w[i] < w {
 		var cur uint32
@@ -239,7 +237,7 @@ func (t *EdgeTable) Sub(key uint64, w uint32, dec []uint32) (old, new uint32) {
 // deleteSlot empties slot i and backshifts the probe chain behind it:
 // every displaced entry whose home slot lies at or before the hole moves
 // back into it, so no tombstone is ever needed.
-func (t *EdgeTable) deleteSlot(i uint64) {
+func (t *edgeTable) deleteSlot(i uint64) {
 	j := i
 	for {
 		j = (j + 1) & t.mask
@@ -271,7 +269,7 @@ func (t *EdgeTable) deleteSlot(i uint64) {
 }
 
 // grow doubles capacity and reinserts every live entry.
-func (t *EdgeTable) grow() {
+func (t *edgeTable) grow() {
 	oldKeys, oldW, oldSig := t.keys, t.w, t.sig
 	t.alloc(len(oldKeys) * 2)
 	for oi, k := range oldKeys {
@@ -290,10 +288,10 @@ func (t *EdgeTable) grow() {
 	}
 }
 
-// Clone returns a deep copy — a per-lane memcpy, the unit of the sharded
+// clone returns a deep copy — a per-lane memcpy, the unit of the sharded
 // store's copy-on-write.
-func (t *EdgeTable) Clone() *EdgeTable {
-	out := &EdgeTable{
+func (t *edgeTable) clone() *edgeTable {
+	out := &edgeTable{
 		keys:  make([]uint64, len(t.keys)),
 		w:     make([]uint32, len(t.w)),
 		nsig:  t.nsig,
@@ -310,10 +308,10 @@ func (t *EdgeTable) Clone() *EdgeTable {
 	return out
 }
 
-// ForEach calls fn for every live entry (key, total weight) in slot
+// forEach calls fn for every live entry (key, total weight) in slot
 // order, stopping early when fn returns false. fn must not mutate the
 // table.
-func (t *EdgeTable) ForEach(fn func(key uint64, w uint32) bool) {
+func (t *edgeTable) forEach(fn func(key uint64, w uint32) bool) {
 	for i, k := range t.keys {
 		if k == 0 {
 			continue
@@ -324,17 +322,17 @@ func (t *EdgeTable) ForEach(fn func(key uint64, w uint32) bool) {
 	}
 }
 
-// SubBatch withdraws a batch of decrements — the eviction-wave
+// subBatch withdraws a batch of decrements — the eviction-wave
 // primitive, zero-alloc. sig, when non-nil, is the stride-nsig
 // attribution aligned with deltas: deltas[k]'s per-signal shares are
 // sig[k*nsig : (k+1)*nsig] and must sum to deltas[k].W.
 // Panics on underflow.
-func (t *EdgeTable) SubBatch(deltas []EdgeDelta, sig []uint32) {
+func (t *edgeTable) subBatch(deltas []EdgeDelta, sig []uint32) {
 	for k, d := range deltas {
 		var dec []uint32
 		if sig != nil && t.nsig > 0 {
 			dec = sig[k*t.nsig : (k+1)*t.nsig]
 		}
-		t.Sub(d.Key, d.W, dec)
+		t.sub(d.Key, d.W, dec)
 	}
 }

@@ -8,13 +8,13 @@ import (
 
 // tableEqualsModel asserts t holds exactly the model's entries (weights
 // and, when tracked, per-signal shares) and nothing else.
-func tableEqualsModel(t *testing.T, et *EdgeTable, model map[uint64]uint32, sigModel []map[uint64]uint32) {
+func tableEqualsModel(t *testing.T, et *edgeTable, model map[uint64]uint32, sigModel []map[uint64]uint32) {
 	t.Helper()
-	if et.Len() != len(model) {
-		t.Fatalf("Len %d != model size %d", et.Len(), len(model))
+	if et.size() != len(model) {
+		t.Fatalf("size %d != model size %d", et.size(), len(model))
 	}
 	seen := 0
-	et.ForEach(func(key uint64, w uint32) bool {
+	et.forEach(func(key uint64, w uint32) bool {
 		seen++
 		if model[key] != w {
 			t.Fatalf("key %#x: table weight %d != model %d", key, w, model[key])
@@ -25,17 +25,17 @@ func tableEqualsModel(t *testing.T, et *EdgeTable, model map[uint64]uint32, sigM
 		t.Fatalf("ForEach visited %d entries, model has %d", seen, len(model))
 	}
 	for key, w := range model {
-		if got := et.Get(key); got != w {
-			t.Fatalf("Get(%#x) = %d, model %d", key, got, w)
+		if got := et.get(key); got != w {
+			t.Fatalf("get(%#x) = %d, model %d", key, got, w)
 		}
-		if !et.Has(key) {
-			t.Fatalf("Has(%#x) false for live key", key)
+		if !et.has(key) {
+			t.Fatalf("has(%#x) false for live key", key)
 		}
 	}
 	if sigModel != nil {
 		out := make([]uint32, len(sigModel))
 		for key := range model {
-			et.SignalShares(key, out)
+			et.signalShares(key, out)
 			for si := range out {
 				if want := sigModel[si][key]; out[si] != want {
 					t.Fatalf("key %#x signal %d: share %d != model %d", key, si, out[si], want)
@@ -51,7 +51,7 @@ func TestEdgeTableRandomOps(t *testing.T) {
 	for _, nsig := range []int{0, 3} {
 		for seed := int64(0); seed < 3; seed++ {
 			rng := rand.New(rand.NewSource(seed))
-			et := NewEdgeTable(0, nsig)
+			et := newEdgeTable(0, nsig)
 			model := make(map[uint64]uint32)
 			var sigModel []map[uint64]uint32
 			if nsig >= 2 {
@@ -76,10 +76,10 @@ func TestEdgeTableRandomOps(t *testing.T) {
 						si = rng.Intn(nsig)
 					}
 					if si >= 0 {
-						et.AddSig(key, w, si)
+						et.addSig(key, w, si)
 						sigModel[si][key] += w
 					} else {
-						et.Add(key, w)
+						et.add(key, w)
 					}
 					if model[key] == 0 {
 						keys = append(keys, key)
@@ -114,9 +114,9 @@ func TestEdgeTableRandomOps(t *testing.T) {
 							t.Fatalf("shares don't cover total for key %#x", key)
 						}
 					}
-					old, new := et.Sub(key, w, dec)
+					old, new := et.sub(key, w, dec)
 					if old != cur || new != cur-w {
-						t.Fatalf("Sub(%#x, %d) = (%d, %d), want (%d, %d)", key, w, old, new, cur, cur-w)
+						t.Fatalf("sub(%#x, %d) = (%d, %d), want (%d, %d)", key, w, old, new, cur, cur-w)
 					}
 					if new == 0 {
 						delete(model, key)
@@ -134,24 +134,24 @@ func TestEdgeTableRandomOps(t *testing.T) {
 			}
 			tableEqualsModel(t, et, model, sigModel)
 
-			// Clone is deep: mutating the clone leaves the original intact.
-			cl := et.Clone()
+			// clone is deep: mutating the clone leaves the original intact.
+			cl := et.clone()
 			tableEqualsModel(t, cl, model, sigModel)
-			cl.Add(PackEdge(900, 901), 7)
-			if et.Has(PackEdge(900, 901)) {
-				t.Fatal("Clone shares storage with the original")
+			cl.add(PackEdge(900, 901), 7)
+			if et.has(PackEdge(900, 901)) {
+				t.Fatal("clone shares storage with the original")
 			}
 		}
 	}
 }
 
-// TestEdgeTableBatchMatchesScalar: SubBatch with stride-nsig attribution
-// equals the scalar Sub.
+// TestEdgeTableBatchMatchesScalar: subBatch with stride-nsig attribution
+// equals the scalar sub.
 func TestEdgeTableBatchMatchesScalar(t *testing.T) {
 	const nsig = 3
 	rng := rand.New(rand.NewSource(42))
-	batch := NewEdgeTable(0, nsig)
-	scalar := NewEdgeTable(0, nsig)
+	batch := newEdgeTable(0, nsig)
+	scalar := newEdgeTable(0, nsig)
 
 	var deltas []EdgeDelta
 	var sig []uint32
@@ -171,15 +171,15 @@ func TestEdgeTableBatchMatchesScalar(t *testing.T) {
 	for k, d := range deltas {
 		for si := 0; si < nsig; si++ {
 			if s := sig[k*nsig+si]; s > 0 {
-				batch.AddSig(d.Key, s, si)
-				scalar.AddSig(d.Key, s, si)
+				batch.addSig(d.Key, s, si)
+				scalar.addSig(d.Key, s, si)
 			}
 		}
 	}
 	bs := make([]uint32, nsig)
 	ss := make([]uint32, nsig)
 
-	// Withdraw half of each entry, then the rest — equal to the scalar Sub
+	// Withdraw half of each entry, then the rest — equal to the scalar sub
 	// after each pass, and empty at the end.
 	for pass := 0; pass < 2; pass++ {
 		var sub []EdgeDelta
@@ -201,23 +201,23 @@ func TestEdgeTableBatchMatchesScalar(t *testing.T) {
 			}
 			sub = append(sub, EdgeDelta{Key: d.Key, W: tot})
 			subSig = append(subSig, dec[:]...)
-			scalar.Sub(d.Key, tot, dec[:])
+			scalar.sub(d.Key, tot, dec[:])
 		}
-		batch.SubBatch(sub, subSig)
-		if batch.Len() != scalar.Len() {
-			t.Fatalf("pass %d: SubBatch Len %d != scalar %d", pass, batch.Len(), scalar.Len())
+		batch.subBatch(sub, subSig)
+		if batch.size() != scalar.size() {
+			t.Fatalf("pass %d: subBatch size %d != scalar %d", pass, batch.size(), scalar.size())
 		}
-		scalar.ForEach(func(key uint64, w uint32) bool {
-			batch.SignalShares(key, bs)
-			scalar.SignalShares(key, ss)
-			if bw := batch.Get(key); bw != w || !slices.Equal(bs, ss) {
-				t.Fatalf("pass %d key %#x: SubBatch %d %v != scalar %d %v", pass, key, bw, bs, w, ss)
+		scalar.forEach(func(key uint64, w uint32) bool {
+			batch.signalShares(key, bs)
+			scalar.signalShares(key, ss)
+			if bw := batch.get(key); bw != w || !slices.Equal(bs, ss) {
+				t.Fatalf("pass %d key %#x: subBatch %d %v != scalar %d %v", pass, key, bw, bs, w, ss)
 			}
 			return true
 		})
 	}
-	if batch.Len() != 0 {
-		t.Fatalf("table not empty after full withdrawal: %d entries", batch.Len())
+	if batch.size() != 0 {
+		t.Fatalf("table not empty after full withdrawal: %d entries", batch.size())
 	}
 }
 
@@ -232,13 +232,13 @@ func TestEdgeTableUnderflowPanics(t *testing.T) {
 		}()
 		fn()
 	}
-	et := NewEdgeTable(0, 2)
+	et := newEdgeTable(0, 2)
 	key := PackEdge(1, 2)
-	et.AddSig(key, 3, 0)
-	mustPanic("total underflow", func() { et.Sub(key, 4, nil) })
-	mustPanic("share underflow", func() { et.Sub(key, 1, []uint32{0, 1}) })
-	mustPanic("absent key", func() { et.Sub(PackEdge(8, 9), 1, nil) })
-	mustPanic("key zero", func() { et.Add(0, 1) })
+	et.addSig(key, 3, 0)
+	mustPanic("total underflow", func() { et.sub(key, 4, nil) })
+	mustPanic("share underflow", func() { et.sub(key, 1, []uint32{0, 1}) })
+	mustPanic("absent key", func() { et.sub(PackEdge(8, 9), 1, nil) })
+	mustPanic("key zero", func() { et.add(0, 1) })
 }
 
 // FuzzEdgeTable: differential fuzz of the open-addressed table against a
@@ -259,7 +259,7 @@ func FuzzEdgeTable(f *testing.F) {
 	}
 	f.Add(long)
 	f.Fuzz(func(t *testing.T, data []byte) {
-		et := NewEdgeTable(0, 0)
+		et := newEdgeTable(0, 0)
 		model := make(map[uint64]uint32)
 		for len(data) >= 4 {
 			op, ub, vb, wb := data[0], data[1], data[2], data[3]
@@ -272,7 +272,7 @@ func FuzzEdgeTable(f *testing.F) {
 			switch op % 3 {
 			case 0: // add
 				w := uint32(wb%8) + 1
-				et.Add(key, w)
+				et.add(key, w)
 				model[key] += w
 			case 1: // sub (partial, kept in contract by the model)
 				cur := model[key]
@@ -280,9 +280,9 @@ func FuzzEdgeTable(f *testing.F) {
 					continue
 				}
 				w := uint32(wb)%cur + 1
-				old, new := et.Sub(key, w, nil)
+				old, new := et.sub(key, w, nil)
 				if old != cur || new != cur-w {
-					t.Fatalf("Sub(%#x, %d) = (%d, %d), model had %d", key, w, old, new, cur)
+					t.Fatalf("sub(%#x, %d) = (%d, %d), model had %d", key, w, old, new, cur)
 				}
 				if new == 0 {
 					delete(model, key)
@@ -294,16 +294,16 @@ func FuzzEdgeTable(f *testing.F) {
 				if cur == 0 {
 					continue
 				}
-				et.Sub(key, cur, nil)
+				et.sub(key, cur, nil)
 				delete(model, key)
 			}
 		}
 		// Iterate + probe: table ≡ model.
-		if et.Len() != len(model) {
-			t.Fatalf("Len %d != model %d", et.Len(), len(model))
+		if et.size() != len(model) {
+			t.Fatalf("size %d != model %d", et.size(), len(model))
 		}
 		n := 0
-		et.ForEach(func(key uint64, w uint32) bool {
+		et.forEach(func(key uint64, w uint32) bool {
 			n++
 			if model[key] != w {
 				t.Fatalf("key %#x: %d != model %d", key, w, model[key])
@@ -314,13 +314,13 @@ func FuzzEdgeTable(f *testing.F) {
 			t.Fatalf("ForEach visited %d, model %d", n, len(model))
 		}
 		for key, w := range model {
-			if et.Get(key) != w {
-				t.Fatalf("Get(%#x) = %d, model %d", key, et.Get(key), w)
+			if et.get(key) != w {
+				t.Fatalf("get(%#x) = %d, model %d", key, et.get(key), w)
 			}
 		}
 		// Absent probes after churn (backshift must terminate chains).
 		for i := VertexID(40); i < 48; i++ {
-			if et.Has(PackEdge(i, i+1)) {
+			if et.has(PackEdge(i, i+1)) {
 				t.Fatalf("phantom key {%d,%d}", i, i+1)
 			}
 		}

@@ -1,6 +1,7 @@
 package graph
 
 import (
+	"reflect"
 	"testing"
 )
 
@@ -40,8 +41,8 @@ func FuzzPackEdge(f *testing.F) {
 // FuzzBuildAdjacency drives the map-backed reference and the sharded store
 // through the same arbitrary AddEdgeWeight/SubEdgeWeight/page-count
 // sequence decoded from fuzz bytes, then asserts the two representations
-// agree: graph equality plus structurally identical CSR adjacencies from
-// the serial and shard-parallel builders.
+// agree: graph equality, structurally identical CSR adjacencies from the
+// serial and shard-parallel builders, and identical connected components.
 func FuzzBuildAdjacency(f *testing.F) {
 	f.Add([]byte{})
 	f.Add([]byte{0, 1, 2, 3})
@@ -49,7 +50,7 @@ func FuzzBuildAdjacency(f *testing.F) {
 	f.Add([]byte{0, 0, 1, 9, 0, 0, 2, 9, 0, 1, 2, 9, 2, 0, 1, 9})
 	f.Fuzz(func(t *testing.T, data []byte) {
 		ref := NewCIGraph()
-		g := NewShardedCI(8)
+		g := NewShardedCI(8, 0)
 		// Shadow state keeps Sub ops in contract (no underflow) while
 		// still reaching the delete-at-zero path.
 		weights := make(map[uint64]uint32)
@@ -101,14 +102,18 @@ func FuzzBuildAdjacency(f *testing.F) {
 				}
 			}
 		}
-		if !ref.Equal(g) {
+		snap := g.Snapshot()
+		if !ref.Equal(snap) {
 			t.Fatalf("sharded diverged from map after op sequence (%d vs %d edges, %d vs %d authors)",
-				g.NumEdges(), ref.NumEdges(), g.NumAuthors(), ref.NumAuthors())
+				snap.NumEdges(), ref.NumEdges(), snap.NumAuthors(), ref.NumAuthors())
 		}
 		serial := ref.BuildAdjacency()
-		parallel := g.Snapshot().BuildAdjacency()
+		parallel := snap.BuildAdjacency()
 		if !adjacencyEqual(serial, parallel) {
 			t.Fatal("shard-parallel adjacency differs from serial reference")
+		}
+		if rc, sc := ConnectedComponents(ref), ConnectedComponents(snap); !reflect.DeepEqual(rc, sc) {
+			t.Fatalf("components differ: reference %v, snapshot %v", rc, sc)
 		}
 	})
 }

@@ -65,15 +65,15 @@ func (s *CISnapshot) EdgePatches(prev *CISnapshot) (patches []EdgePatch, dirtySh
 		}
 		dirtyShards++
 		cur, old := s.edges[i], prev.edges[i]
-		cur.ForEach(func(key uint64, w uint32) bool {
-			if ow := old.Get(key); ow != w {
+		cur.forEach(func(key uint64, w uint32) bool {
+			if ow := old.get(key); ow != w {
 				u, v := UnpackEdge(key)
 				patches = append(patches, EdgePatch{U: u, V: v, Old: ow, New: w})
 			}
 			return true
 		})
-		old.ForEach(func(key uint64, ow uint32) bool {
-			if !cur.Has(key) {
+		old.forEach(func(key uint64, ow uint32) bool {
+			if !cur.has(key) {
 				u, v := UnpackEdge(key)
 				patches = append(patches, EdgePatch{U: u, V: v, Old: ow, New: 0})
 			}

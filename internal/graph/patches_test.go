@@ -39,7 +39,7 @@ func applyPatches(t *testing.T, mirror map[uint64]uint32, ps []EdgePatch) {
 // each edge appearing at most once, in (U, V) order.
 func TestEdgePatchesMatchesMapDiff(t *testing.T) {
 	rng := rand.New(rand.NewSource(11))
-	g := NewShardedCI(16)
+	g := NewShardedCI(16, 0)
 	prev := g.Snapshot()
 	mirror := edgeMapOf(prev)
 	for round := 0; round < 30; round++ {
@@ -104,7 +104,7 @@ func TestEdgePatchesMatchesMapDiff(t *testing.T) {
 // TestEdgePatchesIdleAndIncomparable: an unchanged store diffs to zero
 // patches; snapshots of different stores or geometries refuse to compare.
 func TestEdgePatchesIdleAndIncomparable(t *testing.T) {
-	g := NewShardedCI(8)
+	g := NewShardedCI(8, 0)
 	g.AddEdgeWeightSig(1, 2, 5, 0)
 	s1 := g.Snapshot()
 	s2 := g.Snapshot()
@@ -115,7 +115,7 @@ func TestEdgePatchesIdleAndIncomparable(t *testing.T) {
 	if _, _, ok := s2.EdgePatches(nil); ok {
 		t.Fatal("nil prev compared")
 	}
-	other := NewShardedCI(8)
+	other := NewShardedCI(8, 0)
 	other.AddEdgeWeightSig(1, 2, 5, 0)
 	if _, _, ok := s2.EdgePatches(other.Snapshot()); ok {
 		t.Fatal("snapshots of different stores compared")
@@ -129,7 +129,7 @@ func TestEdgePatchesIdleAndIncomparable(t *testing.T) {
 func TestEdgePatchesOnThresholdChain(t *testing.T) {
 	const minW = 3
 	rng := rand.New(rand.NewSource(7))
-	g := NewShardedCI(16)
+	g := NewShardedCI(16, 0)
 	for k := 0; k < 60; k++ {
 		g.AddEdgeWeightSig(VertexID(rng.Intn(20)), VertexID(rng.Intn(20)+20), 1+uint32(rng.Intn(4)), 0)
 	}

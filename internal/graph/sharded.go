@@ -7,7 +7,7 @@
 // self-contained (edge table + page-count map) unit with its own lock and
 // a monotonic dirty-version counter.
 //
-// Edges live in a flat open-addressed EdgeTable per shard (edgetable.go),
+// Edges live in a flat open-addressed edge table per shard (edgetable.go),
 // not a Go map: the projection's per-pair upsert/evict traffic costs a
 // linear probe over flat arrays, with multi-signal attribution folded into
 // the same probe via the table's struct-of-arrays signal lanes. Page
@@ -48,7 +48,7 @@ const DefaultShards = 64
 var storeIDs atomic.Uint64
 
 // mix64 is the splitmix64 finalizer — the shard router and, via its high
-// bits, the EdgeTable hash. Edge keys are (u<<32|v) with correlated low
+// bits, the edge table hash. Edge keys are (u<<32|v) with correlated low
 // bits, so a full-avalanche mix is needed for even striping; shards take
 // the mix's LOW bits and the per-shard tables index by its HIGH bits, so
 // the two stripings stay independent.
@@ -66,7 +66,7 @@ func mix64(x uint64) uint64 {
 // counter, and the COW flag.
 type ciShard struct {
 	mu    sync.RWMutex
-	edges *EdgeTable
+	edges *edgeTable
 	pages map[VertexID]uint32
 	// version counts mutations to this shard (monotonic).
 	version uint64
@@ -82,20 +82,21 @@ func (sh *ciShard) own() {
 	if !sh.shared {
 		return
 	}
-	sh.edges = sh.edges.Clone()
+	sh.edges = sh.edges.clone()
 	sh.pages = maps.Clone(sh.pages)
 	sh.shared = false
 }
 
-// ShardedCI is the sharded, internally synchronized CI store. All methods
-// are safe for concurrent use; reads take per-shard RLocks, mutations
-// per-shard write locks. Zero value is not usable — create with
-// NewShardedCI.
+// ShardedCI is the sharded, internally synchronized CI store. It is a
+// writer: analysis reads go through Snapshot, and the only reads on the
+// live store are the point reads a live score needs. All methods are safe
+// for concurrent use; reads take per-shard RLocks, mutations per-shard
+// write locks. Zero value is not usable — create with NewShardedCI.
 type ShardedCI struct {
 	shards []ciShard
 	mask   uint64
 	// numSignals is the per-signal breakdown width (0 = untracked; see
-	// NewShardedCISignals).
+	// NewShardedCI).
 	numSignals int
 	// id is the store identity; snapshots carry it so per-shard version
 	// comparisons are only made between snapshots of the same store.
@@ -106,12 +107,10 @@ type ShardedCI struct {
 }
 
 // NewShardedCI creates an empty sharded store with n shards, rounded up to
-// a power of two; n <= 0 means DefaultShards.
-func NewShardedCI(n int) *ShardedCI {
-	return newShardedCI(n, 0)
-}
-
-func newShardedCI(n, numSignals int) *ShardedCI {
+// a power of two (n <= 0 means DefaultShards), keeping a per-signal weight
+// breakdown for numSignals signals in each shard table's share lanes
+// (signals.go); numSignals < 2 tracks none.
+func NewShardedCI(n, numSignals int) *ShardedCI {
 	if n <= 0 {
 		n = DefaultShards
 	}
@@ -124,7 +123,7 @@ func newShardedCI(n, numSignals int) *ShardedCI {
 	}
 	g := &ShardedCI{shards: make([]ciShard, p), mask: uint64(p - 1), numSignals: numSignals, id: storeIDs.Add(1)}
 	for i := range g.shards {
-		g.shards[i].edges = NewEdgeTable(0, numSignals)
+		g.shards[i].edges = newEdgeTable(0, numSignals)
 		g.shards[i].pages = make(map[VertexID]uint32)
 	}
 	return g
@@ -157,7 +156,7 @@ func (g *ShardedCI) AddPageCount(u VertexID, n uint32) {
 // SubShardBatch withdraws a shard-grouped flat delta from shard i under
 // one lock acquisition and one version bump: edge decrements (with
 // optional stride-NumSignals share attribution, as in
-// EdgeTable.SubBatch), then page-count decrements, entries deleted at
+// edgeTable.subBatch), then page-count decrements, entries deleted at
 // zero. The shard's dirty version advances once per wave, not once per
 // pair, so downstream delta surveys see one coherent dirty unit. Panics on
 // underflow (leaving the shard unlocked). Keys routed to the wrong shard
@@ -172,7 +171,7 @@ func (g *ShardedCI) SubShardBatch(i int, edges []EdgeDelta, sig []uint32, pages 
 	sh.mu.Lock()
 	defer sh.mu.Unlock()
 	sh.own()
-	sh.edges.SubBatch(edges, sig)
+	sh.edges.subBatch(edges, sig)
 	for _, p := range pages {
 		cur, ok := sh.pages[p.V]
 		if !ok || cur < p.N {
@@ -188,17 +187,25 @@ func (g *ShardedCI) SubShardBatch(i int, edges []EdgeDelta, sig []uint32, pages 
 	g.version.Add(1)
 }
 
-// UpdateShard runs fn on shard i's edge table and page map under the
-// shard's write lock, after copy-on-write ownership is ensured — the
-// generic merge primitive for batch loaders that pre-aggregate per-shard
-// updates (e.g. the flat append-log merge of ProjectSharded). fn must
-// only touch keys that route to shard i (EdgeShard/VertexShard) and must
-// not retain the table or map.
-func (g *ShardedCI) UpdateShard(i int, fn func(edges *EdgeTable, pages map[VertexID]uint32)) {
+// AddShardBatch adds a shard-grouped flat delta to shard i under one lock
+// acquisition and one version bump, attributing every edge increment to
+// signal si (ignored on an untracked store): the bulk-load counterpart of
+// SubShardBatch, used by the batch projection's per-shard merge. As
+// there, keys must route to shard i (EdgeShard / VertexShard), and an
+// empty batch is a no-op.
+func (g *ShardedCI) AddShardBatch(i, si int, edges []EdgeDelta, pages []PageDelta) {
+	if len(edges) == 0 && len(pages) == 0 {
+		return
+	}
 	sh := &g.shards[i]
 	sh.mu.Lock()
 	sh.own()
-	fn(sh.edges, sh.pages)
+	for _, d := range edges {
+		sh.edges.addSig(d.Key, d.W, si)
+	}
+	for _, p := range pages {
+		sh.pages[p.V] += p.N
+	}
 	sh.version++
 	sh.mu.Unlock()
 	g.version.Add(1)
@@ -211,7 +218,7 @@ func (g *ShardedCI) UpdateShard(i int, fn func(edges *EdgeTable, pages map[Verte
 func (g *ShardedCI) Snapshot() *CISnapshot {
 	p := len(g.shards)
 	snap := &CISnapshot{
-		edges:      make([]*EdgeTable, p),
+		edges:      make([]*edgeTable, p),
 		pages:      make([]map[VertexID]uint32, p),
 		versions:   make([]uint64, p),
 		mask:       g.mask,
@@ -230,7 +237,7 @@ func (g *ShardedCI) Snapshot() *CISnapshot {
 	return snap
 }
 
-// --- CIView on the live store ------------------------------------------
+// --- point reads ------------------------------------------------------
 
 // Weight returns w'_uv (0 if absent or u == v).
 func (g *ShardedCI) Weight(u, v VertexID) uint32 {
@@ -240,7 +247,7 @@ func (g *ShardedCI) Weight(u, v VertexID) uint32 {
 	key := PackEdge(u, v)
 	sh := &g.shards[g.EdgeShard(key)]
 	sh.mu.RLock()
-	w := sh.edges.Get(key)
+	w := sh.edges.get(key)
 	sh.mu.RUnlock()
 	return w
 }
@@ -260,80 +267,16 @@ func (g *ShardedCI) NumEdges() int {
 	for i := range g.shards {
 		sh := &g.shards[i]
 		sh.mu.RLock()
-		n += sh.edges.Len()
+		n += sh.edges.size()
 		sh.mu.RUnlock()
 	}
 	return n
 }
 
-// NumAuthors returns the number of entries in the P' table.
-func (g *ShardedCI) NumAuthors() int {
-	n := 0
-	for i := range g.shards {
-		sh := &g.shards[i]
-		sh.mu.RLock()
-		n += len(sh.pages)
-		sh.mu.RUnlock()
-	}
-	return n
-}
-
-// NumVertices returns the number of authors with at least one CI edge.
-func (g *ShardedCI) NumVertices() int { return g.Snapshot().NumVertices() }
-
-// MaxWeight returns the largest edge weight.
-func (g *ShardedCI) MaxWeight() uint32 {
-	var mw uint32
-	for i := range g.shards {
-		sh := &g.shards[i]
-		sh.mu.RLock()
-		sh.edges.ForEach(func(_ uint64, w uint32) bool {
-			if w > mw {
-				mw = w
-			}
-			return true
-		})
-		sh.mu.RUnlock()
-	}
-	return mw
-}
-
-// ForEachEdge iterates every edge under per-shard read locks. fn must not
-// mutate the store (self-deadlock on the shard lock).
-func (g *ShardedCI) ForEachEdge(fn func(u, v VertexID, w uint32) bool) {
-	for i := range g.shards {
-		sh := &g.shards[i]
-		sh.mu.RLock()
-		stop := false
-		sh.edges.ForEach(func(key uint64, w uint32) bool {
-			u, v := UnpackEdge(key)
-			if !fn(u, v, w) {
-				stop = true
-				return false
-			}
-			return true
-		})
-		sh.mu.RUnlock()
-		if stop {
-			return
-		}
-	}
-}
-
-// Edges returns all edges, sorted by (U, V).
-func (g *ShardedCI) Edges() []WeightedEdge { return g.Snapshot().Edges() }
-
-// PageCounts returns a merged copy of the P' table.
-func (g *ShardedCI) PageCounts() map[VertexID]uint32 { return g.Snapshot().PageCounts() }
-
-// ThresholdView returns a snapshot view of edges with weight >= minW.
+// ThresholdView returns ThresholdView(minW) of a fresh snapshot. The live
+// store is otherwise read through Snapshot; this delegate stays because
+// the benchmark's staged batch pass calls it on a *ShardedCI.
 func (g *ShardedCI) ThresholdView(minW uint32) CIView { return g.Snapshot().ThresholdView(minW) }
-
-// BuildAdjacency materializes CSR form (shard-parallel, via a snapshot).
-func (g *ShardedCI) BuildAdjacency() *Adjacency { return g.Snapshot().BuildAdjacency() }
-
-// Equal reports view equality.
-func (g *ShardedCI) Equal(other CIView) bool { return viewsEqual(g, other) }
 
 // --- snapshots ----------------------------------------------------------
 
@@ -342,7 +285,7 @@ func (g *ShardedCI) Equal(other CIView) bool { return viewsEqual(g, other) }
 // readers and implements CIView, so surveys and scores run on it directly
 // without materializing a map-backed graph.
 type CISnapshot struct {
-	edges    []*EdgeTable
+	edges    []*edgeTable
 	pages    []map[VertexID]uint32
 	versions []uint64
 	mask     uint64
@@ -394,15 +337,15 @@ func (s *CISnapshot) DirtyVertices(prev *CISnapshot) (dirty map[VertexID]bool, d
 		}
 		dirtyShards++
 		cur, old := s.edges[i], prev.edges[i]
-		cur.ForEach(func(key uint64, w uint32) bool {
-			if old.Get(key) != w {
+		cur.forEach(func(key uint64, w uint32) bool {
+			if old.get(key) != w {
 				u, v := UnpackEdge(key)
 				dirty[u], dirty[v] = true, true
 			}
 			return true
 		})
-		old.ForEach(func(key uint64, _ uint32) bool {
-			if !cur.Has(key) {
+		old.forEach(func(key uint64, _ uint32) bool {
+			if !cur.has(key) {
 				u, v := UnpackEdge(key)
 				dirty[u], dirty[v] = true, true
 			}
@@ -431,7 +374,7 @@ func (s *CISnapshot) ThresholdDelta(prev, prevPruned *CISnapshot, minW uint32) *
 	}
 	p := len(s.edges)
 	out := &CISnapshot{
-		edges:    make([]*EdgeTable, p),
+		edges:    make([]*edgeTable, p),
 		pages:    s.pages,
 		versions: s.versions,
 		mask:     s.mask,
@@ -451,17 +394,17 @@ func (s *CISnapshot) ThresholdDelta(prev, prevPruned *CISnapshot, minW uint32) *
 
 // threshold returns a fresh untracked table holding t's entries with
 // weight >= minW, sized exactly (two passes: count, then insert).
-func (t *EdgeTable) threshold(minW uint32) *EdgeTable {
+func (t *edgeTable) threshold(minW uint32) *edgeTable {
 	kept := 0
 	for i, k := range t.keys {
 		if k != 0 && t.w[i] >= minW {
 			kept++
 		}
 	}
-	out := NewEdgeTable(kept, 0)
+	out := newEdgeTable(kept, 0)
 	for i, k := range t.keys {
 		if k != 0 && t.w[i] >= minW {
-			out.Add(k, t.w[i])
+			out.add(k, t.w[i])
 		}
 	}
 	return out
@@ -473,7 +416,7 @@ func (s *CISnapshot) Weight(u, v VertexID) uint32 {
 		return 0
 	}
 	key := PackEdge(u, v)
-	return s.edges[mix64(key)&s.mask].Get(key)
+	return s.edges[mix64(key)&s.mask].get(key)
 }
 
 // PageCount returns P'_u.
@@ -485,7 +428,7 @@ func (s *CISnapshot) PageCount(u VertexID) uint32 {
 func (s *CISnapshot) NumEdges() int {
 	n := 0
 	for _, t := range s.edges {
-		n += t.Len()
+		n += t.size()
 	}
 	return n
 }
@@ -503,7 +446,7 @@ func (s *CISnapshot) NumAuthors() int {
 func (s *CISnapshot) NumVertices() int {
 	seen := make(map[VertexID]struct{})
 	for _, t := range s.edges {
-		t.ForEach(func(key uint64, _ uint32) bool {
+		t.forEach(func(key uint64, _ uint32) bool {
 			u, v := UnpackEdge(key)
 			seen[u] = struct{}{}
 			seen[v] = struct{}{}
@@ -517,7 +460,7 @@ func (s *CISnapshot) NumVertices() int {
 func (s *CISnapshot) MaxWeight() uint32 {
 	var mw uint32
 	for _, t := range s.edges {
-		t.ForEach(func(_ uint64, w uint32) bool {
+		t.forEach(func(_ uint64, w uint32) bool {
 			if w > mw {
 				mw = w
 			}
@@ -531,7 +474,7 @@ func (s *CISnapshot) MaxWeight() uint32 {
 func (s *CISnapshot) ForEachEdge(fn func(u, v VertexID, w uint32) bool) {
 	for _, t := range s.edges {
 		stop := false
-		t.ForEach(func(key uint64, w uint32) bool {
+		t.forEach(func(key uint64, w uint32) bool {
 			u, v := UnpackEdge(key)
 			if !fn(u, v, w) {
 				stop = true
@@ -549,7 +492,7 @@ func (s *CISnapshot) ForEachEdge(fn func(u, v VertexID, w uint32) bool) {
 func (s *CISnapshot) Edges() []WeightedEdge {
 	out := make([]WeightedEdge, 0, s.NumEdges())
 	for _, t := range s.edges {
-		t.ForEach(func(key uint64, w uint32) bool {
+		t.forEach(func(key uint64, w uint32) bool {
 			u, v := UnpackEdge(key)
 			out = append(out, WeightedEdge{U: u, V: v, W: w})
 			return true
@@ -579,7 +522,7 @@ func (s *CISnapshot) ThresholdView(minW uint32) CIView {
 	}
 	p := len(s.edges)
 	out := &CISnapshot{
-		edges:    make([]*EdgeTable, p),
+		edges:    make([]*edgeTable, p),
 		pages:    s.pages,
 		versions: s.versions,
 		mask:     s.mask,
@@ -588,25 +531,6 @@ func (s *CISnapshot) ThresholdView(minW uint32) CIView {
 	parallelShards(p, func(i int) {
 		out.edges[i] = s.edges[i].threshold(minW)
 	})
-	return out
-}
-
-// Materialize copies the snapshot into a map-backed CIGraph (reference
-// form, for tests and interop with map-only callers).
-func (s *CISnapshot) Materialize() *CIGraph {
-	out := NewCIGraph()
-	for _, t := range s.edges {
-		for i, k := range t.keys {
-			if k != 0 {
-				out.edges[k] = t.w[i]
-			}
-		}
-	}
-	for _, m := range s.pages {
-		for v, n := range m {
-			out.pageCounts[v] = n
-		}
-	}
 	return out
 }
 
@@ -656,7 +580,7 @@ func (s *CISnapshot) BuildAdjacency() *Adjacency {
 	perShard := make([][]VertexID, p)
 	parallelShards(p, func(i int) {
 		seen := make(map[VertexID]struct{})
-		s.edges[i].ForEach(func(key uint64, _ uint32) bool {
+		s.edges[i].forEach(func(key uint64, _ uint32) bool {
 			u, v := UnpackEdge(key)
 			seen[u] = struct{}{}
 			seen[v] = struct{}{}
@@ -697,7 +621,7 @@ func (s *CISnapshot) BuildAdjacency() *Adjacency {
 	// Phase 2: degree counts (atomic, shard-parallel).
 	deg := make([]int32, n)
 	parallelShards(p, func(i int) {
-		s.edges[i].ForEach(func(key uint64, _ uint32) bool {
+		s.edges[i].forEach(func(key uint64, _ uint32) bool {
 			u, v := UnpackEdge(key)
 			atomic.AddInt32(&deg[dense[u]], 1)
 			atomic.AddInt32(&deg[dense[v]], 1)
@@ -714,7 +638,7 @@ func (s *CISnapshot) BuildAdjacency() *Adjacency {
 	// Phase 3: CSR fill with atomic per-vertex cursors.
 	cursor := make([]int32, n)
 	parallelShards(p, func(i int) {
-		s.edges[i].ForEach(func(key uint64, wgt uint32) bool {
+		s.edges[i].forEach(func(key uint64, wgt uint32) bool {
 			u, v := UnpackEdge(key)
 			du, dv := dense[u], dense[v]
 			at := adj.Off[du] + int(atomic.AddInt32(&cursor[du], 1)) - 1

@@ -14,14 +14,14 @@ func bruteDirty(cur, prev *CISnapshot) map[VertexID]bool {
 	dirty := make(map[VertexID]bool)
 	curW := make(map[uint64]uint32)
 	for _, m := range cur.edges {
-		m.ForEach(func(k uint64, w uint32) bool {
+		m.forEach(func(k uint64, w uint32) bool {
 			curW[k] = w
 			return true
 		})
 	}
 	prevW := make(map[uint64]uint32)
 	for _, m := range prev.edges {
-		m.ForEach(func(k uint64, w uint32) bool {
+		m.forEach(func(k uint64, w uint32) bool {
 			prevW[k] = w
 			return true
 		})
@@ -48,7 +48,7 @@ func TestDirtyVerticesMatchesBruteDiff(t *testing.T) {
 	for _, shards := range []int{1, 8, 64} {
 		for seed := int64(0); seed < 4; seed++ {
 			rng := rand.New(rand.NewSource(seed))
-			g := NewShardedCI(shards)
+			g := NewShardedCI(shards, 0)
 			ref := NewCIGraph()
 			weights := make(map[uint64]uint32)
 			pages := make(map[VertexID]uint32)
@@ -87,18 +87,18 @@ func TestDirtyVerticesMatchesBruteDiff(t *testing.T) {
 // TestDirtyVerticesIncomparable: diffs against nil, another store, or a
 // different shard geometry refuse with ok=false.
 func TestDirtyVerticesIncomparable(t *testing.T) {
-	g := NewShardedCI(8)
+	g := NewShardedCI(8, 0)
 	g.AddEdgeWeightSig(1, 2, 3, 0)
 	s := g.Snapshot()
 	if _, _, ok := s.DirtyVertices(nil); ok {
 		t.Fatal("nil prev comparable")
 	}
-	other := NewShardedCI(8)
+	other := NewShardedCI(8, 0)
 	other.AddEdgeWeightSig(1, 2, 3, 0)
 	if _, _, ok := s.DirtyVertices(other.Snapshot()); ok {
 		t.Fatal("snapshot of a different store comparable")
 	}
-	narrow := NewShardedCI(4)
+	narrow := NewShardedCI(4, 0)
 	narrow.AddEdgeWeightSig(1, 2, 3, 0)
 	if _, _, ok := s.DirtyVertices(narrow.Snapshot()); ok {
 		t.Fatal("different shard geometry comparable")
@@ -113,7 +113,7 @@ func TestThresholdDeltaMatchesThresholdView(t *testing.T) {
 	const minW = 3
 	for seed := int64(0); seed < 4; seed++ {
 		rng := rand.New(rand.NewSource(seed))
-		g := NewShardedCI(16)
+		g := NewShardedCI(16, 0)
 		ref := NewCIGraph()
 		weights := make(map[uint64]uint32)
 		pages := make(map[VertexID]uint32)
@@ -145,7 +145,7 @@ func TestThresholdDeltaMatchesThresholdView(t *testing.T) {
 			t.Fatal("ThresholdDelta(1) is not the snapshot itself")
 		}
 		// Incomparable baselines still produce the exact pruning.
-		other := NewShardedCI(16)
+		other := NewShardedCI(16, 0)
 		other.AddEdgeWeightSig(1, 2, 9, 0)
 		os := other.Snapshot()
 		if got := cur.ThresholdDelta(os, os.ThresholdView(minW).(*CISnapshot), minW); !got.Equal(cur.ThresholdView(minW)) {
@@ -186,7 +186,7 @@ func (w shardWave) touched() map[int]bool {
 // some edges partially withdrawn, some to zero, every other author's page
 // count reduced (to zero for some).
 func seedWaveStore(nsig int, seed int64) (*ShardedCI, *CIGraph, shardWave) {
-	g := NewShardedCISignals(8, nsig)
+	g := NewShardedCI(8, nsig)
 	ref := NewCIGraph()
 	for u := VertexID(0); u < 30; u++ {
 		for v := u + 1; v < 30; v += 3 {
@@ -276,12 +276,13 @@ func TestSubShardBatch(t *testing.T) {
 	if zeroed == 0 {
 		t.Fatal("wave withdrew no edge to zero; the delete-at-zero leg is untested")
 	}
-	if !ref.Equal(g) {
+	snap := g.Snapshot()
+	if !ref.Equal(snap) {
 		t.Fatal("batched shard decrements diverged from pairwise reference")
 	}
-	if g.NumEdges() != ref.NumEdges() || g.NumAuthors() != len(ref.PageCounts()) {
+	if snap.NumEdges() != ref.NumEdges() || snap.NumAuthors() != len(ref.PageCounts()) {
 		t.Fatalf("zeroed entries linger: %d edges / %d authors, reference has %d / %d",
-			g.NumEdges(), g.NumAuthors(), ref.NumEdges(), len(ref.PageCounts()))
+			snap.NumEdges(), snap.NumAuthors(), ref.NumEdges(), len(ref.PageCounts()))
 	}
 	// An empty wave is a no-op, not a dirty unit.
 	before = g.Version()
@@ -317,32 +318,94 @@ func TestSubShardBatch(t *testing.T) {
 	})
 }
 
-// TestUpdateShardCOW: UpdateShard mutations respect snapshot isolation
+// TestAddShardBatchCOW: AddShardBatch writes respect snapshot isolation
 // and bump the shard version (so DirtyVertices sees them).
-func TestUpdateShardCOW(t *testing.T) {
-	g := NewShardedCI(4)
+func TestAddShardBatchCOW(t *testing.T) {
+	g := NewShardedCI(4, 0)
 	g.AddEdgeWeightSig(1, 2, 7, 0)
 	s1 := g.Snapshot()
 	key := PackEdge(1, 2)
 	i := g.EdgeShard(key)
-	// A page vertex owned by the same shard (fn only sees that shard's maps).
+	// A page vertex owned by the same shard (a batch writes one shard).
 	pv := VertexID(0)
 	for g.VertexShard(pv) != i {
 		pv++
 	}
-	g.UpdateShard(i, func(edges *EdgeTable, pages map[VertexID]uint32) {
-		edges.Add(key, 3)
-		pages[pv] = 2
-	})
+	g.AddShardBatch(i, 0, []EdgeDelta{{Key: key, W: 3}}, []PageDelta{{V: pv, N: 2}})
 	if s1.Weight(1, 2) != 7 {
-		t.Fatalf("frozen snapshot saw UpdateShard mutation: weight %d", s1.Weight(1, 2))
+		t.Fatalf("frozen snapshot saw AddShardBatch write: weight %d", s1.Weight(1, 2))
 	}
 	if g.Weight(1, 2) != 10 || g.PageCount(pv) != 2 {
-		t.Fatalf("UpdateShard lost writes: weight %d, page %d", g.Weight(1, 2), g.PageCount(pv))
+		t.Fatalf("AddShardBatch lost writes: weight %d, page %d", g.Weight(1, 2), g.PageCount(pv))
 	}
 	s2 := g.Snapshot()
 	dirty, dirtyShards, ok := s2.DirtyVertices(s1)
 	if !ok || dirtyShards == 0 || !dirty[1] || !dirty[2] {
-		t.Fatalf("UpdateShard invisible to DirtyVertices: ok=%v shards=%d dirty=%v", ok, dirtyShards, dirty)
+		t.Fatalf("AddShardBatch invisible to DirtyVertices: ok=%v shards=%d dirty=%v", ok, dirtyShards, dirty)
+	}
+}
+
+// TestAddShardBatchMatchesScalar: a random multi-signal batch grouped by
+// shard and applied through AddShardBatch — one call per (signal, shard),
+// keys repeated within a call — gives the same snapshot as the same
+// increments applied one by one through AddEdgeWeightSig / AddPageCount:
+// equal totals and page counts, and an equal signal mix over every
+// author. Each non-empty call advances its shard's version exactly once.
+func TestAddShardBatchMatchesScalar(t *testing.T) {
+	const nsig, authors = 3, 40
+	for seed := int64(0); seed < 4; seed++ {
+		rng := rand.New(rand.NewSource(seed))
+		batch := NewShardedCI(8, nsig)
+		scalar := NewShardedCI(8, nsig)
+		for si := 0; si < nsig; si++ {
+			edges := make([][]EdgeDelta, batch.NumShards())
+			pages := make([][]PageDelta, batch.NumShards())
+			for k := 0; k < 300; k++ {
+				u, v := VertexID(rng.Intn(authors)), VertexID(rng.Intn(authors))
+				if u == v {
+					continue
+				}
+				w := uint32(rng.Intn(4)) + 1
+				key := PackEdge(u, v)
+				i := batch.EdgeShard(key)
+				edges[i] = append(edges[i], EdgeDelta{Key: key, W: w})
+				scalar.AddEdgeWeightSig(u, v, w, si)
+			}
+			for k := 0; k < 60; k++ {
+				u := VertexID(rng.Intn(authors))
+				n := uint32(rng.Intn(3)) + 1
+				i := batch.VertexShard(u)
+				pages[i] = append(pages[i], PageDelta{V: u, N: n})
+				scalar.AddPageCount(u, n)
+			}
+			for i := range edges {
+				before := batch.Snapshot().ShardVersions()[i]
+				batch.AddShardBatch(i, si, edges[i], pages[i])
+				want := before
+				if len(edges[i])+len(pages[i]) > 0 {
+					want++
+				}
+				if got := batch.Snapshot().ShardVersions()[i]; got != want {
+					t.Fatalf("seed=%d signal %d shard %d: version %d -> %d, want %d",
+						seed, si, i, before, got, want)
+				}
+			}
+		}
+		bs, ss := batch.Snapshot(), scalar.Snapshot()
+		if !bs.Equal(ss) {
+			t.Fatalf("seed=%d: AddShardBatch snapshot != scalar snapshot", seed)
+		}
+		everyone := make([]VertexID, authors)
+		for i := range everyone {
+			everyone[i] = VertexID(i)
+		}
+		if bm, sm := bs.SignalMix(everyone), ss.SignalMix(everyone); !reflect.DeepEqual(bm, sm) {
+			t.Fatalf("seed=%d: signal mix %v != scalar %v", seed, bm, sm)
+		}
+		for _, e := range ss.Edges() {
+			if bw, sw := batch.SignalWeights(e.U, e.V), scalar.SignalWeights(e.U, e.V); !reflect.DeepEqual(bw, sw) {
+				t.Fatalf("seed=%d edge {%d,%d}: shares %v != scalar %v", seed, e.U, e.V, bw, sw)
+			}
+		}
 	}
 }

@@ -10,7 +10,7 @@
 //
 // What this file adds is the breakdown behind that view: a store created
 // with a signal count >= 2 keeps each signal's share of each edge's total
-// weight in the EdgeTable's inline stride-numSignals share lanes, so
+// weight in the edge table's inline stride-numSignals share lanes, so
 // attributing an increment or reading a breakdown costs the same single
 // probe as the total itself. The breakdown is attribution metadata — it
 // rides the same copy-on-write discipline as the edge tables (frozen by
@@ -23,13 +23,6 @@ package graph
 
 // --- sharded store ------------------------------------------------------
 
-// NewShardedCISignals is NewShardedCI plus a per-signal weight breakdown
-// kept in each shard table's share lanes for numSignals signals;
-// numSignals < 2 disables tracking and is equivalent to NewShardedCI.
-func NewShardedCISignals(n, numSignals int) *ShardedCI {
-	return newShardedCI(n, numSignals)
-}
-
 // AddEdgeWeightSig adds w to edge {u,v} and attributes it to signal si
 // under one shard lock acquisition and one table probe. On an untracked
 // store only the total moves — the single-signal ingest hot path pays
@@ -39,7 +32,7 @@ func (g *ShardedCI) AddEdgeWeightSig(u, v VertexID, w uint32, si int) {
 	sh := &g.shards[g.EdgeShard(key)]
 	sh.mu.Lock()
 	sh.own()
-	sh.edges.AddSig(key, w, si)
+	sh.edges.addSig(key, w, si)
 	sh.version++
 	sh.mu.Unlock()
 	g.version.Add(1)
@@ -56,7 +49,7 @@ func (g *ShardedCI) SignalWeights(u, v VertexID) []uint32 {
 	sh := &g.shards[g.EdgeShard(key)]
 	out := make([]uint32, g.numSignals)
 	sh.mu.RLock()
-	sh.edges.SignalShares(key, out)
+	sh.edges.signalShares(key, out)
 	sh.mu.RUnlock()
 	return out
 }
@@ -82,7 +75,7 @@ func (s *CISnapshot) SignalMix(members []VertexID) []uint64 {
 				continue
 			}
 			key := PackEdge(members[i], members[j])
-			s.edges[mix64(key)&s.mask].AddSignalShares(key, out)
+			s.edges[mix64(key)&s.mask].addSignalShares(key, out)
 		}
 	}
 	return out

@@ -1,11 +1,12 @@
 package graph
 
 // CIView is the read-only interface over a common interaction graph. It is
-// implemented by the map-backed *CIGraph (the reference implementation),
-// the live sharded store *ShardedCI, and its copy-on-write *CISnapshot —
-// everything downstream of Step 1 (triangle survey, components, scores)
-// consumes this interface, so a batch projection and a daemon snapshot run
-// through identical machinery.
+// implemented by the map-backed *CIGraph (the reference implementation)
+// and the frozen *CISnapshot of the live sharded store — everything
+// downstream of Step 1 (triangle survey, components, scores) consumes this
+// interface, so a batch projection and a daemon snapshot run through
+// identical machinery. The live *ShardedCI itself is a writer: it is read
+// through Snapshot.
 type CIView interface {
 	// Weight returns w'_uv (0 if the edge is absent or u == v).
 	Weight(u, v VertexID) uint32
@@ -39,10 +40,9 @@ type CIView interface {
 	Equal(other CIView) bool
 }
 
-// Interface conformance of all three implementations.
+// Interface conformance of both implementations.
 var (
 	_ CIView = (*CIGraph)(nil)
-	_ CIView = (*ShardedCI)(nil)
 	_ CIView = (*CISnapshot)(nil)
 )
 

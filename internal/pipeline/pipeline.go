@@ -91,10 +91,10 @@ type Timings struct {
 // Result is the output of a Run.
 type Result struct {
 	Config Config
-	// CI is the full projected common interaction graph: a sharded
-	// *graph.ShardedCI for batch runs (a map-backed *graph.CIGraph under
-	// Sequential), or a *graph.CISnapshot for daemon snapshot surveys —
-	// all behind the read-only view interface.
+	// CI is the full projected common interaction graph: the
+	// *graph.CISnapshot of the sharded store for batch runs and daemon
+	// snapshot surveys alike, or a map-backed *graph.CIGraph under
+	// Sequential — both behind the read-only view interface.
 	CI graph.CIView
 	// Thresholded is CI restricted to edges >= MinTriangleWeight — the
 	// graph whose components the paper draws in Figures 1–2.
@@ -125,18 +125,19 @@ func Run(b *graph.BTM, cfg Config) (*Result, error) {
 
 	// Step 1: projection.
 	t0 := time.Now()
-	var ci graph.CIView
-	var err error
 	popts := projection.Options{Exclude: cfg.Exclude, Restrict: cfg.Restrict}
+	var err error
 	if cfg.Sequential {
-		ci, err = projection.ProjectSequential(b, cfg.Window, popts)
+		res.CI, err = projection.ProjectSequential(b, cfg.Window, popts)
 	} else {
-		ci, err = projection.ProjectSharded(b, cfg.Window, popts)
+		var g *graph.ShardedCI
+		if g, err = projection.ProjectSharded(b, cfg.Window, popts); err == nil {
+			res.CI = g.Snapshot()
+		}
 	}
 	if err != nil {
 		return nil, fmt.Errorf("pipeline: projection: %w", err)
 	}
-	res.CI = ci
 	res.Timings.Project = time.Since(t0)
 	finish(res, b, cfg)
 	return res, nil

@@ -141,7 +141,7 @@ func TestRunShardedMatchesDefault(t *testing.T) {
 		t.Fatal("sharded projection differs from default")
 	}
 	for _, res := range []*Result{want, got} {
-		if _, ok := res.CI.(*graph.ShardedCI); !ok {
+		if _, ok := res.CI.(*graph.CISnapshot); !ok {
 			t.Fatalf("Sharded=%v run did not use the sharded store: %T", res.Config.Sharded, res.CI)
 		}
 	}

@@ -124,7 +124,7 @@ func TestParallelMatchesSequential(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			if !seq.Equal(par) {
+			if !seq.Equal(par.Snapshot()) {
 				t.Fatalf("window %v ranks %d: parallel != sequential (%d vs %d edges)",
 					w, ranks, par.NumEdges(), seq.NumEdges())
 			}

@@ -95,7 +95,7 @@ func TestRestrictParallelMatchesSequential(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !seq.Equal(par) {
+	if !seq.Equal(par.Snapshot()) {
 		t.Fatal("restricted parallel != sequential")
 	}
 }

@@ -39,7 +39,7 @@ func projectSharded(b *graph.BTM, w Window, opts Options, nr int) (*graph.Sharde
 	if err := w.Validate(); err != nil {
 		return nil, err
 	}
-	g := graph.NewShardedCI(0)
+	g := graph.NewShardedCI(0, 0)
 	projectObjectsSharded(g, 0, b.NumPages(), func(p int) []graph.AuthorTime {
 		return b.PageNeighborhood(graph.VertexID(p))
 	}, w, opts, nr)
@@ -62,7 +62,7 @@ func projectSignalsSharded(comments []graph.Comment, sigs []Signal, opts Options
 	if err := ValidateSignals(sigs); err != nil {
 		return nil, err
 	}
-	g := graph.NewShardedCISignals(0, len(sigs))
+	g := graph.NewShardedCI(0, len(sigs))
 	for si, sig := range sigs {
 		idx := BuildObjectIndex(comments, sig)
 		projectObjectsSharded(g, si, idx.NumObjects(), idx.Neighborhood, sig.Window(), opts, nr)
@@ -156,7 +156,8 @@ func projectObjectsSharded(g *graph.ShardedCI, si, numObjects int, nbhd func(int
 	wg.Wait()
 
 	// Phase 2: shard-owned merge, one merger per shard, aggregating each
-	// rank's sorted segment by run length under a single lock acquisition.
+	// rank's sorted segment by run length into the merger's scratch and
+	// writing it under a single lock acquisition.
 	mergers := runtime.GOMAXPROCS(0)
 	if mergers > p {
 		mergers = p
@@ -166,39 +167,31 @@ func projectObjectsSharded(g *graph.ShardedCI, si, numObjects int, nbhd func(int
 	for m := 0; m < mergers; m++ {
 		go func(m int) {
 			defer mwg.Done()
+			var edges []graph.EdgeDelta
+			var pages []graph.PageDelta
 			for s := m; s < p; s += mergers {
-				empty := true
+				edges, pages = edges[:0], pages[:0]
 				for r := range logs {
-					if logs[r].edgeOff[s+1] > logs[r].edgeOff[s] || logs[r].pageOff[s+1] > logs[r].pageOff[s] {
-						empty = false
-						break
+					seg := logs[r].edges[logs[r].edgeOff[s]:logs[r].edgeOff[s+1]]
+					for k := 0; k < len(seg); {
+						run := k + 1
+						for run < len(seg) && seg[run].key == seg[k].key {
+							run++
+						}
+						edges = append(edges, graph.EdgeDelta{Key: seg[k].key, W: uint32(run - k)})
+						k = run
+					}
+					pseg := logs[r].pages[logs[r].pageOff[s]:logs[r].pageOff[s+1]]
+					for k := 0; k < len(pseg); {
+						run := k + 1
+						for run < len(pseg) && pseg[run].v == pseg[k].v {
+							run++
+						}
+						pages = append(pages, graph.PageDelta{V: pseg[k].v, N: uint32(run - k)})
+						k = run
 					}
 				}
-				if empty {
-					continue
-				}
-				g.UpdateShard(s, func(edges *graph.EdgeTable, pages map[graph.VertexID]uint32) {
-					for r := range logs {
-						seg := logs[r].edges[logs[r].edgeOff[s]:logs[r].edgeOff[s+1]]
-						for k := 0; k < len(seg); {
-							run := k + 1
-							for run < len(seg) && seg[run].key == seg[k].key {
-								run++
-							}
-							edges.AddSig(seg[k].key, uint32(run-k), si)
-							k = run
-						}
-						pseg := logs[r].pages[logs[r].pageOff[s]:logs[r].pageOff[s+1]]
-						for k := 0; k < len(pseg); {
-							run := k + 1
-							for run < len(pseg) && pseg[run].v == pseg[k].v {
-								run++
-							}
-							pages[pseg[k].v] += uint32(run - k)
-							k = run
-						}
-					}
-				})
+				g.AddShardBatch(s, si, edges, pages)
 			}
 		}(m)
 	}

@@ -20,12 +20,9 @@ func TestShardedMatchesSequential(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			if !seq.Equal(sh) {
+			if !seq.Equal(sh.Snapshot()) {
 				t.Fatalf("window %v ranks %d: sharded != sequential (%d vs %d edges)",
 					w, ranks, sh.NumEdges(), seq.NumEdges())
-			}
-			if !seq.Equal(sh.Snapshot()) {
-				t.Fatalf("window %v ranks %d: sharded snapshot != sequential", w, ranks)
 			}
 		}
 	}

@@ -39,10 +39,10 @@ func TestDefaultSignalMatchesLegacy(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			if !legacy.Equal(sh) {
+			if !legacy.Equal(sh.Snapshot()) {
 				t.Fatalf("window %v: ProjectSignalsSharded(default) != ProjectSequential", w)
 			}
-			if e := sh.Edges(); len(e) > 0 && sh.SignalWeights(e[0].U, e[0].V) != nil {
+			if e := legacy.Edges(); len(e) > 0 && sh.SignalWeights(e[0].U, e[0].V) != nil {
 				t.Fatalf("window %v: single-signal store tracks a breakdown", w)
 			}
 		}
@@ -78,7 +78,7 @@ func TestMultiSignalShardedMatchesSequential(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if !seq.Equal(sh) {
+		if !seq.Equal(sh.Snapshot()) {
 			t.Fatalf("ranks %d: sharded multi-signal != sequential (%d vs %d edges)",
 				ranks, sh.NumEdges(), seq.NumEdges())
 		}

@@ -4,8 +4,8 @@ import "coordbot/internal/graph"
 
 // leaseTable is the flat store behind the sliding window's per-object
 // bookkeeping: an open-addressed table from (object, key) to an int64,
-// in graph.EdgeTable's shape — power-of-two capacity indexed by the top
-// bits of a splitmix64 hash, linear probing, 13/16 load, backshift
+// in the shape of graph's edge table — power-of-two capacity indexed by
+// the top bits of a splitmix64 hash, linear probing, 13/16 load, backshift
 // deletion (no tombstones, so churn never lengthens probe chains), key 0
 // the empty-slot sentinel. One per signal holds the leases (key =
 // packed pair, value = newest supporting timestamp) and one the incident
@@ -118,8 +118,8 @@ func (t *leaseTable) grow() {
 	}
 }
 
-// mix64 is the splitmix64 finalizer, the same hash graph.EdgeTable indexes
-// by.
+// mix64 is the splitmix64 finalizer, the same hash graph's edge table
+// indexes by.
 func mix64(x uint64) uint64 {
 	x += 0x9e3779b97f4a7c15
 	x = (x ^ (x >> 30)) * 0xbf58476d1ce4e5b9

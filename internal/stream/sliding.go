@@ -213,7 +213,7 @@ func (w *wave) reset() {
 // outlive their own delay span), merged into one live store. A
 // single-signal configuration tracks no breakdown; with two or more
 // signals the store attributes every edge's weight per signal
-// (graph.NewShardedCISignals).
+// (graph.NewShardedCI's numSignals).
 //
 // shards is the live store's shard count (rounded up to a power of two;
 // <= 0 means graph.DefaultShards): more shards lower the per-shard
@@ -233,7 +233,7 @@ func NewMultiSlidingProjectorWorkers(sigs []SignalConfig, horizon int64, opts pr
 		sigs:    make([]*sigMeta, len(sigs)),
 		horizon: horizon,
 		opts:    opts,
-		g:       graph.NewShardedCISignals(shards, len(sigs)),
+		g:       graph.NewShardedCI(shards, len(sigs)),
 		track:   len(sigs) >= 2,
 		cells:   make([]sigLane, len(sigs)),
 	}

@@ -97,7 +97,7 @@ func runPatchStream(t *testing.T, seed int64, rebuildFrac float64, rounds int) *
 	)
 	opts := Options{MinTriangleWeight: cut}
 	rng := rand.New(rand.NewSource(seed))
-	g := graph.NewShardedCI(16)
+	g := graph.NewShardedCI(16, 0)
 	for k := 0; k < 250; k++ {
 		u := graph.VertexID(rng.Intn(nv))
 		v := graph.VertexID(rng.Intn(nv))
