@@ -59,9 +59,11 @@ check-surface:
 # strconv path behind it, the JSON scanner's two entry points (One vs
 # Reset+Next) on arbitrary bytes, the binary ingest frame decoder on
 # arbitrary bytes and its Encoder round trip, the run-sharing Step-3
-# kernel (EvaluateAll) vs the single-triplet Evaluate, and the ygmnet
-# transport's frame reader on arbitrary bytes (seed corpora also run
-# under plain `make test`).
+# kernel (EvaluateAll) vs the single-triplet Evaluate, the ygmnet
+# transport's frame reader on arbitrary bytes, and the daemon's census
+# endpoints on arbitrary query strings (no 5xx, every 4xx names a
+# parameter, every score body consistent with itself; seed corpora also
+# run under plain `make test`).
 FUZZTIME ?= 20s
 fuzz:
 	$(GO) test ./internal/graph/ -fuzz FuzzPackEdge -fuzztime $(FUZZTIME)
@@ -75,6 +77,7 @@ fuzz:
 	$(GO) test ./internal/wire/ -fuzz FuzzFrameScanner -fuzztime $(FUZZTIME)
 	$(GO) test ./internal/hypergraph/ -fuzz FuzzEvaluateAll -fuzztime $(FUZZTIME)
 	$(GO) test ./internal/ygmnet/ -fuzz FuzzReadFrame -fuzztime $(FUZZTIME)
+	$(GO) test ./internal/detectd/ -fuzz FuzzReadQuery -fuzztime $(FUZZTIME)
 
 # Captures for the repo-root result files.
 test-output:

@@ -11,7 +11,7 @@
 //
 //	POST /v1/ingest      ingest a JSON array or NDJSON stream of comments
 //	GET  /v1/triangles   latest survey results
-//	GET  /v1/score       live pairwise scores for ?users=a,b,c
+//	GET  /v1/score       the latest survey's scores for ?users=a,b,c
 //	GET  /v1/communities latest community partition (with -communities)
 //	GET  /v1/stats       counters and gauges
 //	GET  /healthz        liveness

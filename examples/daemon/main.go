@@ -96,12 +96,15 @@ func main() {
 		}
 	}
 
-	// 4. Wait for the stream to drain and a fresh survey to land.
+	// 4. Wait for the stream to drain, then for a survey that started
+	//    after it: the reads below answer from the latest published
+	//    cycle, and only such a cycle has seen every comment. (A cycle
+	//    already running at the drain may lack the last batch.)
 	for svc.Ingested() < int64(len(dataset.Comments)) {
 		time.Sleep(5 * time.Millisecond)
 	}
-	settled := svc.Cycles() + 1
-	for svc.Cycles() < settled {
+	drained := time.Now()
+	for sr := svc.Latest(); sr == nil || !sr.TakenAt.After(drained); sr = svc.Latest() {
 		time.Sleep(10 * time.Millisecond)
 	}
 

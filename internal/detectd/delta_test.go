@@ -10,7 +10,6 @@ import (
 	"sync"
 	"testing"
 
-	"coordbot/internal/graph"
 	"coordbot/internal/pipeline"
 	"coordbot/internal/projection"
 	"coordbot/internal/redditgen"
@@ -137,7 +136,7 @@ func TestDeltaSurveyMatchesFullOracle(t *testing.T) {
 
 // TestDeltaSurveyConcurrentCycles exercises the survey cache under -race:
 // two goroutines call SurveyNow concurrently (serialized on surveyMu)
-// while a writer ingests and a reader polls score state, then a final
+// while a writer ingests and a reader polls the census endpoints, then a final
 // quiescent cycle must still match the full oracle.
 func TestDeltaSurveyConcurrentCycles(t *testing.T) {
 	ds := snapshotDataset()
@@ -168,14 +167,13 @@ func TestDeltaSurveyConcurrentCycles(t *testing.T) {
 	wg.Add(1)
 	go func() {
 		defer wg.Done()
-		ids := []graph.VertexID{0, 1, 2, 3}
 		for {
 			select {
 			case <-stop:
 				return
 			default:
 			}
-			_, _ = s.PairScore(ids)
+			readCensus(s.Handler())
 		}
 	}()
 	const batch = 100

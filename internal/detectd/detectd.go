@@ -175,8 +175,9 @@ type SurveyResult struct {
 	ClusteredComponents int
 
 	// snap / btm are the immutable inputs the survey ran on, kept for
-	// same-package consumers: the score endpoint's group metrics and the
-	// equivalence oracle in tests. btm is nil without ValidateHypergraph.
+	// same-package consumers: the score and communities endpoints, which
+	// answer from them, and the equivalence oracle in tests. btm is nil
+	// without ValidateHypergraph.
 	snap *graph.CISnapshot
 	btm  *graph.BTM
 
@@ -826,51 +827,4 @@ func (s *Service) signalMix(mix []uint64) map[string]uint64 {
 		}
 	}
 	return out
-}
-
-// PairSignalMix sums the live per-signal breakdown over every unordered
-// pair of the group — nil on single-signal stores. Same locking story as
-// PairScore: per-shard read locks only, individually consistent reads.
-func (s *Service) PairSignalMix(ids []graph.VertexID) []uint64 {
-	var out []uint64
-	for i := range ids {
-		for j := i + 1; j < len(ids); j++ {
-			if ids[i] == ids[j] {
-				continue
-			}
-			ws := s.proj.SignalWeights(ids[i], ids[j])
-			if ws == nil {
-				return nil
-			}
-			if out == nil {
-				out = make([]uint64, len(ws))
-			}
-			for si, w := range ws {
-				out[si] += uint64(w)
-			}
-		}
-	}
-	return out
-}
-
-// PairScore reads live pairwise state for the score endpoint: CI weight
-// between each user pair plus per-user P'. It deliberately does not take
-// s.mu: the projector's point reads go through the sharded store's
-// per-shard read locks, so scoring contends only with ingest writes to
-// the same shard — never with a survey holding the service lock. The
-// pairs are therefore individually (not jointly) consistent, which is
-// all the endpoint promises for a live view.
-func (s *Service) PairScore(ids []graph.VertexID) (weights map[[2]int]uint32, pageCounts []uint32) {
-	weights = make(map[[2]int]uint32)
-	pageCounts = make([]uint32, len(ids))
-	for i := range ids {
-		pageCounts[i] = s.proj.PageCount(ids[i])
-		for j := i + 1; j < len(ids); j++ {
-			if ids[i] == ids[j] {
-				continue
-			}
-			weights[[2]int{i, j}] = s.proj.EdgeWeight(ids[i], ids[j])
-		}
-	}
-	return weights, pageCounts
 }

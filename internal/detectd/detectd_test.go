@@ -99,24 +99,26 @@ func TestIngestScoreSurveyRoundtrip(t *testing.T) {
 	sb.WriteString("]")
 	ingestAndSettle(t, s, srv.URL, sb.String(), 9)
 
-	// Live score endpoint reads the sliding graph directly.
-	resp, err := http.Get(srv.URL + "/v1/score?users=alice,bob,carol")
-	if err != nil {
-		t.Fatal(err)
-	}
-	score := decodeBody[ScoreOut](t, resp)
-	if score.MinWeight == nil || *score.MinWeight != 3 {
-		t.Fatalf("min_weight = %v, want 3", score.MinWeight)
-	}
-	if score.T == nil || *score.T != 1.0 {
-		t.Fatalf("t = %v, want 1.0 (perfect coordination)", score.T)
+	// Score answers for a published cycle: none yet.
+	if _, code := getScore(t, srv.URL, "alice,bob,carol"); code != http.StatusNotFound {
+		t.Fatalf("pre-survey score status %d, want 404", code)
 	}
 
 	// A survey cycle must find the triangle with hypergraph validation.
 	if _, err := s.SurveyNow(); err != nil {
 		t.Fatal(err)
 	}
-	resp, err = http.Get(srv.URL + "/v1/triangles")
+	score, code := getScore(t, srv.URL, "alice,bob,carol")
+	if code != http.StatusOK || score.Cycle != 1 {
+		t.Fatalf("score status %d cycle %d, want 200 at cycle 1", code, score.Cycle)
+	}
+	if score.MinWeight == nil || *score.MinWeight != 3 {
+		t.Fatalf("min_weight = %v, want 3", score.MinWeight)
+	}
+	if score.T == nil || *score.T != 1.0 {
+		t.Fatalf("t = %v, want 1.0 (perfect coordination)", score.T)
+	}
+	resp, err := http.Get(srv.URL + "/v1/triangles")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -209,7 +211,7 @@ func TestLateCommentsClampedNotDropped(t *testing.T) {
 		t.Fatalf("clamped=%d dropped=%d, want 1/0", s.lateClamped.Load(), s.dropped.Load())
 	}
 	// The clamped comment still pairs (both now at ts=100, delay 0 ∈ [0,60)).
-	if w := s.proj.EdgeWeight(s.authors.Intern("a"), s.authors.Intern("b")); w != 1 {
+	if w := s.proj.Snapshot().Weight(s.authors.Intern("a"), s.authors.Intern("b")); w != 1 {
 		t.Fatalf("clamped pair weight = %d, want 1", w)
 	}
 }
@@ -328,6 +330,9 @@ func TestEnqueueRacingCloseLosesNothing(t *testing.T) {
 func TestScoreUnknownUsers(t *testing.T) {
 	s, srv := newTestService(t, testConfig())
 	ingestAndSettle(t, s, srv.URL, `[{"author":"a","page":"p","ts":1}]`, 1)
+	if _, err := s.SurveyNow(); err != nil {
+		t.Fatal(err)
+	}
 	resp, err := http.Get(srv.URL + "/v1/score?users=a,ghost")
 	if err != nil {
 		t.Fatal(err)
@@ -338,7 +343,7 @@ func TestScoreUnknownUsers(t *testing.T) {
 	}
 
 	// One unknown name must not zero the known users: a and b keep their
-	// live page counts and their pair weight, and only pairs with ghost
+	// page counts and their pair weight, and only pairs with ghost
 	// (and the group's w_S) read 0.
 	ingestAndSettle(t, s, srv.URL, `[{"author":"b","page":"p","ts":2}]`, 2)
 	if _, err := s.SurveyNow(); err != nil {
@@ -412,11 +417,11 @@ func TestExcludedAuthorNeverProjects(t *testing.T) {
 	ingestAndSettle(t, s, srv.URL, body, 3)
 	am, _ := s.authors.Lookup("AutoModerator")
 	a, _ := s.authors.Lookup("a")
-	if w := s.proj.EdgeWeight(am, a); w != 0 {
+	if w := s.proj.Snapshot().Weight(am, a); w != 0 {
 		t.Fatalf("excluded author projected: weight %d", w)
 	}
 	b, _ := s.authors.Lookup("b")
-	if w := s.proj.EdgeWeight(a, b); w != 1 {
+	if w := s.proj.Snapshot().Weight(a, b); w != 1 {
 		t.Fatalf("organic pair weight = %d, want 1", w)
 	}
 }
@@ -440,11 +445,11 @@ func TestExcludedIDNeverProjects(t *testing.T) {
 		t.Fatalf("helper interned as %d, want 0", helper)
 	}
 	a, _ := s.authors.Lookup("a")
-	if w := s.proj.EdgeWeight(helper, a); w != 0 {
+	if w := s.proj.Snapshot().Weight(helper, a); w != 0 {
 		t.Fatalf("excluded ID projected: weight %d", w)
 	}
 	b, _ := s.authors.Lookup("b")
-	if w := s.proj.EdgeWeight(a, b); w != 1 {
+	if w := s.proj.Snapshot().Weight(a, b); w != 1 {
 		t.Fatalf("organic pair weight = %d, want 1", w)
 	}
 }

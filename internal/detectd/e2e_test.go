@@ -167,7 +167,10 @@ func TestDaemonEndToEnd(t *testing.T) {
 		t.Fatal(err)
 	}
 	score := decodeBody[ScoreOut](t, resp)
+	if score.Cycle < foundCycle {
+		t.Fatalf("score answers for cycle %d, before the detecting cycle %d", score.Cycle, foundCycle)
+	}
 	if score.T == nil || *score.T < 0.5 {
-		t.Fatalf("live score for planted trio = %v, want >= 0.5", score.T)
+		t.Fatalf("score for planted trio = %v, want >= 0.5", score.T)
 	}
 }

@@ -14,27 +14,34 @@
 //	                      (a rejected batch interns nothing); 413 above 64
 //	                      MiB; 429 when the queue is full; 503 while
 //	                      shutting down.
-//	GET  /v1/triangles  — latest survey cycle, strongest first (min weight,
-//	                      then T, then author IDs: a total order, ranked
-//	                      once per published census). ?min_t=0.5 filters
-//	                      on the T score, ?limit=50 truncates.
-//	GET  /v1/score      — ?users=a,b,...: live P' counts for up to 512
-//	                      users, pairwise CI weights for up to 64, group
-//	                      metrics w_S / C(S) against the latest survey's
-//	                      windowed comment log, and for exactly three
-//	                      users the triangle min-weight and T score —
-//	                      served from the survey's cached triangle census
-//	                      when the triplet is in it, live point reads
-//	                      otherwise.
-//	GET  /v1/communities — latest cycle's community partition, strongest
-//	                      coordination score first. ?min_c=0.5 filters on
-//	                      the community C score, ?limit=20 truncates,
-//	                      ?members=false omits the member lists. 404 until
-//	                      a survey completes, 501 when the daemon runs
+//	GET  /v1/triangles  — the census, strongest first (min weight, then
+//	                      T, then author IDs: a total order, ranked once
+//	                      per cycle). ?min_t=0.5 filters on the T score,
+//	                      ?limit=50 truncates.
+//	GET  /v1/score      — ?users=a,b,... (2 to 512 names): P' counts for
+//	                      every user; pairwise CI weights and the signal
+//	                      mix for up to 64; group metrics w_S / C(S); and
+//	                      for exactly three users the triangle min weight
+//	                      and T score, computed from those same pair
+//	                      weights and counts. Unknown names score zero.
+//	GET  /v1/communities — the community partition, strongest coordination
+//	                      score first. ?min_c=0.5 filters on the community
+//	                      C score, ?limit=20 truncates, ?members=false
+//	                      omits the member lists. 501 when the daemon runs
 //	                      without the community layer.
-//	GET  /v1/stats      — ingest counters, live-graph gauges, survey
-//	                      cadence, per-endpoint latency/throughput.
+//	GET  /v1/stats      — ingest counters, live-graph gauges, the latest
+//	                      cycle's survey counters, per-endpoint latency and
+//	                      throughput.
 //	GET  /healthz       — liveness (503 once shutdown has begun).
+//
+// The three census reads (triangles, score, communities) answer from one
+// published survey cycle: its pinned CI snapshot, its windowed comment
+// log and its census. Each body carries that cycle's cycle number and
+// watermark, and each read is 404 until the first survey completes.
+// /v1/stats and /healthz describe the running daemon and read live state.
+// A bad or repeated query parameter is a 400 whose body names it, as in
+// {"error": "...", "param": "limit"}; a wrong method is a 405. Every
+// endpoint is a row of routes(), and a test diffs this list against it.
 package detectd
 
 import (
@@ -43,9 +50,10 @@ import (
 	"errors"
 	"fmt"
 	"io"
+	"math"
 	"net/http"
+	"net/url"
 	"slices"
-	"sort"
 	"strconv"
 	"strings"
 	"sync"
@@ -151,15 +159,43 @@ type SignalStatsOut struct {
 	Rearmed     int64 `json:"rearmed"`
 }
 
+// route is one endpoint: the method it answers and its handler. A census
+// route has no handler of its own: it answers from one published cycle
+// and the query parameters it declares.
+type route struct {
+	method, path string
+	serve        http.HandlerFunc
+	params       []string
+	answer       func(*SurveyResult, query) (any, *apiError)
+}
+
+func (s *Service) routes() []route {
+	return []route{
+		{method: http.MethodPost, path: "/v1/ingest", serve: s.handleIngest},
+		{method: http.MethodGet, path: "/v1/triangles", params: []string{"min_t", "limit"}, answer: s.triangles},
+		{method: http.MethodGet, path: "/v1/score", params: []string{"users"}, answer: s.score},
+		{method: http.MethodGet, path: "/v1/communities", params: []string{"min_c", "limit", "members"}, answer: s.communities},
+		{method: http.MethodGet, path: "/v1/stats", serve: s.handleStats},
+		{method: http.MethodGet, path: "/healthz", serve: s.handleHealth},
+	}
+}
+
 // Handler returns the daemon's HTTP API.
 func (s *Service) Handler() http.Handler {
 	mux := http.NewServeMux()
-	mux.HandleFunc("/v1/ingest", s.metrics.instrument("/v1/ingest", s.handleIngest))
-	mux.HandleFunc("/v1/triangles", s.metrics.instrument("/v1/triangles", s.handleTriangles))
-	mux.HandleFunc("/v1/score", s.metrics.instrument("/v1/score", s.handleScore))
-	mux.HandleFunc("/v1/communities", s.metrics.instrument("/v1/communities", s.handleCommunities))
-	mux.HandleFunc("/v1/stats", s.metrics.instrument("/v1/stats", s.handleStats))
-	mux.HandleFunc("/healthz", s.handleHealth)
+	for _, rt := range s.routes() {
+		serve := rt.serve
+		if rt.answer != nil {
+			serve = s.serveCensus(rt)
+		}
+		mux.HandleFunc(rt.path, s.metrics.instrument(rt.path, func(w http.ResponseWriter, r *http.Request) {
+			if r.Method != rt.method {
+				writeErr(w, http.StatusMethodNotAllowed, "%s only", rt.method)
+				return
+			}
+			serve(w, r)
+		}))
+	}
 	return mux
 }
 
@@ -170,7 +206,7 @@ func writeJSON(w http.ResponseWriter, status int, v any) {
 }
 
 func writeErr(w http.ResponseWriter, status int, format string, args ...any) {
-	writeJSON(w, status, map[string]string{"error": fmt.Sprintf(format, args...)})
+	writeJSON(w, status, apiError{Msg: fmt.Sprintf(format, args...)})
 }
 
 // ingestScratch pools the per-request decode state of the ingest fast
@@ -231,10 +267,6 @@ func readBody(r io.Reader, buf []byte) ([]byte, error) {
 }
 
 func (s *Service) handleIngest(w http.ResponseWriter, r *http.Request) {
-	if r.Method != http.MethodPost {
-		writeErr(w, http.StatusMethodNotAllowed, "POST only")
-		return
-	}
 	if s.stopping.Load() {
 		writeErr(w, http.StatusServiceUnavailable, "shutting down")
 		return
@@ -424,35 +456,96 @@ func hasJSONContent(body []byte) bool {
 	return false
 }
 
-func (s *Service) handleTriangles(w http.ResponseWriter, r *http.Request) {
-	if r.Method != http.MethodGet {
-		writeErr(w, http.StatusMethodNotAllowed, "GET only")
-		return
-	}
-	sr := s.Latest()
-	if sr == nil {
-		writeErr(w, http.StatusNotFound, "no survey has completed yet")
-		return
-	}
-	minT := 0.0
-	if v := r.URL.Query().Get("min_t"); v != "" {
-		f, err := strconv.ParseFloat(v, 64)
-		if err != nil {
-			writeErr(w, http.StatusBadRequest, "bad min_t: %v", err)
-			return
-		}
-		minT = f
-	}
-	limit := -1
-	if v := r.URL.Query().Get("limit"); v != "" {
-		n, err := strconv.Atoi(v)
-		if err != nil || n < 0 {
-			writeErr(w, http.StatusBadRequest, "bad limit %q", v)
-			return
-		}
-		limit = n
-	}
+// query is one parsed read request. Parameters a route does not declare
+// keep these defaults: no filter, no limit, members listed.
+type query struct {
+	users   []string // as given, duplicates and unknown names included
+	limit   int      // -1: no limit
+	floor   float64  // min_t or min_c: the floor on the route's score
+	members bool
+}
 
+// apiError is an error response: its status and its JSON body. Param
+// names the query parameter at fault in a 400.
+type apiError struct {
+	status int
+	Msg    string `json:"error"`
+	Param  string `json:"param,omitempty"`
+}
+
+var errNoSurvey = &apiError{status: http.StatusNotFound, Msg: "no survey has completed yet"}
+
+func badParam(param, format string, args ...any) *apiError {
+	return &apiError{status: http.StatusBadRequest, Param: param,
+		Msg: "bad " + param + ": " + fmt.Sprintf(format, args...)}
+}
+
+// parseQuery reads the parameters a route declares and ignores the rest.
+// An empty value is an absent one; a repeated parameter is an error.
+func parseQuery(vals url.Values, params []string) (query, *apiError) {
+	q := query{limit: -1, members: true}
+	for _, p := range params {
+		vs := vals[p]
+		if len(vs) > 1 {
+			return q, badParam(p, "given %d times", len(vs))
+		}
+		if len(vs) == 0 || vs[0] == "" {
+			if p == "users" {
+				return q, badParam(p, "missing users=a,b,...")
+			}
+			continue
+		}
+		v := vs[0]
+		switch p {
+		case "users":
+			q.users = strings.Split(v, ",")
+			if n := len(q.users); n < 2 || n > scoreMaxUsers {
+				return q, badParam(p, "need 2..%d users, got %d", scoreMaxUsers, n)
+			}
+		case "limit":
+			n, err := strconv.Atoi(v)
+			if err != nil || n < 0 {
+				return q, badParam(p, "want a non-negative integer, got %q", v)
+			}
+			q.limit = n
+		case "min_t", "min_c":
+			f, err := strconv.ParseFloat(v, 64)
+			if err != nil || math.IsNaN(f) || math.IsInf(f, 0) {
+				return q, badParam(p, "want a finite number, got %q", v)
+			}
+			q.floor = f
+		case "members":
+			b, err := strconv.ParseBool(v)
+			if err != nil {
+				return q, badParam(p, "want true or false, got %q", v)
+			}
+			q.members = b
+		}
+	}
+	return q, nil
+}
+
+// serveCensus serves a census route: parse, answer from the latest
+// published cycle, encode. Nothing here reads the live store.
+func (s *Service) serveCensus(rt route) http.HandlerFunc {
+	return func(w http.ResponseWriter, r *http.Request) {
+		q, err := parseQuery(r.URL.Query(), rt.params)
+		var out any
+		if err == nil {
+			out, err = rt.answer(s.Latest(), q)
+		}
+		if err != nil {
+			writeJSON(w, err.status, err)
+			return
+		}
+		writeJSON(w, http.StatusOK, out)
+	}
+}
+
+func (s *Service) triangles(sr *SurveyResult, q query) (any, *apiError) {
+	if sr == nil {
+		return nil, errNoSurvey
+	}
 	out := TrianglesOut{
 		Cycle:      sr.Cycle,
 		Watermark:  sr.Watermark,
@@ -466,10 +559,10 @@ func (s *Service) handleTriangles(w http.ResponseWriter, r *http.Request) {
 	out.Total = len(tris)
 	for _, i := range sr.strongestFirst() {
 		tr := tris[i]
-		if tr.T < minT {
+		if tr.T < q.floor {
 			continue
 		}
-		if limit >= 0 && len(out.Triangles) >= limit {
+		if q.limit >= 0 && len(out.Triangles) >= q.limit {
 			break
 		}
 		to := TriangleOut{
@@ -485,7 +578,7 @@ func (s *Service) handleTriangles(w http.ResponseWriter, r *http.Request) {
 		}
 		out.Triangles = append(out.Triangles, to)
 	}
-	writeJSON(w, http.StatusOK, out)
+	return out, nil
 }
 
 // triangleRank is the strongest-first order of one published census. It is
@@ -542,25 +635,25 @@ const (
 	scorePairUsers = 64
 )
 
-// ScoreOut is the /v1/score response.
+// ScoreOut is the /v1/score response. Every number in it is read from
+// the CI snapshot and windowed comment log of the one published cycle
+// named by Cycle and Watermark.
 type ScoreOut struct {
+	Cycle      int64             `json:"cycle"`
+	Watermark  int64             `json:"watermark"`
 	Users      []string          `json:"users"`
 	Unknown    []string          `json:"unknown,omitempty"`
 	PageCounts map[string]uint32 `json:"page_counts"`
 	// Pairs is the pairwise CI weight matrix, present only for up to 64
 	// users (it is quadratic in the group size).
 	Pairs []PairOut `json:"pairs,omitempty"`
-	// MinWeight / T are set for exactly three known users. Source reports
-	// where they came from: "survey" when the triplet was found in the
-	// latest cycle's triangle census (as-of that cycle's watermark),
-	// "live" when computed from current point reads.
+	// MinWeight / T are set for exactly three users: the minimum of the
+	// three pair weights and the paper's T score 3·MinWeight / Σ P'.
 	MinWeight *uint32  `json:"min_weight,omitempty"`
 	T         *float64 `json:"t,omitempty"`
-	Source    string   `json:"source,omitempty"`
 	// Group carries the generalized group metrics w_S (pages every member
-	// commented on) and C(S) (equation 4 extended to k members), computed
-	// against the latest survey's windowed comment log. Present only when
-	// the daemon validates hypergraphs and a survey has completed.
+	// commented on) and C(S) (equation 4 extended to k members). Present
+	// only when the daemon validates hypergraphs.
 	Group *GroupOut `json:"group,omitempty"`
 	// Signals attributes the group's summed pairwise CI weight to the
 	// coordination signals that produced it. Present only on multi-signal
@@ -571,11 +664,9 @@ type ScoreOut struct {
 // GroupOut is the group-metric block of a score response.
 type GroupOut struct {
 	// Size is the deduplicated group size.
-	Size int `json:"size"`
-	// Watermark is the event time of the survey the metrics are as of.
-	Watermark int64    `json:"watermark"`
-	WS        int      `json:"w_s"`
-	CS        *float64 `json:"c_s,omitempty"`
+	Size int      `json:"size"`
+	WS   int      `json:"w_s"`
+	CS   *float64 `json:"c_s,omitempty"`
 }
 
 // PairOut is one pairwise CI weight.
@@ -585,140 +676,71 @@ type PairOut struct {
 	Weight uint32 `json:"weight"`
 }
 
-func (s *Service) handleScore(w http.ResponseWriter, r *http.Request) {
-	if r.Method != http.MethodGet {
-		writeErr(w, http.StatusMethodNotAllowed, "GET only")
-		return
+func (s *Service) score(sr *SurveyResult, q query) (any, *apiError) {
+	if sr == nil {
+		return nil, errNoSurvey
 	}
-	raw := r.URL.Query().Get("users")
-	if raw == "" {
-		writeErr(w, http.StatusBadRequest, "missing users=a,b,...")
-		return
-	}
-	names := strings.Split(raw, ",")
-	if len(names) < 2 || len(names) > scoreMaxUsers {
-		writeErr(w, http.StatusBadRequest, "need 2..%d users, got %d", scoreMaxUsers, len(names))
-		return
-	}
-	out := ScoreOut{Users: names, PageCounts: make(map[string]uint32)}
-	// Known users are scored exactly as in an all-known query; unknown
-	// ones have no edges and no pages by definition, so they contribute
-	// zeros (pos -1) and are named in Unknown.
-	var ids []graph.VertexID
-	pos := make([]int, len(names))
+	names := q.users
+	out := ScoreOut{Cycle: sr.Cycle, Watermark: sr.Watermark, Users: names,
+		PageCounts: make(map[string]uint32, len(names))}
+	// Unknown names have no edges and no pages by definition: they read
+	// zeros, are listed in Unknown, and leave the known users' numbers as
+	// an all-known query would give them.
+	ids := make([]graph.VertexID, len(names))
+	known := make([]bool, len(names))
+	counts := make([]uint32, len(names))
+	var knownIDs []graph.VertexID
 	for i, n := range names {
-		id, ok := s.authors.Lookup(n)
-		if !ok {
+		if ids[i], known[i] = s.authors.Lookup(n); known[i] {
+			knownIDs = append(knownIDs, ids[i])
+			counts[i] = sr.snap.PageCount(ids[i])
+		} else {
 			out.Unknown = append(out.Unknown, n)
-			pos[i] = -1
-			continue
 		}
-		pos[i] = len(ids)
-		ids = append(ids, id)
-	}
-
-	if len(names) == 3 && len(ids) == 3 {
-		s.scoreTriple(&out, ids)
+		out.PageCounts[n] = counts[i]
 	}
 	if len(names) <= scorePairUsers {
-		weights, counts := s.PairScore(ids)
-		count := func(i int) uint32 {
-			if pos[i] < 0 {
-				return 0
-			}
-			return counts[pos[i]]
-		}
-		for i, n := range names {
-			out.PageCounts[n] = count(i)
-		}
 		var minW uint32
-		first := true
-		for i := 0; i < len(names); i++ {
+		for i := range names {
 			for j := i + 1; j < len(names); j++ {
 				var wgt uint32
-				if pos[i] >= 0 && pos[j] >= 0 {
-					wgt = weights[[2]int{pos[i], pos[j]}]
+				if known[i] && known[j] {
+					wgt = sr.snap.Weight(ids[i], ids[j])
+				}
+				if len(out.Pairs) == 0 || wgt < minW {
+					minW = wgt
 				}
 				out.Pairs = append(out.Pairs, PairOut{U: names[i], V: names[j], Weight: wgt})
-				if first || wgt < minW {
-					minW, first = wgt, false
-				}
 			}
 		}
-		if len(names) == 3 && out.MinWeight == nil {
-			den := float64(count(0)) + float64(count(1)) + float64(count(2))
+		if len(names) == 3 {
+			den := float64(counts[0]) + float64(counts[1]) + float64(counts[2])
 			t := 0.0
 			if den > 0 {
 				t = 3 * float64(minW) / den
 			}
-			out.MinWeight, out.T, out.Source = &minW, &t, "live"
+			out.MinWeight, out.T = &minW, &t
 		}
-		out.Signals = s.signalMix(s.PairSignalMix(ids))
-	} else {
-		// Too many users for the quadratic pair matrix: page counts only.
-		for i, n := range names {
-			out.PageCounts[n] = 0
-			if pos[i] >= 0 {
-				out.PageCounts[n] = s.proj.PageCount(ids[pos[i]])
-			}
-		}
+		out.Signals = s.signalMix(sr.snap.SignalMix(knownIDs))
 	}
-	s.scoreGroup(&out, ids, out.Unknown)
-	writeJSON(w, http.StatusOK, out)
+	out.Group = groupOf(sr, knownIDs, out.Unknown)
+	return out, nil
 }
 
-// scoreTriple fills MinWeight/T from the latest survey's triangle census
-// when the triplet is in it: a binary search over the (X, Y, Z)-sorted
-// results instead of three live edge reads. Misses (no survey yet, or the
-// triplet fell below a threshold) leave out untouched for the live path.
-func (s *Service) scoreTriple(out *ScoreOut, ids []graph.VertexID) {
-	sr := s.Latest()
-	if sr == nil {
-		return
-	}
-	x, y, z := ids[0], ids[1], ids[2]
-	if y < x {
-		x, y = y, x
-	}
-	if z < y {
-		y, z = z, y
-		if y < x {
-			x, y = y, x
-		}
-	}
-	tris := sr.Result.Triangles
-	i := sort.Search(len(tris), func(i int) bool {
-		tr := tris[i]
-		if tr.X != x {
-			return tr.X > x
-		}
-		if tr.Y != y {
-			return tr.Y > y
-		}
-		return tr.Z >= z
-	})
-	if i >= len(tris) || tris[i].X != x || tris[i].Y != y || tris[i].Z != z {
-		return
-	}
-	mw, t := tris[i].MinWeight(), tris[i].T
-	out.MinWeight, out.T, out.Source = &mw, &t, "survey"
-}
-
-// scoreGroup fills the group-metric block from the latest survey's
-// windowed BTM for the known members ids plus the unknown names. Unknown
+// groupOf is the group-metric block on the cycle's windowed BTM for the
+// known members ids plus the unknown names; nil without a BTM. Unknown
 // members, and authors outside the BTM (interned but silent within the
 // horizon), force w_S = 0 without touching it.
-func (s *Service) scoreGroup(out *ScoreOut, ids []graph.VertexID, unknown []string) {
-	sr := s.Latest()
-	if sr == nil || sr.btm == nil {
-		return
+func groupOf(sr *SurveyResult, ids []graph.VertexID, unknown []string) *GroupOut {
+	if sr.btm == nil {
+		return nil
 	}
 	g := hypergraph.NewGroup(ids...)
 	distinct := make(map[string]bool, len(unknown))
 	for _, n := range unknown {
 		distinct[n] = true
 	}
-	go2 := &GroupOut{Size: len(g) + len(distinct), Watermark: sr.Watermark}
+	out := &GroupOut{Size: len(g) + len(distinct)}
 	inRange := len(unknown) == 0
 	for _, m := range g {
 		if int(m) >= sr.btm.NumAuthors() {
@@ -726,15 +748,13 @@ func (s *Service) scoreGroup(out *ScoreOut, ids []graph.VertexID, unknown []stri
 			break
 		}
 	}
+	cs := 0.0
 	if inRange {
-		go2.WS = hypergraph.GroupWeight(sr.btm, g)
-		cs := hypergraph.GroupCScore(sr.btm, g)
-		go2.CS = &cs
-	} else {
-		cs := 0.0
-		go2.CS = &cs
+		out.WS = hypergraph.GroupWeight(sr.btm, g)
+		cs = hypergraph.GroupCScore(sr.btm, g)
 	}
-	out.Group = go2
+	out.CS = &cs
+	return out
 }
 
 // CommunityOut is the wire form of one scored community.
@@ -778,42 +798,13 @@ type CommunitiesOut struct {
 	Communities         []CommunityOut `json:"communities"`
 }
 
-func (s *Service) handleCommunities(w http.ResponseWriter, r *http.Request) {
-	if r.Method != http.MethodGet {
-		writeErr(w, http.StatusMethodNotAllowed, "GET only")
-		return
-	}
+func (s *Service) communities(sr *SurveyResult, q query) (any, *apiError) {
 	if !s.cfg.Communities {
-		writeErr(w, http.StatusNotImplemented, "community layer disabled (start with -communities)")
-		return
+		return nil, &apiError{status: http.StatusNotImplemented, Msg: "community layer disabled (start with -communities)"}
 	}
-	sr := s.Latest()
 	if sr == nil || sr.Result.Partition == nil {
-		writeErr(w, http.StatusNotFound, "no survey has completed yet")
-		return
+		return nil, errNoSurvey
 	}
-	q := r.URL.Query()
-	minC := 0.0
-	if v := q.Get("min_c"); v != "" {
-		f, err := strconv.ParseFloat(v, 64)
-		if err != nil {
-			writeErr(w, http.StatusBadRequest, "bad min_c: %v", err)
-			return
-		}
-		minC = f
-	}
-	limit := -1
-	if v := q.Get("limit"); v != "" {
-		n, err := strconv.Atoi(v)
-		if err != nil || n < 0 {
-			writeErr(w, http.StatusBadRequest, "bad limit %q", v)
-			return
-		}
-		limit = n
-	}
-	withMembers := q.Get("members") != "false"
-
-	ccfg := s.cfg.Community.Defaults()
 	part := sr.Result.Partition
 	out := CommunitiesOut{
 		Cycle:               sr.Cycle,
@@ -821,17 +812,17 @@ func (s *Service) handleCommunities(w http.ResponseWriter, r *http.Request) {
 		TakenAt:             sr.TakenAt,
 		Algorithm:           part.Algorithm.String(),
 		Resolution:          part.Resolution,
-		MinSize:             ccfg.MinSize,
+		MinSize:             s.cfg.Community.Defaults().MinSize,
 		Total:               len(sr.Result.Communities),
 		ReusedComponents:    part.ReusedComponents,
 		ClusteredComponents: part.ClusteredComponents,
 	}
 	// Already sorted by C descending (community.ScoreCommunities).
 	for _, cs := range sr.Result.Communities {
-		if cs.C < minC {
+		if cs.C < q.floor {
 			continue
 		}
-		if limit >= 0 && len(out.Communities) >= limit {
+		if q.limit >= 0 && len(out.Communities) >= q.limit {
 			break
 		}
 		co := CommunityOut{
@@ -844,10 +835,10 @@ func (s *Service) handleCommunities(w http.ResponseWriter, r *http.Request) {
 			CS:             cs.CS,
 			Triangles:      cs.Triangles,
 		}
-		if sr.snap.NumSignals() >= 2 && len(cs.Members) <= scorePairUsers {
+		if len(cs.Members) <= scorePairUsers {
 			co.Signals = s.signalMix(sr.snap.SignalMix(cs.Members))
 		}
-		if withMembers {
+		if q.members {
 			co.Members = make([]string, len(cs.Members))
 			for i, m := range cs.Members {
 				co.Members[i] = s.nameOf(m)
@@ -855,14 +846,10 @@ func (s *Service) handleCommunities(w http.ResponseWriter, r *http.Request) {
 		}
 		out.Communities = append(out.Communities, co)
 	}
-	writeJSON(w, http.StatusOK, out)
+	return out, nil
 }
 
 func (s *Service) handleStats(w http.ResponseWriter, r *http.Request) {
-	if r.Method != http.MethodGet {
-		writeErr(w, http.StatusMethodNotAllowed, "GET only")
-		return
-	}
 	live := s.liveStats()
 	out := StatsOut{
 		UptimeSec:        time.Since(s.started).Seconds(),

@@ -1,6 +1,7 @@
-// Tests for the extended /v1/score surface: survey-cache-served triangle
-// metrics, group w_S / C(S) blocks, wide user lists without the quadratic
-// pair matrix, and the incremental-survey counters in /v1/stats.
+// Tests for the extended /v1/score surface: triangle metrics read from
+// the published cycle, group w_S / C(S) blocks, wide user lists without
+// the quadratic pair matrix, and the incremental-survey counters in
+// /v1/stats.
 package detectd
 
 import (
@@ -53,26 +54,27 @@ func TestScoreServedFromSurveyCache(t *testing.T) {
 	s, srv := newTestService(t, testConfig())
 	ingestTrio(t, s, srv.URL)
 
-	// Before any survey: live source, no group block (no windowed BTM yet).
-	score, code := getScore(t, srv.URL, "alice,bob,carol")
-	if code != http.StatusOK || score.Source != "live" || score.Group != nil {
-		t.Fatalf("pre-survey score: code=%d source=%q group=%v", code, score.Source, score.Group)
+	// Before any survey there is no cycle to answer for.
+	if _, code := getScore(t, srv.URL, "alice,bob,carol"); code != http.StatusNotFound {
+		t.Fatalf("pre-survey score: code=%d, want 404", code)
 	}
 
-	if _, err := s.SurveyNow(); err != nil {
+	sr, err := s.SurveyNow()
+	if err != nil {
 		t.Fatal(err)
 	}
 
-	// The surveyed triplet is served from the triangle census.
-	score, code = getScore(t, srv.URL, "alice,bob,carol")
+	// The surveyed triplet reads the census's values off the same cycle.
+	score, code := getScore(t, srv.URL, "alice,bob,carol")
 	if code != http.StatusOK {
 		t.Fatalf("score status %d", code)
 	}
-	if score.Source != "survey" {
-		t.Fatalf("source = %q, want survey", score.Source)
+	if score.Cycle != sr.Cycle || score.Watermark != sr.Watermark {
+		t.Fatalf("score answers for cycle %d watermark %d, want %d / %d",
+			score.Cycle, score.Watermark, sr.Cycle, sr.Watermark)
 	}
 	if score.MinWeight == nil || *score.MinWeight != 3 || score.T == nil || *score.T != 1.0 {
-		t.Fatalf("cached triangle metrics wrong: min=%v t=%v", score.MinWeight, score.T)
+		t.Fatalf("triangle metrics wrong: min=%v t=%v", score.MinWeight, score.T)
 	}
 	if score.Group == nil || score.Group.Size != 3 || score.Group.WS != 3 {
 		t.Fatalf("group block wrong: %+v", score.Group)
@@ -81,11 +83,11 @@ func TestScoreServedFromSurveyCache(t *testing.T) {
 		t.Fatalf("group C(S) = %v, want 1.0 (perfect coordination)", score.Group.CS)
 	}
 
-	// A triplet with no surveyed triangle falls back to live point reads,
-	// and its group shares no common page.
+	// A triplet with no surveyed triangle reads the same snapshot, and its
+	// group shares no common page.
 	score, code = getScore(t, srv.URL, "alice,bob,dave")
-	if code != http.StatusOK || score.Source != "live" {
-		t.Fatalf("non-triangle triplet: code=%d source=%q", code, score.Source)
+	if code != http.StatusOK || score.Cycle != sr.Cycle {
+		t.Fatalf("non-triangle triplet: code=%d cycle=%d", code, score.Cycle)
 	}
 	if score.MinWeight == nil || *score.MinWeight != 0 {
 		t.Fatalf("non-triangle min weight = %v, want 0", score.MinWeight)
@@ -120,6 +122,9 @@ func TestScoreWideUserListSkipsPairs(t *testing.T) {
 	}
 	sb.WriteString("]")
 	ingestAndSettle(t, s, srv.URL, sb.String(), 2*n)
+	if _, err := s.SurveyNow(); err != nil {
+		t.Fatal(err)
+	}
 
 	score, code := getScore(t, srv.URL, strings.Join(names, ","))
 	if code != http.StatusOK {

@@ -68,9 +68,9 @@ func TestMultiSignalDeltaMatchesFullOracle(t *testing.T) {
 			t.Fatalf("cycle %d fell back to a full resurvey", sr.Cycle)
 		}
 		surveysEqual(t, sr.Cycle, sr.Result, surveyOracle(t, cfg, sr))
-		if sr.snap.NumSignals() != len(cfg.Signals) {
+		if width := len(sr.snap.SignalMix(nil)); width != len(cfg.Signals) {
 			t.Fatalf("cycle %d: snapshot breakdown width %d, want %d",
-				sr.Cycle, sr.snap.NumSignals(), len(cfg.Signals))
+				sr.Cycle, width, len(cfg.Signals))
 		}
 	}
 	if surveyed < 10 {

@@ -31,7 +31,7 @@ func snapshotDataset() *redditgen.Dataset {
 }
 
 // TestIngestDuringSurveyMatchesBatch hammers the daemon with concurrent
-// Apply batches, SurveyNow cycles, and PairScore reads (run under -race in
+// Apply batches, SurveyNow cycles, and census reads (run under -race in
 // `make check`), then checks the final quiescent survey equals the batch
 // pipeline over exactly the comments still inside the horizon — proving
 // copy-on-write snapshots never observe or leak a torn graph.
@@ -70,16 +70,15 @@ func TestIngestDuringSurveyMatchesBatch(t *testing.T) {
 		}
 	}()
 	wg.Add(1)
-	go func() { // score reads race the ingest writes on purpose
+	go func() { // census reads race the ingest writes on purpose
 		defer wg.Done()
-		ids := []graph.VertexID{0, 1, 2, 3}
 		for {
 			select {
 			case <-stop:
 				return
 			default:
 			}
-			_, _ = s.PairScore(ids)
+			readCensus(s.Handler())
 		}
 	}()
 

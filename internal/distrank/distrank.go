@@ -47,29 +47,7 @@ type Options struct {
 
 // pageOwner owns pages by name hash, consistent across ranks.
 func pageOwner(page []byte, n int) int {
-	return int(hashString(page) % uint64(n))
-}
-
-// hashString is FNV-1a 64 followed by the SplitMix64 finalizer, over the
-// bytes of a name however it is held. Every rank process must compute the
-// same value for the same page name, so a change here is a wire-protocol
-// change.
-func hashString[T string | []byte](s T) uint64 {
-	const (
-		offset64 = 14695981039346656037
-		prime64  = 1099511628211
-	)
-	var h uint64 = offset64
-	for i := 0; i < len(s); i++ {
-		h ^= uint64(s[i])
-		h *= prime64
-	}
-	h ^= h >> 30
-	h *= 0xbf58476d1ce4e5b9
-	h ^= h >> 27
-	h *= 0x94d049bb133111eb
-	h ^= h >> 31
-	return h
+	return int(ygmnet.HashString(page) % uint64(n))
 }
 
 // edgeKey is the canonical (lexicographic) name-pair key.

@@ -13,6 +13,7 @@ import (
 	"coordbot/internal/projection"
 	"coordbot/internal/pushshift"
 	"coordbot/internal/redditgen"
+	"coordbot/internal/ygmnet"
 )
 
 // freeAddrs reserves n loopback addresses (same trick as ygmnet tests).
@@ -153,18 +154,26 @@ func TestRunRejectsBadInput(t *testing.T) {
 	}
 }
 
-// TestHashStringStable pins the page-ownership hash: rank processes built
-// from different commits of this package must still agree on who owns a
-// page, so the values (taken from the retired internal/ygm.HashString the
-// function was moved from) may never change.
+// TestHashStringStable pins the page-ownership hash, ygmnet.HashString:
+// rank processes built from different commits must still agree on who
+// owns a page, so the values (taken from the retired internal/ygm
+// HashString) may never change. Owning a page held as bytes allocates
+// nothing.
 func TestHashStringStable(t *testing.T) {
 	for s, want := range map[string]uint64{
 		"":              0xf52a15e9a9b5e89b,
 		"t3_5ab1cd":     0x6ee306cf5c704d8e,
 		"AutoModerator": 0xbf3cc2dac99e3164,
 	} {
-		if got := hashString(s); got != want {
-			t.Errorf("hashString(%q) = %#x, want %#x", s, got, want)
+		if got := ygmnet.HashString(s); got != want {
+			t.Errorf("HashString(%q) = %#x, want %#x", s, got, want)
 		}
+		if got := ygmnet.HashString([]byte(s)); got != want {
+			t.Errorf("HashString([]byte(%q)) = %#x, want %#x", s, got, want)
+		}
+	}
+	page := []byte("t3_5ab1cd")
+	if allocs := testing.AllocsPerRun(100, func() { _ = pageOwner(page, 7) }); allocs != 0 {
+		t.Errorf("pageOwner allocates %v times per page", allocs)
 	}
 }

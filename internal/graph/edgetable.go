@@ -137,23 +137,6 @@ func (t *edgeTable) has(key uint64) bool {
 	return ok
 }
 
-// signalShares copies key's per-signal breakdown into out (len >= nsig)
-// in one probe. False when the table tracks no breakdown; absent keys
-// write zeros.
-func (t *edgeTable) signalShares(key uint64, out []uint32) bool {
-	if t.nsig == 0 {
-		return false
-	}
-	if i, ok := t.slot(key); ok {
-		copy(out[:t.nsig], t.sig[i*uint64(t.nsig):])
-		return true
-	}
-	for si := 0; si < t.nsig; si++ {
-		out[si] = 0
-	}
-	return true
-}
-
 // addSignalShares accumulates key's per-signal breakdown into out
 // (uint64 accumulators), one probe. No-op when untracked or absent.
 func (t *edgeTable) addSignalShares(key uint64, out []uint64) {

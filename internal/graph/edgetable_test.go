@@ -33,11 +33,12 @@ func tableEqualsModel(t *testing.T, et *edgeTable, model map[uint64]uint32, sigM
 		}
 	}
 	if sigModel != nil {
-		out := make([]uint32, len(sigModel))
+		out := make([]uint64, len(sigModel))
 		for key := range model {
-			et.signalShares(key, out)
+			clear(out)
+			et.addSignalShares(key, out)
 			for si := range out {
-				if want := sigModel[si][key]; out[si] != want {
+				if want := sigModel[si][key]; out[si] != uint64(want) {
 					t.Fatalf("key %#x signal %d: share %d != model %d", key, si, out[si], want)
 				}
 			}
@@ -176,8 +177,8 @@ func TestEdgeTableBatchMatchesScalar(t *testing.T) {
 			}
 		}
 	}
-	bs := make([]uint32, nsig)
-	ss := make([]uint32, nsig)
+	bs := make([]uint64, nsig)
+	ss := make([]uint64, nsig)
 
 	// Withdraw half of each entry, then the rest — equal to the scalar sub
 	// after each pass, and empty at the end.
@@ -208,8 +209,10 @@ func TestEdgeTableBatchMatchesScalar(t *testing.T) {
 			t.Fatalf("pass %d: subBatch size %d != scalar %d", pass, batch.size(), scalar.size())
 		}
 		scalar.forEach(func(key uint64, w uint32) bool {
-			batch.signalShares(key, bs)
-			scalar.signalShares(key, ss)
+			clear(bs)
+			clear(ss)
+			batch.addSignalShares(key, bs)
+			scalar.addSignalShares(key, ss)
 			if bw := batch.get(key); bw != w || !slices.Equal(bs, ss) {
 				t.Fatalf("pass %d key %#x: subBatch %d %v != scalar %d %v", pass, key, bw, bs, w, ss)
 			}

@@ -49,7 +49,7 @@ func TestEdgePatchesMatchesMapDiff(t *testing.T) {
 			if u == v {
 				continue
 			}
-			if w := g.Weight(u, v); w > 0 && rng.Intn(3) == 0 {
+			if w := g.Snapshot().Weight(u, v); w > 0 && rng.Intn(3) == 0 {
 				subEdge(g, u, v, 1+uint32(rng.Intn(int(w))))
 			} else {
 				g.AddEdgeWeightSig(u, v, 1+uint32(rng.Intn(3)), 0)
@@ -139,7 +139,7 @@ func TestEdgePatchesOnThresholdChain(t *testing.T) {
 		for k := 0; k < 15; k++ {
 			u := VertexID(rng.Intn(20))
 			v := VertexID(rng.Intn(20) + 20)
-			if w := g.Weight(u, v); w > 1 && rng.Intn(2) == 0 {
+			if w := g.Snapshot().Weight(u, v); w > 1 && rng.Intn(2) == 0 {
 				subEdge(g, u, v, 1) // may drop the edge below the cut
 			} else {
 				g.AddEdgeWeightSig(u, v, 1, 0) // may lift the edge above the cut

@@ -238,19 +238,10 @@ func (g *ShardedCI) Snapshot() *CISnapshot {
 }
 
 // --- point reads ------------------------------------------------------
-
-// Weight returns w'_uv (0 if absent or u == v).
-func (g *ShardedCI) Weight(u, v VertexID) uint32 {
-	if u == v {
-		return 0
-	}
-	key := PackEdge(u, v)
-	sh := &g.shards[g.EdgeShard(key)]
-	sh.mu.RLock()
-	w := sh.edges.get(key)
-	sh.mu.RUnlock()
-	return w
-}
+//
+// The live store is read through Snapshot. PageCount and ThresholdView
+// stay for the benchmark's staged batch pass, NumEdges for the daemon's
+// /v1/stats gauge.
 
 // PageCount returns P'_u.
 func (g *ShardedCI) PageCount(u VertexID) uint32 {
@@ -273,9 +264,7 @@ func (g *ShardedCI) NumEdges() int {
 	return n
 }
 
-// ThresholdView returns ThresholdView(minW) of a fresh snapshot. The live
-// store is otherwise read through Snapshot; this delegate stays because
-// the benchmark's staged batch pass calls it on a *ShardedCI.
+// ThresholdView returns ThresholdView(minW) of a fresh snapshot.
 func (g *ShardedCI) ThresholdView(minW uint32) CIView { return g.Snapshot().ThresholdView(minW) }
 
 // --- snapshots ----------------------------------------------------------

@@ -239,11 +239,12 @@ func TestSubShardBatch(t *testing.T) {
 	for i := range swave.touched() {
 		sg.SubShardBatch(i, swave.edges[i], swave.sig[i], swave.pages[i])
 	}
+	sgSnap := sg.Snapshot()
 	for i, ds := range swave.edges {
 		for k, d := range ds {
 			u, v := UnpackEdge(d.Key)
 			shares := swave.sig[i][k*2 : (k+1)*2]
-			if got := sg.SignalWeights(u, v); got[0] != 3-shares[0] || got[1] != 2-shares[1] {
+			if got := sgSnap.SignalMix([]VertexID{u, v}); got[0] != uint64(3-shares[0]) || got[1] != uint64(2-shares[1]) {
 				t.Fatalf("edge {%d,%d}: shares %v after withdrawing %v from [3 2]", u, v, got, shares)
 			}
 		}
@@ -335,10 +336,10 @@ func TestAddShardBatchCOW(t *testing.T) {
 	if s1.Weight(1, 2) != 7 {
 		t.Fatalf("frozen snapshot saw AddShardBatch write: weight %d", s1.Weight(1, 2))
 	}
-	if g.Weight(1, 2) != 10 || g.PageCount(pv) != 2 {
-		t.Fatalf("AddShardBatch lost writes: weight %d, page %d", g.Weight(1, 2), g.PageCount(pv))
-	}
 	s2 := g.Snapshot()
+	if s2.Weight(1, 2) != 10 || s2.PageCount(pv) != 2 {
+		t.Fatalf("AddShardBatch lost writes: weight %d, page %d", s2.Weight(1, 2), s2.PageCount(pv))
+	}
 	dirty, dirtyShards, ok := s2.DirtyVertices(s1)
 	if !ok || dirtyShards == 0 || !dirty[1] || !dirty[2] {
 		t.Fatalf("AddShardBatch invisible to DirtyVertices: ok=%v shards=%d dirty=%v", ok, dirtyShards, dirty)
@@ -403,7 +404,8 @@ func TestAddShardBatchMatchesScalar(t *testing.T) {
 			t.Fatalf("seed=%d: signal mix %v != scalar %v", seed, bm, sm)
 		}
 		for _, e := range ss.Edges() {
-			if bw, sw := batch.SignalWeights(e.U, e.V), scalar.SignalWeights(e.U, e.V); !reflect.DeepEqual(bw, sw) {
+			pair := []VertexID{e.U, e.V}
+			if bw, sw := bs.SignalMix(pair), ss.SignalMix(pair); !reflect.DeepEqual(bw, sw) {
 				t.Fatalf("seed=%d edge {%d,%d}: shares %v != scalar %v", seed, e.U, e.V, bw, sw)
 			}
 		}

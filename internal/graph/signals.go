@@ -38,32 +38,13 @@ func (g *ShardedCI) AddEdgeWeightSig(u, v VertexID, w uint32, si int) {
 	g.version.Add(1)
 }
 
-// SignalWeights returns the live per-signal breakdown of edge {u,v},
-// indexed by signal, or nil when the store tracks none. The shares sum to
-// Weight(u, v) under quiescence (reads are per-shard consistent).
-func (g *ShardedCI) SignalWeights(u, v VertexID) []uint32 {
-	if g.numSignals == 0 || u == v {
-		return nil
-	}
-	key := PackEdge(u, v)
-	sh := &g.shards[g.EdgeShard(key)]
-	out := make([]uint32, g.numSignals)
-	sh.mu.RLock()
-	sh.edges.signalShares(key, out)
-	sh.mu.RUnlock()
-	return out
-}
-
 // --- snapshots ----------------------------------------------------------
-
-// NumSignals returns the breakdown width frozen in the snapshot (0 when
-// the store tracks none, and always 0 on threshold products).
-func (s *CISnapshot) NumSignals() int { return s.numSignals }
 
 // SignalMix sums the per-signal breakdown over every unordered pair of
 // members — the signal mix of a flagged group: which coordination signals
-// its internal weight came from. Returns nil when the snapshot carries no
-// breakdown. O(|members|²) lookups; callers cap group size.
+// its internal weight came from, one entry per signal. Returns nil when
+// the snapshot carries no breakdown (a single-signal store, or a
+// threshold product). O(|members|²) lookups; callers cap group size.
 func (s *CISnapshot) SignalMix(members []VertexID) []uint64 {
 	if s.numSignals == 0 {
 		return nil

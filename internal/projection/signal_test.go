@@ -39,10 +39,11 @@ func TestDefaultSignalMatchesLegacy(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			if !legacy.Equal(sh.Snapshot()) {
+			snap := sh.Snapshot()
+			if !legacy.Equal(snap) {
 				t.Fatalf("window %v: ProjectSignalsSharded(default) != ProjectSequential", w)
 			}
-			if e := legacy.Edges(); len(e) > 0 && sh.SignalWeights(e[0].U, e[0].V) != nil {
+			if e := legacy.Edges(); len(e) > 0 && snap.SignalMix([]graph.VertexID{e[0].U, e[0].V}) != nil {
 				t.Fatalf("window %v: single-signal store tracks a breakdown", w)
 			}
 		}
@@ -78,22 +79,23 @@ func TestMultiSignalShardedMatchesSequential(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if !seq.Equal(sh.Snapshot()) {
+		snap := sh.Snapshot()
+		if !seq.Equal(snap) {
 			t.Fatalf("ranks %d: sharded multi-signal != sequential (%d vs %d edges)",
 				ranks, sh.NumEdges(), seq.NumEdges())
 		}
 		for _, e := range seq.Edges() {
-			got := sh.SignalWeights(e.U, e.V)
-			var sum uint32
+			got := snap.SignalMix([]graph.VertexID{e.U, e.V})
+			var sum uint64
 			for si := range sigs {
-				want := shares[si].Weight(e.U, e.V)
+				want := uint64(shares[si].Weight(e.U, e.V))
 				if got[si] != want {
 					t.Fatalf("ranks %d: edge {%d,%d} signal %s: sharded %d, sequential %d",
 						ranks, e.U, e.V, sigs[si].Name(), got[si], want)
 				}
 				sum += got[si]
 			}
-			if sum != e.W {
+			if sum != uint64(e.W) {
 				t.Fatalf("ranks %d: edge {%d,%d}: signal shares sum to %d, total %d",
 					ranks, e.U, e.V, sum, e.W)
 			}

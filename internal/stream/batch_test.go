@@ -95,7 +95,8 @@ func compareProjectors(t *testing.T, bi int, ref, got *SlidingProjector, sigs []
 			bi, gs.NumEdges(), rs.NumEdges())
 	}
 	rs.ForEachEdge(func(u, v graph.VertexID, w uint32) bool {
-		rw, gw := ref.SignalWeights(u, v), got.SignalWeights(u, v)
+		pair := []graph.VertexID{u, v}
+		rw, gw := rs.SignalMix(pair), gs.SignalMix(pair)
 		for si := range sigs {
 			if rw[si] != gw[si] {
 				t.Fatalf("batch %d edge {%d,%d} signal %s: reference %d, got %d",

@@ -49,10 +49,10 @@ func TestEvictionWaveBatchesShardWrites(t *testing.T) {
 			bumps, pairs, shards)
 	}
 	// And the evictions actually landed: the burst's weights are gone.
-	if got := p.EdgeWeight(0, 1); got != 0 {
+	if got := p.Snapshot().Weight(0, 1); got != 0 {
 		t.Fatalf("evicted pair still weighted %d", got)
 	}
-	if got := p.PageCount(2); got != 0 {
+	if got := p.Snapshot().PageCount(2); got != 0 {
 		t.Fatalf("evicted author still has page count %d", got)
 	}
 

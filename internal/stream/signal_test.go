@@ -76,16 +76,16 @@ func TestMultiSlidingMatchesPerSignalBatch(t *testing.T) {
 				i, p.Watermark(), got.NumEdges(), want.NumEdges())
 		}
 		want.ForEachEdge(func(u, v graph.VertexID, w uint32) bool {
-			live := p.SignalWeights(u, v)
-			var sum uint32
+			live := got.SignalMix([]graph.VertexID{u, v})
+			var sum uint64
 			for si := range sigs {
-				if ref := shares[si].Weight(u, v); live[si] != ref {
+				if ref := shares[si].Weight(u, v); live[si] != uint64(ref) {
 					t.Fatalf("checkpoint %d edge {%d,%d} signal %s: live %d, reference %d",
 						i, u, v, sigs[si].Signal.Name(), live[si], ref)
 				}
 				sum += live[si]
 			}
-			if sum != w {
+			if sum != uint64(w) {
 				t.Fatalf("checkpoint %d edge {%d,%d}: shares sum to %d, total %d", i, u, v, sum, w)
 			}
 			return true

@@ -336,18 +336,6 @@ func (p *SlidingProjector) SignalStats() []SignalStat {
 	return out
 }
 
-// SignalWeights reads the live per-signal breakdown of edge {u,v} (nil
-// for single-signal projectors; see graph.ShardedCI.SignalWeights).
-func (p *SlidingProjector) SignalWeights(u, v graph.VertexID) []uint32 {
-	return p.g.SignalWeights(u, v)
-}
-
-// EdgeWeight reads the live CI weight w'_uv (0 if absent or u==v).
-func (p *SlidingProjector) EdgeWeight(u, v graph.VertexID) uint32 { return p.g.Weight(u, v) }
-
-// PageCount reads the live P'_u.
-func (p *SlidingProjector) PageCount(u graph.VertexID) uint32 { return p.g.PageCount(u) }
-
 // NumEdges returns the live CI edge count.
 func (p *SlidingProjector) NumEdges() int { return p.g.NumEdges() }
 

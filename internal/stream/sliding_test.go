@@ -175,21 +175,21 @@ func TestSlidingEvictionDropsAndRestores(t *testing.T) {
 	// Pair {1,2} on page 0 at t≈0.
 	mustAdd(t, p, graph.Comment{Author: 1, Page: 0, TS: 0})
 	mustAdd(t, p, graph.Comment{Author: 2, Page: 0, TS: 10})
-	if p.EdgeWeight(1, 2) != 1 || p.PageCount(1) != 1 {
+	if p.Snapshot().Weight(1, 2) != 1 || p.Snapshot().PageCount(1) != 1 {
 		t.Fatal("pair not counted")
 	}
 	// Refresh the pair on the same page at t≈500: weight must stay 1
 	// (once per page) but the lease extends.
 	mustAdd(t, p, graph.Comment{Author: 1, Page: 0, TS: 500})
 	mustAdd(t, p, graph.Comment{Author: 2, Page: 0, TS: 510})
-	if p.EdgeWeight(1, 2) != 1 {
-		t.Fatalf("weight = %d after refresh, want 1", p.EdgeWeight(1, 2))
+	if p.Snapshot().Weight(1, 2) != 1 {
+		t.Fatalf("weight = %d after refresh, want 1", p.Snapshot().Weight(1, 2))
 	}
 	// t=1005: the t=0 support is out of horizon, the t=500 one is not.
 	if err := p.AdvanceTo(1005); err != nil {
 		t.Fatal(err)
 	}
-	if p.EdgeWeight(1, 2) != 1 {
+	if p.Snapshot().Weight(1, 2) != 1 {
 		t.Fatal("refreshed pair evicted too early")
 	}
 	// The pair's one ring entry came up at t=0's expiry and was re-armed
@@ -201,10 +201,10 @@ func TestSlidingEvictionDropsAndRestores(t *testing.T) {
 	if err := p.AdvanceTo(1501); err != nil {
 		t.Fatal(err)
 	}
-	if p.EdgeWeight(1, 2) != 0 {
+	if p.Snapshot().Weight(1, 2) != 0 {
 		t.Fatal("pair survived past its horizon")
 	}
-	if p.PageCount(1) != 0 || p.PageCount(2) != 0 {
+	if p.Snapshot().PageCount(1) != 0 || p.Snapshot().PageCount(2) != 0 {
 		t.Fatal("page counts not withdrawn with the pair")
 	}
 	if p.EvictedPairs() != 1 {
@@ -213,7 +213,7 @@ func TestSlidingEvictionDropsAndRestores(t *testing.T) {
 	// The pair can be counted again by fresh activity.
 	mustAdd(t, p, graph.Comment{Author: 1, Page: 0, TS: 2000})
 	mustAdd(t, p, graph.Comment{Author: 2, Page: 0, TS: 2010})
-	if p.EdgeWeight(1, 2) != 1 {
+	if p.Snapshot().Weight(1, 2) != 1 {
 		t.Fatal("pair not recounted after eviction")
 	}
 }
@@ -285,7 +285,7 @@ func TestSlidingExcludeRestrict(t *testing.T) {
 	mustAdd(t, p, graph.Comment{Author: 9, Page: 0, TS: 0})
 	mustAdd(t, p, graph.Comment{Author: 1, Page: 0, TS: 5})
 	mustAdd(t, p, graph.Comment{Author: 2, Page: 0, TS: 10})
-	if p.EdgeWeight(9, 1) != 0 || p.EdgeWeight(1, 2) != 1 {
+	if p.Snapshot().Weight(9, 1) != 0 || p.Snapshot().Weight(1, 2) != 1 {
 		t.Fatal("Exclude not honored by sliding projector")
 	}
 }

@@ -124,7 +124,7 @@ func runPatchStream(t *testing.T, seed int64, rebuildFrac float64, rounds int) *
 			if u == v {
 				continue
 			}
-			if w := g.Weight(u, v); w > 0 && rng.Intn(3) == 0 {
+			if w := g.Snapshot().Weight(u, v); w > 0 && rng.Intn(3) == 0 {
 				key := graph.PackEdge(u, v)
 				g.SubShardBatch(g.EdgeShard(key), []graph.EdgeDelta{{Key: key, W: 1 + uint32(rng.Intn(int(w)))}}, nil, nil)
 			} else {

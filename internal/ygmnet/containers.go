@@ -90,9 +90,11 @@ func NewStrCounter(node *Node) *StrCounter {
 	return c
 }
 
-// hashString is FNV-1a 64 followed by the SplitMix64 finalizer (the same
-// function distrank owns pages by).
-func hashString(s string) uint64 {
+// HashString is FNV-1a 64 followed by the SplitMix64 finalizer, over the
+// bytes of a name however it is held: StrCounter owns keys by it and
+// distrank owns pages by it. Every rank process must compute the same
+// value for the same name, so a change here is a wire-protocol change.
+func HashString[T string | []byte](s T) uint64 {
 	const (
 		offset64 = 14695981039346656037
 		prime64  = 1099511628211
@@ -106,7 +108,7 @@ func hashString(s string) uint64 {
 }
 
 // Owner returns the rank owning key k.
-func (c *StrCounter) Owner(k string) int { return int(hashString(k) % uint64(c.node.n)) }
+func (c *StrCounter) Owner(k string) int { return int(HashString(k) % uint64(c.node.n)) }
 
 // AsyncAdd adds delta to key k at its owner.
 func (c *StrCounter) AsyncAdd(k string, delta int64) {
