@@ -22,6 +22,7 @@ import (
 	"flag"
 	"fmt"
 	"log"
+	"math"
 	"net/http"
 	_ "net/http/pprof" // registered on the default mux, served by -pprof-addr
 	"os"
@@ -45,7 +46,7 @@ func main() {
 	max := fs.Int64("max", 60, "window upper bound δ2 (seconds, exclusive)")
 	horizon := fs.Int64("horizon", 24*3600, "trailing event-time horizon (seconds)")
 	signals := fs.String("signals", "", "comma-separated coordination signals (cocomment, urlshare, hashtag, reply, timebucket), each optionally with a window override like urlshare=0:300 or reply=120; empty = co-comment only over [-min,-max)")
-	interval := fs.Duration("interval", 30*time.Second, "survey cadence (0 disables the loop)")
+	interval := fs.Duration("interval", 30*time.Second, "survey cadence")
 	cut := fs.Uint("cut", 25, "min triangle edge weight")
 	tscore := fs.Float64("tscore", 0, "min T score for flagged triplets")
 	queue := fs.Int("queue", 256, "ingest queue size (batches)")
@@ -60,6 +61,16 @@ func main() {
 	resolution := fs.Float64("resolution", 1.0, "Leiden CPM resolution γ")
 	minCommunity := fs.Int("min-community", 3, "smallest community size reported")
 	if err := fs.Parse(os.Args[1:]); err != nil {
+		os.Exit(2)
+	}
+	// The survey loop is the only thing that publishes a census: without
+	// it every census read would answer 404 forever.
+	if *interval <= 0 {
+		fmt.Fprintf(os.Stderr, "coordbotd: -interval: %s is not a positive duration\n", *interval)
+		os.Exit(2)
+	}
+	if *cut > math.MaxUint32 {
+		fmt.Fprintf(os.Stderr, "coordbotd: -cut: %d exceeds the largest edge weight %d\n", *cut, uint32(math.MaxUint32))
 		os.Exit(2)
 	}
 	algo, err := community.ParseAlgorithm(*communityAlgo)

@@ -123,15 +123,16 @@ func BenchmarkIncrementalSurvey(b *testing.B) {
 		if sr.Reused {
 			b.Fatal("dirty cycle short-circuited as idle")
 		}
-		if !sr.Delta {
+		if !sr.Result.Survey.Delta {
 			b.Fatalf("cycle %d fell back to a full survey", sr.Cycle)
 		}
 		last = sr
 	}
 	b.StopTimer()
 	if last != nil {
-		b.ReportMetric(float64(last.DirtyShards), "dirty-shards")
-		b.ReportMetric(float64(last.CachedTriangles), "tri-cached")
-		b.ReportMetric(float64(last.ResurveyedTriangles), "tri-resurveyed")
+		sv := last.Result.Survey
+		b.ReportMetric(float64(sv.DirtyShards), "dirty-shards")
+		b.ReportMetric(float64(sv.CachedTriangles), "tri-cached")
+		b.ReportMetric(float64(sv.ResurveyedTriangles), "tri-resurveyed")
 	}
 }

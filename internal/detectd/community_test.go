@@ -84,8 +84,8 @@ func TestWarmCommunitiesMatchCold(t *testing.T) {
 			t.Fatalf("cycle %d: warm partition differs from cold Detect (warm %d communities, cold %d)",
 				sr.Cycle, len(sr.Result.Partition.Communities), len(cold.Communities))
 		}
-		reused += sr.ReusedComponents
-		clustered += sr.ClusteredComponents
+		reused += sr.Result.Partition.ReusedComponents
+		clustered += sr.Result.Partition.ClusteredComponents
 	}
 	if surveyed < 10 {
 		t.Fatalf("stream too short: only %d live cycles", surveyed)

@@ -7,6 +7,7 @@ package detectd
 
 import (
 	"math/rand"
+	"reflect"
 	"sync"
 	"testing"
 
@@ -62,6 +63,11 @@ func surveysEqual(t *testing.T, cycle int64, got, want *pipeline.Result) {
 	if len(got.Components) != len(want.Components) {
 		t.Fatalf("cycle %d: %d components, oracle %d", cycle, len(got.Components), len(want.Components))
 	}
+	for i := range want.Components {
+		if !reflect.DeepEqual(got.Components[i], want.Components[i]) {
+			t.Fatalf("cycle %d component %d: got %+v, oracle %+v", cycle, i, got.Components[i], want.Components[i])
+		}
+	}
 }
 
 // TestDeltaSurveyMatchesFullOracle is the tentpole property: drive the
@@ -107,11 +113,11 @@ func TestDeltaSurveyMatchesFullOracle(t *testing.T) {
 			continue
 		}
 		surveyed++
-		if surveyed > 1 && !sr.Delta {
+		if surveyed > 1 && !sr.Result.Survey.Delta {
 			t.Fatalf("cycle %d fell back to a full resurvey", sr.Cycle)
 		}
-		if sr.Delta && sr.DirtyShards > s.proj.NumShards() {
-			t.Fatalf("cycle %d: %d dirty shards of %d", sr.Cycle, sr.DirtyShards, s.proj.NumShards())
+		if sv := sr.Result.Survey; sv.Delta && sv.DirtyShards > s.proj.NumShards() {
+			t.Fatalf("cycle %d: %d dirty shards of %d", sr.Cycle, sv.DirtyShards, s.proj.NumShards())
 		}
 		surveysEqual(t, sr.Cycle, sr.Result, surveyOracle(t, cfg, sr))
 	}
@@ -129,7 +135,7 @@ func TestDeltaSurveyMatchesFullOracle(t *testing.T) {
 	if tot.hyperCacheHits == 0 {
 		t.Fatal("no hypergraph validations served from the memo")
 	}
-	if last.OrientPatchedEdges == 0 {
+	if last.Result.Survey.OrientPatchedEdges == 0 {
 		t.Fatal("delta cycles never patched the persistent orientation")
 	}
 }

@@ -10,16 +10,16 @@
 //     The live graph is a sharded copy-on-write store, so a snapshot
 //     freezes shard map references under per-shard locks — O(shards), not
 //     O(edges) — and ingestion recopies only the shards it dirties
-//     afterwards. Surveys are incremental: the loop diffs the snapshot's
-//     per-shard version vector against the previous cycle's (DirtyVertices),
-//     keeps every cached triangle that touches no dirty vertex, and
-//     re-enumerates only the dirty frontier (tripoll.SurveyDirty); the
-//     merged list flows through pipeline.RunOnTriangles, which memoizes
-//     hypergraph validation per triplet across cycles. The first cycle,
-//     or any incomparable snapshot, runs the full survey. An idle cycle
+//     afterwards. Each cycle is one pipeline.Survey call, the engine a
+//     batch pipeline.Run calls once: the loop hands it the previous
+//     cycle's pipeline.Carry and the authors whose windowed comments
+//     changed, and Survey diffs the snapshots, keeps every carried
+//     triangle that touches no dirty vertex, re-enumerates only the dirty
+//     frontier, reuses memoized hypergraph scores and warm-starts the
+//     communities. The first cycle runs the full survey. An idle cycle
 //     (nothing ingested since the last survey) republishes the previous
 //     result without recomputing anything. Tests hold every published
-//     cycle equal to the sequential batch pipeline on its own snapshot.
+//     cycle equal to the reference pipeline on its own snapshot.
 //  3. An HTTP/JSON API (http.go) exposes ingestion with backpressure,
 //     the latest survey, per-user scoring, stats, and health.
 //
@@ -39,12 +39,10 @@ import (
 
 	"coordbot/internal/community"
 	"coordbot/internal/graph"
-	"coordbot/internal/hypergraph"
 	"coordbot/internal/interner"
 	"coordbot/internal/pipeline"
 	"coordbot/internal/projection"
 	"coordbot/internal/stream"
-	"coordbot/internal/tripoll"
 )
 
 // Config parameterizes the daemon.
@@ -140,39 +138,12 @@ type SurveyResult struct {
 	Duration time.Duration
 	// Edges / Vertices describe the snapshot CI graph.
 	Edges, Vertices int
-	// Result is the full batch-pipeline output on the snapshot.
+	// Result is the engine survey's output on the snapshot; its Survey
+	// field holds the cycle's delta, diff, cache and orientation counters.
 	Result *pipeline.Result
 	// Reused reports that the stream was idle since the previous cycle,
 	// so this cycle republished the previous Result without resurveying.
 	Reused bool
-	// Delta reports that this cycle ran the incremental survey: cached
-	// triangles merged with a dirty-frontier re-enumeration instead of a
-	// full pass over the snapshot.
-	Delta bool
-	// DirtyShards / DirtyVertices size the diff a Delta cycle surveyed
-	// (for a full cycle: the whole snapshot's shard and author counts).
-	DirtyShards   int
-	DirtyVertices int
-	// CachedTriangles / ResurveyedTriangles split the published triangle
-	// census (pre T-score filter) into cache survivors and fresh
-	// enumerations; a full cycle reports everything as resurveyed.
-	CachedTriangles     int
-	ResurveyedTriangles int
-	// OrientEpoch / OrientPatchedEdges / OrientRebuilds are the persistent
-	// oriented adjacency's counters as of this cycle: the stable-order
-	// epoch, cumulative edge patches applied, and drift-triggered
-	// re-orientations. They reset when the orientation is rebuilt from
-	// scratch (full cycles, incomparable snapshots).
-	OrientEpoch        int64
-	OrientPatchedEdges int64
-	OrientRebuilds     int64
-	// Communities counts the scored communities of this cycle (those with
-	// >= Config.Community.MinSize members; 0 without Config.Communities).
-	// ReusedComponents / ClusteredComponents split the pruned graph's
-	// connected components between warm-start reuse and fresh clustering.
-	Communities         int
-	ReusedComponents    int
-	ClusteredComponents int
 
 	// snap / btm are the immutable inputs the survey ran on, kept for
 	// same-package consumers: the score and communities endpoints, which
@@ -204,6 +175,23 @@ type surveyTotals struct {
 	componentsReused, componentsClustered int64
 }
 
+// add counts one surveyed (not reused) cycle's result.
+func (t *surveyTotals) add(res *pipeline.Result) {
+	st := res.Survey
+	if st.Delta {
+		t.delta++
+	} else {
+		t.full++
+	}
+	t.trianglesCached += int64(st.CachedTriangles)
+	t.trianglesResurveyed += int64(st.ResurveyedTriangles)
+	t.hyperCacheHits += int64(res.HyperCacheHits)
+	if p := res.Partition; p != nil {
+		t.componentsReused += int64(p.ReusedComponents)
+		t.componentsClustered += int64(p.ClusteredComponents)
+	}
+}
+
 // surveyStamp is captured under s.mu together with the snapshot. The
 // ingested counter covers the comment log too: every logged comment
 // increments it, and the daemon never advances event time without one.
@@ -211,39 +199,6 @@ type surveyStamp struct {
 	graphVersion uint64
 	ingested     int64
 	watermark    int64
-}
-
-// surveyCache is the cross-cycle incremental survey state, owned by
-// surveyMu. Everything in it is immutable once stored: snap and pruned
-// are frozen snapshots, tris is never mutated after publication, and
-// hyper is only touched by the (serialized) next cycle.
-type surveyCache struct {
-	// snap is the snapshot the cached triangles were surveyed on — the
-	// version-vector baseline the next cycle diffs against.
-	snap *graph.CISnapshot
-	// pruned is snap thresholded at the survey's edge cut, reused
-	// shard-by-shard via ThresholdDelta so unchanged shards are never
-	// re-filtered.
-	pruned *graph.CISnapshot
-	// tris is the full weight-thresholded triangle census of pruned, in
-	// SortTriangles order and deliberately NOT T-score filtered: T depends
-	// on live page counts, so the filter runs downstream each cycle.
-	tris []tripoll.Triangle
-	// hyper memoizes Step-3 scores per triplet; entries touching a
-	// logDirty author are invalidated before reuse.
-	hyper map[hypergraph.Triplet]hypergraph.Score
-	// oriented is the persistent stable-epoch orientation of pruned
-	// (tripoll.Oriented). The next delta cycle patches it in place from
-	// the pruned-snapshot edge diff instead of re-deriving adjacency and
-	// orientation from scratch. Unlike the rest of the cache it is
-	// mutable — but only under surveyMu, and it is nil'd before patching
-	// begins so a failed cycle can never leave a half-patched orientation
-	// attributed to pruned.
-	oriented *tripoll.Oriented
-	// partition is pruned's community assignment (nil without
-	// Config.Communities). The next delta cycle warm-starts from it,
-	// reusing components with no dirty vertex.
-	partition *community.Partition
 }
 
 // Service is the daemon. Create with NewService, start the background
@@ -278,10 +233,12 @@ type Service struct {
 	// survey invalidates their memoized triplets and keeps the rest.
 	logDirty map[graph.VertexID]bool
 
-	// surveyMu serializes survey cycles: they read-modify-write cache, the
-	// cross-cycle incremental state. Ingestion never takes this lock.
+	// surveyMu serializes survey cycles: each hands carry, the engine's
+	// cross-cycle state, to the next. Ingestion never takes this lock.
 	surveyMu sync.Mutex
-	cache    *surveyCache
+	carry    *pipeline.Carry
+	// survey is the engine configuration every cycle runs with.
+	survey pipeline.Config
 
 	queue  chan []graph.Comment
 	latest atomic.Pointer[SurveyResult]
@@ -340,10 +297,18 @@ func NewService(cfg Config) (*Service, error) {
 		tagIDs:      interner.New(1 << 8),
 		signalNames: names,
 		proj:        proj,
-		queue:       make(chan []graph.Comment, cfg.QueueSize),
-		metrics:     newMetrics(),
-		quit:        make(chan struct{}),
-		started:     time.Now(),
+		survey: pipeline.Config{
+			Window:            cfg.Window,
+			MinTriangleWeight: cfg.MinTriangleWeight,
+			MinTScore:         cfg.MinTScore,
+			SkipHypergraph:    !cfg.ValidateHypergraph,
+			Communities:       cfg.Communities,
+			Community:         cfg.Community,
+		},
+		queue:   make(chan []graph.Comment, cfg.QueueSize),
+		metrics: newMetrics(),
+		quit:    make(chan struct{}),
+		started: time.Now(),
 	}, nil
 }
 
@@ -553,18 +518,15 @@ func (s *Service) surveyLoop() {
 }
 
 // SurveyNow runs one survey cycle synchronously: snapshot the live CI
-// graph under a brief lock — O(shards) copy-on-write, not a deep copy —
-// then survey the immutable snapshot and publish the result. If the
+// graph and copy the windowed comment log under a brief lock — the
+// snapshot is O(shards) copy-on-write, not a deep copy — then run the
+// engine's pipeline.Survey on the copies and publish the result. If the
 // stream is idle (stamp unchanged since the previous cycle) the previous
 // result is republished with Reused set and no graph work at all.
-// Otherwise the cycle is incremental whenever a comparable previous
-// snapshot exists: the per-shard version vectors yield the dirty vertex
-// set, cached triangles touching none of them survive verbatim, the
-// dirty frontier is re-enumerated on the delta-thresholded graph, and
-// hypergraph validation reuses memoized triplet scores whose authors'
-// windowed comments are unchanged. The first cycle (or a shard-geometry
-// change) runs the full O(edges) pass. Callable concurrently with
-// ingestion; concurrent calls serialize on the survey cache.
+// Otherwise Survey gets the previous cycle's carry and surveys only what
+// the snapshot diff and the log's dirty authors say changed; the first
+// cycle runs the full pass. Callable concurrently with ingestion;
+// concurrent calls serialize on surveyMu.
 func (s *Service) SurveyNow() (*SurveyResult, error) {
 	start := time.Now()
 	s.surveyMu.Lock()
@@ -582,21 +544,17 @@ func (s *Service) SurveyNow() (*SurveyResult, error) {
 	if prev != nil && prev.stamp == st {
 		s.mu.Unlock()
 		sr := *prev
-		sr.Cycle++
-		sr.TakenAt = start
-		sr.Duration = time.Since(start)
-		sr.Reused = true
+		sr.Cycle, sr.TakenAt, sr.Duration, sr.Reused = prev.Cycle+1, start, time.Since(start), true
 		sr.totals.reused++
 		s.latest.Store(&sr)
 		return &sr, nil
 	}
 	ci := s.proj.Snapshot()
-	wm := st.watermark
 	var windowed []graph.Comment
-	if s.cfg.ValidateHypergraph && len(s.log)-s.logStart > 0 {
+	if s.cfg.ValidateHypergraph && len(s.log) > s.logStart {
 		windowed = append(windowed, s.log[s.logStart:]...)
 	}
-	hyperDirty := s.logDirty
+	logDirty := s.logDirty
 	s.logDirty = nil
 	s.mu.Unlock()
 
@@ -605,172 +563,25 @@ func (s *Service) SurveyNow() (*SurveyResult, error) {
 	if windowed != nil {
 		btm = graph.BuildBTM(windowed, 0, 0)
 	}
-
-	sopts := tripoll.Options{MinTriangleWeight: s.cfg.MinTriangleWeight}
-	cut := tripoll.EffectiveEdgeCut(sopts)
-	cache := s.cache
-	var (
-		dirty       map[graph.VertexID]bool
-		dirtyShards int
-		delta       bool
-	)
-	if cache != nil {
-		dirty, dirtyShards, delta = ci.DirtyVertices(cache.snap)
-	}
-
-	var (
-		pruned               *graph.CISnapshot
-		oriented             *tripoll.Oriented
-		tris                 []tripoll.Triangle
-		cachedN, resurveyedN int
-	)
-	if delta {
-		// Incremental path. A triangle's weights changed only if one of
-		// its edges did, which dirties both endpoints — so cached
-		// triangles with no dirty vertex are exact on the new graph, and
-		// the dirty-frontier enumeration supplies everything else. The
-		// two sets partition the new census: SurveyDirty emits precisely
-		// the triangles with >= 1 dirty vertex.
-		pruned = ci.ThresholdDelta(cache.snap, cache.pruned, cut)
-		kept := make([]tripoll.Triangle, 0, len(cache.tris))
-		for _, tr := range cache.tris {
-			if dirty[tr.X] || dirty[tr.Y] || dirty[tr.Z] {
-				continue
-			}
-			kept = append(kept, tr)
-		}
-		// Prefer patching the persistent orientation from the pruned-graph
-		// edge diff over rebuilding adjacency + orientation from scratch —
-		// the cycle's cost then scales with the diff, not the graph.
-		if o := cache.oriented; o != nil {
-			if patches, _, ok := pruned.EdgePatches(cache.pruned); ok {
-				cache.oriented = nil // taken; never survives a failed cycle
-				o.ApplyPatches(patches)
-				oriented = o
-			}
-		}
-		if oriented == nil {
-			oriented = tripoll.Orient(pruned.BuildAdjacency())
-		}
-		var fresh []tripoll.Triangle
-		oriented.SurveyDirty(sopts, dirty, nil, func(tr tripoll.Triangle) {
-			fresh = append(fresh, tr)
-		})
-		tripoll.SortTriangles(fresh)
-		tris = tripoll.MergeSorted(kept, fresh)
-		cachedN, resurveyedN = len(kept), len(fresh)
-	} else {
-		// Full path: threshold and enumerate the whole snapshot. The
-		// T-score cut stays out of the survey so the cached census stays
-		// valid as page counts drift; RunOnTriangles applies it downstream.
-		pruned = ci.ThresholdView(cut).(*graph.CISnapshot)
-		oriented = tripoll.Orient(pruned.BuildAdjacency())
-		tris = oriented.SurveyParallel(sopts, nil)
-		resurveyedN = len(tris)
-	}
-
-	// Step-3 memo: drop scores whose authors' windowed comments changed,
-	// then let RunOnTriangles fill the misses.
-	var hyper map[hypergraph.Triplet]hypergraph.Score
-	if s.cfg.ValidateHypergraph {
-		if cache != nil && cache.hyper != nil {
-			hyper = cache.hyper
-			for t := range hyper {
-				if hyperDirty[t.X] || hyperDirty[t.Y] || hyperDirty[t.Z] {
-					delete(hyper, t)
-				}
-			}
-		} else {
-			hyper = make(map[hypergraph.Triplet]hypergraph.Score, len(tris))
-		}
-	}
-
-	res, err := pipeline.RunOnTriangles(ci, pruned, tris, btm, pipeline.Config{
-		Window:            s.cfg.Window,
-		MinTriangleWeight: s.cfg.MinTriangleWeight,
-		MinTScore:         s.cfg.MinTScore,
-		SkipHypergraph:    !s.cfg.ValidateHypergraph,
-	}, hyper)
-	if err != nil {
-		// Put the consumed dirty-author set back so the memo stays sound
-		// for the next attempt.
-		s.mu.Lock()
-		for a := range hyperDirty {
-			s.markHyperDirty(a)
-		}
-		s.mu.Unlock()
-		return nil, err
-	}
-
-	// Community layer: warm-start the clustering from the cached
-	// partition on delta cycles — components untouched by the dirty set
-	// reuse their assignment, so steady-state clustering rides the same
-	// diff the survey does. The result is identical to a cold run.
-	var partition *community.Partition
-	if s.cfg.Communities {
-		t0 := time.Now()
-		// Relabel the clustering section so profiles split it out of the
-		// surrounding survey (or caller) phase.
-		pprof.Do(context.Background(), pprof.Labels("phase", "communities"), func(context.Context) {
-			ccfg := s.cfg.Community.Defaults()
-			var prevPart *community.Partition
-			var warmDirty map[graph.VertexID]bool
-			if delta && cache != nil {
-				prevPart, warmDirty = cache.partition, dirty
-			}
-			partition = community.DetectWarm(res.Thresholded, ccfg, prevPart, warmDirty)
-			kept := make([]tripoll.Triangle, len(res.Triangles))
-			for i := range res.Triangles {
-				kept[i] = res.Triangles[i].Triangle
-			}
-			res.Partition = partition
-			res.Communities = community.ScoreCommunities(partition, res.Thresholded, btm, kept, ccfg.MinSize)
-		})
-		res.Timings.Cluster = time.Since(t0)
-	}
-
-	s.cache = &surveyCache{snap: ci, pruned: pruned, tris: tris, hyper: hyper, oriented: oriented, partition: partition}
-
+	res, carry := pipeline.Survey(ci, btm, s.survey, s.carry, logDirty)
+	s.carry = carry
 	sr := &SurveyResult{
-		Watermark:           wm,
-		TakenAt:             start,
-		Duration:            time.Since(start),
-		Edges:               ci.NumEdges(),
-		Vertices:            ci.NumAuthors(),
-		Result:              res,
-		Delta:               delta,
-		CachedTriangles:     cachedN,
-		ResurveyedTriangles: resurveyedN,
-		OrientEpoch:         oriented.Epoch(),
-		OrientPatchedEdges:  oriented.PatchedEdges(),
-		OrientRebuilds:      oriented.Rebuilds(),
-		snap:                ci,
-		btm:                 btm,
-		stamp:               st,
-		rank:                new(triangleRank),
+		Watermark: st.watermark,
+		TakenAt:   start,
+		Duration:  time.Since(start),
+		Edges:     ci.NumEdges(),
+		Vertices:  ci.NumAuthors(),
+		Result:    res,
+		snap:      ci,
+		btm:       btm,
+		stamp:     st,
+		rank:      new(triangleRank),
 	}
 	if prev != nil {
 		sr.Cycle, sr.totals = prev.Cycle, prev.totals
 	}
 	sr.Cycle++
-	tot := &sr.totals
-	if partition != nil {
-		sr.Communities = len(res.Communities)
-		sr.ReusedComponents = partition.ReusedComponents
-		sr.ClusteredComponents = partition.ClusteredComponents
-		tot.componentsReused += int64(sr.ReusedComponents)
-		tot.componentsClustered += int64(sr.ClusteredComponents)
-	}
-	if delta {
-		sr.DirtyShards, sr.DirtyVertices = dirtyShards, len(dirty)
-		tot.delta++
-	} else {
-		sr.DirtyShards, sr.DirtyVertices = ci.NumShards(), sr.Vertices
-		tot.full++
-	}
-	tot.trianglesCached += int64(cachedN)
-	tot.trianglesResurveyed += int64(resurveyedN)
-	tot.hyperCacheHits += int64(res.HyperCacheHits)
+	sr.totals.add(res)
 	s.latest.Store(sr)
 	return sr, nil
 }

@@ -884,12 +884,13 @@ func (s *Service) handleStats(w http.ResponseWriter, r *http.Request) {
 		out.TrianglesCached = tot.trianglesCached
 		out.TrianglesResurveyed = tot.trianglesResurveyed
 		out.HyperCacheHits = tot.hyperCacheHits
-		out.LastDirtyShards = int64(sr.DirtyShards)
-		out.LastDirtyVertices = int64(sr.DirtyVertices)
-		out.OrientEpoch = sr.OrientEpoch
-		out.OrientPatchedEdges = sr.OrientPatchedEdges
-		out.OrientRebuilds = sr.OrientRebuilds
-		out.LastCommunities = int64(sr.Communities)
+		sv := sr.Result.Survey
+		out.LastDirtyShards = int64(sv.DirtyShards)
+		out.LastDirtyVertices = int64(sv.DirtyVertices)
+		out.OrientEpoch = sv.OrientEpoch
+		out.OrientPatchedEdges = sv.OrientPatchedEdges
+		out.OrientRebuilds = sv.OrientRebuilds
+		out.LastCommunities = int64(len(sr.Result.Communities))
 		out.ComponentsReused = tot.componentsReused
 		out.ComponentsClustered = tot.componentsClustered
 	}

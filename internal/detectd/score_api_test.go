@@ -280,26 +280,28 @@ func TestStatsReadOnePublishedCycle(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			b := want[len(want)-1]
+			b, sv := want[len(want)-1], sr.Result.Survey
 			b.Cycles++
 			switch {
 			case sr.Reused:
 				b.SurveysReused++
-			case sr.Delta:
+			case sr.Result.Survey.Delta:
 				b.DeltaCycles++
 			default:
 				b.FullResurveys++
 			}
 			if !sr.Reused {
-				b.TrianglesCached += int64(sr.CachedTriangles)
-				b.TrianglesResurveyed += int64(sr.ResurveyedTriangles)
+				b.TrianglesCached += int64(sv.CachedTriangles)
+				b.TrianglesResurveyed += int64(sv.ResurveyedTriangles)
 				b.HyperCacheHits += int64(sr.Result.HyperCacheHits)
-				b.ComponentsReused += int64(sr.ReusedComponents)
-				b.ComponentsClustered += int64(sr.ClusteredComponents)
+				if p := sr.Result.Partition; p != nil {
+					b.ComponentsReused += int64(p.ReusedComponents)
+					b.ComponentsClustered += int64(p.ClusteredComponents)
+				}
 			}
-			b.LastDirtyShards, b.LastDirtyVertices = int64(sr.DirtyShards), int64(sr.DirtyVertices)
-			b.OrientEpoch, b.OrientPatchedEdges, b.OrientRebuilds = sr.OrientEpoch, sr.OrientPatchedEdges, sr.OrientRebuilds
-			b.LastCommunities = int64(sr.Communities)
+			b.LastDirtyShards, b.LastDirtyVertices = int64(sv.DirtyShards), int64(sv.DirtyVertices)
+			b.OrientEpoch, b.OrientPatchedEdges, b.OrientRebuilds = sv.OrientEpoch, sv.OrientPatchedEdges, sv.OrientRebuilds
+			b.LastCommunities = int64(len(sr.Result.Communities))
 			b.LastSurveyMS = float64(sr.Duration) / 1e6
 			b.LastTriangles = len(sr.Result.Triangles)
 			if b.Cycles != sr.Cycle {

@@ -64,7 +64,7 @@ func TestMultiSignalDeltaMatchesFullOracle(t *testing.T) {
 			continue
 		}
 		surveyed++
-		if surveyed > 1 && !sr.Delta {
+		if surveyed > 1 && !sr.Result.Survey.Delta {
 			t.Fatalf("cycle %d fell back to a full resurvey", sr.Cycle)
 		}
 		surveysEqual(t, sr.Cycle, sr.Result, surveyOracle(t, cfg, sr))
@@ -80,7 +80,7 @@ func TestMultiSignalDeltaMatchesFullOracle(t *testing.T) {
 	if tot := last.totals; tot.delta == 0 || tot.full != 1 {
 		t.Fatalf("path split wrong: %d delta, %d full", tot.delta, tot.full)
 	}
-	if last.OrientPatchedEdges == 0 {
+	if last.Result.Survey.OrientPatchedEdges == 0 {
 		t.Fatal("multi-signal eviction waves never patched the persistent orientation")
 	}
 }

@@ -224,7 +224,7 @@ func EvaluateAll(b *graph.BTM, triplets []Triplet, ranks int) []Score {
 	for i, t := range triplets {
 		out[i].Triplet = t
 	}
-	// Census triplets arrive sorted (pipeline.RunOnTriangles); one pass
+	// Census triplets arrive sorted (pipeline.Survey); one pass
 	// tells, and only caller-built lists pay for the sort.
 	if !slices.IsSortedFunc(out, compareScores) {
 		SortScores(out)

@@ -15,6 +15,17 @@
 // res.Triangles carries, for every surviving triangle, both the CI-graph
 // metrics (min edge weight, T score) and the hypergraph metrics (w_xyz,
 // C score) — the paired series behind the paper's Figures 3–10.
+//
+// Steps 2–3 have two implementations. The engine is Survey: it runs on a
+// snapshot of the sharded store with GOMAXPROCS-sized worker pools, and
+// returns with its Result a Carry — the pruned snapshot, triangle census,
+// oriented adjacency, Step-3 memo and community partition — from which
+// the next Survey of a later snapshot runs only the changed part. Run and
+// RunOnCI make one cold Survey call; the streaming daemon (package
+// detectd) makes one per cycle, handing each carry to the next. The
+// reference is single-threaded and map-backed (SurveySequential,
+// per-triplet Evaluate, cold Detect); Config.Sequential selects it, and
+// every engine equivalence test compares against it.
 package pipeline
 
 import (
@@ -44,10 +55,11 @@ type Config struct {
 	// paper's §2.2 targeted re-run: take a group of interest found with
 	// a short window and re-project just those users with a longer one.
 	Restrict map[graph.VertexID]bool
-	// Sequential forces the single-threaded reference implementations
-	// instead of each step's GOMAXPROCS-sized goroutine pool: Step 1 into
-	// the map-backed CIGraph rather than projection.ProjectSharded's
-	// lock-striped store, the one the streaming daemon runs on.
+	// Sequential runs the single-threaded reference implementations
+	// instead of the engine: Step 1 into the map-backed CIGraph rather
+	// than projection.ProjectSharded's lock-striped store, and the
+	// reference Steps 2–3 instead of Survey. Run and RunOnCI read it;
+	// RunOnTriangles ignores it.
 	Sequential bool
 	// Sharded has no effect: Step 1 takes the sharded path whenever
 	// Sequential is unset, whatever this says. The field remains only
@@ -93,8 +105,8 @@ type Result struct {
 	Config Config
 	// CI is the full projected common interaction graph: the
 	// *graph.CISnapshot of the sharded store for batch runs and daemon
-	// snapshot surveys alike, or a map-backed *graph.CIGraph under
-	// Sequential — both behind the read-only view interface.
+	// surveys alike, or a map-backed *graph.CIGraph under Sequential —
+	// both behind the read-only view interface.
 	CI graph.CIView
 	// Thresholded is CI restricted to edges >= MinTriangleWeight — the
 	// graph whose components the paper draws in Figures 1–2.
@@ -103,12 +115,15 @@ type Result struct {
 	Components []graph.Component
 	// Triangles that survived the survey, each with hypergraph scores.
 	Triangles []TriangleResult
-	// HyperCacheHits counts Step-3 evaluations served from the caller's
-	// cross-cycle cache (RunOnTriangles only; 0 elsewhere).
+	// HyperCacheHits counts Step-3 evaluations served from a memo carried
+	// across calls (a delta Survey or RunOnTriangles; 0 elsewhere).
 	HyperCacheHits int
+	// Survey holds the engine's per-survey counters (zero from the
+	// reference and RunOnTriangles).
+	Survey SurveyStats
 	// Partition is the community assignment of the thresholded graph
-	// (nil unless Config.Communities). The daemon fills these two fields
-	// itself when it warm-starts clustering from a cached partition.
+	// (nil unless Config.Communities); its ReusedComponents and
+	// ClusteredComponents split a warm start's components.
 	Partition *community.Partition
 	// Communities are the scored communities (>= Community.MinSize
 	// members), ordered by coordination score descending.
@@ -116,68 +131,63 @@ type Result struct {
 	Timings     Timings
 }
 
-// Run executes the three-step pipeline on b.
+// Run executes the three-step pipeline on b: Step 1 projects into the
+// sharded store and RunOnCI runs a cold Survey of its snapshot, or, under
+// Sequential, the reference projection and the reference Steps 2–3.
 func Run(b *graph.BTM, cfg Config) (*Result, error) {
 	if err := cfg.Window.Validate(); err != nil {
 		return nil, err
 	}
-	res := &Result{Config: cfg}
-
-	// Step 1: projection.
 	t0 := time.Now()
 	popts := projection.Options{Exclude: cfg.Exclude, Restrict: cfg.Restrict}
+	var ci graph.CIView
 	var err error
 	if cfg.Sequential {
-		res.CI, err = projection.ProjectSequential(b, cfg.Window, popts)
+		ci, err = projection.ProjectSequential(b, cfg.Window, popts)
 	} else {
 		var g *graph.ShardedCI
 		if g, err = projection.ProjectSharded(b, cfg.Window, popts); err == nil {
-			res.CI = g.Snapshot()
+			ci = g.Snapshot()
 		}
 	}
 	if err != nil {
 		return nil, fmt.Errorf("pipeline: projection: %w", err)
 	}
-	res.Timings.Project = time.Since(t0)
-	finish(res, b, cfg)
+	project := time.Since(t0)
+	res, err := RunOnCI(ci, b, cfg)
+	if err != nil {
+		return nil, err
+	}
+	res.Timings.Project = project
 	return res, nil
 }
 
 // RunOnCI executes Steps 2–3 (triangle survey, hypergraph validation) and
-// the component census on an already-projected CI graph — the entry point
-// for snapshot surveys: a streaming projector hands over a copy of its live
-// graph and the batch machinery runs on it unchanged. b is the bipartite
-// multigraph the validation checks against (for a sliding window, a BTM of
-// just the trailing-horizon comments); it may be nil, which skips Step 3 as
-// if cfg.SkipHypergraph were set. cfg.Window is recorded but not re-applied
-// — the graph is taken as projected.
+// the component census on an already-projected CI graph. b is the
+// bipartite multigraph the validation checks against; it may be nil, which
+// skips Step 3 as if cfg.SkipHypergraph were set. cfg.Window is recorded
+// but not re-applied — the graph is taken as projected. A snapshot of the
+// sharded store gets a cold Survey; under Sequential, or for any other
+// view (a map-backed CIGraph), the reference runs instead. Both give the
+// same Result.
 func RunOnCI(ci graph.CIView, b *graph.BTM, cfg Config) (*Result, error) {
 	if ci == nil {
 		return nil, fmt.Errorf("pipeline: RunOnCI on nil CI graph")
 	}
-	if b == nil {
-		cfg.SkipHypergraph = true
+	if snap, ok := ci.(*graph.CISnapshot); ok && !cfg.Sequential {
+		res, _ := Survey(snap, b, cfg, nil, nil)
+		return res, nil
 	}
-	res := &Result{Config: cfg, CI: ci}
-	finish(res, b, cfg)
-	return res, nil
+	return reference(ci, b, cfg), nil
 }
 
-// RunOnTriangles executes Step 3 (hypergraph validation) and the
-// component census on an already-surveyed triangle list — the delta-
-// survey entry point: a daemon that merged cache-surviving and
-// re-surveyed triangles hands the result here instead of re-enumerating
-// the snapshot. tris must be weight-thresholded and SortTriangles-sorted
-// but NOT T-score filtered: cfg.MinTScore is applied here against ci's
-// current page counts, so cached triangles re-filter correctly as P'
-// drifts between cycles. thresholded, when non-nil, is ci restricted to
-// edges >= the effective cut (e.g. a ThresholdDelta product, so the
-// component census needn't rescan the full snapshot); nil recomputes it.
-// hyperCache, when non-nil, memoizes Step-3 scores across calls keyed by
-// triplet; the caller is responsible for invalidating entries whose
-// authors' windowed comments changed. Hits are reported in
-// Result.HyperCacheHits. The output is identical to RunOnCI over the same
-// graph when tris is a full weight-only survey of it.
+// RunOnTriangles executes the T-score cut, Step 3 and the component
+// census on tris, a weight-only SortTriangles-ordered survey of ci, as
+// Survey does after its own survey. thresholded is ci at the edge cut (nil
+// recomputes it); hyperCache, when non-nil, memoizes Step-3 scores across
+// calls by triplet, and the caller invalidates entries whose authors'
+// windowed comments changed. It remains for the benchmark's staged pass,
+// which times this stage on its own.
 func RunOnTriangles(ci, thresholded graph.CIView, tris []tripoll.Triangle, b *graph.BTM, cfg Config, hyperCache map[hypergraph.Triplet]hypergraph.Score) (*Result, error) {
 	if ci == nil {
 		return nil, fmt.Errorf("pipeline: RunOnTriangles on nil CI graph")
@@ -186,115 +196,52 @@ func RunOnTriangles(ci, thresholded graph.CIView, tris []tripoll.Triangle, b *gr
 		cfg.SkipHypergraph = true
 	}
 	res := &Result{Config: cfg, CI: ci}
-	validate(res, thresholded, tris, b, cfg, hyperCache, time.Now())
+	if thresholded == nil {
+		thresholded = ci.ThresholdView(tripoll.EffectiveEdgeCut(tripoll.Options{MinTriangleWeight: cfg.MinTriangleWeight}))
+	}
+	kept := validate(res, thresholded, tris, b, cfg, hyperCache, time.Now())
+	cluster(res, b, cfg, kept, nil, nil)
 	return res, nil
 }
 
-// validate runs everything after a weight-only survey: the T-score cut
-// the survey deferred, Step 3 (cache-aware when hyperCache is non-nil),
-// the component census on thresholded (nil recomputes it from res.CI) and
-// the optional community stage. Timings.Survey runs from surveyStart to
-// the end of the cut.
-func validate(res *Result, thresholded graph.CIView, tris []tripoll.Triangle, b *graph.BTM, cfg Config, hyperCache map[hypergraph.Triplet]hypergraph.Score, surveyStart time.Time) {
-	ci := res.CI
-	if cfg.MinTScore > 0 {
-		kept := make([]tripoll.Triangle, 0, len(tris))
-		for _, tr := range tris {
-			if tr.TScore(ci.PageCount) >= cfg.MinTScore {
-				kept = append(kept, tr)
-			}
-		}
-		tris = kept
+// reference runs Steps 2–3, the component census and the community stage
+// with the single-threaded reference implementations: SurveySequential,
+// one hypergraph.Evaluate per triplet, a cold community.Detect. It is the
+// oracle every engine equivalence test and the benchmark compare against.
+func reference(ci graph.CIView, b *graph.BTM, cfg Config) *Result {
+	if b == nil {
+		cfg.SkipHypergraph = true
 	}
-	res.Timings.Survey = time.Since(surveyStart)
-
-	// Step 3: hypergraph validation.
+	res := &Result{Config: cfg, CI: ci}
+	sopts := tripoll.Options{MinTriangleWeight: cfg.MinTriangleWeight, MinTScore: cfg.MinTScore}
 	t0 := time.Now()
+	res.Thresholded = ci.ThresholdView(tripoll.EffectiveEdgeCut(sopts))
+	var tris []tripoll.Triangle
+	tripoll.SurveySequential(res.Thresholded, sopts, func(tr tripoll.Triangle) { tris = append(tris, tr) })
+	tripoll.SortTriangles(tris)
+	res.Timings.Survey = time.Since(t0)
+
+	t0 = time.Now()
 	res.Triangles = make([]TriangleResult, len(tris))
 	for i, tr := range tris {
 		res.Triangles[i] = TriangleResult{Triangle: tr, T: tr.TScore(ci.PageCount)}
-	}
-	if !cfg.SkipHypergraph && len(tris) > 0 {
-		var missing []hypergraph.Triplet
-		var missingAt []int
-		for i, tr := range tris {
-			t := hypergraph.Triplet{X: tr.X, Y: tr.Y, Z: tr.Z}
-			if sc, ok := hyperCache[t]; ok {
-				res.Triangles[i].Hyper = sc
-				res.HyperCacheHits++
-				continue
-			}
-			missing = append(missing, t)
-			missingAt = append(missingAt, i)
-		}
-		if len(missing) > 0 {
-			// missing preserves the sorted triplet order of tris, so the
-			// sorted outputs of both evaluators zip back 1:1.
-			var scores []hypergraph.Score
-			if cfg.Sequential {
-				scores = make([]hypergraph.Score, len(missing))
-				for i, t := range missing {
-					scores[i] = hypergraph.Evaluate(b, t)
-				}
-			} else {
-				scores = hypergraph.EvaluateAll(b, missing, 0)
-			}
-			for k, sc := range scores {
-				res.Triangles[missingAt[k]].Hyper = sc
-				if hyperCache != nil {
-					hyperCache[missing[k]] = sc
-				}
-			}
+		if !cfg.SkipHypergraph {
+			res.Triangles[i].Hyper = hypergraph.Evaluate(b, hypergraph.Triplet{X: tr.X, Y: tr.Y, Z: tr.Z})
 		}
 	}
 	res.Timings.Validate = time.Since(t0)
 
-	// Components of the thresholded graph (Figures 1–2 artifacts).
 	t0 = time.Now()
-	if thresholded == nil {
-		thresholded = ci.ThresholdView(tripoll.EffectiveEdgeCut(tripoll.Options{MinTriangleWeight: cfg.MinTriangleWeight}))
-	}
-	res.Thresholded = thresholded
 	res.Components = graph.ConnectedComponents(res.Thresholded)
 	res.Timings.Component = time.Since(t0)
-	cluster(res, b, cfg, tris)
-}
-
-// cluster runs the optional community stage: a cold Detect over the
-// thresholded view, scored against the hypergraph and the surviving
-// census. The daemon skips this (Communities false) and warm-starts its
-// own clustering from the cached partition, filling the same fields.
-func cluster(res *Result, b *graph.BTM, cfg Config, tris []tripoll.Triangle) {
-	if !cfg.Communities {
-		return
+	if cfg.Communities {
+		t0 = time.Now()
+		ccfg := cfg.Community.Defaults()
+		res.Partition = community.Detect(res.Thresholded, ccfg)
+		res.Communities = community.ScoreCommunities(res.Partition, res.Thresholded, b, tris, ccfg.MinSize)
+		res.Timings.Cluster = time.Since(t0)
 	}
-	t0 := time.Now()
-	ccfg := cfg.Community.Defaults()
-	res.Partition = community.Detect(res.Thresholded, ccfg)
-	res.Communities = community.ScoreCommunities(res.Partition, res.Thresholded, b, tris, ccfg.MinSize)
-	res.Timings.Cluster = time.Since(t0)
-}
-
-// finish runs Step 2 on res.CI — a weight-only survey of the graph
-// thresholded and oriented exactly once — and hands the census to
-// validate, which cuts, validates and counts components on the same
-// pruned view, so the O(edges) filter is paid a single time.
-func finish(res *Result, b *graph.BTM, cfg Config) {
-	ci := res.CI
-	t0 := time.Now()
-	sopts := tripoll.Options{MinTriangleWeight: cfg.MinTriangleWeight}
-	thresholded := ci.ThresholdView(tripoll.EffectiveEdgeCut(sopts))
-	o := tripoll.Orient(thresholded.BuildAdjacency())
-	var tris []tripoll.Triangle
-	if cfg.Sequential {
-		o.SurveyAll(sopts, nil, func(tr tripoll.Triangle) {
-			tris = append(tris, tr)
-		})
-		tripoll.SortTriangles(tris)
-	} else {
-		tris = o.SurveyParallel(sopts, nil)
-	}
-	validate(res, thresholded, tris, b, cfg, nil, t0)
+	return res
 }
 
 // FlaggedAuthors returns the union of authors appearing in surviving

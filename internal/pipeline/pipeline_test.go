@@ -1,6 +1,7 @@
 package pipeline
 
 import (
+	"fmt"
 	"math"
 	"testing"
 
@@ -53,33 +54,42 @@ func TestRunEndToEnd(t *testing.T) {
 	}
 }
 
+// TestSequentialMatchesParallel holds Run's engine path (a cold Survey of
+// the sharded snapshot) to the reference across the options that change
+// what Steps 2–3 publish: the T-score cut, the community stage and Step 3.
 func TestSequentialMatchesParallel(t *testing.T) {
 	d := tinyDataset(t)
 	b := d.BTM()
-	cfg := Config{
-		Window:            projection.Window{Min: 0, Max: 60},
-		MinTriangleWeight: 5,
-		Exclude:           d.Helpers,
-	}
-	cfgSeq := cfg
-	cfgSeq.Sequential = true
-	par, err := Run(b, cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	seq, err := Run(b, cfgSeq)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !par.CI.Equal(seq.CI) {
-		t.Fatal("CI graphs differ")
-	}
-	if len(par.Triangles) != len(seq.Triangles) {
-		t.Fatalf("triangle counts differ: %d vs %d", len(par.Triangles), len(seq.Triangles))
-	}
-	for i := range par.Triangles {
-		if par.Triangles[i] != seq.Triangles[i] {
-			t.Fatalf("triangle %d differs: %+v vs %+v", i, par.Triangles[i], seq.Triangles[i])
+	for _, minT := range []float64{0, 0.3} {
+		for _, comms := range []bool{false, true} {
+			for _, skip := range []bool{false, true} {
+				t.Run(fmt.Sprintf("tscore=%v/communities=%v/skiphyper=%v", minT, comms, skip), func(t *testing.T) {
+					cfg := Config{
+						Window:            projection.Window{Min: 0, Max: 60},
+						MinTriangleWeight: 5,
+						MinTScore:         minT,
+						Exclude:           d.Helpers,
+						SkipHypergraph:    skip,
+						Communities:       comms,
+					}
+					par, err := Run(b, cfg)
+					if err != nil {
+						t.Fatal(err)
+					}
+					cfg.Sequential = true
+					seq, err := Run(b, cfg)
+					if err != nil {
+						t.Fatal(err)
+					}
+					if !par.CI.Equal(seq.CI) {
+						t.Fatal("CI graphs differ")
+					}
+					if len(seq.Triangles) == 0 || (comms && len(seq.Communities) == 0) {
+						t.Fatalf("reference found %d triangles, %d communities: nothing to compare", len(seq.Triangles), len(seq.Communities))
+					}
+					resultsEqual(t, par, seq)
+				})
+			}
 		}
 	}
 }

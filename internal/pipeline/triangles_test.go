@@ -1,6 +1,7 @@
 package pipeline
 
 import (
+	"reflect"
 	"testing"
 
 	"coordbot/internal/graph"
@@ -9,8 +10,9 @@ import (
 	"coordbot/internal/tripoll"
 )
 
-// resultsEqual compares the published survey outputs of two runs:
-// triangle census (with scores), components, and thresholded graph.
+// resultsEqual compares the published outputs of two runs: the triangle
+// census (with scores), the thresholded graph, the components element by
+// element, the partition and the community scores.
 func resultsEqual(t *testing.T, a, b *Result) {
 	t.Helper()
 	if len(a.Triangles) != len(b.Triangles) {
@@ -27,6 +29,21 @@ func resultsEqual(t *testing.T, a, b *Result) {
 	}
 	if len(a.Components) != len(b.Components) {
 		t.Fatalf("component counts differ: %d vs %d", len(a.Components), len(b.Components))
+	}
+	for i := range a.Components {
+		if !reflect.DeepEqual(a.Components[i], b.Components[i]) {
+			x, y := a.Components[i], b.Components[i]
+			t.Fatalf("component %d differs: %d authors, %d edges vs %d, %d", i, len(x.Authors), len(x.Edges), len(y.Authors), len(y.Edges))
+		}
+	}
+	if (a.Partition == nil) != (b.Partition == nil) {
+		t.Fatalf("one run has a partition, the other not: %v vs %v", a.Partition != nil, b.Partition != nil)
+	}
+	if a.Partition != nil && !reflect.DeepEqual(a.Partition.Communities, b.Partition.Communities) {
+		t.Fatalf("partitions differ: %d vs %d communities", len(a.Partition.Communities), len(b.Partition.Communities))
+	}
+	if !reflect.DeepEqual(a.Communities, b.Communities) {
+		t.Fatalf("community scores differ:\n%+v\n%+v", a.Communities, b.Communities)
 	}
 }
 
