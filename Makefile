@@ -54,10 +54,12 @@ check-surface:
 # map reference model, the sharded-vs-map adjacency and connected
 # components equivalence, the
 # patched-vs-rebuilt oriented CSR, the archive reader vs its
-# encoding/json reference, the sliding window's flat lease table vs a
+# encoding/json reference, the interner's flat table vs a map and slice
+# reference model, the sliding window's flat lease table vs a
 # map reference model, the archive timestamp's digit fast path vs the
 # strconv path behind it, the JSON scanner's two entry points (One vs
-# Reset+Next) on arbitrary bytes, the binary ingest frame decoder on
+# Reset+Next) and its word-at-a-time string scan vs the byte loop on
+# arbitrary bytes, the binary ingest frame decoder on
 # arbitrary bytes and its Encoder round trip, the run-sharing Step-3
 # kernel (EvaluateAll) vs the single-triplet Evaluate, the ygmnet
 # transport's frame reader on arbitrary bytes, and the daemon's census
@@ -71,6 +73,7 @@ fuzz:
 	$(GO) test ./internal/graph/ -fuzz FuzzBuildAdjacency -fuzztime $(FUZZTIME)
 	$(GO) test ./internal/tripoll/ -fuzz FuzzOrientedPatch -fuzztime $(FUZZTIME)
 	$(GO) test ./internal/pushshift/ -fuzz FuzzRead -fuzztime $(FUZZTIME)
+	$(GO) test ./internal/interner/ -fuzz FuzzInterner -fuzztime $(FUZZTIME)
 	$(GO) test ./internal/stream/ -fuzz FuzzLeaseTable -fuzztime $(FUZZTIME)
 	$(GO) test ./internal/wire/ -fuzz FuzzLenientTS -fuzztime $(FUZZTIME)
 	$(GO) test ./internal/wire/ -fuzz FuzzScanner -fuzztime $(FUZZTIME)

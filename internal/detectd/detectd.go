@@ -246,9 +246,6 @@ type Service struct {
 	ingested    atomic.Int64
 	dropped     atomic.Int64
 	lateClamped atomic.Int64
-	// surveyErrs counts failed cycles, which publish no SurveyResult to
-	// carry the count; every other survey counter lives in the result.
-	surveyErrs atomic.Int64
 
 	metrics *metrics
 	started time.Time
@@ -508,9 +505,7 @@ func (s *Service) surveyLoop() {
 	for {
 		select {
 		case <-t.C:
-			if _, err := s.SurveyNow(); err != nil {
-				s.surveyErrs.Add(1)
-			}
+			s.SurveyNow()
 		case <-s.quit:
 			return
 		}
@@ -526,7 +521,8 @@ func (s *Service) surveyLoop() {
 // Otherwise Survey gets the previous cycle's carry and surveys only what
 // the snapshot diff and the log's dirty authors say changed; the first
 // cycle runs the full pass. Callable concurrently with ingestion;
-// concurrent calls serialize on surveyMu.
+// concurrent calls serialize on surveyMu. A cycle cannot fail: the
+// error is always nil.
 func (s *Service) SurveyNow() (*SurveyResult, error) {
 	start := time.Now()
 	s.surveyMu.Lock()

@@ -111,7 +111,6 @@ type StatsOut struct {
 	Cycles           int64   `json:"cycles"`
 	SurveysReused    int64   `json:"surveys_reused"`
 	Shards           int     `json:"shards"`
-	SurveyErrors     int64   `json:"survey_errors"`
 	LastSurveyMS     float64 `json:"last_survey_ms"`
 	LastTriangles    int     `json:"last_triangles"`
 	// Incremental-survey counters: cycles split by path, cumulative
@@ -868,7 +867,6 @@ func (s *Service) handleStats(w http.ResponseWriter, r *http.Request) {
 		BufferedComments: live.buffered,
 		LoggedComments:   live.logged,
 		Shards:           s.proj.NumShards(),
-		SurveyErrors:     s.surveyErrs.Load(),
 		Endpoints:        s.metrics.snapshot(),
 	}
 	// The survey block comes from one published result: its cumulative

@@ -115,13 +115,8 @@ func BuildBTM(comments []Comment, numAuthors, numPages int) *BTM {
 		b.pageEntries[i] = AuthorTime{Author: c.Author, TS: c.TS}
 		cursor[c.Page]++
 	}
-	// Archives and the daemon's windowed log arrive in time order, so most
-	// pages need no sort.
 	for p := 0; p < numPages; p++ {
-		seg := b.pageEntries[b.pageOff[p]:b.pageOff[p+1]]
-		if !slices.IsSortedFunc(seg, compareAuthorTime) {
-			slices.SortFunc(seg, compareAuthorTime)
-		}
+		sortPage(b.pageEntries[b.pageOff[p]:b.pageOff[p+1]])
 	}
 
 	// --- By-author distinct-page CSR. ---
@@ -155,6 +150,33 @@ func BuildBTM(comments []Comment, numAuthors, numPages int) *BTM {
 	}
 	b.authorPages = slices.Clone(pages[:total])
 	return b
+}
+
+// maxTieRun is the longest run of equal timestamps sortPage orders by
+// insertion; a longer one costs the page a full sort instead, which
+// bounds the insertion work at maxTieRun moves per comment.
+const maxTieRun = 32
+
+// sortPage puts a page's comments in compareAuthorTime order. Archives
+// and the daemon's windowed log arrive in time order, so a page is
+// usually time-ordered already and only runs of equal timestamps can be
+// out of author order: those are insertion-sorted as the scan meets
+// them. A page with a timestamp out of order gets the full sort.
+func sortPage(seg []AuthorTime) {
+	run := 0 // start of the equal-timestamp run seg[i] extends
+	for i := 1; i < len(seg); i++ {
+		switch ts := seg[i].TS; {
+		case ts > seg[i-1].TS:
+			run = i
+		case ts < seg[i-1].TS || i-run >= maxTieRun:
+			slices.SortFunc(seg, compareAuthorTime)
+			return
+		default:
+			for j := i; j > run && seg[j].Author < seg[j-1].Author; j-- {
+				seg[j], seg[j-1] = seg[j-1], seg[j]
+			}
+		}
+	}
 }
 
 // compareAuthorTime orders a page's comments by time, ties by author.

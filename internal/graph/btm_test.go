@@ -1,6 +1,7 @@
 package graph
 
 import (
+	"fmt"
 	"math/rand"
 	"slices"
 	"sort"
@@ -229,8 +230,37 @@ func refBuildBTM(comments []Comment, numAuthors, numPages int) *BTM {
 
 // TestBuildBTMMatchesReference: the same BTM, index for index, on
 // shuffled, time-ordered and heavily tied streams, with the vertex counts
-// given, given too small, or left to be derived.
+// given, given too small, or left to be derived; and on the pages that
+// pick each of sortPage's paths: time-ordered with every tie run in
+// descending author order (insertion-sorted runs), a tie run longer than
+// maxTieRun, and one timestamp out of order (the full sort).
 func TestBuildBTMMatchesReference(t *testing.T) {
+	check := func(name string, comments []Comment, numAuthors, numPages int) {
+		t.Helper()
+		got, want := BuildBTM(comments, numAuthors, numPages), refBuildBTM(comments, numAuthors, numPages)
+		if got.numAuthors != want.numAuthors || got.numPages != want.numPages || got.numEdges != want.numEdges ||
+			!slices.Equal(got.pageOff, want.pageOff) || !slices.Equal(got.pageEntries, want.pageEntries) ||
+			!slices.Equal(got.authorOff, want.authorOff) || !slices.Equal(got.authorPages, want.authorPages) {
+			t.Fatalf("%s: %d comments, counts (%d, %d)\n got  %+v\n want %+v", name, len(comments), numAuthors, numPages, got, want)
+		}
+	}
+	// descendingTies is one page, time-ordered, whose timestamps come in
+	// runs of the given lengths, each run's authors in descending order.
+	descendingTies := func(runs ...int) []Comment {
+		var out []Comment
+		for ts, n := range runs {
+			for k := n - 1; k >= 0; k-- {
+				out = append(out, Comment{Author: VertexID(k), Page: 0, TS: int64(10 * ts)})
+			}
+		}
+		return out
+	}
+	check("descending tie runs", descendingTies(1, 3, 2, 7, 1, maxTieRun, 4), 0, 0)
+	check("tie run past maxTieRun", descendingTies(2, maxTieRun+1, 3), 0, 0)
+	outOfOrder := descendingTies(2, 1, 3, 1, 2)
+	outOfOrder[6].TS = 5 // between the first two runs' timestamps
+	check("one timestamp out of order", outOfOrder, 0, 0)
+
 	rng := rand.New(rand.NewSource(7))
 	for trial := 0; trial < 300; trial++ {
 		authors, pages := 1+rng.Intn(12), 1+rng.Intn(8)
@@ -246,11 +276,6 @@ func TestBuildBTMMatchesReference(t *testing.T) {
 			sort.SliceStable(comments, func(i, j int) bool { return comments[i].TS < comments[j].TS })
 		}
 		numAuthors, numPages := []int{0, authors / 2, authors + 3}[trial%3], []int{0, pages + 2, pages / 2}[trial%3]
-		got, want := BuildBTM(comments, numAuthors, numPages), refBuildBTM(comments, numAuthors, numPages)
-		if got.numAuthors != want.numAuthors || got.numPages != want.numPages || got.numEdges != want.numEdges ||
-			!slices.Equal(got.pageOff, want.pageOff) || !slices.Equal(got.pageEntries, want.pageEntries) ||
-			!slices.Equal(got.authorOff, want.authorOff) || !slices.Equal(got.authorPages, want.authorPages) {
-			t.Fatalf("trial %d: %d comments, counts (%d, %d)\n got  %+v\n want %+v", trial, len(comments), numAuthors, numPages, got, want)
-		}
+		check(fmt.Sprintf("trial %d", trial), comments, numAuthors, numPages)
 	}
 }

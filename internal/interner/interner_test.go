@@ -312,3 +312,130 @@ func BenchmarkInternBytesGrowing(b *testing.B) {
 	}
 	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N)/n, "ns/key")
 }
+
+// fuzzKeys are the names FuzzInterner's programs pick from: empty, with
+// NUL, sharing long prefixes, and 7-9 and 15-17 bytes long, around the
+// 8-byte words a string hash and compare work in.
+var fuzzKeys = func() []string {
+	keys := []string{"", "\x00", "\x00\x00", "a\x00", "a\x00b", "a",
+		"abcdefg", "abcdefgh", "abcdefghi", "abcdefghijklmno", "abcdefghijklmnop", "abcdefghijklmnopq",
+		"bcdefgh", "bcdefghi", "bcdefghij", "bcdefghijklmnop", "bcdefghijklmnopq", "bcdefghijklmnopqr"}
+	prefix := strings.Repeat("shared_prefix/", 6)
+	for i := 0; i < 40; i++ {
+		keys = append(keys, fmt.Sprintf("%s%d", prefix, i), fmt.Sprintf("%s%d\x00", prefix, i))
+	}
+	return keys
+}()
+
+// FuzzInterner runs a program of Intern, InternBytes, InternBatchBytes,
+// Lookup and Name calls on an Interner from New(0), so that its table
+// grows through every size on the way, and holds each result to a map
+// and slice reference: IDs dense in first-appearance order, names that
+// round-trip, and misses that stay misses until the name is interned.
+// Each step is an opcode byte and its operands: a key is one byte below
+// 0xc0, which picks from fuzzKeys, or one above, whose low five bits
+// count the program bytes after it that spell the name, so the fuzzer
+// can add names of its own; a batch is a count byte (mod 8) and that
+// many keys; Name takes one byte, an ID up to one past the last.
+func FuzzInterner(f *testing.F) {
+	f.Add([]byte{0, 0, 1, 1, 2, 3, 4, 5, 6, 3, 7, 4, 0})
+	f.Add([]byte{2, 6, 0, 7, 1, 8, 3, 9, 3, 60, 1, 0xc3, 'a', 0, 'b', 0, 0xc0, 4, 5, 4, 1})
+	// Every fixed key, through Intern and InternBytes by turns, then each
+	// looked up again: the table grows from 8 slots to 256 on the way.
+	var grow []byte
+	for k := range fuzzKeys {
+		grow = append(grow, byte(k%2), byte(k))
+	}
+	for k := range fuzzKeys {
+		grow = append(grow, 3, byte(k))
+	}
+	f.Add(grow)
+	f.Fuzz(func(t *testing.T, prog []byte) {
+		in := New(0)
+		ids := map[string]ID{}
+		var names []string
+		// next returns the program's next byte, 0 past its end.
+		i := 0
+		next := func() byte {
+			if i >= len(prog) {
+				return 0
+			}
+			i++
+			return prog[i-1]
+		}
+		key := func() []byte {
+			k := next()
+			if k < 0xc0 {
+				return []byte(fuzzKeys[int(k)%len(fuzzKeys)])
+			}
+			end := min(len(prog), i+int(k&0x1f))
+			b := prog[i:end]
+			i = end
+			return b
+		}
+		want := func(k []byte) ID {
+			id, ok := ids[string(k)]
+			if !ok {
+				id = ID(len(names))
+				ids[string(k)] = id
+				names = append(names, string(k))
+			}
+			return id
+		}
+		for i < len(prog) {
+			switch op := next() % 5; op {
+			case 0:
+				k := key()
+				if got, w := in.Intern(string(k)), want(k); got != w {
+					t.Fatalf("Intern(%q) = %d, want %d", k, got, w)
+				}
+			case 1:
+				k := key()
+				if got, w := in.InternBytes(k), want(k); got != w {
+					t.Fatalf("InternBytes(%q) = %d, want %d", k, got, w)
+				}
+			case 2:
+				batch := make([][]byte, next()%8)
+				for j := range batch {
+					batch[j] = key()
+				}
+				out := make([]ID, len(batch))
+				in.InternBatchBytes(batch, out)
+				for j, k := range batch {
+					if w := want(k); out[j] != w {
+						t.Fatalf("InternBatchBytes key %d %q = %d, want %d", j, k, out[j], w)
+					}
+				}
+			case 3:
+				k := key()
+				got, ok := in.Lookup(string(k))
+				w, wok := ids[string(k)]
+				if ok != wok || got != w {
+					t.Fatalf("Lookup(%q) = %d, %v; want %d, %v", k, got, ok, w, wok)
+				}
+			case 4:
+				id := ID(int(next()) % (len(names) + 1))
+				if int(id) == len(names) {
+					func() {
+						defer func() {
+							if recover() == nil {
+								t.Fatalf("Name(%d) of %d names did not panic", id, len(names))
+							}
+						}()
+						in.Name(id)
+					}()
+				} else if got := in.Name(id); got != names[id] {
+					t.Fatalf("Name(%d) = %q, want %q", id, got, names[id])
+				}
+			}
+		}
+		if in.Len() != len(names) {
+			t.Fatalf("Len = %d, want %d", in.Len(), len(names))
+		}
+		for id, name := range names {
+			if got, ok := in.Lookup(name); !ok || got != ID(id) {
+				t.Fatalf("Lookup(%q) = %d, %v after the program; want %d", name, got, ok, id)
+			}
+		}
+	})
+}

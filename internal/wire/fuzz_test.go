@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"encoding/binary"
 	"encoding/json"
+	"fmt"
 	"reflect"
 	"strconv"
 	"strings"
@@ -57,15 +58,41 @@ func FuzzLenientTS(f *testing.F) {
 	})
 }
 
+// wordStraddlers are bodies whose strings run 8 bytes or more with an
+// escape across a word boundary of the string scan: a two-byte escape
+// split 7|1, a \u escape and a surrogate pair starting at each offset
+// around the first and second word ends.
+func wordStraddlers() []string {
+	var bodies []string
+	for k := 5; k <= 17; k++ {
+		clean := strings.Repeat("abcdefgh", 3)[:k]
+		bodies = append(bodies,
+			fmt.Sprintf(`{"author":"%s\"%s","page":"%s\\x","ts":1}`, clean, clean, clean),
+			fmt.Sprintf(`{"author":"%s\u00e9tail","page":"p","ts":2,"urls":["%s\ud83d\ude00%s"]}`, clean, clean, clean),
+			fmt.Sprintf(`{"author":"%s","link_id":"%s\n\t%s","created_utc":"%s"}`, clean, clean, clean, "1577836800"),
+		)
+	}
+	return bodies
+}
+
 // FuzzScanner: on any bytes, in either format, One and a Reset+Next loop
-// return instead of panicking and leave the cursor inside the buffer; and
-// a body that is one object reads the same through both.
+// return instead of panicking and leave the cursor inside the buffer; a
+// body that is one object reads the same through both; and from every
+// '"' in the bytes, the word-at-a-time string scan agrees with the byte
+// loop.
 func FuzzScanner(f *testing.F) {
-	for _, body := range fuzzBodies() {
+	for _, body := range append(fuzzBodies(), wordStraddlers()...) {
 		f.Add([]byte(body), true)
 		f.Add([]byte(body), false)
 	}
 	f.Fuzz(func(t *testing.T, data []byte, archive bool) {
+		for i, b := range data {
+			if b == '"' {
+				if msg := sameScanString(data, i); msg != "" {
+					t.Fatal(msg)
+				}
+			}
+		}
 		var format Format
 		if archive {
 			format = Pushshift

@@ -1,7 +1,9 @@
 package wire
 
 import (
+	"encoding/binary"
 	"fmt"
+	"math/bits"
 	"strconv"
 	"unicode/utf16"
 	"unicode/utf8"
@@ -95,6 +97,10 @@ func (s *Scanner) errf(format string, args ...any) error {
 }
 
 func (s *Scanner) skipWS() {
+	// Keys and values mostly follow their delimiters directly.
+	if s.pos < len(s.buf) && s.buf[s.pos] > ' ' {
+		return
+	}
 	for s.pos < len(s.buf) {
 		switch s.buf[s.pos] {
 		case ' ', '\t', '\n', '\r':
@@ -239,24 +245,52 @@ func (s *Scanner) scanString() ([]byte, error) {
 		return nil, s.errf("expected string")
 	}
 	s.pos++
-	start := s.pos
-	for i := s.pos; i < len(s.buf); i++ {
-		switch s.buf[i] {
-		case '"':
-			out := s.buf[start:i]
-			s.pos = i + 1
-			return out, nil
-		case '\\':
-			return s.scanEscapedString(start, i)
-		default:
-			if s.buf[i] < 0x20 {
-				s.pos = i
-				return nil, s.errf("raw control character in string")
-			}
+	buf, start := s.buf, s.pos
+	i := start
+	// Eight bytes at a time up to the first byte that ends the clean
+	// run, then byte by byte through a final partial word.
+	for ; i+8 <= len(buf); i += 8 {
+		if m := stopBytes(binary.LittleEndian.Uint64(buf[i : i+8])); m != 0 {
+			i += bits.TrailingZeros64(m) / 8
+			break
 		}
 	}
-	s.pos = len(s.buf)
-	return nil, s.errf("unterminated string")
+	for ; i < len(buf); i++ {
+		if b := buf[i]; b == '"' || b == '\\' || b < 0x20 {
+			break
+		}
+	}
+	if i == len(buf) {
+		s.pos = i
+		return nil, s.errf("unterminated string")
+	}
+	switch buf[i] {
+	case '"':
+		s.pos = i + 1
+		return buf[start:i], nil
+	case '\\':
+		return s.scanEscapedString(start, i)
+	}
+	s.pos = i
+	return nil, s.errf("raw control character in string")
+}
+
+// Word-at-a-time byte tests on eight bytes loaded little-endian: byte k
+// of the word is bits 8k..8k+7, so the lowest set bit of a mask names
+// the earliest byte.
+const (
+	lows  = 0x0101010101010101
+	highs = 0x8080808080808080
+)
+
+// stopBytes returns a mask whose lowest set bit is the high bit of the
+// first byte of w that is '"', '\\' or a control byte (below 0x20), or 0
+// when w has none. Borrows can flag bytes after the first stop byte but
+// never before it, so only the lowest bit is exact.
+func stopBytes(w uint64) uint64 {
+	quote := w ^ ('"' * lows)
+	backslash := w ^ ('\\' * lows)
+	return ((quote-lows)&^quote | (backslash-lows)&^backslash | (w-0x20*lows)&^w) & highs
 }
 
 // scanEscapedString finishes a string whose first backslash sits at esc;
