@@ -18,7 +18,8 @@ func buildStores(seed int64) (*graph.CIGraph, *graph.ShardedCI) {
 	sharded := graph.NewShardedCI(16, 0)
 	add := func(u, v graph.VertexID, w uint32) {
 		plain.AddEdgeWeight(u, v, w)
-		sharded.AddEdgeWeightSig(u, v, w, 0)
+		key := graph.PackEdge(u, v)
+		sharded.AddShardBatch(sharded.EdgeShard(key), 0, []graph.EdgeDelta{{Key: key, W: w}}, nil)
 	}
 	// Three planted cliques of 6 vertices each.
 	for c := 0; c < 3; c++ {
@@ -42,7 +43,7 @@ func buildStores(seed int64) (*graph.CIGraph, *graph.ShardedCI) {
 	for u := graph.VertexID(0); u < 60; u++ {
 		p := 10 + uint32(rng.Intn(40))
 		plain.SetPageCount(u, p)
-		sharded.AddPageCount(u, p)
+		sharded.AddShardBatch(sharded.VertexShard(u), 0, nil, []graph.PageDelta{{V: u, N: p}})
 	}
 	return plain, sharded
 }

@@ -66,7 +66,7 @@ func FuzzBuildAdjacency(f *testing.F) {
 			case 0:
 				w := uint32(wb%8) + 1
 				ref.AddEdgeWeight(u, v, w)
-				g.AddEdgeWeightSig(u, v, w, 0)
+				addEdge(g, u, v, w, 0)
 				weights[PackEdge(u, v)] += w
 			case 1:
 				key := PackEdge(u, v)
@@ -85,7 +85,7 @@ func FuzzBuildAdjacency(f *testing.F) {
 			case 2:
 				n := uint32(wb%4) + 1
 				ref.AddPageCount(u, n)
-				g.AddPageCount(u, n)
+				addPages(g, u, n)
 				pages[u] += n
 			case 3:
 				cur := pages[u]

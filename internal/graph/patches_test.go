@@ -52,10 +52,10 @@ func TestEdgePatchesMatchesMapDiff(t *testing.T) {
 			if w := g.Snapshot().Weight(u, v); w > 0 && rng.Intn(3) == 0 {
 				subEdge(g, u, v, 1+uint32(rng.Intn(int(w))))
 			} else {
-				g.AddEdgeWeightSig(u, v, 1+uint32(rng.Intn(3)), 0)
+				addEdge(g, u, v, 1+uint32(rng.Intn(3)), 0)
 			}
 			if rng.Intn(4) == 0 {
-				g.AddPageCount(u, 1) // page-only churn must not produce patches
+				addPages(g, u, 1) // page-only churn must not produce patches
 			}
 		}
 		cur := g.Snapshot()
@@ -105,7 +105,7 @@ func TestEdgePatchesMatchesMapDiff(t *testing.T) {
 // patches; snapshots of different stores or geometries refuse to compare.
 func TestEdgePatchesIdleAndIncomparable(t *testing.T) {
 	g := NewShardedCI(8, 0)
-	g.AddEdgeWeightSig(1, 2, 5, 0)
+	addEdge(g, 1, 2, 5, 0)
 	s1 := g.Snapshot()
 	s2 := g.Snapshot()
 	patches, dirtyShards, ok := s2.EdgePatches(s1)
@@ -116,7 +116,7 @@ func TestEdgePatchesIdleAndIncomparable(t *testing.T) {
 		t.Fatal("nil prev compared")
 	}
 	other := NewShardedCI(8, 0)
-	other.AddEdgeWeightSig(1, 2, 5, 0)
+	addEdge(other, 1, 2, 5, 0)
 	if _, _, ok := s2.EdgePatches(other.Snapshot()); ok {
 		t.Fatal("snapshots of different stores compared")
 	}
@@ -131,7 +131,7 @@ func TestEdgePatchesOnThresholdChain(t *testing.T) {
 	rng := rand.New(rand.NewSource(7))
 	g := NewShardedCI(16, 0)
 	for k := 0; k < 60; k++ {
-		g.AddEdgeWeightSig(VertexID(rng.Intn(20)), VertexID(rng.Intn(20)+20), 1+uint32(rng.Intn(4)), 0)
+		addEdge(g, VertexID(rng.Intn(20)), VertexID(rng.Intn(20)+20), 1+uint32(rng.Intn(4)), 0)
 	}
 	prev := g.Snapshot()
 	prevPruned := prev.ThresholdView(minW).(*CISnapshot)
@@ -142,7 +142,7 @@ func TestEdgePatchesOnThresholdChain(t *testing.T) {
 			if w := g.Snapshot().Weight(u, v); w > 1 && rng.Intn(2) == 0 {
 				subEdge(g, u, v, 1) // may drop the edge below the cut
 			} else {
-				g.AddEdgeWeightSig(u, v, 1, 0) // may lift the edge above the cut
+				addEdge(g, u, v, 1, 0) // may lift the edge above the cut
 			}
 		}
 		cur := g.Snapshot()

@@ -88,8 +88,9 @@ func (sh *ciShard) own() {
 }
 
 // ShardedCI is the sharded, internally synchronized CI store. It is a
-// writer: analysis reads go through Snapshot, and the only reads on the
-// live store are the point reads a live score needs. All methods are safe
+// writer with one bulk write per direction (AddShardBatch, SubShardBatch):
+// analysis reads go through Snapshot, and the only reads on the live
+// store are the few point reads below. All methods are safe
 // for concurrent use; reads take per-shard RLocks, mutations per-shard
 // write locks. Zero value is not usable — create with NewShardedCI.
 type ShardedCI struct {
@@ -142,17 +143,6 @@ func (g *ShardedCI) VertexShard(v VertexID) int { return int(mix64(uint64(v)) & 
 // unchanged graph (the converse need not hold).
 func (g *ShardedCI) Version() uint64 { return g.version.Load() }
 
-// AddPageCount adds n to P'_u.
-func (g *ShardedCI) AddPageCount(u VertexID, n uint32) {
-	sh := &g.shards[g.VertexShard(u)]
-	sh.mu.Lock()
-	sh.own()
-	sh.pages[u] += n
-	sh.version++
-	sh.mu.Unlock()
-	g.version.Add(1)
-}
-
 // SubShardBatch withdraws a shard-grouped flat delta from shard i under
 // one lock acquisition and one version bump: edge decrements (with
 // optional stride-NumSignals share attribution, as in
@@ -189,10 +179,11 @@ func (g *ShardedCI) SubShardBatch(i int, edges []EdgeDelta, sig []uint32, pages 
 
 // AddShardBatch adds a shard-grouped flat delta to shard i under one lock
 // acquisition and one version bump, attributing every edge increment to
-// signal si (ignored on an untracked store): the bulk-load counterpart of
-// SubShardBatch, used by the batch projection's per-shard merge. As
-// there, keys must route to shard i (EdgeShard / VertexShard), and an
-// empty batch is a no-op.
+// signal si (ignored on an untracked store): the store's one increment
+// path, the counterpart of SubShardBatch, used by the batch projection's
+// per-shard merge and the sliding projector's waves. Repeated keys are
+// upserted in order. As there, keys must route to shard i (EdgeShard /
+// VertexShard), and an empty batch is a no-op.
 func (g *ShardedCI) AddShardBatch(i, si int, edges []EdgeDelta, pages []PageDelta) {
 	if len(edges) == 0 && len(pages) == 0 {
 		return

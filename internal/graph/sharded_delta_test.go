@@ -88,18 +88,18 @@ func TestDirtyVerticesMatchesBruteDiff(t *testing.T) {
 // different shard geometry refuse with ok=false.
 func TestDirtyVerticesIncomparable(t *testing.T) {
 	g := NewShardedCI(8, 0)
-	g.AddEdgeWeightSig(1, 2, 3, 0)
+	addEdge(g, 1, 2, 3, 0)
 	s := g.Snapshot()
 	if _, _, ok := s.DirtyVertices(nil); ok {
 		t.Fatal("nil prev comparable")
 	}
 	other := NewShardedCI(8, 0)
-	other.AddEdgeWeightSig(1, 2, 3, 0)
+	addEdge(other, 1, 2, 3, 0)
 	if _, _, ok := s.DirtyVertices(other.Snapshot()); ok {
 		t.Fatal("snapshot of a different store comparable")
 	}
 	narrow := NewShardedCI(4, 0)
-	narrow.AddEdgeWeightSig(1, 2, 3, 0)
+	addEdge(narrow, 1, 2, 3, 0)
 	if _, _, ok := s.DirtyVertices(narrow.Snapshot()); ok {
 		t.Fatal("different shard geometry comparable")
 	}
@@ -146,7 +146,7 @@ func TestThresholdDeltaMatchesThresholdView(t *testing.T) {
 		}
 		// Incomparable baselines still produce the exact pruning.
 		other := NewShardedCI(16, 0)
-		other.AddEdgeWeightSig(1, 2, 9, 0)
+		addEdge(other, 1, 2, 9, 0)
 		os := other.Snapshot()
 		if got := cur.ThresholdDelta(os, os.ThresholdView(minW).(*CISnapshot), minW); !got.Equal(cur.ThresholdView(minW)) {
 			t.Fatal("incomparable-baseline delta != full ThresholdView")
@@ -191,14 +191,14 @@ func seedWaveStore(nsig int, seed int64) (*ShardedCI, *CIGraph, shardWave) {
 	for u := VertexID(0); u < 30; u++ {
 		for v := u + 1; v < 30; v += 3 {
 			if nsig > 0 {
-				g.AddEdgeWeightSig(u, v, 3, 0)
-				g.AddEdgeWeightSig(u, v, 2, 1)
+				addEdge(g, u, v, 3, 0)
+				addEdge(g, u, v, 2, 1)
 			} else {
-				g.AddEdgeWeightSig(u, v, 5, 0)
+				addEdge(g, u, v, 5, 0)
 			}
 			ref.AddEdgeWeight(u, v, 5)
 		}
-		g.AddPageCount(u, 4)
+		addPages(g, u, 4)
 		ref.AddPageCount(u, 4)
 	}
 	w := shardWave{edges: map[int][]EdgeDelta{}, sig: map[int][]uint32{}, pages: map[int][]PageDelta{}}
@@ -310,7 +310,7 @@ func TestSubShardBatch(t *testing.T) {
 		g.shards[shard].mu.Unlock()
 	}
 	key := PackEdge(200, 201)
-	g.AddEdgeWeightSig(200, 201, 1, 0)
+	addEdge(g, 200, 201, 1, 0)
 	mustPanicUnlocked("edge underflow", g.EdgeShard(key), func() {
 		g.SubShardBatch(g.EdgeShard(key), []EdgeDelta{{Key: key, W: 2}}, nil, nil)
 	})
@@ -323,7 +323,7 @@ func TestSubShardBatch(t *testing.T) {
 // and bump the shard version (so DirtyVertices sees them).
 func TestAddShardBatchCOW(t *testing.T) {
 	g := NewShardedCI(4, 0)
-	g.AddEdgeWeightSig(1, 2, 7, 0)
+	addEdge(g, 1, 2, 7, 0)
 	s1 := g.Snapshot()
 	key := PackEdge(1, 2)
 	i := g.EdgeShard(key)
@@ -349,7 +349,7 @@ func TestAddShardBatchCOW(t *testing.T) {
 // TestAddShardBatchMatchesScalar: a random multi-signal batch grouped by
 // shard and applied through AddShardBatch — one call per (signal, shard),
 // keys repeated within a call — gives the same snapshot as the same
-// increments applied one by one through AddEdgeWeightSig / AddPageCount:
+// increments applied one by one, one AddShardBatch call each:
 // equal totals and page counts, and an equal signal mix over every
 // author. Each non-empty call advances its shard's version exactly once.
 func TestAddShardBatchMatchesScalar(t *testing.T) {
@@ -370,14 +370,14 @@ func TestAddShardBatchMatchesScalar(t *testing.T) {
 				key := PackEdge(u, v)
 				i := batch.EdgeShard(key)
 				edges[i] = append(edges[i], EdgeDelta{Key: key, W: w})
-				scalar.AddEdgeWeightSig(u, v, w, si)
+				addEdge(scalar, u, v, w, si)
 			}
 			for k := 0; k < 60; k++ {
 				u := VertexID(rng.Intn(authors))
 				n := uint32(rng.Intn(3)) + 1
 				i := batch.VertexShard(u)
 				pages[i] = append(pages[i], PageDelta{V: u, N: n})
-				scalar.AddPageCount(u, n)
+				addPages(scalar, u, n)
 			}
 			for i := range edges {
 				before := batch.Snapshot().ShardVersions()[i]

@@ -7,8 +7,18 @@ import (
 	"testing"
 )
 
-// subEdge and subPages withdraw through SubShardBatch, the store's one
-// withdrawal path, one entry at a time.
+// addEdge and addPages add through AddShardBatch, subEdge and subPages
+// withdraw through SubShardBatch — the store's one write path each way —
+// one entry at a time.
+func addEdge(g *ShardedCI, u, v VertexID, w uint32, si int) {
+	key := PackEdge(u, v)
+	g.AddShardBatch(g.EdgeShard(key), si, []EdgeDelta{{Key: key, W: w}}, nil)
+}
+
+func addPages(g *ShardedCI, u VertexID, n uint32) {
+	g.AddShardBatch(g.VertexShard(u), 0, nil, []PageDelta{{V: u, N: n}})
+}
+
 func subEdge(g *ShardedCI, u, v VertexID, w uint32) {
 	key := PackEdge(u, v)
 	g.SubShardBatch(g.EdgeShard(key), []EdgeDelta{{Key: key, W: w}}, nil, nil)
@@ -33,7 +43,7 @@ func applyRandomOp(rng *rand.Rand, g *ShardedCI, ref *CIGraph,
 	switch rng.Intn(5) {
 	case 0, 1: // bias toward growth so Sub has material to work with
 		w := uint32(rng.Intn(4) + 1)
-		g.AddEdgeWeightSig(u, v, w, 0)
+		addEdge(g, u, v, w, 0)
 		ref.AddEdgeWeight(u, v, w)
 		weights[PackEdge(u, v)] += w
 	case 2:
@@ -52,7 +62,7 @@ func applyRandomOp(rng *rand.Rand, g *ShardedCI, ref *CIGraph,
 		}
 	case 3:
 		n := uint32(rng.Intn(3) + 1)
-		g.AddPageCount(u, n)
+		addPages(g, u, n)
 		ref.AddPageCount(u, n)
 		pages[u] += n
 	case 4:
@@ -167,8 +177,8 @@ func TestShardedMatchesMapUnderInterleaving(t *testing.T) {
 func TestSnapshotSharesCleanShards(t *testing.T) {
 	g := NewShardedCI(16, 0)
 	for i := VertexID(0); i < 200; i++ {
-		g.AddEdgeWeightSig(i, i+1000, 3, 0)
-		g.AddPageCount(i, 2)
+		addEdge(g, i, i+1000, 3, 0)
+		addPages(g, i, 2)
 	}
 	s1 := g.Snapshot()
 	s2 := g.Snapshot()
@@ -185,7 +195,7 @@ func TestSnapshotSharesCleanShards(t *testing.T) {
 	}
 
 	// Dirty exactly one edge; only its owning shard may change.
-	g.AddEdgeWeightSig(7, 1007, 1, 0)
+	addEdge(g, 7, 1007, 1, 0)
 	dirty := g.EdgeShard(PackEdge(7, 1007))
 	s3 := g.Snapshot()
 	v2, v3 := s2.ShardVersions(), s3.ShardVersions()
@@ -211,8 +221,8 @@ func TestShardedVersionMonotonic(t *testing.T) {
 	g := NewShardedCI(8, 0)
 	last := g.Version()
 	ops := []func(){
-		func() { g.AddEdgeWeightSig(1, 2, 5, 0) },
-		func() { g.AddPageCount(2, 9) },
+		func() { addEdge(g, 1, 2, 5, 0) },
+		func() { addPages(g, 2, 9) },
 		func() { subEdge(g, 1, 2, 2) },
 		func() { subPages(g, 2, 9) },
 	}
@@ -242,8 +252,8 @@ func TestShardedUnderflowPanics(t *testing.T) {
 		fn()
 	}
 	g := NewShardedCI(4, 0)
-	g.AddEdgeWeightSig(1, 2, 3, 0)
-	g.AddPageCount(1, 2)
+	addEdge(g, 1, 2, 3, 0)
+	addPages(g, 1, 2)
 	mustPanic("edge", func() { subEdge(g, 1, 2, 4) })
 	mustPanic("edge(absent)", func() { subEdge(g, 5, 6, 1) })
 	mustPanic("pages", func() { subPages(g, 1, 3) })

@@ -12,7 +12,11 @@
 // with a signal count >= 2 keeps each signal's share of each edge's total
 // weight in the edge table's inline stride-numSignals share lanes, so
 // attributing an increment or reading a breakdown costs the same single
-// probe as the total itself. The breakdown is attribution metadata — it
+// probe as the total itself. Writes are bulk only: increments arrive
+// through AddShardBatch, a batch per (shard, signal), and withdrawals
+// through SubShardBatch with a share stride beside the totals; an
+// untracked store moves only the totals, so a single-signal ingest pays
+// nothing for the breakdown. The breakdown is attribution metadata — it
 // rides the same copy-on-write discipline as the edge tables (frozen by
 // Snapshot, cloned by own), is withdrawn in the same eviction waves, and
 // is never consulted by Equal, Threshold, or the snapshot diffs.
@@ -20,23 +24,6 @@
 // pre-signal code. The map-backed reference graph keeps totals only: a
 // signal's reference share is that signal projected alone.
 package graph
-
-// --- sharded store ------------------------------------------------------
-
-// AddEdgeWeightSig adds w to edge {u,v} and attributes it to signal si
-// under one shard lock acquisition and one table probe. On an untracked
-// store only the total moves — the single-signal ingest hot path pays
-// nothing.
-func (g *ShardedCI) AddEdgeWeightSig(u, v VertexID, w uint32, si int) {
-	key := PackEdge(u, v)
-	sh := &g.shards[g.EdgeShard(key)]
-	sh.mu.Lock()
-	sh.own()
-	sh.edges.addSig(key, w, si)
-	sh.version++
-	sh.mu.Unlock()
-	g.version.Add(1)
-}
 
 // --- snapshots ----------------------------------------------------------
 

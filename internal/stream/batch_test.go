@@ -140,3 +140,58 @@ func TestAddBatchOutOfOrderStopsAtOffender(t *testing.T) {
 		t.Fatalf("resume after out-of-order batch: %v", err)
 	}
 }
+
+// TestAddBatchCountsAndEvictsInOneWave: with a horizon shorter than the
+// batch's span, one AddBatch counts pairs and page counts and evicts them
+// again, so the wave carries an increment and a decrement of the same
+// edge and author. Increments land first: no underflow, and the batch
+// ends where the per-comment path does, graph and gauges alike.
+func TestAddBatchCountsAndEvictsInOneWave(t *testing.T) {
+	const horizon = 100
+	url := &graph.CommentAttrs{URLs: []graph.VertexID{7}}
+	batch := []graph.Comment{
+		{Author: 1, Page: 0, TS: 0, Attrs: url},
+		{Author: 2, Page: 0, TS: 10, Attrs: url},
+		{Author: 3, Page: 0, TS: 20},
+		// Counted at t=10..20, due out at t>=100: the next comments drain.
+		{Author: 4, Page: 1, TS: 150},
+		// {1,2} counted again on another object, and evicted again by the
+		// last comment.
+		{Author: 1, Page: 2, TS: 160},
+		{Author: 2, Page: 2, TS: 170, Attrs: url},
+		{Author: 5, Page: 3, TS: 300},
+	}
+	for _, sigs := range [][]SignalConfig{
+		{{Signal: projection.CoComment{W: projection.Window{Min: 0, Max: 60}}}},
+		{
+			{Signal: projection.CoComment{W: projection.Window{Min: 0, Max: 60}}},
+			{Signal: projection.URLShare{W: projection.Window{Min: 0, Max: 60}}},
+		},
+	} {
+		got, err := NewMultiSlidingProjectorWorkers(sigs, horizon, projection.Options{}, 0, 1)
+		if err != nil {
+			t.Fatal(err)
+		}
+		ref, err := NewMultiSlidingProjectorWorkers(sigs, horizon, projection.Options{}, 0, 1)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := got.AddBatch(batch); err != nil {
+			t.Fatal(err)
+		}
+		for _, c := range batch {
+			mustAdd(t, ref, c)
+		}
+		checkWindowState(t, got)
+		compareProjectors(t, 0, ref, got, sigs)
+		if got.EvictedPairs() < 4 || got.LivePairs() != 0 {
+			t.Fatalf("%d signals: %d evicted, %d live; want every pair counted and evicted",
+				len(sigs), got.EvictedPairs(), got.LivePairs())
+		}
+		snap := got.Snapshot()
+		if snap.NumEdges() != 0 || snap.PageCount(1) != 0 || snap.PageCount(2) != 0 {
+			t.Fatalf("%d signals: %d edges, page counts %d, %d left after the wave",
+				len(sigs), snap.NumEdges(), snap.PageCount(1), snap.PageCount(2))
+		}
+	}
+}

@@ -1,23 +1,21 @@
 package stream
 
-import "coordbot/internal/graph"
-
-// leaseTable is the flat store behind the sliding window's per-object
-// bookkeeping: an open-addressed table from (object, key) to an int64,
-// in the shape of graph's edge table — power-of-two capacity indexed by
-// the top bits of a splitmix64 hash, linear probing, 13/16 load, backshift
-// deletion (no tombstones, so churn never lengthens probe chains), key 0
-// the empty-slot sentinel. One per signal holds the leases (key =
-// packed pair, value = newest supporting timestamp) and one the incident
-// counts (key = author+1, value = live pairs touching the author on the
-// object), replacing two Go maps per object state: a new object allocates
-// nothing, a lease lookup needs no object lookup first, and the whole
-// window is two allocations that grow by doubling.
+// leaseTable is the flat store behind one object's sliding-window
+// bookkeeping: an open-addressed table from a nonzero uint64 key to an
+// int64, in the shape of graph's edge table — power-of-two capacity
+// indexed by the top bits of a hash, linear probing, 13/16 load,
+// backshift deletion (no tombstones, so churn never lengthens probe
+// chains), key 0 the empty-slot sentinel. Every object state holds two:
+// the leases (key = packed pair, value = newest supporting timestamp) and
+// the incident counts (key = author+1, value = live pairs touching the
+// author on the object). A slot is 16 bytes, and a pairing's probes all
+// land in the one small table of the object it pairs on.
 //
-// Not synchronized: a table belongs to one projector.
+// The zero value is an empty table without slots: an object that never
+// pairs allocates nothing, and the first insert allocates leaseTableMinCap
+// slots. Not synchronized: a table belongs to one projector.
 type leaseTable struct {
 	slots []leaseSlot
-	mask  uint64
 	shift uint // 64 - log2(len(slots))
 	n     int
 }
@@ -25,61 +23,64 @@ type leaseTable struct {
 type leaseSlot struct {
 	key uint64 // 0 marks an empty slot
 	val int64
-	obj graph.VertexID
 }
 
 const (
 	leaseTableMinCap                     = 8
 	leaseTableLoadNum, leaseTableLoadDen = 13, 16
+	// leaseTableKeepCap is the largest table a freed object state keeps
+	// for the slot's next tenant; a larger one (a dead megathread's) is
+	// dropped rather than pinned.
+	leaseTableKeepCap = 64
 )
-
-func newLeaseTable() leaseTable {
-	var t leaseTable
-	t.alloc(leaseTableMinCap)
-	return t
-}
 
 func (t *leaseTable) alloc(capacity int) {
 	t.slots = make([]leaseSlot, capacity)
-	t.mask = uint64(capacity - 1)
 	t.shift = 64
 	for c := capacity; c > 1; c >>= 1 {
 		t.shift--
 	}
 }
 
-// home is the slot (obj, key)'s probe chain starts at.
-func (t *leaseTable) home(obj graph.VertexID, key uint64) uint64 {
-	return mix64(key^(uint64(obj)+1)*0x9e3779b97f4a7c15) >> t.shift
+// home is the slot key's probe chain starts at: the top bits of a
+// Fibonacci (multiplicative) hash, which spreads dense author IDs and
+// packed pairs of them evenly, and whose one multiply puts the probe's
+// load sooner behind the key than a full mixer would.
+func (t *leaseTable) home(key uint64) uint64 {
+	return (key * 0x9e3779b97f4a7c15) >> t.shift
 }
 
-// find probes for (obj, key): the slot holding it (true) or the empty slot
-// ending its probe chain (false), where insert will place it.
-func (t *leaseTable) find(obj graph.VertexID, key uint64) (uint64, bool) {
-	i := t.home(obj, key)
+// find probes for key: the slot holding it (true) or the empty slot ending
+// its probe chain (false), where insert will place it.
+func (t *leaseTable) find(key uint64) (uint64, bool) {
+	if len(t.slots) == 0 {
+		return 0, false
+	}
+	mask := uint64(len(t.slots) - 1)
+	i := t.home(key)
 	for {
 		s := &t.slots[i]
-		if s.key == key && s.obj == obj {
+		if s.key == key {
 			return i, true
 		}
 		if s.key == 0 {
 			return i, false
 		}
-		i = (i + 1) & t.mask
+		i = (i + 1) & mask
 	}
 }
 
-// insert stores (obj, key) → val at i, the slot a failed find returned
-// with no mutation in between, growing first when the load factor asks.
-func (t *leaseTable) insert(i uint64, obj graph.VertexID, key uint64, val int64) {
+// insert stores key → val at i, the slot a failed find returned with no
+// mutation in between, growing first when the load factor asks.
+func (t *leaseTable) insert(i uint64, key uint64, val int64) {
 	if key == 0 {
 		panic("stream: leaseTable key 0 (empty-slot sentinel)")
 	}
 	if (t.n+1)*leaseTableLoadDen > len(t.slots)*leaseTableLoadNum {
 		t.grow()
-		i, _ = t.find(obj, key)
+		i, _ = t.find(key)
 	}
-	t.slots[i] = leaseSlot{key: key, val: val, obj: obj}
+	t.slots[i] = leaseSlot{key: key, val: val}
 	t.n++
 }
 
@@ -87,14 +88,15 @@ func (t *leaseTable) insert(i uint64, obj graph.VertexID, key uint64, val int64)
 // displaced entry whose home lies at or before the hole moves back into
 // it.
 func (t *leaseTable) remove(i uint64) {
+	mask := uint64(len(t.slots) - 1)
 	j := i
 	for {
-		j = (j + 1) & t.mask
+		j = (j + 1) & mask
 		s := t.slots[j]
 		if s.key == 0 {
 			break
 		}
-		if h := t.home(s.obj, s.key); (j-h)&t.mask >= (j-i)&t.mask {
+		if h := t.home(s.key); (j-h)&mask >= (j-i)&mask {
 			t.slots[i] = s
 			i = j
 		}
@@ -105,24 +107,24 @@ func (t *leaseTable) remove(i uint64) {
 
 func (t *leaseTable) grow() {
 	old := t.slots
-	t.alloc(len(old) * 2)
+	t.alloc(max(2*len(old), leaseTableMinCap))
+	mask := uint64(len(t.slots) - 1)
 	for _, s := range old {
 		if s.key == 0 {
 			continue
 		}
-		i := t.home(s.obj, s.key)
+		i := t.home(s.key)
 		for t.slots[i].key != 0 {
-			i = (i + 1) & t.mask
+			i = (i + 1) & mask
 		}
 		t.slots[i] = s
 	}
 }
 
-// mix64 is the splitmix64 finalizer, the same hash graph's edge table
-// indexes by.
-func mix64(x uint64) uint64 {
-	x += 0x9e3779b97f4a7c15
-	x = (x ^ (x >> 30)) * 0xbf58476d1ce4e5b9
-	x = (x ^ (x >> 27)) * 0x94d049bb133111eb
-	return x ^ (x >> 31)
+// recycle readies an empty table for the next tenant of its object slot:
+// it keeps its slots up to leaseTableKeepCap and drops larger ones.
+func (t *leaseTable) recycle() {
+	if len(t.slots) > leaseTableKeepCap {
+		*t = leaseTable{}
+	}
 }

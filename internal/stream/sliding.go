@@ -31,13 +31,16 @@
 // built around: a live lease has exactly ONE entry in its signal's
 // calendar ring (expiryRing; O(1) push, batch drain). A refresh only
 // overwrites the lease; when the ring entry comes up and the lease has
-// moved on, the entry is re-armed at the lease instead of evicting. Leases
-// and per-(object, author) incident counts live in two flat open-addressed
-// tables per signal (leaseTable) and object states in a slab with a free
-// list, so steady-state ingest allocates nothing. All signals' expired
-// contributions in one watermark advance land as a single shard-grouped
-// eviction wave, so each touched shard's dirty version advances once per
-// wave — the unit the delta surveys count on.
+// moved on, the entry is re-armed at the lease instead of evicting. Each
+// object state holds its leases and per-author incident counts in two
+// small flat open-addressed tables of its own (leaseTable), so a pairing
+// probes only the object it pairs on, and object states sit in a slab
+// with a free list that keeps each slot's buffer and small tables, so
+// steady-state ingest allocates nothing. The store is written once per
+// wave: the fresh pairs' increments and all signals' expired contributions
+// accumulate in flat logs and land shard-grouped, increments first, so
+// each touched shard's dirty version advances once per wave — the unit
+// the delta surveys count on.
 //
 // Algorithm 1's pair rule (delay in [δ1, δ2), self-pairs skipped, each
 // pair counted once per object) has three implementations, one per
@@ -81,9 +84,9 @@ type SignalConfig struct {
 // copy-on-write: O(shards) per call, with dirty shards recopied lazily by
 // the next Add that touches them. Mutators (Add, AddBatch, AdvanceTo) are
 // single-caller — wrap with a lock (detectd does)
-// or shard by page upstream. The point reads EdgeWeight, PageCount,
-// NumEdges, and GraphVersion go through the store's per-shard locks and
-// are safe concurrently with the mutators.
+// or shard by page upstream. Each mutator writes the store once, as one
+// wave, before it returns. NumEdges and GraphVersion are the only reads
+// of the live store; they are safe concurrently with the mutators.
 type SlidingProjector struct {
 	sigs    []*sigMeta
 	horizon int64 // default trailing horizon (per-signal states hold their own)
@@ -101,19 +104,18 @@ type SlidingProjector struct {
 	started bool
 	count   int64
 
-	// wave is the reusable eviction-wave scratch: flat decrement logs with
-	// the owning shard precomputed at push time. applyWave counting-sorts
-	// them by shard and aggregates each shard's segment into the store's
-	// flat batch API through the sort/out scratch below — all recycled
-	// between waves, so steady-state eviction allocates nothing.
+	// wave is the reusable store-write scratch: flat increment and
+	// decrement logs with the owning shard precomputed at push time.
+	// flushWave counting-scatters each log into per-(shard, signal) buckets
+	// of the store's flat batch records below and hands them to its batch
+	// API — all recycled between waves, so steady-state ingest allocates
+	// nothing.
 	wave     wave
-	edgeOff  []int // len shards+1: counting-sort offsets, then cursors
-	pageOff  []int
-	sortEdge []edgeDec // shard-ordered permutation of wave.edges
-	sortPage []pageDec
-	outEdges []graph.EdgeDelta // one shard's aggregated decrements
-	outSig   []uint32          // stride len(sigs) shares, aligned with outEdges
-	outPages []graph.PageDelta
+	edgeOff  []int             // len shards*len(sigs)+1: scatter counts, then bucket ends
+	pageOff  []int             // len shards+1
+	outEdges []graph.EdgeDelta // one edge log, bucket-ordered, each W 1
+	outPages []graph.PageDelta // one page log, shard-ordered, each N 1
+	outSig   []uint32          // stride len(sigs) shares for one shard's decrements
 }
 
 // sigMeta is one signal's immutable configuration plus its extraction
@@ -134,12 +136,6 @@ type sigLane struct {
 	objects map[graph.VertexID]int32
 	pages   []slidingPage
 	free    []int32
-	// leases maps (object, packed pair) to the newest older-comment
-	// timestamp supporting the counted pair; incident maps (object,
-	// author+1) to the number of leases touching the author there — the
-	// author's P' contribution for the object lives while it is present.
-	leases   leaseTable
-	incident leaseTable
 	// exp holds exactly one entry per lease, at or behind the lease.
 	exp expiryRing
 	// idle schedules object-state GC: an object whose newest comment has
@@ -160,6 +156,9 @@ type sigLane struct {
 	evicted  int64
 	rearmed  int64
 	buffered int
+	// probes counts lease- and incident-table lookups (what
+	// BenchmarkSlidingAddBatch reports per comment).
+	probes int64
 }
 
 type slidingPage struct {
@@ -170,39 +169,49 @@ type slidingPage struct {
 	lastTS int64
 	// live counts the object's leases; the state outlives them all.
 	live int32
+	// leases maps a packed pair to the newest older-comment timestamp
+	// supporting it, one entry per pair counted on this object; incident
+	// maps author+1 to the number of leases touching the author here —
+	// the author's P' contribution for the object lives while it is
+	// present. Both are empty whenever live is 0.
+	leases   leaseTable
+	incident leaseTable
 }
 
-// edgeDec is one evicted (signal, object, pair) contribution in a wave:
-// the packed edge key, its owning shard (precomputed where the eviction
-// is discovered), and the signal it came from. The decrement amount is
-// implied — it is always 1 — so the log stays a flat 16-byte record and
-// aggregation is a run-length count at apply time.
-type edgeDec struct {
+// edgeOp is one (signal, object, pair) contribution in a wave: the packed
+// edge key, its owning shard (precomputed where the pair is counted or
+// evicted), and the signal it came from. The amount is implied — it is
+// always 1, added or withdrawn by the log that holds it — so the log stays
+// a flat 16-byte record.
+type edgeOp struct {
 	key   uint64
 	shard int32
 	si    int32
 }
 
-// pageDec is one author's P' decrement in a wave (always by 1: the
-// author's last live pair on some object expired).
-type pageDec struct {
+// pageOp is one author's P' change by 1 in a wave: the author's first live
+// pair on some object was counted, or the last one expired.
+type pageOp struct {
 	v     graph.VertexID
 	shard int32
 }
 
-// wave accumulates one eviction wave's decrements as flat append logs.
-// Waves are recycled by truncation, so steady-state eviction allocates
-// nothing.
+// wave accumulates one store write as flat append logs: the increments
+// of fresh pairs and new incident authors, and the decrements of expired
+// ones. Waves are recycled by truncation, so steady-state ingest
+// allocates nothing.
 type wave struct {
-	edges []edgeDec
-	pages []pageDec
+	addEdges []edgeOp
+	addPages []pageOp
+	subEdges []edgeOp
+	subPages []pageOp
 }
 
-func (w *wave) empty() bool { return len(w.edges) == 0 && len(w.pages) == 0 }
-
 func (w *wave) reset() {
-	w.edges = w.edges[:0]
-	w.pages = w.pages[:0]
+	w.addEdges = w.addEdges[:0]
+	w.addPages = w.addPages[:0]
+	w.subEdges = w.subEdges[:0]
+	w.subPages = w.subPages[:0]
 }
 
 // NewMultiSlidingProjectorWorkers creates a sliding projector fanning the
@@ -253,15 +262,13 @@ func NewMultiSlidingProjectorWorkers(sigs []SignalConfig, horizon int64, opts pr
 		}
 		p.sigs[i] = m
 		p.cells[i] = sigLane{
-			objects:  make(map[graph.VertexID]int32),
-			leases:   newLeaseTable(),
-			incident: newLeaseTable(),
-			exp:      newExpiryRing(m.horizon),
-			idle:     newExpiryRing(m.w.Max),
+			objects: make(map[graph.VertexID]int32),
+			exp:     newExpiryRing(m.horizon),
+			idle:    newExpiryRing(m.w.Max),
 		}
 	}
 	ns := p.g.NumShards()
-	p.edgeOff = make([]int, ns+1)
+	p.edgeOff = make([]int, ns*len(sigs)+1)
 	p.pageOff = make([]int, ns+1)
 	return p, nil
 }
@@ -347,7 +354,8 @@ func (p *SlidingProjector) skip(a graph.VertexID) bool {
 }
 
 // Add consumes one comment. Comments must arrive in nondecreasing global
-// timestamp order; Add returns an error otherwise.
+// timestamp order; Add returns an error otherwise. The comment's
+// increments land in the store before Add returns.
 // surface:keep the serial reference the batch ≡ per-comment suites
 // (TestSlidingMatchesBatchRestricted, TestAddBatchMatchesPerComment)
 // compare AddBatch against.
@@ -370,12 +378,13 @@ func (p *SlidingProjector) Add(c graph.Comment) error {
 			p.addToObject(sl, m, obj, c.Author, c.TS)
 		}
 	}
+	p.flushWave()
 	return nil
 }
 
 // addToObject runs the windowed pairing of one (signal, object)
 // engagement: pair the comment against the object's buffered trailing-δ2
-// comments, count fresh pairs into the store with the signal's
+// comments, log fresh pairs' increments into the wave with the signal's
 // attribution, refresh leases on already-counted pairs.
 func (p *SlidingProjector) addToObject(sl *sigLane, m *sigMeta, obj graph.VertexID, author graph.VertexID, ts int64) {
 	ps := &sl.pages[sl.pageOf(obj)]
@@ -402,13 +411,14 @@ func (p *SlidingProjector) addToObject(sl *sigLane, m *sigMeta, obj graph.Vertex
 			continue
 		}
 		key := graph.PackEdge(old.Author, author)
-		li, ok := sl.leases.find(obj, key)
+		sl.probes++
+		li, ok := ps.leases.find(key)
 		if ok {
 			// Pair already counted for this object: refresh its lease. Over
 			// an expired one this is the serial path's eviction followed by
 			// a fresh count — the same weight out of and into the store, the
 			// same incident counts — and the lease keeps its ring entry.
-			lease := &sl.leases.slots[li].val
+			lease := &ps.leases.slots[li].val
 			if *lease <= dead {
 				sl.evicted++
 			}
@@ -417,19 +427,20 @@ func (p *SlidingProjector) addToObject(sl *sigLane, m *sigMeta, obj graph.Vertex
 			}
 			continue
 		}
-		sl.leases.insert(li, obj, key, old.TS)
+		ps.leases.insert(li, key, old.TS)
 		sl.exp.push(expiryEntry{oldTS: old.TS, page: obj, key: key})
-		p.g.AddEdgeWeightSig(old.Author, author, 1, m.si)
+		p.wave.addEdges = append(p.wave.addEdges, edgeOp{key: key, shard: int32(p.g.EdgeShard(key)), si: int32(m.si)})
 		sl.live++
 		ps.live++
+		sl.probes += 2
 		for _, a := range [2]graph.VertexID{old.Author, author} {
-			ii, ok := sl.incident.find(obj, uint64(a)+1)
+			ii, ok := ps.incident.find(uint64(a) + 1)
 			if ok {
-				sl.incident.slots[ii].val++
+				ps.incident.slots[ii].val++
 				continue
 			}
-			sl.incident.insert(ii, obj, uint64(a)+1, 1)
-			p.g.AddPageCount(a, 1)
+			ps.incident.insert(ii, uint64(a)+1, 1)
+			p.wave.addPages = append(p.wave.addPages, pageOp{v: a, shard: int32(p.g.VertexShard(a))})
 		}
 	}
 	ps.buf = append(ps.buf, graph.AuthorTime{Author: author, TS: ts})
@@ -458,12 +469,14 @@ func (sl *sigLane) pageOf(obj graph.VertexID) int32 {
 	return pi
 }
 
-// freePage retires obj's state, keeping its buffer for the slot's next
-// tenant.
+// freePage retires obj's state, keeping its buffer and its (empty)
+// tables up to leaseTableKeepCap for the slot's next tenant.
 func (sl *sigLane) freePage(obj graph.VertexID, pi int32) {
 	ps := &sl.pages[pi]
 	sl.buffered -= len(ps.buf) - ps.start
-	*ps = slidingPage{buf: ps.buf[:0]}
+	ps.leases.recycle()
+	ps.incident.recycle()
+	*ps = slidingPage{buf: ps.buf[:0], leases: ps.leases, incident: ps.incident}
 	sl.free = append(sl.free, pi)
 	delete(sl.objects, obj)
 }
@@ -478,11 +491,11 @@ func (sl *sigLane) trim(ps *slidingPage, bound int64) {
 }
 
 // AddBatch consumes a time-ordered batch, pairing each comment as it comes
-// and landing all of the batch's evictions as ONE wave at the batch's
-// final watermark: state-identical to the serial path at every batch
-// boundary, but with the store-delta application amortized over the whole
-// batch instead of paid per watermark advance (each shard the evictions
-// touch is written once). A cell's rings are drained when one of its
+// and landing all of the batch's increments and evictions as ONE wave at
+// the batch's final watermark: state-identical to the serial path at every
+// batch boundary, but with the store-delta application amortized over the
+// whole batch instead of paid per comment (each shard the wave touches is
+// written once per signal). A cell's rings are drained when one of its
 // engagements finds them a cadence behind and, for every cell, at the
 // batch watermark, so signals without trailing engagements decay too; in
 // between, addToObject reads expiry off the leases it touches. A drain
@@ -555,12 +568,18 @@ func (p *SlidingProjector) evictAll(wm int64) {
 	p.flushWave()
 }
 
-// flushWave applies the pending eviction wave, if any, and recycles it.
+// flushWave applies the pending wave, increments before decrements, and
+// recycles it. In that order a pair counted and evicted inside one wave
+// never underflows the store and ends where the serial path leaves it.
 func (p *SlidingProjector) flushWave() {
-	if !p.wave.empty() {
-		p.applyWave(&p.wave)
-		p.wave.reset()
+	w := &p.wave
+	if len(w.addEdges) > 0 || len(w.addPages) > 0 {
+		p.applyAdds(w)
 	}
+	if len(w.subEdges) > 0 || len(w.subPages) > 0 {
+		p.applySubs(w)
+	}
+	w.reset()
 }
 
 // evictSig withdraws one signal's contributions whose lease has aged past
@@ -582,37 +601,42 @@ func (p *SlidingProjector) evictSig(sl *sigLane, m *sigMeta, wm int64, since []g
 	sl.nextDrain = wm + min(m.w.Max, m.horizon)
 	cutoff := wm - m.horizon
 	sl.exp.drain(cutoff, func(e expiryEntry) {
-		li, ok := sl.leases.find(e.page, e.key)
+		pi, ok := sl.objects[e.page]
+		if !ok {
+			panic("stream: expiry entry without an object state")
+		}
+		ps := &sl.pages[pi]
+		sl.probes++
+		li, ok := ps.leases.find(e.key)
 		if !ok {
 			panic("stream: expiry entry without a lease")
 		}
-		lease := sl.leases.slots[li].val
+		lease := ps.leases.slots[li].val
 		if lease > cutoff {
 			e.oldTS = lease
 			sl.rearm = append(sl.rearm, e)
 			return
 		}
-		sl.leases.remove(li)
-		p.wave.edges = append(p.wave.edges, edgeDec{key: e.key, shard: int32(p.g.EdgeShard(e.key)), si: int32(m.si)})
+		ps.leases.remove(li)
+		p.wave.subEdges = append(p.wave.subEdges, edgeOp{key: e.key, shard: int32(p.g.EdgeShard(e.key)), si: int32(m.si)})
 		sl.live--
 		sl.evicted++
+		sl.probes += 2
 		u, v := graph.UnpackEdge(e.key)
 		for _, a := range [2]graph.VertexID{u, v} {
-			ii, ok := sl.incident.find(e.page, uint64(a)+1)
+			ii, ok := ps.incident.find(uint64(a) + 1)
 			if !ok {
 				panic("stream: lease without an incident count")
 			}
-			if n := &sl.incident.slots[ii].val; *n > 1 {
+			if n := &ps.incident.slots[ii].val; *n > 1 {
 				*n--
 				continue
 			}
-			sl.incident.remove(ii)
-			p.wave.pages = append(p.wave.pages, pageDec{v: a, shard: int32(p.g.VertexShard(a))})
+			ps.incident.remove(ii)
+			p.wave.subPages = append(p.wave.subPages, pageOp{v: a, shard: int32(p.g.VertexShard(a))})
 		}
 		// Buffered comments w.Max behind the eviction can never pair again;
 		// once the newest is and no lease is left, the object state is dead.
-		pi := sl.objects[e.page]
-		ps := &sl.pages[pi]
 		ps.live--
 		sl.trim(ps, dueAt(since, lease+m.horizon, wm)-m.w.Max)
 		if ps.live == 0 && wm-ps.lastTS >= m.w.Max {
@@ -652,121 +676,103 @@ func dueAt(since []graph.Comment, due, wm int64) int64 {
 	return since[i].TS
 }
 
-// applyWave withdraws one eviction wave from the store: the flat
-// decrement logs are counting-sorted into shard-contiguous segments
-// (shards were precomputed at push time), each shard's edge segment is
-// key-sorted and run-length aggregated into one flat batch — total per
-// edge plus, on multi-signal projectors, the stride-len(sigs) per-signal
-// shares, each log entry contributing 1 to its signal's share — and the
-// batch is withdrawn under a single shard lock acquisition and version bump
-// (SubShardBatch). All sort and aggregation scratch is recycled between
-// waves.
-func (p *SlidingProjector) applyWave(w *wave) {
-	ns := p.g.NumShards()
+// scatterEdges counting-sorts an edge log into p.outEdges by bucket
+// shard*len(sigs)+signal, log order kept inside a bucket, and leaves
+// p.edgeOff[b] at bucket b's end (span reads the buckets back). A shard's
+// buckets are contiguous, so its whole segment is one span too.
+func (p *SlidingProjector) scatterEdges(log []edgeOp) {
+	nsig := int32(len(p.sigs))
+	off := p.edgeOff
+	clear(off)
+	for _, e := range log {
+		off[e.shard*nsig+e.si+1]++
+	}
+	for b := 1; b < len(off); b++ {
+		off[b] += off[b-1]
+	}
+	p.outEdges = slices.Grow(p.outEdges[:0], len(log))[:len(log)]
+	for _, e := range log {
+		b := e.shard*nsig + e.si
+		p.outEdges[off[b]] = graph.EdgeDelta{Key: e.key, W: 1}
+		off[b]++
+	}
+}
 
-	// Counting sort both logs by shard. After the scatter loops the
-	// cursors have advanced one segment forward, i.e. edgeOff[s] holds
-	// segment s's END — so segment s spans [edgeOff[s-1], edgeOff[s]) with
-	// edgeOff[-1] == 0, read below as [prevE, edgeOff[s]).
-	for i := range p.edgeOff {
-		p.edgeOff[i] = 0
-		p.pageOff[i] = 0
+// scatterPages is scatterEdges for a page log, one bucket per shard, into
+// p.outPages and p.pageOff.
+func (p *SlidingProjector) scatterPages(log []pageOp) {
+	off := p.pageOff
+	clear(off)
+	for _, pg := range log {
+		off[pg.shard+1]++
 	}
-	for _, e := range w.edges {
-		p.edgeOff[e.shard+1]++
+	for b := 1; b < len(off); b++ {
+		off[b] += off[b-1]
 	}
-	for _, pg := range w.pages {
-		p.pageOff[pg.shard+1]++
+	p.outPages = slices.Grow(p.outPages[:0], len(log))[:len(log)]
+	for _, pg := range log {
+		p.outPages[off[pg.shard]] = graph.PageDelta{V: pg.v, N: 1}
+		off[pg.shard]++
 	}
-	for s := 0; s < ns; s++ {
-		p.edgeOff[s+1] += p.edgeOff[s]
-		p.pageOff[s+1] += p.pageOff[s]
-	}
-	if cap(p.sortEdge) < len(w.edges) {
-		p.sortEdge = make([]edgeDec, len(w.edges))
-	}
-	p.sortEdge = p.sortEdge[:len(w.edges)]
-	if cap(p.sortPage) < len(w.pages) {
-		p.sortPage = make([]pageDec, len(w.pages))
-	}
-	p.sortPage = p.sortPage[:len(w.pages)]
-	for _, e := range w.edges {
-		p.sortEdge[p.edgeOff[e.shard]] = e
-		p.edgeOff[e.shard]++
-	}
-	for _, pg := range w.pages {
-		p.sortPage[p.pageOff[pg.shard]] = pg
-		p.pageOff[pg.shard]++
-	}
+}
 
-	nsig := 0
-	if p.track {
-		nsig = len(p.sigs)
+// span returns the range buckets [lo, hi) occupy after a scatter, which
+// leaves off[b] at bucket b's end.
+func span(off []int, lo, hi int) (int, int) {
+	start := 0
+	if lo > 0 {
+		start = off[lo-1]
 	}
-	prevE, prevP := 0, 0
-	for s := 0; s < ns; s++ {
-		seg := p.sortEdge[prevE:p.edgeOff[s]]
-		pseg := p.sortPage[prevP:p.pageOff[s]]
-		prevE, prevP = p.edgeOff[s], p.pageOff[s]
-		if len(seg) == 0 && len(pseg) == 0 {
+	return start, off[hi-1]
+}
+
+// applyAdds lands the wave's increments in the store: one AddShardBatch
+// per (shard, signal) bucket, entries in log order with no key sort (the
+// table upserts a repeated key in place), and each shard's new page
+// counts passed once, with its first call.
+func (p *SlidingProjector) applyAdds(w *wave) {
+	nsig := len(p.sigs)
+	p.scatterEdges(w.addEdges)
+	p.scatterPages(w.addPages)
+	for s := 0; s < p.g.NumShards(); s++ {
+		lo, hi := span(p.pageOff, s, s+1)
+		pages := p.outPages[lo:hi]
+		for si := 0; si < nsig; si++ {
+			lo, hi := span(p.edgeOff, s*nsig+si, s*nsig+si+1)
+			p.g.AddShardBatch(s, si, p.outEdges[lo:hi], pages)
+			pages = nil
+		}
+	}
+}
+
+// applySubs withdraws the wave's decrements from the store: one
+// SubShardBatch per shard, its entries in log order with no key sort
+// (the table withdraws a repeated key in place), each edge entry 1 off
+// the total and, on multi-signal projectors, 1 off its signal's share in
+// the aligned stride-len(sigs) lane.
+func (p *SlidingProjector) applySubs(w *wave) {
+	nsig := len(p.sigs)
+	p.scatterEdges(w.subEdges)
+	p.scatterPages(w.subPages)
+	for s := 0; s < p.g.NumShards(); s++ {
+		elo, ehi := span(p.edgeOff, s*nsig, (s+1)*nsig)
+		plo, phi := span(p.pageOff, s, s+1)
+		if elo == ehi && plo == phi {
 			continue
 		}
-
-		// Aggregate the edge segment: sort by key (si order within a key is
-		// irrelevant — shares are summed), then one EdgeDelta per distinct
-		// key with the signal shares scattered into the aligned stride.
-		slices.SortFunc(seg, func(a, b edgeDec) int {
-			if a.key < b.key {
-				return -1
-			}
-			if a.key > b.key {
-				return 1
-			}
-			return 0
-		})
-		p.outEdges = p.outEdges[:0]
-		p.outSig = p.outSig[:0]
-		for k := 0; k < len(seg); {
-			key := seg[k].key
-			base := len(p.outSig)
-			for j := 0; j < nsig; j++ {
-				p.outSig = append(p.outSig, 0)
-			}
-			var tot uint32
-			for ; k < len(seg) && seg[k].key == key; k++ {
-				tot++
-				if nsig > 0 {
-					p.outSig[base+int(seg[k].si)]++
+		var sig []uint32
+		if p.track {
+			p.outSig = p.outSig[:0]
+			for si := 0; si < nsig; si++ {
+				lo, hi := span(p.edgeOff, s*nsig+si, s*nsig+si+1)
+				for range hi - lo {
+					p.outSig = append(p.outSig, make([]uint32, nsig)...)
+					p.outSig[len(p.outSig)-nsig+si] = 1
 				}
 			}
-			p.outEdges = append(p.outEdges, graph.EdgeDelta{Key: key, W: tot})
+			sig = p.outSig
 		}
-
-		// Aggregate the page segment: sort by author, run-length count.
-		slices.SortFunc(pseg, func(a, b pageDec) int {
-			if a.v < b.v {
-				return -1
-			}
-			if a.v > b.v {
-				return 1
-			}
-			return 0
-		})
-		p.outPages = p.outPages[:0]
-		for k := 0; k < len(pseg); {
-			v := pseg[k].v
-			var n uint32
-			for ; k < len(pseg) && pseg[k].v == v; k++ {
-				n++
-			}
-			p.outPages = append(p.outPages, graph.PageDelta{V: v, N: n})
-		}
-
-		sig := p.outSig
-		if nsig == 0 {
-			sig = nil
-		}
-		p.g.SubShardBatch(s, p.outEdges, sig, p.outPages)
+		p.g.SubShardBatch(s, p.outEdges[elo:ehi], sig, p.outPages[plo:phi])
 	}
 }
 

@@ -2,6 +2,7 @@ package stream
 
 import (
 	"math/rand"
+	"slices"
 	"testing"
 
 	"coordbot/internal/graph"
@@ -241,6 +242,40 @@ func TestSlidingPageStateGC(t *testing.T) {
 	}
 }
 
+// TestFreedObjectDropsLargeTable: an object state freed with a lease
+// table past leaseTableKeepCap gives the table up, while its small
+// incident table stays with the slab slot for the next tenant.
+func TestFreedObjectDropsLargeTable(t *testing.T) {
+	p, err := newSliding(projection.Window{Min: 0, Max: 60}, 100, projection.Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	// 20 authors inside one window: 190 leases, 20 incident counts.
+	for a := 0; a < 20; a++ {
+		mustAdd(t, p, graph.Comment{Author: graph.VertexID(a), Page: 0, TS: int64(a)})
+	}
+	sl := &p.cells[0]
+	ps := &sl.pages[sl.objects[0]]
+	if len(ps.leases.slots) <= leaseTableKeepCap || len(ps.incident.slots) > leaseTableKeepCap {
+		t.Fatalf("setup: %d lease slots, %d incident slots", len(ps.leases.slots), len(ps.incident.slots))
+	}
+	incidentSlots := len(ps.incident.slots)
+	if err := p.AdvanceTo(1000); err != nil {
+		t.Fatal(err)
+	}
+	if p.numObjectStates() != 0 || len(sl.free) != 1 {
+		t.Fatalf("object not freed: %d states, %d free slots", p.numObjectStates(), len(sl.free))
+	}
+	checkWindowState(t, p)
+	ps = &sl.pages[sl.free[0]]
+	if ps.leases.slots != nil {
+		t.Fatalf("freed object kept a %d-slot lease table (cap %d)", len(ps.leases.slots), leaseTableKeepCap)
+	}
+	if len(ps.incident.slots) != incidentSlots {
+		t.Fatalf("freed object's %d-slot incident table became %d slots", incidentSlots, len(ps.incident.slots))
+	}
+}
+
 func TestSlidingRejectsOutOfOrder(t *testing.T) {
 	p, _ := newSliding(projection.Window{Min: 0, Max: 60}, 100, projection.Options{})
 	mustAdd(t, p, graph.Comment{Author: 1, Page: 0, TS: 50})
@@ -299,13 +334,14 @@ func mustAdd(t *testing.T, p *SlidingProjector, c graph.Comment) {
 
 // checkWindowState recounts, for every signal's cell, what the kernel
 // maintains incrementally: the buffered-comment gauge, one ring entry per
-// lease, the per-object lease counts, the incident table (from the
-// leases), and the slab's bookkeeping.
+// lease, the per-object lease counts, the incident tables (from the
+// leases), and the slab's bookkeeping, whose free slots keep only empty
+// tables.
 func checkWindowState(t *testing.T, p *SlidingProjector) {
 	t.Helper()
 	for si := range p.cells {
 		sl := &p.cells[si]
-		buffered := 0
+		buffered, tabled := 0, 0
 		var leases int32
 		for obj, pi := range sl.objects {
 			ps := &sl.pages[pi]
@@ -314,46 +350,54 @@ func checkWindowState(t *testing.T, p *SlidingProjector) {
 			if ps.live < 0 {
 				t.Fatalf("signal %d object %d: %d leases", si, obj, ps.live)
 			}
+			tabled += ps.leases.len()
+			incident := make(map[graph.VertexID]int64)
+			n := 0
+			for _, s := range ps.leases.slots {
+				if s.key == 0 {
+					continue
+				}
+				n++
+				u, v := graph.UnpackEdge(s.key)
+				incident[u]++
+				incident[v]++
+			}
+			if n != ps.leases.len() || int32(n) != ps.live {
+				t.Fatalf("signal %d object %d: %d leases in the table (length %d), live %d",
+					si, obj, n, ps.leases.len(), ps.live)
+			}
+			if ps.incident.len() != len(incident) {
+				t.Fatalf("signal %d object %d: %d incident counts, leases imply %d",
+					si, obj, ps.incident.len(), len(incident))
+			}
+			for _, s := range ps.incident.slots {
+				if s.key == 0 {
+					continue
+				}
+				if want := incident[graph.VertexID(s.key-1)]; s.val != want {
+					t.Fatalf("signal %d object %d author %d: incident count %d, leases imply %d",
+						si, obj, s.key-1, s.val, want)
+				}
+			}
 		}
 		if sl.buffered != buffered {
 			t.Fatalf("signal %d: buffered gauge %d, recount %d", si, sl.buffered, buffered)
 		}
-		if sl.exp.len() != int(sl.live) || sl.leases.len() != int(sl.live) || int64(leases) != sl.live {
-			t.Fatalf("signal %d: %d ring entries, %d leases in the table, %d on the objects, live gauge %d",
-				si, sl.exp.len(), sl.leases.len(), leases, sl.live)
+		if sl.exp.len() != int(sl.live) || tabled != int(sl.live) || int64(leases) != sl.live {
+			t.Fatalf("signal %d: %d ring entries, %d leases in the tables, %d on the objects, live gauge %d",
+				si, sl.exp.len(), tabled, leases, sl.live)
 		}
 		if len(sl.objects)+len(sl.free) != len(sl.pages) {
 			t.Fatalf("signal %d: %d objects + %d free != %d slab slots",
 				si, len(sl.objects), len(sl.free), len(sl.pages))
 		}
-		type objAuthor struct{ obj, a graph.VertexID }
-		incident := make(map[objAuthor]int64)
-		perObj := make(map[graph.VertexID]int32)
-		for _, s := range sl.leases.slots {
-			if s.key == 0 {
-				continue
-			}
-			u, v := graph.UnpackEdge(s.key)
-			incident[objAuthor{s.obj, u}]++
-			incident[objAuthor{s.obj, v}]++
-			perObj[s.obj]++
-		}
-		for obj, n := range perObj {
-			pi, ok := sl.objects[obj]
-			if !ok || sl.pages[pi].live != n {
-				t.Fatalf("signal %d object %d: %d leases in the table, state %v", si, obj, n, ok)
-			}
-		}
-		if sl.incident.len() != len(incident) {
-			t.Fatalf("signal %d: %d incident counts, leases imply %d", si, sl.incident.len(), len(incident))
-		}
-		for _, s := range sl.incident.slots {
-			if s.key == 0 {
-				continue
-			}
-			if want := incident[objAuthor{s.obj, graph.VertexID(s.key - 1)}]; s.val != want {
-				t.Fatalf("signal %d object %d author %d: incident count %d, leases imply %d",
-					si, s.obj, s.key-1, s.val, want)
+		for _, pi := range sl.free {
+			ps := &sl.pages[pi]
+			for _, tab := range []*leaseTable{&ps.leases, &ps.incident} {
+				if tab.len() != 0 || len(tab.slots) > leaseTableKeepCap || slices.ContainsFunc(tab.slots, func(s leaseSlot) bool { return s.key != 0 }) {
+					t.Fatalf("signal %d free slot %d: table of %d entries in %d slots",
+						si, pi, tab.len(), len(tab.slots))
+				}
 			}
 		}
 	}

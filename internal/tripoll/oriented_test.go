@@ -85,6 +85,12 @@ func checkOrientedInvariants(t *testing.T, o *Oriented) {
 	}
 }
 
+// addEdge adds w to edge {u,v} through the store's bulk write.
+func addEdge(g *graph.ShardedCI, u, v graph.VertexID, w uint32) {
+	key := graph.PackEdge(u, v)
+	g.AddShardBatch(g.EdgeShard(key), 0, []graph.EdgeDelta{{Key: key, W: w}}, nil)
+}
+
 // runPatchStream drives one randomized ingest/withdraw stream through a
 // persistent Oriented at the given rebuild fraction, checking after every
 // cycle that the patched view is indistinguishable from one rebuilt from
@@ -102,7 +108,7 @@ func runPatchStream(t *testing.T, seed int64, rebuildFrac float64, rounds int) *
 		u := graph.VertexID(rng.Intn(nv))
 		v := graph.VertexID(rng.Intn(nv))
 		if u != v {
-			g.AddEdgeWeightSig(u, v, 1+uint32(rng.Intn(4)), 0)
+			addEdge(g, u, v, 1+uint32(rng.Intn(4)))
 		}
 	}
 	prev := g.Snapshot()
@@ -128,7 +134,7 @@ func runPatchStream(t *testing.T, seed int64, rebuildFrac float64, rounds int) *
 				key := graph.PackEdge(u, v)
 				g.SubShardBatch(g.EdgeShard(key), []graph.EdgeDelta{{Key: key, W: 1 + uint32(rng.Intn(int(w)))}}, nil, nil)
 			} else {
-				g.AddEdgeWeightSig(u, v, 1+uint32(rng.Intn(3)), 0)
+				addEdge(g, u, v, 1+uint32(rng.Intn(3)))
 			}
 			dirty[u], dirty[v] = true, true
 		}
