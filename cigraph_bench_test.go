@@ -12,6 +12,7 @@ import (
 	"math/rand"
 	"os"
 	"testing"
+	"time"
 
 	"coordbot/internal/graph"
 	"coordbot/internal/projection"
@@ -210,6 +211,70 @@ func TestCIGraphGuard(t *testing.T) {
 	if snap.AllocsPerOp() > guardSnapshotAllocsCeiling {
 		t.Errorf("snapshot clone %d allocs/op exceeds the %d ceiling (per-entry cloning?)",
 			snap.AllocsPerOp(), guardSnapshotAllocsCeiling)
+	}
+}
+
+// skewPages is TestProjectionSkewGuard's corpus: one hot page of 1,000
+// authors commenting 0.6 s apart (about 100k distinct in-window pairs)
+// and 5,000 small pages of 8 comments each, the hot page numbered first
+// or last.
+func skewPages(hotFirst bool) *graph.BTM {
+	const small = 5000
+	rng := rand.New(rand.NewSource(1))
+	hot := graph.VertexID(small)
+	if hotFirst {
+		hot = 0
+	}
+	var cs []graph.Comment
+	for a := 0; a < 1000; a++ {
+		cs = append(cs, graph.Comment{Author: graph.VertexID(a), Page: hot, TS: int64(a) * 6 / 10})
+	}
+	for p := 0; p < small; p++ {
+		page := graph.VertexID(p + 1)
+		if !hotFirst {
+			page = graph.VertexID(p)
+		}
+		for i := 0; i < 8; i++ {
+			cs = append(cs, graph.Comment{Author: graph.VertexID(rng.Intn(1000)), Page: page, TS: int64(rng.Intn(60))})
+		}
+	}
+	return graph.BuildBTM(cs, 0, 0)
+}
+
+// guardSkewRatio bounds TestProjectionSkewGuard's hot-first/hot-last
+// ratio. Both runs project the same pages, so a step whose per-page
+// reset costs the largest page seen so far, not the page's own size, is
+// what pushes the ratio past it.
+const guardSkewRatio = 2
+
+// TestProjectionSkewGuard: page order must not change what a batch
+// projection costs. It times ProjectSequential on the same pages with the
+// hot page first and last, best of 5 each; both runs share one build and
+// one host, so host speed cancels out of the ratio. Run by CI's perf
+// guard step with BENCH_GUARD=1 (skipped otherwise).
+func TestProjectionSkewGuard(t *testing.T) {
+	if os.Getenv("BENCH_GUARD") == "" {
+		t.Skip("set BENCH_GUARD=1 to run the projection skew guard")
+	}
+	w := projection.Window{Min: 0, Max: 60}
+	best := func(b *graph.BTM) time.Duration {
+		var min time.Duration
+		for i := 0; i < 5; i++ {
+			t0 := time.Now()
+			if _, err := projection.ProjectSequential(b, w, projection.Options{}); err != nil {
+				t.Fatal(err)
+			}
+			if d := time.Since(t0); i == 0 || d < min {
+				min = d
+			}
+		}
+		return min
+	}
+	first, last := best(skewPages(true)), best(skewPages(false))
+	ratio := float64(first) / float64(last)
+	t.Logf("ProjectSequential: hot page first %v, last %v, ratio %.2f", first, last, ratio)
+	if ratio > guardSkewRatio {
+		t.Errorf("hot-first/hot-last = %.2f exceeds %d: a page pays for the largest page before it", ratio, guardSkewRatio)
 	}
 }
 

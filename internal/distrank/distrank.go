@@ -108,8 +108,7 @@ func Run(opts Options) error {
 
 	// Project owned pages; reduce by name. Exclusions were applied by name
 	// at ingest, so the pair rule runs unscoped.
-	pairs := make(map[uint64]struct{})
-	pageAuthors := make(map[graph.VertexID]struct{})
+	var st projection.PairStep
 	for _, es := range pages {
 		sort.Slice(es, func(i, j int) bool {
 			if es[i].TS != es[j].TS {
@@ -117,16 +116,12 @@ func Run(opts Options) error {
 			}
 			return es[i].Author < es[j].Author
 		})
-		clear(pairs)
-		clear(pageAuthors)
-		projection.PagePairs(es, opts.Window, projection.Options{}, pairs)
-		for key := range pairs {
+		pairs, pageAuthors := st.Object(es, projection.Options{}, opts.Window)
+		for _, key := range pairs {
 			a, b := graph.UnpackEdge(key)
 			edges.AsyncAdd(edgeKey(authors.Name(a), authors.Name(b)), 1)
-			pageAuthors[a] = struct{}{}
-			pageAuthors[b] = struct{}{}
 		}
-		for a := range pageAuthors {
+		for _, a := range pageAuthors {
 			counts.AsyncAdd(authors.Name(a), 1)
 		}
 	}

@@ -10,6 +10,7 @@ import (
 	"testing"
 
 	"coordbot/internal/graph"
+	"coordbot/internal/interner"
 	"coordbot/internal/projection"
 	"coordbot/internal/pushshift"
 	"coordbot/internal/redditgen"
@@ -119,6 +120,57 @@ func TestMultiRankProjectionMatchesSequential(t *testing.T) {
 		t.Fatalf("multi-rank projection differs: %d vs %d edges, %d vs %d page-count entries",
 			merged.NumEdges(), want.NumEdges(),
 			len(merged.PageCounts()), len(want.PageCounts()))
+	}
+}
+
+// TestMultiRankProjectionResetPath: a rank's first page pairs more
+// distinct pairs and authors than a projection.PairStep empties in place,
+// and the 40 pages after it repeat some of them (the corpus of
+// projection's TestPairStepResetPath, Window.Min > 0, one author
+// excluded by name); every later page still counts in full.
+func TestMultiRankProjectionResetPath(t *testing.T) {
+	var cs []graph.Comment
+	for a := 0; a < 1500; a++ {
+		cs = append(cs, graph.Comment{Author: graph.VertexID(a), Page: 0, TS: int64(a)})
+	}
+	for p := graph.VertexID(1); p <= 40; p++ {
+		a, ts := 30*p, int64(100000*p)
+		cs = append(cs,
+			graph.Comment{Author: a, Page: p, TS: ts},
+			graph.Comment{Author: a + 1, Page: p, TS: ts + 1},
+			graph.Comment{Author: a + 2, Page: p, TS: ts + 1},
+			graph.Comment{Author: 2000 + p, Page: p, TS: ts + 2},
+		)
+	}
+	names := interner.New(0)
+	for a := 0; a <= 2040; a++ {
+		names.Intern(fmt.Sprintf("u%d", a))
+	}
+	input := filepath.Join(t.TempDir(), "reset.ndjson")
+	if err := pushshift.WriteFile(input, cs, names, pushshift.SyntheticPageNames(41)); err != nil {
+		t.Fatal(err)
+	}
+	w := projection.Window{Min: 1, Max: 3}
+	want, err := projection.ProjectSequential(graph.BuildBTM(cs, 0, 0), w,
+		projection.Options{Exclude: map[graph.VertexID]bool{5: true}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, ranks := range []int{1, 3} {
+		got := mergeShards(t, runCluster(t, freeAddrs(t, ranks), input, w, []string{"u5"}), func(name string) graph.VertexID {
+			id, _ := names.Lookup(name)
+			return id
+		})
+		for a := graph.VertexID(30); a <= 1200; a += 30 {
+			if got.Weight(a, a+1) != 2 || got.Weight(a, a+2) != 2 || got.Weight(a+1, a+2) != 1 ||
+				got.PageCount(a) != 2 || got.PageCount(a+2) != 2 {
+				t.Fatalf("ranks %d: author %d: w' = %d/%d/%d, P' = %d/%d; want 2/2/1, 2/2", ranks, a,
+					got.Weight(a, a+1), got.Weight(a, a+2), got.Weight(a+1, a+2), got.PageCount(a), got.PageCount(a+2))
+			}
+		}
+		if !want.Equal(got) {
+			t.Fatalf("ranks %d: multi-rank projection differs: %d vs %d edges", ranks, got.NumEdges(), want.NumEdges())
+		}
 	}
 }
 

@@ -60,50 +60,95 @@ func (o Options) skip(a graph.VertexID) bool {
 	return o.Restrict != nil && !o.Restrict[a]
 }
 
-// PagePairs appends to pairs every unordered author pair of the page
-// neighborhood (time-sorted) whose delay lies in w, skipping out-of-scope
-// authors and self-pairs: Algorithm 1's pair rule for one page, shared by
-// every batch projection, in-process or distributed (ygmnet, distrank).
-// pairs dedupes, so a pair counts once per page however often it repeats.
-func PagePairs(nbhd []graph.AuthorTime, w Window, opts Options, pairs map[uint64]struct{}) {
-	for i := 0; i < len(nbhd); i++ {
-		ai := nbhd[i].Author
-		if opts.skip(ai) {
-			continue
-		}
-		for j := i + 1; j < len(nbhd); j++ {
-			d := nbhd[j].TS - nbhd[i].TS
-			if d >= w.Max {
-				break // neighborhood is time-sorted
-			}
-			if d < w.Min {
-				continue
-			}
-			aj := nbhd[j].Author
-			if aj == ai || opts.skip(aj) {
-				continue
-			}
-			pairs[graph.PackEdge(ai, aj)] = struct{}{}
-		}
-	}
+// resetCap is the largest set a PairStep empties in place. Go's clear
+// costs a map's capacity, not its length, so a set that held more is
+// dropped for a fresh one: emptying the step costs the last object's own
+// size, never that of the largest object seen before it.
+const resetCap = 1024
+
+// PairStep is Algorithm 1's per-object step (lines 9–20, with the page as
+// the object), the one pair rule of every batch projection, in-process or
+// distributed (ygmnet, distrank). The zero value is ready; a step is not
+// safe for concurrent use.
+type PairStep struct {
+	seenPairs   map[uint64]struct{}
+	seenAuthors map[graph.VertexID]struct{}
+	pairs       []uint64
+	authors     []graph.VertexID
 }
 
-// accumulateObject folds one coordinated object's pair set into the CI
-// graph: +1 weight per pair, +1 object count per distinct incident author
-// (Algorithm 1 lines 9–20, with the page as the object).
-func accumulateObject(g *graph.CIGraph, pairs map[uint64]struct{}) {
-	if len(pairs) == 0 {
-		return
+// Object pairs one object's time-sorted neighborhood under each window of
+// ws, skipping out-of-scope authors and self-pairs, and returns the
+// distinct pairs (packed edge keys) with the distinct authors they touch:
+// +1 weight per pair and +1 to P′ per author. A pair counts once however
+// often it repeats, across windows too (ProjectBucketed's union). Both
+// slices are the step's own and stay valid until the next call.
+func (s *PairStep) Object(nbhd []graph.AuthorTime, opts Options, ws ...Window) (pairs []uint64, authors []graph.VertexID) {
+	s.seenPairs = emptied(s.seenPairs, len(s.pairs))
+	s.seenAuthors = emptied(s.seenAuthors, len(s.authors))
+	s.pairs, s.authors = s.pairs[:0], s.authors[:0]
+	for _, w := range ws {
+		for i := 0; i < len(nbhd); i++ {
+			ai := nbhd[i].Author
+			if opts.skip(ai) {
+				continue
+			}
+			for j := i + 1; j < len(nbhd); j++ {
+				d := nbhd[j].TS - nbhd[i].TS
+				if d >= w.Max {
+					break // neighborhood is time-sorted
+				}
+				if d < w.Min {
+					continue
+				}
+				aj := nbhd[j].Author
+				if aj == ai || opts.skip(aj) {
+					continue
+				}
+				key := graph.PackEdge(ai, aj)
+				if _, dup := s.seenPairs[key]; !dup {
+					s.seenPairs[key] = struct{}{}
+					s.pairs = append(s.pairs, key)
+				}
+			}
+		}
 	}
-	authors := make(map[graph.VertexID]struct{}, len(pairs)*2)
-	for key := range pairs {
+	for _, key := range s.pairs {
 		u, v := graph.UnpackEdge(key)
-		g.AddEdgeWeight(u, v, 1)
-		authors[u] = struct{}{}
-		authors[v] = struct{}{}
+		for _, a := range [2]graph.VertexID{u, v} {
+			if _, dup := s.seenAuthors[a]; !dup {
+				s.seenAuthors[a] = struct{}{}
+				s.authors = append(s.authors, a)
+			}
+		}
 	}
-	for a := range authors {
-		g.AddPageCount(a, 1)
+	return s.pairs, s.authors
+}
+
+// emptied returns m empty for the next object, given that the last one
+// left n entries in it (see resetCap).
+func emptied[K comparable](m map[K]struct{}, n int) map[K]struct{} {
+	if m == nil || n > resetCap {
+		return make(map[K]struct{})
+	}
+	clear(m)
+	return m
+}
+
+// projectObjects is the reference driver of every sequential batch
+// projection: objects 0..numObjects-1 with time-sorted neighborhoods
+// served by nbhd, each paired under every window of ws and folded into g.
+func projectObjects(g *graph.CIGraph, numObjects int, nbhd func(graph.VertexID) []graph.AuthorTime, ws []Window, opts Options) {
+	var st PairStep
+	for o := 0; o < numObjects; o++ {
+		pairs, authors := st.Object(nbhd(graph.VertexID(o)), opts, ws...)
+		for _, key := range pairs {
+			u, v := graph.UnpackEdge(key)
+			g.AddEdgeWeight(u, v, 1)
+		}
+		for _, a := range authors {
+			g.AddPageCount(a, 1)
+		}
 	}
 }
 
@@ -114,12 +159,7 @@ func ProjectSequential(b *graph.BTM, w Window, opts Options) (*graph.CIGraph, er
 		return nil, err
 	}
 	g := graph.NewCIGraph()
-	pairs := make(map[uint64]struct{})
-	for p := 0; p < b.NumPages(); p++ {
-		clear(pairs)
-		PagePairs(b.PageNeighborhood(graph.VertexID(p)), w, opts, pairs)
-		accumulateObject(g, pairs)
-	}
+	projectObjects(g, b.NumPages(), b.PageNeighborhood, []Window{w}, opts)
 	return g, nil
 }
 
@@ -144,11 +184,11 @@ func UniformBuckets(min, max int64, k int) []Window {
 }
 
 // ProjectBucketed is the §3 bucket workaround done exactly: pages are
-// processed once, each page's pair sets are computed per bucket and
-// unioned before accumulation. Because the buckets partition the full
-// window, the union per page equals the direct pair set, so the result is
-// identical to ProjectSequential over [buckets[0].Min, buckets[last].Max)
-// while the per-bucket working sets stay small.
+// processed once, each page paired under every bucket by one PairStep
+// call, which unions the buckets' pair sets before accumulation. Because the buckets
+// partition the full window, the union per page equals the direct pair
+// set, so the result is identical to ProjectSequential over
+// [buckets[0].Min, buckets[last].Max).
 // surface:keep EXPERIMENTS.md S2 measures it (TestBucketedEqualsDirect).
 func ProjectBucketed(b *graph.BTM, buckets []Window, opts Options) (*graph.CIGraph, error) {
 	if len(buckets) == 0 {
@@ -164,20 +204,7 @@ func ProjectBucketed(b *graph.BTM, buckets []Window, opts Options) (*graph.CIGra
 		}
 	}
 	g := graph.NewCIGraph()
-	union := make(map[uint64]struct{})
-	bucketPairs := make(map[uint64]struct{})
-	for p := 0; p < b.NumPages(); p++ {
-		clear(union)
-		nbhd := b.PageNeighborhood(graph.VertexID(p))
-		for _, bw := range buckets {
-			clear(bucketPairs)
-			PagePairs(nbhd, bw, opts, bucketPairs)
-			for key := range bucketPairs {
-				union[key] = struct{}{}
-			}
-		}
-		accumulateObject(g, union)
-	}
+	projectObjects(g, b.NumPages(), b.PageNeighborhood, buckets, opts)
 	return g, nil
 }
 

@@ -255,3 +255,100 @@ func randomComments(rng *rand.Rand, n, authors, pages int) []graph.Comment {
 	}
 	return cs
 }
+
+// resetCorpus opens with a page whose distinct pairs and authors both
+// outnumber what a PairStep empties in place (resetCap), then pages that
+// repeat some of its pairs and authors: a step that carries a pair or an
+// author from one page into the next undercounts the later page. Window
+// [1, 3) drops the later pages' same-second pair; resetScope restricts
+// and excludes a few authors.
+func resetCorpus() []graph.Comment {
+	var cs []graph.Comment
+	for a := 0; a < 1500; a++ {
+		cs = append(cs, graph.Comment{Author: graph.VertexID(a), Page: 0, TS: int64(a)})
+	}
+	for p := graph.VertexID(1); p <= 40; p++ {
+		a, ts := 30*p, int64(100000*p)
+		cs = append(cs,
+			graph.Comment{Author: a, Page: p, TS: ts},
+			graph.Comment{Author: a + 1, Page: p, TS: ts + 1},
+			graph.Comment{Author: a + 2, Page: p, TS: ts + 1},
+			graph.Comment{Author: 2000 + p, Page: p, TS: ts + 2},
+		)
+	}
+	return cs
+}
+
+var resetWindow = Window{Min: 1, Max: 3}
+
+func resetScope() Options {
+	opts := Options{Exclude: map[graph.VertexID]bool{5: true, 2003: true}, Restrict: map[graph.VertexID]bool{}}
+	for a := graph.VertexID(0); a < 2100; a++ {
+		opts.Restrict[a] = a%97 != 0
+	}
+	return opts
+}
+
+// perPageReference projects every page of cs on its own and sums the
+// results, so no pair step is ever reused across pages.
+func perPageReference(t *testing.T, cs []graph.Comment, w Window, opts Options) *graph.CIGraph {
+	t.Helper()
+	byPage := map[graph.VertexID][]graph.Comment{}
+	for _, c := range cs {
+		byPage[c.Page] = append(byPage[c.Page], graph.Comment{Author: c.Author, TS: c.TS})
+	}
+	var parts []*graph.CIGraph
+	for _, page := range byPage {
+		g, err := ProjectSequential(graph.BuildBTM(page, 0, 0), w, opts)
+		if err != nil {
+			t.Fatal(err)
+		}
+		parts = append(parts, g)
+	}
+	return MergeSummed(parts...)
+}
+
+// TestPairStepResetPath: every in-process batch projector counts the
+// pages after a hot one in full, with Exclude, Restrict and Window.Min > 0
+// in play.
+func TestPairStepResetPath(t *testing.T) {
+	cs, w, opts := resetCorpus(), resetWindow, resetScope()
+	want := perPageReference(t, cs, w, opts)
+	// Spot checks: (30,31) and (30,32) pair on pages 0 and 1, (31,32) only
+	// on page 0 (delay 0 on page 1); 291 = 3·97 is out of scope, 5 excluded.
+	for _, c := range []struct {
+		u, v graph.VertexID
+		w    uint32
+	}{{30, 31, 2}, {30, 32, 2}, {31, 32, 1}, {31, 2001, 1}, {290, 291, 0}, {4, 5, 0}} {
+		if got := want.Weight(c.u, c.v); got != c.w {
+			t.Fatalf("reference w'(%d,%d) = %d, want %d", c.u, c.v, got, c.w)
+		}
+	}
+	if want.PageCount(30) != 2 || want.PageCount(2001) != 1 || want.PageCount(291) != 0 {
+		t.Fatalf("reference P' = %d/%d/%d, want 2/1/0", want.PageCount(30), want.PageCount(2001), want.PageCount(291))
+	}
+
+	b := graph.BuildBTM(cs, 0, 0)
+	check := func(name string, got graph.CIView, err error) {
+		t.Helper()
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !want.Equal(got) {
+			t.Fatalf("%s: w'(30,31) = %d, P'(30) = %d, %d edges; want 2, 2, %d edges",
+				name, got.Weight(30, 31), got.PageCount(30), got.NumEdges(), want.NumEdges())
+		}
+	}
+	seq, err := ProjectSequential(b, w, opts)
+	check("ProjectSequential", seq, err)
+	bucketed, err := ProjectBucketed(b, UniformBuckets(w.Min, w.Max, 2), opts)
+	check("ProjectBucketed", bucketed, err)
+	sig, err := ProjectSignals(cs, DefaultSignals(w), opts)
+	check("ProjectSignals", sig, err)
+	for _, ranks := range []int{1, 3} {
+		sh, err := projectSharded(b, w, opts, ranks)
+		check("ProjectSharded", sh.Snapshot(), err)
+		ssh, err := projectSignalsSharded(cs, DefaultSignals(w), opts, ranks)
+		check("ProjectSignalsSharded", ssh.Snapshot(), err)
+	}
+}

@@ -40,9 +40,7 @@ func projectSharded(b *graph.BTM, w Window, opts Options, nr int) (*graph.Sharde
 		return nil, err
 	}
 	g := graph.NewShardedCI(0, 0)
-	projectObjectsSharded(g, 0, b.NumPages(), func(p int) []graph.AuthorTime {
-		return b.PageNeighborhood(graph.VertexID(p))
-	}, w, opts, nr)
+	projectObjectsSharded(g, 0, b.NumPages(), b.PageNeighborhood, w, opts, nr)
 	return g, nil
 }
 
@@ -75,7 +73,7 @@ func projectSignalsSharded(comments []graph.Comment, sigs []Signal, opts Options
 // neighborhoods served by nbhd. Every windowed pair adds 1 to its edge
 // total (attributed to signal si when the store tracks a breakdown) and
 // each distinct incident author +1 to the P' table per object.
-func projectObjectsSharded(g *graph.ShardedCI, si, numObjects int, nbhd func(int) []graph.AuthorTime, w Window, opts Options, nr int) {
+func projectObjectsSharded(g *graph.ShardedCI, si, numObjects int, nbhd func(graph.VertexID) []graph.AuthorTime, w Window, opts Options, nr int) {
 	p := g.NumShards()
 
 	// edgeRec / pageRec are one append-log occurrence each; the implicit
@@ -106,22 +104,13 @@ func projectObjectsSharded(g *graph.ShardedCI, si, numObjects int, nbhd func(int
 		go func(r int) {
 			defer wg.Done()
 			var lg rankLog
-			pairs := make(map[uint64]struct{})
-			authors := make(map[graph.VertexID]struct{})
+			var st PairStep
 			for pg := r; pg < numObjects; pg += nr {
-				clear(pairs)
-				PagePairs(nbhd(pg), w, opts, pairs)
-				if len(pairs) == 0 {
-					continue
-				}
-				clear(authors)
-				for key := range pairs {
+				pairs, authors := st.Object(nbhd(graph.VertexID(pg)), opts, w)
+				for _, key := range pairs {
 					lg.edges = append(lg.edges, edgeRec{shard: int32(g.EdgeShard(key)), key: key})
-					u, v := graph.UnpackEdge(key)
-					authors[u] = struct{}{}
-					authors[v] = struct{}{}
 				}
-				for a := range authors {
+				for _, a := range authors {
 					lg.pages = append(lg.pages, pageRec{shard: int32(g.VertexShard(a)), v: a})
 				}
 			}

@@ -300,7 +300,7 @@ func (x *ObjectIndex) NumObjects() int { return len(x.off) - 1 }
 
 // Neighborhood returns object row o's engagements in ascending time
 // order. Aliases internal storage; callers must not mutate it.
-func (x *ObjectIndex) Neighborhood(o int) []graph.AuthorTime {
+func (x *ObjectIndex) Neighborhood(o graph.VertexID) []graph.AuthorTime {
 	return x.entries[x.off[o]:x.off[o+1]]
 }
 
@@ -317,15 +317,9 @@ func ProjectSignals(comments []graph.Comment, sigs []Signal, opts Options) (*gra
 		return nil, err
 	}
 	g := graph.NewCIGraph()
-	pairs := make(map[uint64]struct{})
 	for _, sig := range sigs {
 		idx := BuildObjectIndex(comments, sig)
-		w := sig.Window()
-		for o := 0; o < idx.NumObjects(); o++ {
-			clear(pairs)
-			PagePairs(idx.Neighborhood(o), w, opts, pairs)
-			accumulateObject(g, pairs)
-		}
+		projectObjects(g, idx.NumObjects(), idx.Neighborhood, []Window{sig.Window()}, opts)
 	}
 	return g, nil
 }

@@ -44,7 +44,7 @@
 //
 // Algorithm 1's pair rule (delay in [δ1, δ2), self-pairs skipped, each
 // pair counted once per object) has three implementations, one per
-// execution model: projection.PagePairs for batch sweeps, Projector for an
+// execution model: projection.PairStep for batch sweeps, Projector for an
 // unbounded stream, and addToObject here for the sliding window.
 //
 // The serial Add path drains the rings before every comment and is the

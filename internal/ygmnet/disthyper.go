@@ -193,14 +193,15 @@ func (hc *HypergraphCluster) owner(a graph.VertexID) int {
 func (hc *HypergraphCluster) Build(b *graph.BTM) {
 	hc.Cluster.Run(func(node *Node) {
 		var buf [8]byte
-		seen := make(map[graph.VertexID]struct{})
+		// sent[a] is 1 + the last page a was sent with, so a page's authors
+		// are deduped with nothing emptied between pages.
+		sent := make([]uint32, b.NumAuthors())
 		for p := node.Rank(); p < b.NumPages(); p += node.NRanks() {
-			clear(seen)
 			for _, at := range b.PageNeighborhood(graph.VertexID(p)) {
-				if _, dup := seen[at.Author]; dup {
+				if sent[at.Author] == uint32(p)+1 {
 					continue
 				}
-				seen[at.Author] = struct{}{}
+				sent[at.Author] = uint32(p) + 1
 				binary.BigEndian.PutUint32(buf[:4], uint32(at.Author))
 				binary.BigEndian.PutUint32(buf[4:], uint32(p))
 				node.Async(hc.owner(at.Author), hc.insertH, buf[:])

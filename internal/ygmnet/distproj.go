@@ -54,22 +54,13 @@ func (pc *ProjectionCluster) Project(b *graph.BTM, w projection.Window, opts pro
 	pc.Cluster.Run(func(node *Node) {
 		edges := pc.edges[node.Rank()]
 		counts := pc.counts[node.Rank()]
-		pairs := make(map[uint64]struct{})
-		authors := make(map[graph.VertexID]struct{})
+		var st projection.PairStep
 		for p := node.Rank(); p < b.NumPages(); p += node.NRanks() {
-			clear(pairs)
-			projection.PagePairs(b.PageNeighborhood(graph.VertexID(p)), w, opts, pairs)
-			if len(pairs) == 0 {
-				continue
-			}
-			clear(authors)
-			for key := range pairs {
+			pairs, authors := st.Object(b.PageNeighborhood(graph.VertexID(p)), opts, w)
+			for _, key := range pairs {
 				edges.AsyncAdd(key, 1)
-				u, v := graph.UnpackEdge(key)
-				authors[u] = struct{}{}
-				authors[v] = struct{}{}
 			}
-			for a := range authors {
+			for _, a := range authors {
 				counts.AsyncAdd(uint64(a), 1)
 			}
 		}

@@ -134,3 +134,61 @@ func weights(g *graph.CIGraph) []uint32 {
 	sort.Slice(out, func(i, j int) bool { return out[i] > out[j] })
 	return out
 }
+
+// resetBTM opens with a page whose distinct pairs and authors both
+// outnumber what a projection.PairStep empties in place, then 40 pages
+// that repeat some of them (the corpus of projection's
+// TestPairStepResetPath): page p pairs 30p with 30p+1 and 30p+2 again, so
+// a rank that carries state from page 0 into page p undercounts them.
+func resetBTM() *graph.BTM {
+	var cs []graph.Comment
+	for a := 0; a < 1500; a++ {
+		cs = append(cs, graph.Comment{Author: graph.VertexID(a), Page: 0, TS: int64(a)})
+	}
+	for p := graph.VertexID(1); p <= 40; p++ {
+		a, ts := 30*p, int64(100000*p)
+		cs = append(cs,
+			graph.Comment{Author: a, Page: p, TS: ts},
+			graph.Comment{Author: a + 1, Page: p, TS: ts + 1},
+			graph.Comment{Author: a + 2, Page: p, TS: ts + 1},
+			graph.Comment{Author: 2000 + p, Page: p, TS: ts + 2},
+		)
+	}
+	return graph.BuildBTM(cs, 0, 0)
+}
+
+// TestDistributedProjectionResetPath: with Exclude, Restrict and
+// Window.Min > 0, every rank counts the pages after a hot one in full.
+func TestDistributedProjectionResetPath(t *testing.T) {
+	b := resetBTM()
+	w := projection.Window{Min: 1, Max: 3}
+	opts := projection.Options{Exclude: map[graph.VertexID]bool{5: true, 2003: true}, Restrict: map[graph.VertexID]bool{}}
+	for a := graph.VertexID(0); a < 2100; a++ {
+		opts.Restrict[a] = a%97 != 0
+	}
+	want, err := projection.ProjectSequential(b, w, opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, ranks := range []int{1, 3} {
+		pc, err := NewProjectionCluster(ranks)
+		if err != nil {
+			t.Fatal(err)
+		}
+		got, err := pc.Project(b, w, opts)
+		pc.Close()
+		if err != nil {
+			t.Fatal(err)
+		}
+		for a := graph.VertexID(30); a <= 1200; a += 30 {
+			if got.Weight(a, a+1) != 2 || got.Weight(a, a+2) != 2 || got.Weight(a+1, a+2) != 1 ||
+				got.PageCount(a) != 2 || got.PageCount(a+2) != 2 {
+				t.Fatalf("ranks %d: author %d: w' = %d/%d/%d, P' = %d/%d; want 2/2/1, 2/2", ranks, a,
+					got.Weight(a, a+1), got.Weight(a, a+2), got.Weight(a+1, a+2), got.PageCount(a), got.PageCount(a+2))
+			}
+		}
+		if !want.Equal(got) {
+			t.Fatalf("ranks %d: distributed != sequential (%d vs %d edges)", ranks, got.NumEdges(), want.NumEdges())
+		}
+	}
+}
